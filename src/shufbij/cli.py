@@ -110,9 +110,7 @@ def _cmd_shuffles(args) -> int:
 def _cmd_dist(args) -> int:
     stat = parse_stat(args.statistic)
     pi, sigma = _parse_pair(args.pi, args.sigma)
-    from .shuffle import shuffles
-
-    dist = distribution(stat, shuffles(pi, sigma))
+    dist = distribution(stat, iter_shuffles(pi, sigma))
     if args.format == "json":
         print(json.dumps({
             "statistic": format_stat(stat),
@@ -129,9 +127,7 @@ def _cmd_dist(args) -> int:
 def _cmd_genpoly(args) -> int:
     stat = parse_stat(args.statistic)
     pi, sigma = _parse_pair(args.pi, args.sigma)
-    from .shuffle import shuffles
-
-    poly = gen_poly(stat, shuffles(pi, sigma))
+    poly = gen_poly(stat, iter_shuffles(pi, sigma))
     if args.format == "json":
         print(json.dumps({"coefficients": list(poly)}))
     else:

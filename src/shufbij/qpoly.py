@@ -11,8 +11,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import lru_cache
 
-from .errors import DomainOverlapError
 from .perm import Perm
+from .shuffle import _check_disjoint
 from .stats import StatId, des_set, evaluate, is_integer_valued, maj, validate_stat
 
 QPoly = tuple[int, ...]
@@ -52,17 +52,8 @@ def shift(p: QPoly, k: int) -> QPoly:
     return ((0,) * k + p) if p else ZERO
 
 
-def monomial(k: int) -> QPoly:
-    return shift(ONE, k)
-
-
 def eval_at_one(p: QPoly) -> int:
     return sum(p)
-
-
-def degree(p: QPoly) -> int:
-    """Degree; -1 for the zero polynomial."""
-    return len(p) - 1
 
 
 def q_int(n: int) -> QPoly:
@@ -110,12 +101,6 @@ def gen_poly(stat: StatId, perms: Iterable[Perm]) -> QPoly:
             coeffs.extend([0] * (v + 1 - len(coeffs)))
         coeffs[v] += 1
     return qp(coeffs)
-
-
-def _check_disjoint(pi: Perm, sigma: Perm) -> None:
-    shared = set(pi) & set(sigma)
-    if shared:
-        raise DomainOverlapError(f"domains share {sorted(shared)}")
 
 
 def stanley_rhs(pi: Perm, sigma: Perm) -> QPoly:

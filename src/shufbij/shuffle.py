@@ -13,6 +13,7 @@ separated domains while recording a replayable descent-preserving trace.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from .errors import DomainOverlapError, NotAShuffleError
@@ -53,6 +54,37 @@ def shuffles(pi: Perm, sigma: Perm) -> tuple[Perm, ...]:
     The result always has binomial(m+n, m) entries.
     """
     return tuple(iter_shuffles(pi, sigma))
+
+
+def des_histogram(
+    des_pi: frozenset[int], des_sigma: frozenset[int], m: int, n: int
+) -> Counter:
+    """Descent sets over the shuffle set of any pi on [m] with descent set
+    ``des_pi`` and sigma on [n]+m with descent set ``des_sigma``.
+
+    Every sigma entry exceeds every pi entry, so the descent set of an
+    interleaving is fixed by its word: adjacent letters b, a give a
+    descent, a, b an ascent, and a, a or b, b copy the comparison of the
+    operand they come from.  Equals
+    ``Counter(des_set(t) for t in shuffles(pi, sigma))`` without building
+    the shuffle set.
+    """
+    hist: Counter = Counter()
+    for apos in combinations(range(m + n), m):
+        aset = set(apos)
+        descents = []
+        ai = bi = 0  # entries of pi / sigma placed so far
+        for p in range(m + n):
+            if p in aset:
+                if p and (p - 1 not in aset or ai in des_pi):
+                    descents.append(p)
+                ai += 1
+            else:
+                if p and p - 1 not in aset and bi in des_sigma:
+                    descents.append(p)
+                bi += 1
+        hist[frozenset(descents)] += 1
+    return hist
 
 
 def shuffles_with_k_descents(pi: Perm, sigma: Perm, k: int) -> tuple[Perm, ...]:

@@ -1,4 +1,4 @@
-"""Brute-force verification: compatibility sweeps, bijection audits,
+"""Exhaustive verification: compatibility sweeps, bijection audits,
 identity checks, and counterexample search.
 
 Everything here is exact exhaustive enumeration at desk scale.  Size
@@ -6,19 +6,28 @@ bounds are explicit parameters with safe defaults; a request beyond the
 bound raises :class:`~shufbij.errors.ResourceLimitError` instead of
 silently truncating.  Searches run in a fixed enumeration order, so the
 witness returned for a failing claim is deterministic.
+
+The reduced-mode sweeps and the ``maj``/``maj_des`` identities put sigma
+above pi, where the descent sets over a shuffle set depend only on the
+descent classes of the operands; they compute one descent-set histogram
+per class pair (:func:`~shufbij.shuffle.des_histogram`) instead of one
+shuffle set per pair.  Full mode, the counterexample search, the pipeline
+audit and :meth:`Witness.recheck` enumerate shuffle sets directly.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 from typing import Optional
 
 from .errors import ResourceLimitError
 from .perm import Perm, format_perm
-from .qpoly import QPoly, gen_poly, q_binomial, stanley_refined_rhs, stanley_rhs
+from .qpoly import QPoly, gen_poly, q_binomial, qp, stanley_refined_rhs, stanley_rhs
 from .reduce import (
     SIGMA_SIDE_STATS,
     SUPPORTED_STATS,
@@ -26,16 +35,19 @@ from .reduce import (
     canonicalize,
     maj_decrement,
 )
-from .shuffle import shuffles
+from .shuffle import des_histogram, shuffles
 from .stats import (
     Distribution,
     StatId,
+    des_set,
     distribution,
     distribution_entries,
     distribution_to_json,
     evaluate,
+    evaluate_descent_class,
     format_stat,
     format_stat_value,
+    is_descent_statistic,
     validate_stat,
 )
 
@@ -132,29 +144,57 @@ def _gate(total: int, limit: int, what: str) -> None:
         )
 
 
-def _perms_of(values) -> list[Perm]:
-    return [tuple(p) for p in permutations(sorted(values))]
-
-
 def _reduced_scan(stat: StatId, m: int, n: int, side: str):
     """One-sided sweep: group the varying side by statistic value and
-    require equal distributions within each group, for every fixed partner."""
-    low = range(1, m + 1)
-    high = range(m + 1, m + n + 1)
-    movers = _perms_of(low) if side == "pi" else _perms_of(high)
-    partners = _perms_of(high) if side == "pi" else _perms_of(low)
+    require equal distributions within each group, for every fixed partner.
+
+    A distribution depends only on the descent classes of the pair, so it
+    is built once per class pair from :func:`des_histogram`.  Within a
+    group only the first mover of each class is compared, and a partner
+    whose class has passed already is counted without a rescan.  Cases and
+    the first failing witness are those of a scan pair by pair.
+    """
+    low = permutations(range(1, m + 1))
+    high = permutations(range(m + 1, m + n + 1))
+    movers, partners = (low, high) if side == "pi" else (high, low)
+
+    @cache
+    def value_of(descents, length):
+        return evaluate_descent_class(stat, descents, length)
+
+    @cache
+    def dist_of(des_pi, des_sigma):
+        dist = Counter()
+        for descents, count in des_histogram(des_pi, des_sigma, m, n).items():
+            dist[value_of(descents, m + n)] += count
+        return dist
+
+    # Movers by statistic value: per group, its size and, per descent
+    # class, the offset and the mover where the class first occurs.  A
+    # class lies in one group only.
     groups: dict = {}
     for mover in movers:
-        groups.setdefault(evaluate(stat, mover), []).append(mover)
+        mover_des = des_set(mover)
+        group = groups.setdefault(value_of(mover_des, len(mover)), [0, {}])
+        group[1].setdefault(mover_des, (group[0], mover))
+        group[0] += 1
+    mover_count = sum(size for size, _ in groups.values())
+
+    passed_classes = set()
     cases = 0
     for partner in partners:
-        for members in groups.values():
+        partner_des = des_set(partner)
+        if partner_des in passed_classes:
+            cases += mover_count
+            continue
+        for size, firsts in groups.values():
             ref_dist = None
             ref = None
-            for mover in members:
-                pair = (mover, partner) if side == "pi" else (partner, mover)
-                dist = distribution(stat, shuffles(*pair))
-                cases += 1
+            for mover_des, (offset, mover) in firsts.items():
+                if side == "pi":
+                    dist = dist_of(mover_des, partner_des)
+                else:
+                    dist = dist_of(partner_des, mover_des)
                 if ref_dist is None:
                     ref_dist, ref = dist, mover
                 elif dist != ref_dist:
@@ -162,7 +202,9 @@ def _reduced_scan(stat: StatId, m: int, n: int, side: str):
                         witness = Witness(ref, mover, partner, partner, stat, ref_dist, dist)
                     else:
                         witness = Witness(partner, partner, ref, mover, stat, ref_dist, dist)
-                    return witness, cases
+                    return witness, cases + offset + 1
+            cases += size
+        passed_classes.add(partner_des)
     return None, cases
 
 
@@ -198,12 +240,17 @@ def check_compatibility(
     ``reduced_pi`` varies the low side over [m] against every partner on
     [n]+m; ``reduced_sigma`` is the mirror; ``full`` ranges over all domain
     splittings of [m+n].  For descent statistics the reduced modes are each
-    equivalent to full compatibility; for other statistics only ``full``
-    is meaningful evidence.
+    equivalent to full compatibility; other statistics are refused there,
+    since only ``full`` is meaningful evidence for them.
     """
     stat = validate_stat(stat)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if mode != "full" and not is_descent_statistic(stat):
+        raise ValueError(
+            f"{format_stat(stat)} is not a descent statistic, so mode {mode!r} "
+            "is no evidence for it; use mode 'full' (--mode full)"
+        )
     if m < 0 or n < 0:
         raise ValueError("sizes must be nonnegative")
     fallback = DEFAULT_FULL_LIMIT if mode == "full" else DEFAULT_REDUCED_LIMIT
@@ -287,6 +334,31 @@ def _poly_as_counter(p: QPoly) -> Distribution:
     return Distribution({e: c for e, c in enumerate(p) if c})
 
 
+def _maj_poly(hist: Counter, des: Optional[int] = None) -> QPoly:
+    """Generating polynomial of maj = sum(D) over a descent-set histogram,
+    restricted to the sets with ``des`` elements when given."""
+    coeffs = [0] * (max(map(sum, hist), default=0) + 1)
+    for descents, count in hist.items():
+        if des is None or len(descents) == des:
+            coeffs[sum(descents)] += count
+    return qp(coeffs)
+
+
+def _closed_form_mismatch(which: str, pi: Perm, sigma: Perm, hist: Counter):
+    """First mismatch, as (problem, lhs, rhs), between the descent-set
+    histogram of a class pair and the closed form; None when they agree."""
+    if which == "maj":
+        lhs = _maj_poly(hist)
+        rhs = stanley_rhs(pi, sigma)
+        return None if lhs == rhs else ("closed form mismatch", lhs, rhs)
+    for k in range(len(pi) + len(sigma) + 1):
+        lhs = _maj_poly(hist, k)
+        rhs = stanley_refined_rhs(pi, sigma, k)
+        if lhs != rhs:
+            return f"refined identity fails at k={k}", lhs, rhs
+    return None
+
+
 def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> Report:
     """Exact polynomial identity checks over all normalized pairs.
 
@@ -314,46 +386,37 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
             witness = Witness(pi, pi, sigma, sigma, "maj",
                               _poly_as_counter(lhs), _poly_as_counter(rhs))
     else:
+        # (Des pi, Des sigma) -> (closed-form mismatch or None, maj distribution)
+        classes: dict = {}
         by_maj_sum: dict[int, Distribution] = {}
-        done = False
         for pi in permutations(range(1, m + 1)):
+            des_pi = des_set(pi)
             for sigma in permutations(range(m + 1, m + n + 1)):
+                des_sigma = des_set(sigma)
                 cases += 1
-                tau_set = shuffles(pi, sigma)
+                key = (des_pi, des_sigma)
+                if key not in classes:
+                    hist = des_histogram(des_pi, des_sigma, m, n)
+                    classes[key] = (
+                        _closed_form_mismatch(which, pi, sigma, hist),
+                        _poly_as_counter(_maj_poly(hist)),
+                    )
+                mismatch, dist = classes[key]
+                if mismatch:
+                    problem, lhs, rhs = mismatch
+                    witness = Witness(pi, pi, sigma, sigma, "maj",
+                                      _poly_as_counter(lhs), _poly_as_counter(rhs))
+                    break
                 if which == "maj":
-                    lhs = gen_poly("maj", tau_set)
-                    rhs = stanley_rhs(pi, sigma)
-                    if lhs != rhs:
-                        problem = "closed form mismatch"
-                        witness = Witness(pi, pi, sigma, sigma, "maj",
-                                          _poly_as_counter(lhs), _poly_as_counter(rhs))
-                        done = True
-                        break
-                    key = evaluate("maj", pi) + evaluate("maj", sigma)
-                    dist = distribution("maj", tau_set)
-                    if key not in by_maj_sum:
-                        by_maj_sum[key] = dist
-                    elif by_maj_sum[key] != dist:
+                    maj_sum = sum(des_pi) + sum(des_sigma)
+                    if maj_sum not in by_maj_sum:
+                        by_maj_sum[maj_sum] = dist
+                    elif by_maj_sum[maj_sum] != dist:
                         problem = "distribution not determined by maj(pi)+maj(sigma)"
                         witness = Witness(pi, pi, sigma, sigma, "maj",
-                                          dist, by_maj_sum[key])
-                        done = True
+                                          dist, by_maj_sum[maj_sum])
                         break
-                else:
-                    for k in range(m + n + 1):
-                        lhs = gen_poly(
-                            "maj", [t for t in tau_set if evaluate("des", t) == k]
-                        )
-                        rhs = stanley_refined_rhs(pi, sigma, k)
-                        if lhs != rhs:
-                            problem = f"refined identity fails at k={k}"
-                            witness = Witness(pi, pi, sigma, sigma, "maj",
-                                              _poly_as_counter(lhs), _poly_as_counter(rhs))
-                            done = True
-                            break
-                    if done:
-                        break
-            if done:
+            if problem:
                 break
 
     return Report(
@@ -370,6 +433,10 @@ def find_counterexample(stat: StatId, max_total_length: int) -> Report:
     """Search all domain splittings in increasing total length for a pair of
     equally-labeled instances with different distributions; first hit wins."""
     stat = validate_stat(stat)
+    if max_total_length < 0:
+        raise ValueError(
+            f"the largest m+n to scan must be >= 0, got {max_total_length}"
+        )
     start = time.perf_counter()
     cases = 0
     for total in range(max_total_length + 1):

@@ -84,6 +84,13 @@ def test_verify_command_pass_and_fail_exit_codes(capsys):
     assert "witness" in out
 
 
+def test_verify_reduced_mode_refuses_inv(capsys):
+    code, out, err = run_cli(capsys, "verify", "inv", "--m", "3", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert "--mode full" in err
+
+
 def test_verify_limit_refusal_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "des", "--m", "5", "--n", "5")
     assert code == 2
@@ -106,6 +113,13 @@ def test_counterexample_command(capsys):
     assert "witness" in out
     code, out, _ = run_cli(capsys, "counterexample", "Des", "--max", "4")
     assert code == 0
+
+
+def test_counterexample_negative_max_exits_2(capsys):
+    code, out, err = run_cli(capsys, "counterexample", "maj", "--max", "-3")
+    assert code == 2
+    assert out == ""
+    assert ">= 0" in err
 
 
 def test_conjecture_command(capsys):

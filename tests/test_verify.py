@@ -49,6 +49,13 @@ def test_compatibility_des_both_reduced_modes_agree():
         assert a.passed and b.passed
 
 
+def test_reduced_modes_refuse_non_descent_statistics():
+    for stat in ("inv", ("maj", "inv")):
+        for mode in ("reduced_pi", "reduced_sigma"):
+            with pytest.raises(ValueError, match="--mode full"):
+                check_compatibility(stat, 3, 3, mode=mode)
+
+
 def test_compatibility_resource_gate():
     with pytest.raises(ResourceLimitError):
         check_compatibility("des", 5, 5, mode="reduced_pi")
@@ -114,6 +121,11 @@ def test_find_counterexample_biruns_within_7():
     assert not report.passed
     assert report.witness.recheck()
     assert len(report.witness.pi) + len(report.witness.sigma) <= 7
+
+
+def test_find_counterexample_rejects_negative_bound():
+    with pytest.raises(ValueError, match=">= 0"):
+        find_counterexample("maj", -3)
 
 
 def test_find_counterexample_des_passes_in_scope():
