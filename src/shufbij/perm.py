@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .errors import InfeasibleProfileError
+from .errors import DomainOverlapError, InfeasibleProfileError
 
 Perm = tuple[int, ...]
 
@@ -61,6 +61,12 @@ def domain(pi: Sequence[int]) -> frozenset[int]:
     return frozenset(pi)
 
 
+def _check_disjoint(pi: Perm, sigma: Perm) -> None:
+    shared = set(pi) & set(sigma)
+    if shared:
+        raise DomainOverlapError(f"domains share {sorted(shared)}")
+
+
 def standardize(pi: Perm, target: Iterable[int]) -> Perm:
     """Relabel ``pi`` onto ``target`` by the unique increasing bijection.
 
@@ -87,11 +93,6 @@ def standardize_unit(pi: Perm) -> Perm:
     return standardize(pi, range(1, len(pi) + 1))
 
 
-def descent_positions(pi: Sequence[int]) -> list[int]:
-    """1-based positions i with pi[i] > pi[i+1] (helper; see stats.des_set)."""
-    return [i for i in range(1, len(pi)) if pi[i - 1] > pi[i]]
-
-
 def space_labels(pi: Perm) -> tuple[int, ...]:
     """Label the m+1 gaps of ``pi`` with 0..m.
 
@@ -109,7 +110,7 @@ def space_labels(pi: Perm) -> tuple[int, ...]:
         raise ValueError("space labeling requires a nonempty permutation")
     labels: list[int | None] = [None] * (m + 1)
     labels[m] = 0
-    descents = descent_positions(pi)
+    descents = [i for i in range(1, m) if pi[i - 1] > pi[i]]
     for rank, d in enumerate(sorted(descents, reverse=True), start=1):
         labels[d] = rank
     nxt = len(descents) + 1

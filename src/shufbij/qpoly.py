@@ -11,8 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import lru_cache
 
-from .perm import Perm
-from .shuffle import _check_disjoint
+from .perm import Perm, _check_disjoint
 from .stats import StatId, des_set, evaluate, is_integer_valued, maj, validate_stat
 
 QPoly = tuple[int, ...]

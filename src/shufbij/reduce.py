@@ -6,18 +6,23 @@ Each elementary move rewrites one side of a separated pair (every entry of
 * ``theta_des`` moves a descent of the sigma side one position left,
   preserving the descent count and lowering the major index by one.
 * ``theta_maj_first`` kills a descent at position 1 of the sigma side by
-  conjugating ``theta_des`` with a prepended new maximum.
+  conjugating the ``theta_des`` move with a prepended new maximum.
 * ``theta_pk`` moves an interior peak of the pi side one position left,
   preserving the peak count of every interleaving.
-* ``theta_lpk`` handles the peak-at-position-2 case by conjugating
-  ``theta_pk`` with a prepended low sentinel.
-* right-peak moves run the inverse of the interior move on an
-  appended-sentinel framing, shifting peaks right instead of left.
+* ``theta_lpk`` and the right- and exterior-peak moves are the same
+  interior move under a sentinel framing, built by one helper
+  (:func:`_peak_move`): a low entry prepended for a peak at position 2, a
+  low entry appended for the right end.  A right peak moves right by the
+  inverse move, which is the interior move with source and target
+  swapped, so it too is a forward move on the appended framing.
 
 ``canonicalize`` iterates the appropriate move with a strictly decreasing
 measure until the rewritten side reaches its canonical profile, recording
 a trace that ``apply_trace`` replays on any interleaving of the starting
-pair as a statistic-preserving bijection.
+pair as a statistic-preserving bijection.  A :class:`ReductionStep` checks
+its pairs once, when it is built; ``apply_step`` replays each kind through
+one check-free function.  The public ``theta_*`` functions build the step,
+check that ``tau`` is a shuffle of the pair, and replay it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .perm import (
     perm_with_left_peak_profile,
     space_labels,
 )
-from .shuffle import is_shuffle, phi, phi_tilde, t_swap
+from .shuffle import _rename, is_shuffle, t_swap
 from .stats import (
     StatId,
     chi_minus,
@@ -45,10 +50,10 @@ SIGMA_SIDE_STATS = ("des", ("maj", "des"), "maj")
 PI_SIDE_STATS = ("pk", "lpk", "rpk", "epk", "udr", ("udr", "pk"))
 SUPPORTED_STATS = SIGMA_SIDE_STATS + PI_SIDE_STATS
 
-
-def _require_separated(pi: Perm, sigma: Perm) -> None:
-    if pi and sigma and max(pi) >= min(sigma):
-        raise ValueError(f"every entry of {sigma} must exceed every entry of {pi}")
+# Framing entries.  The moves only locate them and test membership, never
+# compare them, so any fresh objects can stand for a new maximum or for a
+# value below everything.
+_FRONT, _BACK = object(), object()
 
 
 def _require_shuffle(tau: Perm, pi: Perm, sigma: Perm) -> None:
@@ -60,30 +65,14 @@ def _require_shuffle(tau: Perm, pi: Perm, sigma: Perm) -> None:
 # descent-side moves
 
 
-def theta_des(tau: Perm, pi: Perm, sigma: Perm, i: int, sigma_new: Perm) -> Perm:
-    """Move the descent of ``sigma`` at an interior peak position ``i`` one
-    step left, rewriting ``tau`` accordingly.
+def _des_move(tau: Perm, sigma: Perm, i: int, sigma_new: Perm) -> Perm:
+    """Replay of :func:`theta_des` on one interleaving.
 
     The entry sigma_i is the only sigma entry strictly between sigma_{i-1}
     and sigma_{i+1} in ``tau``; it is removed from the block of pi entries
     around it and reinserted one labeled space lower (cyclically), after
-    which the sigma entries are renamed to ``sigma_new``.  The image keeps
-    the descent count and has major index exactly one lower.
+    which the sigma entries are renamed to ``sigma_new``.
     """
-    _require_separated(pi, sigma)
-    _require_separated(pi, sigma_new)
-    n = len(sigma)
-    if not 2 <= i <= n - 1:
-        raise ValueError(f"index {i} has no neighbors on both sides")
-    if not (sigma[i - 2] < sigma[i - 1] > sigma[i]):
-        raise ValueError(f"{i} is not an interior peak of {sigma}")
-    want = (des_set(sigma) - {i}) | {i - 1}
-    if des_set(sigma_new) != want or len(sigma_new) != n:
-        raise ValueError(
-            f"replacement must have descent set {sorted(want)}, got {sigma_new}"
-        )
-    _require_shuffle(tau, pi, sigma)
-
     prev_v, peak_v, next_v = sigma[i - 2], sigma[i - 1], sigma[i]
     pa = tau.index(prev_v)
     pc = tau.index(next_v)
@@ -97,8 +86,25 @@ def theta_des(tau: Perm, pi: Perm, sigma: Perm, i: int, sigma_new: Perm) -> Perm
         new_block = delta[:r_new] + (peak_v,) + delta[r_new:]
     else:
         new_block = (peak_v,)
-    rearranged = tau[: pa + 1] + new_block + tau[pc:]
-    return phi_tilde(rearranged, pi, sigma, sigma_new)
+    return _rename(tau[: pa + 1] + new_block + tau[pc:], sigma, sigma_new)
+
+
+def _maj_first_move(tau: Perm, sigma: Perm, sigma_new: Perm) -> Perm:
+    """A new maximum prepended to the sigma side turns its front descent
+    into an interior peak at position 2; move that, then strip it."""
+    return _des_move((_FRONT,) + tau, (_FRONT,) + sigma, 2, (_FRONT,) + sigma_new)[1:]
+
+
+def theta_des(tau: Perm, pi: Perm, sigma: Perm, i: int, sigma_new: Perm) -> Perm:
+    """Move the descent of ``sigma`` at an interior peak position ``i`` one
+    step left, rewriting ``tau`` accordingly.
+
+    The image keeps the descent count and has major index exactly one
+    lower.
+    """
+    step = ReductionStep("theta_des", {"i": i}, pi, sigma, pi, sigma_new)
+    _require_shuffle(tau, pi, sigma)
+    return apply_step(step, tau)
 
 
 def theta_maj_first(tau: Perm, pi: Perm, sigma: Perm, sigma_new: Perm) -> Perm:
@@ -106,29 +112,13 @@ def theta_maj_first(tau: Perm, pi: Perm, sigma: Perm, sigma_new: Perm) -> Perm:
     index of ``tau`` by one.
 
     Prepends a new maximum to the sigma side, which turns the front
-    descent into an interior peak at position 2, applies
-    :func:`theta_des` there, and strips the prepended entry.  Requires the
-    standard separated domains [m] and [n]+m.
+    descent into an interior peak at position 2, applies the
+    :func:`theta_des` move there, and strips the prepended entry.
+    Requires the standard separated domains [m] and [n]+m.
     """
-    m, n = len(pi), len(sigma)
-    if set(pi) != set(range(1, m + 1)) or set(sigma) != set(range(m + 1, m + n + 1)):
-        raise ValueError("operands must live on the standard separated domains")
-    if n < 2 or not sigma[0] > sigma[1]:
-        raise ValueError(f"{sigma} has no descent at position 1")
-    want = des_set(sigma) - {1}
-    if des_set(sigma_new) != want or set(sigma_new) != set(sigma):
-        raise ValueError(
-            f"replacement must have descent set {sorted(want)}, got {sigma_new}"
-        )
+    step = ReductionStep("theta_maj_first", {}, pi, sigma, pi, sigma_new)
     _require_shuffle(tau, pi, sigma)
-
-    sset = set(sigma)
-    sigma_lift = (m + 1,) + tuple(v + 1 for v in sigma)
-    sigma_lift_new = (m + n + 1,) + sigma_new
-    tau_lift = (m + 1,) + tuple(v + 1 if v in sset else v for v in tau)
-    out = theta_des(tau_lift, pi, sigma_lift, 2, sigma_lift_new)
-    assert out[0] == m + n + 1
-    return out[1:]
+    return apply_step(step, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +134,7 @@ def _pk_core(tau: Perm, a_src: Perm, a_tgt: Perm, j: int) -> Perm:
     a_{j+1} splits as sa, a_{j-1}, sb, a_j, sc on the foreign entries;
     when exactly one outer foreign block is present it is carried across
     the two a-entries, otherwise only the a-entries are renamed in place.
+    Swapping ``a_src`` and ``a_tgt`` gives the inverse move.
     """
     s = tau.index(a_src[j - 3])
     t = tau.index(a_src[j])
@@ -151,95 +142,41 @@ def _pk_core(tau: Perm, a_src: Perm, a_tgt: Perm, j: int) -> Perm:
     i1 = block.index(a_src[j - 2])
     i2 = block.index(a_src[j - 1])
     sa, sb, sc = block[:i1], block[i1 + 1 : i2], block[i2 + 1 :]
-    y_prev, y_peak = a_tgt[j - 2], a_tgt[j - 1]
+    pair = (a_src[j - 2], a_src[j - 1])
     if sa and not sb and not sc:
-        mid = (y_prev, y_peak) + sa
+        tau = tau[: s + 1] + pair + sa + tau[t:]
     elif sc and not sa and not sb:
-        mid = sc + (y_prev, y_peak)
-    else:
-        mid = sa + (y_prev,) + sb + (y_peak,) + sc
-    aset = set(a_src)
-    rep = iter(a_tgt)
-    out = [next(rep) if v in aset else v for v in tau[: s + 1]]
-    next(rep)
-    next(rep)
-    out.extend(mid)
-    out.extend(next(rep) if v in aset else v for v in tau[t:])
-    return tuple(out)
+        tau = tau[: s + 1] + sc + pair + tau[t:]
+    return _rename(tau, a_src, a_tgt)
 
 
-def _pk_core_inv(tau: Perm, a_src: Perm, a_tgt: Perm, j: int) -> Perm:
-    """Inverse of :func:`_pk_core`: recover the preimage of ``tau`` under
-    the peak move j -> j-1 from ``a_src`` to ``a_tgt``.
+def _peak_move(tau: Perm, src: Perm, tgt: Perm, j: int, append: bool = False) -> Perm:
+    """Apply :func:`_pk_core` at position j from ``src`` to ``tgt`` on one
+    interleaving, under a sentinel framing.
 
-    The branch is recognized from the foreign-block pattern of the image:
-    (empty, empty, x) and (x, empty, empty) are the two carried cases,
-    anything else was renamed in place.
+    With ``append`` a low entry is appended to all three sequences, so a
+    peak at the last position counts; a move at position 2 gets a low
+    entry in front, so the core sees position 3.
     """
-    s = tau.index(a_tgt[j - 3])
-    t = tau.index(a_tgt[j])
-    block = tau[s + 1 : t]
-    i1 = block.index(a_tgt[j - 2])
-    i2 = block.index(a_tgt[j - 1])
-    ua, ub, uc = block[:i1], block[i1 + 1 : i2], block[i2 + 1 :]
-    x_prev, x_peak = a_src[j - 2], a_src[j - 1]
-    if uc and not ua and not ub:
-        mid = uc + (x_prev, x_peak)
-    elif ua and not ub and not uc:
-        mid = (x_prev, x_peak) + ua
-    else:
-        mid = ua + (x_prev,) + ub + (x_peak,) + uc
-    aset = set(a_tgt)
-    rep = iter(a_src)
-    out = [next(rep) if v in aset else v for v in tau[: s + 1]]
-    next(rep)
-    next(rep)
-    out.extend(mid)
-    out.extend(next(rep) if v in aset else v for v in tau[t:])
-    return tuple(out)
-
-
-def _anchored_move(tau: Perm, a_src: Perm, a_tgt: Perm, j: int, inverse: bool) -> Perm:
-    """Peak move on framed sequences, lifting once when anchored at
-    position 2 so the core always sees a peak at position >= 3."""
-    if j == 2:
-        out = _anchored_move(
-            (0,) + tuple(v + 1 for v in tau),
-            (0,) + tuple(v + 1 for v in a_src),
-            (0,) + tuple(v + 1 for v in a_tgt),
-            3,
-            inverse,
-        )
-        assert out[0] == 0
-        return tuple(v - 1 for v in out[1:])
-    core = _pk_core_inv if inverse else _pk_core
-    return core(tau, a_src, a_tgt, j)
-
-
-def _validate_pk_move(pi: Perm, pi_new: Perm, j: int) -> None:
-    if set(pi) != set(pi_new):
-        raise ValueError("replacement permutation must share the domain")
-    pk_src = peak_family(pi, "interior")
-    if j < 3:
-        raise ValueError(f"interior move needs position >= 3, got {j}")
-    if j not in pk_src:
-        raise ValueError(f"{j} is not a peak of {pi}")
-    if j - 2 in pk_src:
-        raise ValueError(f"peak at {j - 2} blocks moving the peak at {j}")
-    want = (pk_src - {j}) | {j - 1}
-    if peak_family(pi_new, "interior") != want:
-        raise ValueError(
-            f"replacement must have peak set {sorted(want)}, got {pi_new}"
-        )
+    if append:
+        tau, src, tgt = tau + (_BACK,), src + (_BACK,), tgt + (_BACK,)
+    front = j == 2
+    if front:
+        tau, src, tgt, j = (_FRONT,) + tau, (_FRONT,) + src, (_FRONT,) + tgt, 3
+    out = _pk_core(tau, src, tgt, j)
+    if front:
+        out = out[1:]
+    if append:
+        out = out[:-1]
+    return out
 
 
 def theta_pk(tau: Perm, pi: Perm, pi_new: Perm, sigma: Perm, j: int) -> Perm:
     """Move the interior peak of ``pi`` at position j (>= 3) to j-1,
     rewriting ``tau``; the interleaving keeps its peak count."""
-    _require_separated(pi, sigma)
-    _validate_pk_move(pi, pi_new, j)
+    step = ReductionStep("theta_pk", {"j": j}, pi, sigma, pi_new, sigma)
     _require_shuffle(tau, pi, sigma)
-    return _pk_core(tau, pi, pi_new, j)
+    return apply_step(step, tau)
 
 
 def theta_lpk(tau: Perm, pi: Perm, sigma: Perm, pi_new: Perm) -> Perm:
@@ -249,43 +186,9 @@ def theta_lpk(tau: Perm, pi: Perm, sigma: Perm, pi_new: Perm) -> Perm:
     peak into an interior peak at position 3, applies the interior move,
     and strips the sentinel.
     """
-    _require_separated(pi, sigma)
-    if set(pi) != set(pi_new):
-        raise ValueError("replacement permutation must share the domain")
-    if min(pi) <= 0:
-        raise ValueError("pi must be positive so the sentinel 0 is fresh")
-    lpk_src = peak_family(pi, "left")
-    if 2 not in lpk_src:
-        raise ValueError(f"{pi} has no left peak at position 2")
-    want = (lpk_src - {2}) | {1}
-    if peak_family(pi_new, "left") != want:
-        raise ValueError(
-            f"replacement must have left peak set {sorted(want)}, got {pi_new}"
-        )
+    step = ReductionStep("theta_lpk", {"j": 2}, pi, sigma, pi_new, sigma)
     _require_shuffle(tau, pi, sigma)
-    out = _pk_core((0,) + tau, (0,) + pi, (0,) + pi_new, 3)
-    assert out[0] == 0
-    return out[1:]
-
-
-def _rpk_move(tau: Perm, pi: Perm, pi_new: Perm, sigma: Perm, j: int) -> Perm:
-    """Move the right peak of ``pi`` at j to j+1 in ``pi_new``: the inverse
-    of an interior move on the appended-sentinel framing."""
-    _require_separated(pi, sigma)
-    _require_shuffle(tau, pi, sigma)
-    out = _anchored_move(tau + (0,), pi_new + (0,), pi + (0,), j + 1, inverse=True)
-    assert out[-1] == 0
-    return out[:-1]
-
-
-def _epk_final_move(tau: Perm, pi: Perm, pi_new: Perm, sigma: Perm) -> Perm:
-    """Move an exterior peak at the last position one step left: a forward
-    interior move on the appended-sentinel framing."""
-    _require_separated(pi, sigma)
-    _require_shuffle(tau, pi, sigma)
-    out = _anchored_move(tau + (0,), pi + (0,), pi_new + (0,), len(pi), inverse=False)
-    assert out[-1] == 0
-    return out[:-1]
+    return apply_step(step, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -455,29 +358,33 @@ def maj_decrement(trace: ReductionTrace) -> int:
 
 
 def apply_step(step: ReductionStep, tau: Perm) -> Perm:
-    """Replay one recorded rewrite on a single interleaving."""
-    pi_s, sg_s = step.source_pi, step.source_sigma
-    pi_t, sg_t = step.target_pi, step.target_sigma
+    """Replay one recorded rewrite on a single interleaving.
+
+    The step checked its pairs when it was built, so nothing is checked
+    here: ``tau`` must be a shuffle of the step's source pair.
+    """
     kind = step.kind
     if kind == "t_swap":
         return t_swap(tau, step.params["i"])
     if kind == "phi":
-        return phi(tau, pi_s, pi_t, sg_s)
+        return _rename(tau, step.source_pi, step.target_pi)
     if kind == "phi_tilde":
-        return phi_tilde(tau, pi_s, sg_s, sg_t)
+        return _rename(tau, step.source_sigma, step.target_sigma)
     if kind == "theta_des":
-        return theta_des(tau, pi_s, sg_s, step.params["i"], sg_t)
+        return _des_move(tau, step.source_sigma, step.params["i"], step.target_sigma)
     if kind == "theta_maj_first":
-        return theta_maj_first(tau, pi_s, sg_s, sg_t)
-    if kind == "theta_pk":
-        if step.params.get("frame") == "append":
-            return _epk_final_move(tau, pi_s, pi_t, sg_s)
-        return theta_pk(tau, pi_s, pi_t, sg_s, step.params["j"])
+        return _maj_first_move(tau, step.source_sigma, step.target_sigma)
+    pi_s, pi_t = step.source_pi, step.target_pi
     if kind == "theta_lpk":
-        return theta_lpk(tau, pi_s, sg_s, pi_t)
+        return _peak_move(tau, pi_s, pi_t, 2)
     if kind == "theta_rpk_inverse":
-        return _rpk_move(tau, pi_s, pi_t, sg_s, step.params["j"])
-    raise AssertionError(kind)
+        # The right peak moves from j to j+1 by the inverse of the move
+        # j+1 -> j from target to source: the core with its operands swapped.
+        return _peak_move(tau, pi_s, pi_t, step.params["j"] + 1, append=True)
+    if step.params.get("frame") == "append":
+        # An exterior peak at the last position moves one step left.
+        return _peak_move(tau, pi_s, pi_t, len(pi_s), append=True)
+    return _peak_move(tau, pi_s, pi_t, step.params["j"])
 
 
 def apply_trace(trace: ReductionTrace, tau: Perm) -> Perm:

@@ -16,18 +16,12 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-from .errors import DomainOverlapError, NotAShuffleError
-from .perm import Perm
+from .errors import NotAShuffleError
+from .perm import Perm, _check_disjoint
 from .stats import des_set
 from .traces import ReductionStep, ReductionTrace
 
 ShuffleWord = str
-
-
-def _check_disjoint(pi: Perm, sigma: Perm) -> None:
-    shared = set(pi) & set(sigma)
-    if shared:
-        raise DomainOverlapError(f"domains share {sorted(shared)}")
 
 
 def iter_shuffles(pi: Perm, sigma: Perm):
@@ -131,30 +125,30 @@ def from_word(pi: Perm, sigma: Perm, word: ShuffleWord) -> Perm:
     return tuple(out)
 
 
+def _rename(tau: Perm, old: Perm, new: Perm) -> Perm:
+    """Replace the entries of ``old`` in ``tau``, in order of occurrence, by
+    the entries of ``new``; the replay of ``phi`` and ``phi_tilde``."""
+    oset = set(old)
+    rep = iter(new)
+    return tuple(next(rep) if v in oset else v for v in tau)
+
+
 def phi(tau: Perm, pi: Perm, pi_new: Perm, sigma: Perm) -> Perm:
     """Replace the ``pi``-entries of ``tau`` by the entries of ``pi_new``,
     preserving positions; the unique member of the new shuffle set with the
     same word."""
-    if len(pi) != len(pi_new):
-        raise ValueError("replacement permutation must have the same length")
-    _check_disjoint(pi_new, sigma)
+    ReductionStep("phi", {}, pi, sigma, pi_new, sigma)  # checks the pair
     if not is_shuffle(tau, pi, sigma):
         raise NotAShuffleError(f"{tau} is not a shuffle of {pi} and {sigma}")
-    pset = set(pi)
-    rep = iter(pi_new)
-    return tuple(next(rep) if v in pset else v for v in tau)
+    return _rename(tau, pi, pi_new)
 
 
 def phi_tilde(tau: Perm, pi: Perm, sigma: Perm, sigma_new: Perm) -> Perm:
     """Mirror of :func:`phi`, replacing the ``sigma`` side."""
-    if len(sigma) != len(sigma_new):
-        raise ValueError("replacement permutation must have the same length")
-    _check_disjoint(pi, sigma_new)
+    ReductionStep("phi_tilde", {}, pi, sigma, pi, sigma_new)  # checks the pair
     if not is_shuffle(tau, pi, sigma):
         raise NotAShuffleError(f"{tau} is not a shuffle of {pi} and {sigma}")
-    sset = set(sigma)
-    rep = iter(sigma_new)
-    return tuple(next(rep) if v in sset else v for v in tau)
+    return _rename(tau, sigma, sigma_new)
 
 
 def t_swap(tau: Perm, i: int) -> Perm:

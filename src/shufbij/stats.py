@@ -69,18 +69,8 @@ def peak_family(pi: Perm, variant: str) -> frozenset[int]:
 
 def valley_family(pi: Perm, variant: str) -> frozenset[int]:
     """Valley set of ``pi``, the mirror of :func:`peak_family` with high
-    sentinels."""
-    if variant not in PEAK_VARIANTS:
-        raise ValueError(f"unknown valley variant {variant!r}")
-    m = len(pi)
-    valleys = {i for i in range(2, m) if pi[i - 2] > pi[i - 1] < pi[i]}
-    if variant in ("left", "exterior") and m >= 2 and pi[0] < pi[1]:
-        valleys.add(1)
-    if variant in ("right", "exterior") and m >= 2 and pi[m - 2] > pi[m - 1]:
-        valleys.add(m)
-    if variant == "exterior" and m == 1:
-        valleys.add(1)
-    return frozenset(valleys)
+    sentinels: the peaks of the negated permutation."""
+    return peak_family(tuple(-v for v in pi), variant)
 
 
 def chi_minus(pi: Perm) -> int:

@@ -4,6 +4,9 @@ A step rewrites one side of a pair of disjoint permutations and carries
 everything needed to replay the corresponding bijection on any single
 interleaving of the source pair: the step kind, its indices, the full
 (source, target) pairs, and the termination measure after the step.
+
+A step checks its (source, target) pairs once, when it is built, with the
+checks of its kind below; replay (``reduce.apply_step``) then runs none.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .perm import Perm, format_perm
+from .perm import Perm, _check_disjoint, format_perm
+from .stats import des_set, format_stat, peak_family
 
 STEP_KINDS = (
     "t_swap",
@@ -23,6 +27,94 @@ STEP_KINDS = (
     "theta_lpk",
     "theta_rpk_inverse",
 )
+
+
+def _require_separated(pi: Perm, sigma: Perm) -> None:
+    if pi and sigma and max(pi) >= min(sigma):
+        raise ValueError(f"every entry of {sigma} must exceed every entry of {pi}")
+
+
+def _check_rename(old: Perm, new: Perm, other: Perm) -> None:
+    if len(old) != len(new):
+        raise ValueError("replacement permutation must have the same length")
+    _check_disjoint(new, other)
+    _check_disjoint(old, other)
+
+
+def _check_theta_des(step: ReductionStep) -> None:
+    pi, sigma, sigma_new = step.source_pi, step.source_sigma, step.target_sigma
+    i = step.params["i"]
+    _require_separated(pi, sigma)
+    _require_separated(pi, sigma_new)
+    n = len(sigma)
+    if not 2 <= i <= n - 1:
+        raise ValueError(f"index {i} has no neighbors on both sides")
+    if not (sigma[i - 2] < sigma[i - 1] > sigma[i]):
+        raise ValueError(f"{i} is not an interior peak of {sigma}")
+    want = (des_set(sigma) - {i}) | {i - 1}
+    if des_set(sigma_new) != want or len(sigma_new) != n:
+        raise ValueError(
+            f"replacement must have descent set {sorted(want)}, got {sigma_new}"
+        )
+
+
+def _check_theta_maj_first(step: ReductionStep) -> None:
+    pi, sigma, sigma_new = step.source_pi, step.source_sigma, step.target_sigma
+    m, n = len(pi), len(sigma)
+    if set(pi) != set(range(1, m + 1)) or set(sigma) != set(range(m + 1, m + n + 1)):
+        raise ValueError("operands must live on the standard separated domains")
+    if n < 2 or not sigma[0] > sigma[1]:
+        raise ValueError(f"{sigma} has no descent at position 1")
+    want = des_set(sigma) - {1}
+    if des_set(sigma_new) != want or set(sigma_new) != set(sigma):
+        raise ValueError(
+            f"replacement must have descent set {sorted(want)}, got {sigma_new}"
+        )
+
+
+def _check_peak_shift(step: ReductionStep, variant: str, j: int) -> None:
+    """The target's peak set is the source's with the peak at j moved to j-1."""
+    pi, pi_new = step.source_pi, step.target_pi
+    if set(pi) != set(pi_new):
+        raise ValueError("replacement permutation must share the domain")
+    peaks = peak_family(pi, variant)
+    if j not in peaks:
+        raise ValueError(f"{j} is not a {variant} peak of {pi}")
+    if j - 2 in peaks:
+        raise ValueError(f"peak at {j - 2} blocks moving the peak at {j}")
+    want = (peaks - {j}) | {j - 1}
+    if peak_family(pi_new, variant) != want:
+        raise ValueError(
+            f"replacement must have {variant} peak set {sorted(want)}, got {pi_new}"
+        )
+
+
+def _check_theta_pk(step: ReductionStep) -> None:
+    _require_separated(step.source_pi, step.source_sigma)
+    if step.params.get("frame") != "append":
+        j = step.params["j"]
+        if j < 3:
+            raise ValueError(f"interior move needs position >= 3, got {j}")
+        _check_peak_shift(step, "interior", j)
+
+
+def _check_theta_lpk(step: ReductionStep) -> None:
+    _require_separated(step.source_pi, step.source_sigma)
+    if min(step.source_pi) <= 0:
+        raise ValueError("pi must have positive entries")
+    _check_peak_shift(step, "left", 2)
+
+
+# Pair checks per step kind; ``t_swap`` has none.
+_PAIR_CHECKS = {
+    "phi": lambda s: _check_rename(s.source_pi, s.target_pi, s.source_sigma),
+    "phi_tilde": lambda s: _check_rename(s.source_sigma, s.target_sigma, s.source_pi),
+    "theta_des": _check_theta_des,
+    "theta_maj_first": _check_theta_maj_first,
+    "theta_pk": _check_theta_pk,
+    "theta_lpk": _check_theta_lpk,
+    "theta_rpk_inverse": lambda s: _require_separated(s.source_pi, s.source_sigma),
+}
 
 
 @dataclass(frozen=True)
@@ -38,6 +130,9 @@ class ReductionStep:
     def __post_init__(self):
         if self.kind not in STEP_KINDS:
             raise ValueError(f"unknown step kind {self.kind!r}")
+        check = _PAIR_CHECKS.get(self.kind)
+        if check is not None:
+            check(self)
 
     def to_json(self) -> dict:
         return {
@@ -69,8 +164,6 @@ class ReductionTrace:
         return len(self.steps)
 
     def to_json(self) -> dict:
-        from .stats import format_stat
-
         return {
             "statistic": format_stat(self.statistic),
             "start": {"pi": format_perm(self.start_pi), "sigma": format_perm(self.start_sigma)},

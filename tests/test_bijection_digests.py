@@ -1,0 +1,57 @@
+"""Pin the replayed bijections themselves, not only their properties.
+
+The other reduction tests check that replaying a trace is *a* bijection
+that preserves the statistic; these digests check that it is *the same*
+bijection, image by image, as the one the package has always computed.
+Each digest is a sha256 over the reprs of every pair, its canonical or
+normalized form and the full list of replay images, in a fixed order.
+"""
+
+import hashlib
+from itertools import combinations, permutations
+
+from shufbij.reduce import SIGMA_SIDE_STATS, SUPPORTED_STATS, apply_trace, canonicalize
+from shufbij.shuffle import normalize_pair, shuffles
+
+PIPELINE_DIGEST = "8afe6c78f57a558bc4ec0c1666e6e8fb43bc862f871708b8e3a9a4243953e2b5"
+NORMALIZE_DIGEST = "e97fb6b900f1e731e1304083753124f2e14e8233b99a050bd605b43ea5cbc2dd"
+
+
+def _disjoint_pairs(values):
+    for m in range(len(values) + 1):
+        for dom in combinations(values, m):
+            rest = [v for v in values if v not in dom]
+            for pi in permutations(dom):
+                for sigma in permutations(rest):
+                    yield pi, sigma
+
+
+def test_pipeline_replay_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for stat in SUPPORTED_STATS:
+        side = "sigma_side" if stat in SIGMA_SIDE_STATS else "pi_side"
+        for total in range(7):
+            for m in range(total + 1):
+                for pi in permutations(range(1, m + 1)):
+                    for sigma in permutations(range(m + 1, total + 1)):
+                        _, trace = canonicalize(stat, side, pi, sigma)
+                        images = [apply_trace(trace, t) for t in shuffles(pi, sigma)]
+                        count += len(images)
+                        digest.update(repr((stat, pi, sigma, images)).encode())
+    assert count == 53217
+    assert digest.hexdigest() == PIPELINE_DIGEST
+
+
+def test_normalize_replay_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for ground in ((1, 2, 3, 4, 5), (1, 3, 5, 7, 9)):
+        for pi, sigma in _disjoint_pairs(ground):
+            for mode in ("pi_low", "sigma_low"):
+                npi, nsg, trace = normalize_pair(pi, sigma, mode)
+                images = [apply_trace(trace, t) for t in shuffles(pi, sigma)]
+                count += len(images)
+                digest.update(repr((pi, sigma, mode, npi, nsg, images)).encode())
+    assert count == 15360
+    assert digest.hexdigest() == NORMALIZE_DIGEST

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from shufbij.cli import main
 
 
@@ -56,6 +58,24 @@ def test_overlapping_domains_rejected_with_element_named(capsys):
     code, out, err = run_cli(capsys, "dist", "maj", "1,2", "2,3")
     assert code == 2
     assert "2" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("shuffles", "1,2", "2,3"),
+        ("dist", "maj", "1,2", "2,3"),
+        ("genpoly", "maj", "1,2", "2,3"),
+        ("reduce", "maj", "1,2", "2,3"),
+    ],
+    ids=lambda a: a[0],
+)
+def test_overlapping_pair_exits_2_before_any_output(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "[2]" in err
 
 
 def test_unknown_statistic_rejected_before_compute(capsys):

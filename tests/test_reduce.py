@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shufbij.errors import NotAShuffleError
+from shufbij.errors import DomainOverlapError, NotAShuffleError
 from shufbij.perm import perm_with_descent_set
 from shufbij.reduce import (
     PI_SIDE_STATS,
     SIGMA_SIDE_STATS,
     _pk_core,
-    _pk_core_inv,
     apply_trace,
     canonicalize,
     maj_decrement,
@@ -20,6 +19,7 @@ from shufbij.reduce import (
     theta_pk,
 )
 from shufbij.shuffle import shuffles
+from shufbij.traces import ReductionStep
 from shufbij.stats import des_set, distribution, evaluate, maj, peak_family
 
 ALL_PIPELINE_STATS = SIGMA_SIDE_STATS + PI_SIDE_STATS
@@ -139,7 +139,38 @@ def test_pk_core_inverse_roundtrip():
     for tau in shuffles((2, 1, 4, 3), (6, 5)):
         framed = tau + (0,)
         out = _pk_core(framed, a_src, a_tgt, 3)
-        assert _pk_core_inv(out, a_src, a_tgt, 3) == framed
+        assert _pk_core(out, a_tgt, a_src, 3) == framed
+
+
+@pytest.mark.parametrize(
+    "kind, params, pairs",
+    [
+        # 2,3,4 has no interior peak at position 2
+        ("theta_des", {"i": 2}, ((1,), (2, 3, 4), (1,), (3, 2, 4))),
+        # 3,2,4 would need descent set {1} after the move from 2 to 1
+        ("theta_des", {"i": 2}, ((1,), (2, 4, 3), (1,), (2, 4, 3))),
+        # the target keeps the peak at 3 instead of moving it to 2
+        ("theta_pk", {"j": 3}, ((2, 1, 4, 3), (5,), (2, 1, 4, 3), (5,))),
+        # the move needs an interior position >= 3
+        ("theta_pk", {"j": 2}, ((1, 3, 2), (4,), (3, 1, 2), (4,))),
+        # 1,2 has no left peak at position 2
+        ("theta_lpk", {"j": 2}, ((1, 2), (3,), (2, 1), (3,))),
+        # 2,3 has no descent at position 1
+        ("theta_maj_first", {}, ((1,), (2, 3), (1,), (2, 3))),
+        # sigma does not lie above pi
+        ("theta_rpk_inverse", {"j": 1}, ((1, 3), (2,), (3, 1), (2,))),
+        # the replacement has the wrong length
+        ("phi_tilde", {}, ((1,), (2, 3), (1,), (4,))),
+    ],
+)
+def test_invalid_step_rejected_when_built(kind, params, pairs):
+    with pytest.raises(ValueError):
+        ReductionStep(kind, params, *pairs)
+
+
+def test_step_with_overlapping_target_rejected_when_built():
+    with pytest.raises(DomainOverlapError):
+        ReductionStep("phi", {}, (1, 2), (3,), (3, 4), (3,))
 
 
 def test_theta_lpk_small_exhaustive():
