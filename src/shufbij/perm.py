@@ -8,8 +8,9 @@ it but ``parse_perm`` and ``as_perm`` reject it by default.
 
 Besides relabeling (standardization), this module provides the space
 labeling of the gaps of a permutation, insertion of a new maximum into a
-labeled space, and deterministic constructors for permutations with a
-prescribed descent set or left-peak profile.
+labeled space, deterministic constructors for permutations with a
+prescribed descent set or left-peak profile, and the descent classes of a
+ground set, counted and ranked without enumerating their members.
 """
 
 from __future__ import annotations
@@ -159,6 +160,128 @@ def perm_with_descent_set(ground: Iterable[int], descents: Iterable[int]) -> Per
     for rank, p in enumerate(order):
         result[p] = g[rank]
     return tuple(result)
+
+
+def least_with_descent_set(ground: Iterable[int], descents: Iterable[int]) -> Perm:
+    """Lexicographically least permutation of ``ground`` with descent set
+    ``descents``: the increasing arrangement with every maximal run of
+    positions joined by descents reversed.
+
+    >>> least_with_descent_set([1, 2, 3, 4], {2, 3})
+    (1, 4, 3, 2)
+    """
+    g = sorted(ground)
+    dset = set(descents)
+    if dset and not 0 < min(dset) <= max(dset) < len(g):
+        raise ValueError(f"descent set {sorted(dset)} not within 1..{len(g) - 1}")
+    first: list[int] = []
+    start = 0
+    for p in range(1, len(g) + 1):
+        if p not in dset:
+            first.extend(reversed(g[start:p]))
+            start = p
+    return tuple(first)
+
+
+def _extend_counts(counts: list[int], up: bool) -> list[int]:
+    """One more position of the rank DP for a descent pattern.
+
+    ``counts[r]`` counts the arrangements of t entries whose end entry has
+    rank r among them.  Adding an entry of rank s among t+1 next to that
+    end entry sums r < s when the new entry is the larger, r >= s otherwise.
+    """
+    new = [0] * (len(counts) + 1)
+    if up:
+        for s, c in enumerate(counts):
+            new[s + 1] = new[s] + c
+    else:
+        for s in range(len(counts) - 1, -1, -1):
+            new[s] = new[s + 1] + counts[s]
+    return new
+
+
+def _least_rank(k: int, descents: set[int]) -> int:
+    """Lexicographic rank of ``least_with_descent_set`` of a k-element
+    ground set: each entry is read off its reversed run, which holds
+    exactly the smaller entries after it (its Lehmer code digit)."""
+    rank = end = 0
+    for p in range(k):
+        if p == end:
+            end = p + 1
+            while end in descents:
+                end += 1
+        rank = rank * (k - p) + end - p - 1
+    return rank
+
+
+def descent_classes(
+    ground: Iterable[int],
+) -> list[tuple[int, frozenset[int], int, Perm]]:
+    """Every descent class of the permutations of ``ground``, counted and
+    represented without enumerating them.
+
+    Returns ``(rank, descents, size, first)`` per descent set, in increasing
+    ``rank``: ``first`` is the lexicographically least member
+    (:func:`least_with_descent_set`), ``rank`` its lexicographic rank among
+    all permutations of ``ground``, and ``size`` the number of members,
+    from the rank DP shared by the patterns with a common prefix.  Two
+    least members first differ where their runs first differ in length,
+    and the shorter run puts the smaller entry there, so trying an ascent
+    (ending a run) before a descent at each position yields rank order.
+
+    >>> [(r, sorted(d), s, f) for r, d, s, f in descent_classes([2, 5, 7])]
+    [(0, [], 1, (2, 5, 7)), (1, [2], 2, (2, 7, 5)), (2, [1], 2, (5, 2, 7)), (5, [1, 2], 1, (7, 5, 2))]
+    """
+    g = sorted(ground)
+    classes = []
+
+    def grow(t, descents, counts):
+        # ``counts`` covers positions 1..t; position t+1 is next.
+        if t >= len(g):
+            dset = frozenset(descents)
+            classes.append((
+                _least_rank(len(g), dset), dset, sum(counts),
+                least_with_descent_set(g, dset),
+            ))
+            return
+        grow(t + 1, descents, _extend_counts(counts, True))
+        grow(t + 1, descents + (t,), _extend_counts(counts, False))
+
+    grow(1, (), [1])
+    return classes
+
+
+def count_before(ground: Iterable[int], descents: Iterable[int], x: Perm) -> int:
+    """Number of permutations of ``ground`` with descent set ``descents``
+    that come lexicographically before ``x``, a permutation of ``ground``.
+
+    A member before ``x`` agrees with it on a prefix, then puts a smaller
+    entry y; the completions after y are counted by the rank DP run from
+    the right end, by the rank of y among the entries not yet placed.
+
+    >>> count_before([1, 2, 3], {1}, (3, 1, 2))
+    1
+    """
+    g = sorted(ground)
+    k = len(g)
+    dset = set(descents)
+    # suffix[i][s]: arrangements of positions i+1..k (1-based) with descent
+    # set dset there whose entry at position i+1 has rank s among them.
+    suffix = [[1]] * k
+    for i in range(k - 2, -1, -1):
+        suffix[i] = _extend_counts(suffix[i + 1], i + 1 in dset)
+    total = 0
+    remaining = g
+    for i, v in enumerate(x):
+        for s, y in enumerate(remaining):
+            if y >= v:
+                break
+            if i == 0 or (x[i - 1] > y) == (i in dset):
+                total += suffix[i][s]
+        if i and (x[i - 1] > v) != (i in dset):
+            break
+        remaining = [y for y in remaining if y != v]
+    return total
 
 
 def perm_with_left_peak_profile(m: int, left_peaks: Iterable[int], chi_plus: int) -> Perm:

@@ -381,10 +381,10 @@ def apply_step(step: ReductionStep, tau: Perm) -> Perm:
         # The right peak moves from j to j+1 by the inverse of the move
         # j+1 -> j from target to source: the core with its operands swapped.
         return _peak_move(tau, pi_s, pi_t, step.params["j"] + 1, append=True)
-    if step.params.get("frame") == "append":
-        # An exterior peak at the last position moves one step left.
-        return _peak_move(tau, pi_s, pi_t, len(pi_s), append=True)
-    return _peak_move(tau, pi_s, pi_t, step.params["j"])
+    # theta_pk; on the appended frame an exterior peak at the last
+    # position moves one step left.
+    append = step.params.get("frame") == "append"
+    return _peak_move(tau, pi_s, pi_t, step.params["j"], append=append)
 
 
 def apply_trace(trace: ReductionTrace, tau: Perm) -> Perm:

@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .perm import Perm, perm_with_descent_set
+from .perm import Perm, least_with_descent_set
 
 StatId = Union[str, tuple]
 StatValue = Union[int, frozenset, tuple]
@@ -183,10 +183,10 @@ def evaluate(stat: StatId, pi: Perm) -> StatValue:
 
 def evaluate_descent_class(stat: StatId, descents: frozenset[int], length: int) -> StatValue:
     """Value of a descent statistic on every permutation of ``length`` with
-    descent set ``descents``, read off one representative of that class."""
+    descent set ``descents``, read off the least member of that class."""
     if not is_descent_statistic(stat):
         raise ValueError(f"{format_stat(stat)} is not a descent statistic")
-    return evaluate(stat, perm_with_descent_set(range(1, length + 1), descents))
+    return evaluate(stat, least_with_descent_set(range(1, length + 1), descents))
 
 
 def distribution(stat: StatId, perms: Iterable[Perm]) -> Distribution:

@@ -72,17 +72,18 @@ def _check_theta_maj_first(step: ReductionStep) -> None:
         )
 
 
-def _check_peak_shift(step: ReductionStep, variant: str, j: int) -> None:
-    """The target's peak set is the source's with the peak at j moved to j-1."""
+def _check_peak_shift(step: ReductionStep, variant: str, j: int, by: int = -1) -> None:
+    """The target's peak set is the source's with the peak at j moved to
+    j+by, one position left (by = -1) or right (by = 1)."""
     pi, pi_new = step.source_pi, step.target_pi
     if set(pi) != set(pi_new):
         raise ValueError("replacement permutation must share the domain")
     peaks = peak_family(pi, variant)
     if j not in peaks:
         raise ValueError(f"{j} is not a {variant} peak of {pi}")
-    if j - 2 in peaks:
-        raise ValueError(f"peak at {j - 2} blocks moving the peak at {j}")
-    want = (peaks - {j}) | {j - 1}
+    if j + 2 * by in peaks:
+        raise ValueError(f"peak at {j + 2 * by} blocks moving the peak at {j}")
+    want = (peaks - {j}) | {j + by}
     if peak_family(pi_new, variant) != want:
         raise ValueError(
             f"replacement must have {variant} peak set {sorted(want)}, got {pi_new}"
@@ -91,8 +92,12 @@ def _check_peak_shift(step: ReductionStep, variant: str, j: int) -> None:
 
 def _check_theta_pk(step: ReductionStep) -> None:
     _require_separated(step.source_pi, step.source_sigma)
-    if step.params.get("frame") != "append":
-        j = step.params["j"]
+    j = step.params["j"]
+    if step.params.get("frame") == "append":
+        if j != len(step.source_pi):
+            raise ValueError(f"an appended-frame move starts at the last position, not {j}")
+        _check_peak_shift(step, "exterior", j)
+    else:
         if j < 3:
             raise ValueError(f"interior move needs position >= 3, got {j}")
         _check_peak_shift(step, "interior", j)
@@ -100,9 +105,14 @@ def _check_theta_pk(step: ReductionStep) -> None:
 
 def _check_theta_lpk(step: ReductionStep) -> None:
     _require_separated(step.source_pi, step.source_sigma)
-    if min(step.source_pi) <= 0:
+    if any(v <= 0 for v in step.source_pi):
         raise ValueError("pi must have positive entries")
     _check_peak_shift(step, "left", 2)
+
+
+def _check_theta_rpk_inverse(step: ReductionStep) -> None:
+    _require_separated(step.source_pi, step.source_sigma)
+    _check_peak_shift(step, "right", step.params["j"], by=1)
 
 
 # Pair checks per step kind; ``t_swap`` has none.
@@ -113,8 +123,11 @@ _PAIR_CHECKS = {
     "theta_maj_first": _check_theta_maj_first,
     "theta_pk": _check_theta_pk,
     "theta_lpk": _check_theta_lpk,
-    "theta_rpk_inverse": lambda s: _require_separated(s.source_pi, s.source_sigma),
+    "theta_rpk_inverse": _check_theta_rpk_inverse,
 }
+
+# The index parameter each kind replays at.
+_INDEX_PARAMS = {"t_swap": "i", "theta_des": "i", "theta_pk": "j", "theta_rpk_inverse": "j"}
 
 
 @dataclass(frozen=True)
@@ -130,6 +143,9 @@ class ReductionStep:
     def __post_init__(self):
         if self.kind not in STEP_KINDS:
             raise ValueError(f"unknown step kind {self.kind!r}")
+        index = _INDEX_PARAMS.get(self.kind)
+        if index is not None and not isinstance(self.params.get(index), int):
+            raise ValueError(f"a {self.kind} step needs an integer parameter {index!r}")
         check = _PAIR_CHECKS.get(self.kind)
         if check is not None:
             check(self)

@@ -11,8 +11,12 @@ The reduced-mode sweeps and the ``maj``/``maj_des`` identities put sigma
 above pi, where the descent sets over a shuffle set depend only on the
 descent classes of the operands; they compute one descent-set histogram
 per class pair (:func:`~shufbij.shuffle.des_histogram`) instead of one
-shuffle set per pair.  Full mode, the counterexample search, the pipeline
-audit and :meth:`Witness.recheck` enumerate shuffle sets directly.
+shuffle set per pair.  They walk the operands by class too
+(:func:`~shufbij.perm.descent_classes`: size, least member and its rank,
+all without enumeration), and derive the cases and the witness a
+lexicographic pair-by-pair scan would report from those ranks and sizes.
+Full mode, the counterexample search, the pipeline audit and
+:meth:`Witness.recheck` enumerate shuffle sets directly.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import factorial
 from typing import Optional
 
 from .errors import ResourceLimitError
-from .perm import Perm, format_perm
+from .perm import Perm, count_before, descent_classes, format_perm
 from .qpoly import QPoly, gen_poly, q_binomial, qp, stanley_refined_rhs, stanley_rhs
 from .reduce import (
     SIGMA_SIDE_STATS,
@@ -39,7 +44,6 @@ from .shuffle import des_histogram, shuffles
 from .stats import (
     Distribution,
     StatId,
-    des_set,
     distribution,
     distribution_entries,
     distribution_to_json,
@@ -149,63 +153,55 @@ def _reduced_scan(stat: StatId, m: int, n: int, side: str):
     require equal distributions within each group, for every fixed partner.
 
     A distribution depends only on the descent classes of the pair, so it
-    is built once per class pair from :func:`des_histogram`.  Within a
-    group only the first mover of each class is compared, and a partner
-    whose class has passed already is counted without a rescan.  Cases and
-    the first failing witness are those of a scan pair by pair.
+    is built once per class pair from :func:`des_histogram`, and both sides
+    are walked by class (:func:`descent_classes`), never by permutation.
+    Cases and the first failing witness are those of a scan pair by pair
+    in lexicographic order: the mover classes, grouped by value in rank
+    order, meet the groups and their classes in first-occurrence order, and
+    a failure's offset within its group is counted by :func:`count_before`.
     """
-    low = permutations(range(1, m + 1))
-    high = permutations(range(m + 1, m + n + 1))
-    movers, partners = (low, high) if side == "pi" else (high, low)
+    low = range(1, m + 1)
+    high = range(m + 1, m + n + 1)
+    mover_ground, partner_ground = (low, high) if side == "pi" else (high, low)
+    mover_count = factorial(len(mover_ground))
 
     @cache
     def value_of(descents, length):
         return evaluate_descent_class(stat, descents, length)
 
-    @cache
-    def dist_of(des_pi, des_sigma):
+    def dist_of(mover_des, partner_des):
+        pair = (mover_des, partner_des) if side == "pi" else (partner_des, mover_des)
         dist = Counter()
-        for descents, count in des_histogram(des_pi, des_sigma, m, n).items():
+        for descents, count in des_histogram(*pair, m, n).items():
             dist[value_of(descents, m + n)] += count
         return dist
 
-    # Movers by statistic value: per group, its size and, per descent
-    # class, the offset and the mover where the class first occurs.  A
-    # class lies in one group only.
+    # Mover classes by statistic value, as (descents, size, least member).
     groups: dict = {}
-    for mover in movers:
-        mover_des = des_set(mover)
-        group = groups.setdefault(value_of(mover_des, len(mover)), [0, {}])
-        group[1].setdefault(mover_des, (group[0], mover))
-        group[0] += 1
-    mover_count = sum(size for size, _ in groups.values())
+    for _, descents, size, first in descent_classes(mover_ground):
+        groups.setdefault(value_of(descents, len(mover_ground)), []).append(
+            (descents, size, first)
+        )
 
-    passed_classes = set()
-    cases = 0
-    for partner in partners:
-        partner_des = des_set(partner)
-        if partner_des in passed_classes:
-            cases += mover_count
-            continue
-        for size, firsts in groups.values():
-            ref_dist = None
-            ref = None
-            for mover_des, (offset, mover) in firsts.items():
-                if side == "pi":
+    for rank, partner_des, _, partner in descent_classes(partner_ground):
+        done = 0  # movers in the groups already passed for this partner
+        for members in groups.values():
+            if len(members) > 1:  # one class alone cannot disagree
+                ref_des, _, ref = members[0]
+                ref_dist = dist_of(ref_des, partner_des)
+                for index, (mover_des, _, mover) in enumerate(members[1:], start=1):
                     dist = dist_of(mover_des, partner_des)
-                else:
-                    dist = dist_of(partner_des, mover_des)
-                if ref_dist is None:
-                    ref_dist, ref = dist, mover
-                elif dist != ref_dist:
-                    if side == "pi":
-                        witness = Witness(ref, mover, partner, partner, stat, ref_dist, dist)
-                    else:
-                        witness = Witness(partner, partner, ref, mover, stat, ref_dist, dist)
-                    return witness, cases + offset + 1
-            cases += size
-        passed_classes.add(partner_des)
-    return None, cases
+                    if dist != ref_dist:
+                        if side == "pi":
+                            witness = Witness(ref, mover, partner, partner, stat, ref_dist, dist)
+                        else:
+                            witness = Witness(partner, partner, ref, mover, stat, ref_dist, dist)
+                        offset = sum(
+                            count_before(mover_ground, d, mover) for d, _, _ in members[:index]
+                        )
+                        return witness, rank * mover_count + done + offset + 1
+            done += sum(size for _, size, _ in members)
+    return None, mover_count * factorial(len(partner_ground))
 
 
 def _full_scan(stat: StatId, m: int, n: int):
@@ -386,37 +382,29 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
             witness = Witness(pi, pi, sigma, sigma, "maj",
                               _poly_as_counter(lhs), _poly_as_counter(rhs))
     else:
-        # (Des pi, Des sigma) -> (closed-form mismatch or None, maj distribution)
-        classes: dict = {}
+        # Class pairs in the order a pair-by-pair scan first meets them;
+        # a failure is a property of the class pair, so it is met there.
         by_maj_sum: dict[int, Distribution] = {}
-        for pi in permutations(range(1, m + 1)):
-            des_pi = des_set(pi)
-            for sigma in permutations(range(m + 1, m + n + 1)):
-                des_sigma = des_set(sigma)
-                cases += 1
-                key = (des_pi, des_sigma)
-                if key not in classes:
-                    hist = des_histogram(des_pi, des_sigma, m, n)
-                    classes[key] = (
-                        _closed_form_mismatch(which, pi, sigma, hist),
-                        _poly_as_counter(_maj_poly(hist)),
-                    )
-                mismatch, dist = classes[key]
-                if mismatch:
-                    problem, lhs, rhs = mismatch
-                    witness = Witness(pi, pi, sigma, sigma, "maj",
-                                      _poly_as_counter(lhs), _poly_as_counter(rhs))
-                    break
-                if which == "maj":
-                    maj_sum = sum(des_pi) + sum(des_sigma)
-                    if maj_sum not in by_maj_sum:
-                        by_maj_sum[maj_sum] = dist
-                    elif by_maj_sum[maj_sum] != dist:
-                        problem = "distribution not determined by maj(pi)+maj(sigma)"
-                        witness = Witness(pi, pi, sigma, sigma, "maj",
-                                          dist, by_maj_sum[maj_sum])
-                        break
+        n_count = factorial(n)
+        cases = factorial(m) * n_count
+        pairs = product(
+            descent_classes(range(1, m + 1)), descent_classes(range(m + 1, m + n + 1))
+        )
+        for (rank_pi, des_pi, _, pi), (rank_sigma, des_sigma, _, sigma) in pairs:
+            hist = des_histogram(des_pi, des_sigma, m, n)
+            mismatch = _closed_form_mismatch(which, pi, sigma, hist)
+            if mismatch:
+                problem, lhs, rhs = mismatch
+                witness = Witness(pi, pi, sigma, sigma, "maj",
+                                  _poly_as_counter(lhs), _poly_as_counter(rhs))
+            elif which == "maj":
+                dist = _poly_as_counter(_maj_poly(hist))
+                prev = by_maj_sum.setdefault(sum(des_pi) + sum(des_sigma), dist)
+                if prev != dist:
+                    problem = "distribution not determined by maj(pi)+maj(sigma)"
+                    witness = Witness(pi, pi, sigma, sigma, "maj", dist, prev)
             if problem:
+                cases = rank_pi * n_count + rank_sigma + 1
                 break
 
     return Report(

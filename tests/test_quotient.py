@@ -2,18 +2,22 @@
 
 Exhaustive over every normalized pair with m+n <= 7 (pi on [m], sigma on
 [n]+m).  The descent-set histogram is checked against enumeration, the
-class representative against its descent set, and the reduced-mode sweeps
-and the maj identities against pair-by-pair references that enumerate
-every shuffle set.
+class tables (sizes, least members, ranks, ``count_before``) against the
+permutations they count, the class representative against its descent
+set, and the reduced-mode sweeps and the maj identities against
+pair-by-pair references that enumerate every shuffle set.
 """
 
-from collections import Counter
+from bisect import bisect_left
+from collections import Counter, defaultdict
 from itertools import permutations
 
 import pytest
 
+import shufbij.verify as verify
 from oracles import des_set_oracle, shuffle_set_oracle
-from shufbij.qpoly import gen_poly, stanley_refined_rhs, stanley_rhs
+from shufbij.perm import count_before, descent_classes
+from shufbij.qpoly import gen_poly, shift, stanley_refined_rhs, stanley_rhs
 from shufbij.shuffle import des_histogram, shuffles
 from shufbij.stats import (
     STATISTICS,
@@ -77,9 +81,14 @@ def _reference_reduced(stat, m, n, side, dist_of):
     return "pass", cases, None
 
 
-def _reference_identity(which, m, n, shuffle_sets):
+def _poly_counter(p):
+    return Counter({e: c for e, c in enumerate(p) if c})
+
+
+def _reference_identity(which, m, n, shuffle_sets, maj_rhs=stanley_rhs,
+                        refined_rhs=stanley_refined_rhs):
     """The maj / maj_des identity check pair by pair, every polynomial
-    enumerated."""
+    enumerated; returns the outcome, the cases and the witness."""
     cases = 0
     by_maj_sum = {}
     for pi in _low(m):
@@ -87,17 +96,57 @@ def _reference_identity(which, m, n, shuffle_sets):
             cases += 1
             tau_set = shuffle_sets[pi, sigma]
             if which == "maj":
-                if gen_poly("maj", tau_set) != stanley_rhs(pi, sigma):
-                    return "fail", cases
-                dist = distribution("maj", tau_set)
-                if by_maj_sum.setdefault(evaluate("maj", pi) + evaluate("maj", sigma), dist) != dist:
-                    return "fail", cases
+                checks = [(tau_set, maj_rhs(pi, sigma))]
             else:
-                for k in range(m + n + 1):
-                    lhs = gen_poly("maj", [t for t in tau_set if evaluate("des", t) == k])
-                    if lhs != stanley_refined_rhs(pi, sigma, k):
-                        return "fail", cases
-    return "pass", cases
+                checks = [
+                    ([t for t in tau_set if evaluate("des", t) == k], refined_rhs(pi, sigma, k))
+                    for k in range(m + n + 1)
+                ]
+            for subset, rhs in checks:
+                lhs = gen_poly("maj", subset)
+                if lhs != rhs:
+                    witness = Witness(pi, pi, sigma, sigma, "maj",
+                                      _poly_counter(lhs), _poly_counter(rhs))
+                    return "fail", cases, witness.to_json()
+            if which == "maj":
+                dist = distribution("maj", tau_set)
+                prev = by_maj_sum.setdefault(evaluate("maj", pi) + evaluate("maj", sigma), dist)
+                if prev != dist:
+                    witness = Witness(pi, pi, sigma, sigma, "maj", dist, prev)
+                    return "fail", cases, witness.to_json()
+    return "pass", cases, None
+
+
+def _members_by_class(ground):
+    """Every permutation of ``ground`` in lexicographic order, with its
+    index, grouped by descent set."""
+    members = defaultdict(list)
+    for index, p in enumerate(permutations(ground)):
+        members[des_set(p)].append((index, p))
+    return members
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_descent_classes_match_enumeration(k):
+    ground = tuple(range(2, 2 + 3 * k, 3))
+    members = _members_by_class(ground)
+    classes = descent_classes(ground)
+    assert len(classes) == len(members) == 2 ** max(k - 1, 0)
+    assert [rank for rank, _, _, _ in classes] == sorted(rank for rank, _, _, _ in classes)
+    for rank, descents, size, first in classes:
+        assert (rank, first) == members[descents][0], (k, descents)
+        assert size == len(members[descents]), (k, descents)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_count_before_matches_enumeration(k):
+    ground = tuple(range(2, 2 + 3 * k, 3))
+    members = _members_by_class(ground)
+    everything = list(permutations(ground))
+    for descents, indexed in members.items():
+        ordered = [p for _, p in indexed]
+        for x in everything:
+            assert count_before(ground, descents, x) == bisect_left(ordered, x), (descents, x)
 
 
 def test_des_histogram_matches_enumeration():
@@ -117,6 +166,8 @@ def test_descent_class_representative_has_that_descent_set():
             assert evaluate_descent_class("Des", descents, length) == descents
     with pytest.raises(ValueError):
         evaluate_descent_class("inv", frozenset({1}), 3)
+    with pytest.raises(ValueError, match="not within"):
+        evaluate_descent_class("Des", frozenset({3}), 3)
 
 
 @pytest.mark.parametrize("stat", DESCENT_STATS, ids=format_stat)
@@ -145,5 +196,41 @@ def test_differential_sweep_covers_failing_witnesses():
 @pytest.mark.parametrize("which", ["maj", "maj_des"])
 def test_maj_identities_match_brute_force(which, shuffle_sets):
     for m, n in SPLITS:
-        outcome, cases, _ = _outcome(check_identity(which, m, n))
-        assert (outcome, cases) == _reference_identity(which, m, n, shuffle_sets), (m, n)
+        expected = _reference_identity(which, m, n, shuffle_sets)
+        assert _outcome(check_identity(which, m, n)) == expected, (m, n)
+
+
+@pytest.mark.parametrize("which", ["maj", "maj_des"])
+@pytest.mark.parametrize(
+    "m, n, broken",
+    [
+        (3, 3, [({1}, {2})]),
+        (4, 2, [({1, 3}, set())]),
+        (2, 4, [(set(), {1, 3})]),
+        (0, 4, [(set(), {2})]),
+        # two broken class pairs: the scan must meet the earlier one first
+        (3, 3, [({1}, {2}), ({2}, set())]),
+        (3, 3, [({1}, {2}), ({1}, {1})]),
+    ],
+)
+def test_identity_failure_matches_pair_by_pair_scan(
+    which, m, n, broken, shuffle_sets, monkeypatch
+):
+    """Break the closed form on chosen class pairs: the class-pair scan
+    must stop where a pair-by-pair scan stops, with the same witness."""
+    bad = {(frozenset(a), frozenset(b)) for a, b in broken}
+
+    def maj_rhs(pi, sigma):
+        rhs = stanley_rhs(pi, sigma)
+        return shift(rhs, 1) if (des_set(pi), des_set(sigma)) in bad else rhs
+
+    def refined_rhs(pi, sigma, k):
+        rhs = stanley_refined_rhs(pi, sigma, k)
+        des_pair = (des_set(pi), des_set(sigma))
+        return shift(rhs, 1) if des_pair in bad and k == sum(map(len, des_pair)) else rhs
+
+    monkeypatch.setattr(verify, "stanley_rhs", maj_rhs)
+    monkeypatch.setattr(verify, "stanley_refined_rhs", refined_rhs)
+    expected = _reference_identity(which, m, n, shuffle_sets, maj_rhs, refined_rhs)
+    assert expected[0] == "fail"
+    assert _outcome(check_identity(which, m, n)) == expected

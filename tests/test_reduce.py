@@ -161,11 +161,40 @@ def test_pk_core_inverse_roundtrip():
         ("theta_rpk_inverse", {"j": 1}, ((1, 3), (2,), (3, 1), (2,))),
         # the replacement has the wrong length
         ("phi_tilde", {}, ((1,), (2, 3), (1,), (4,))),
+        # an appended-frame move starts at the last position, not at 1
+        ("theta_pk", {"j": 1, "frame": "append"}, ((1, 3, 2), (4,), (1, 2, 3), (4,))),
+        # the exterior peak at 3 must move to 2; 2,1,3 has exterior peaks {1, 3}
+        ("theta_pk", {"j": 3, "frame": "append"}, ((1, 2, 3), (4,), (2, 1, 3), (4,))),
+        # the right peak at 2 must move to 3; 1,3,2 keeps it at 2
+        ("theta_rpk_inverse", {"j": 2}, ((2, 3, 1), (4,), (1, 3, 2), (4,))),
+        # 1,2,3 has no right peak at 1
+        ("theta_rpk_inverse", {"j": 1}, ((1, 2, 3), (4,), (2, 1, 3), (4,))),
     ],
 )
 def test_invalid_step_rejected_when_built(kind, params, pairs):
     with pytest.raises(ValueError):
         ReductionStep(kind, params, *pairs)
+
+
+@pytest.mark.parametrize(
+    "kind, index, pairs",
+    [
+        ("t_swap", "i", ((1,), (2,), (2,), (1,))),
+        ("theta_des", "i", ((1,), (2, 4, 3), (1,), (4, 2, 3))),
+        ("theta_pk", "j", ((1, 3, 2, 4), (5,), (3, 1, 2, 4), (5,))),
+        ("theta_rpk_inverse", "j", ((2, 3, 1), (4,), (1, 2, 3), (4,))),
+    ],
+)
+def test_step_missing_its_index_names_it(kind, index, pairs):
+    with pytest.raises(ValueError, match=f"parameter '{index}'"):
+        ReductionStep(kind, {}, *pairs)
+
+
+def test_theta_lpk_step_on_empty_pi_names_the_missing_peak():
+    with pytest.raises(ValueError, match="2 is not a left peak"):
+        ReductionStep("theta_lpk", {"j": 2}, (), (1,), (), (1,))
+    with pytest.raises(ValueError, match="positive"):
+        ReductionStep("theta_lpk", {"j": 2}, (0, 2, 1), (3,), (2, 0, 1), (3,))
 
 
 def test_step_with_overlapping_target_rejected_when_built():
