@@ -5,7 +5,8 @@ counterexample, conjecture.  Output is human-readable text by default;
 ``--format json`` emits the documented machine serializations.  Exit
 codes: 0 success, 1 a verification reported failure, 2 usage error or a
 size bound refusal.  The environment variable SHUFBIJ_MAX_TOTAL overrides
-the default size bounds of the verification commands.
+the default size bounds of the verification commands and the bound of
+m+n <= 20 on shuffles, dist and genpoly.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from .errors import DomainOverlapError, ResourceLimitError
 from .perm import format_perm, parse_perm
 from .qpoly import format_coeffs, format_pretty, gen_poly
-from .reduce import SIGMA_SIDE_STATS, SUPPORTED_STATS, canonicalize
+from .reduce import SUPPORTED_STATS, canonicalize
 from .shuffle import iter_shuffles, normalize_pair
 from .stats import (
     distribution,
@@ -30,7 +31,10 @@ from .stats import (
 )
 from .traces import ReductionTrace
 from .verify import (
+    DEFAULT_SHUFFLE_LIMIT,
     Report,
+    _gate,
+    _resolve_limit,
     check_compatibility,
     check_conjecture_udr_pk_des,
     check_identity,
@@ -46,6 +50,14 @@ def _parse_pair(pi_text: str, sigma_text: str):
     # Overlapping domains are refused by iter_shuffles and normalize_pair
     # before anything is printed.
     return parse_perm(pi_text), parse_perm(sigma_text)
+
+
+def _bounded_pair(args):
+    """The operands of a command that enumerates their shuffle set,
+    refused before any output when m+n exceeds the size bound."""
+    pi, sigma = _parse_pair(args.pi, args.sigma)
+    _gate(len(pi) + len(sigma), _resolve_limit(None, DEFAULT_SHUFFLE_LIMIT), args.command)
+    return pi, sigma
 
 
 def _trace_lines(trace: ReductionTrace) -> list[str]:
@@ -89,7 +101,7 @@ def _cmd_stat(args) -> int:
 
 
 def _cmd_shuffles(args) -> int:
-    pi, sigma = _parse_pair(args.pi, args.sigma)
+    pi, sigma = _bounded_pair(args)
     if args.format == "json":
         print(json.dumps({
             "pi": format_perm(pi),
@@ -104,7 +116,7 @@ def _cmd_shuffles(args) -> int:
 
 def _cmd_dist(args) -> int:
     stat = parse_stat(args.statistic)
-    pi, sigma = _parse_pair(args.pi, args.sigma)
+    pi, sigma = _bounded_pair(args)
     dist = distribution(stat, iter_shuffles(pi, sigma))
     if args.format == "json":
         print(json.dumps({
@@ -121,7 +133,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_genpoly(args) -> int:
     stat = parse_stat(args.statistic)
-    pi, sigma = _parse_pair(args.pi, args.sigma)
+    pi, sigma = _bounded_pair(args)
     poly = gen_poly(stat, iter_shuffles(pi, sigma))
     if args.format == "json":
         print(json.dumps({"coefficients": list(poly)}))
@@ -137,8 +149,7 @@ def _cmd_reduce(args) -> int:
         return USAGE_ERROR
     pi, sigma = _parse_pair(args.pi, args.sigma)
     norm_pi, norm_sigma, norm_trace = normalize_pair(pi, sigma, "pi_low")
-    side = "sigma_side" if stat in SIGMA_SIDE_STATS else "pi_side"
-    _, trace = canonicalize(stat, side, norm_pi, norm_sigma)
+    _, trace = canonicalize(stat, norm_pi, norm_sigma)
     if args.format == "json":
         print(json.dumps({
             "normalize_trace": norm_trace.to_json(),

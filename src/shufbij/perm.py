@@ -8,9 +8,10 @@ it but ``parse_perm`` and ``as_perm`` reject it by default.
 
 Besides relabeling (standardization), this module provides the space
 labeling of the gaps of a permutation, insertion of a new maximum into a
-labeled space, deterministic constructors for permutations with a
-prescribed descent set or left-peak profile, and the descent classes of a
-ground set, counted and ranked without enumerating their members.
+labeled space, the least and the greatest permutation with a prescribed
+descent set, a deterministic one with a prescribed left-peak profile, and
+the descent classes of a ground set, counted and ranked without
+enumerating their members.
 """
 
 from __future__ import annotations
@@ -140,11 +141,11 @@ def insert_in_space(pi: Perm, v: int, label: int) -> Perm:
 
 
 def perm_with_descent_set(ground: Iterable[int], descents: Iterable[int]) -> Perm:
-    """Deterministic permutation of ``ground`` whose descent set is ``descents``.
-
-    Builds the weight word w_i = #{d in descents : d >= i} and standardizes
-    it to the ground set, breaking ties left to right, so equal weights
-    receive increasing ground elements.
+    """Lexicographically greatest permutation of ``ground`` with descent set
+    ``descents``: the value complement of the least member of the
+    complementary descent class (:func:`least_with_descent_set`), since
+    complementing values swaps ascents with descents and reverses
+    lexicographic order.
 
     >>> perm_with_descent_set([1, 2, 3], {2})
     (2, 3, 1)
@@ -154,12 +155,8 @@ def perm_with_descent_set(ground: Iterable[int], descents: Iterable[int]) -> Per
     dset = set(descents)
     if not dset <= set(range(1, m)):
         raise ValueError(f"descent set {sorted(dset)} not within 1..{m - 1}")
-    weights = [sum(1 for d in dset if d >= i) for i in range(1, m + 1)]
-    order = sorted(range(m), key=lambda p: (weights[p], p))
-    result = [0] * m
-    for rank, p in enumerate(order):
-        result[p] = g[rank]
-    return tuple(result)
+    flip = dict(zip(g, reversed(g)))
+    return tuple(flip[v] for v in least_with_descent_set(g, set(range(1, m)) - dset))
 
 
 def least_with_descent_set(ground: Iterable[int], descents: Iterable[int]) -> Perm:

@@ -17,27 +17,30 @@ Each elementary move rewrites one side of a separated pair (every entry of
   swapped, so it too is a forward move on the appended framing.
 
 ``canonicalize`` iterates the appropriate move with a strictly decreasing
-measure until the rewritten side reaches its canonical profile, recording
-a trace that ``apply_trace`` replays on any interleaving of the starting
-pair as a statistic-preserving bijection.  A :class:`ReductionStep` checks
-its pairs once, when it is built; ``apply_step`` replays each kind through
-one check-free function.  The public ``theta_*`` functions build the step,
+measure until the rewritten side reaches its canonical profile; the side
+it rewrites follows from the statistic.  ``lpk``, ``udr``, ``(udr,pk)``
+and ``epk`` share one left-peak mover, which differs per statistic only
+in the least left peak it may move and in whether the target keeps the
+final ascent of pi; ``epk`` adds the move of a peak at the last position
+on the appended framing.  Each step is recorded in a trace that
+``apply_trace`` replays on any interleaving of the starting pair as a
+statistic-preserving bijection.  A :class:`ReductionStep` checks its pairs
+once, when it is built; ``apply_step`` replays each kind through one
+check-free function.  The public ``theta_*`` functions build the step,
 check that ``tau`` is a shuffle of the pair, and replay it.
 """
 
 from __future__ import annotations
 
-from .errors import NotAShuffleError
 from .perm import (
     Perm,
     perm_with_descent_set,
     perm_with_left_peak_profile,
     space_labels,
 )
-from .shuffle import _rename, is_shuffle, t_swap
+from .shuffle import _rename, _require_shuffle, t_swap
 from .stats import (
     StatId,
-    chi_minus,
     chi_plus,
     des_set,
     maj,
@@ -54,11 +57,6 @@ SUPPORTED_STATS = SIGMA_SIDE_STATS + PI_SIDE_STATS
 # compare them, so any fresh objects can stand for a new maximum or for a
 # value below everything.
 _FRONT, _BACK = object(), object()
-
-
-def _require_shuffle(tau: Perm, pi: Perm, sigma: Perm) -> None:
-    if not is_shuffle(tau, pi, sigma):
-        raise NotAShuffleError(f"{tau} is not a shuffle of {pi} and {sigma}")
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +193,27 @@ def theta_lpk(tau: Perm, pi: Perm, sigma: Perm, pi_new: Perm) -> Perm:
 # canonical-form pipelines
 
 
+# The peak variant each pi-side measure sums; a right peak counts its
+# distance from the end instead.
+_PEAK_VARIANT = {
+    "pk": "interior", "lpk": "left", "udr": "left", ("udr", "pk"): "left",
+    "rpk": "right", "epk": "exterior",
+}
+
+# Left-peak moves: the least left peak that may move, and whether the
+# target keeps chi_plus(pi) rather than the default final ascent.
+_LEFT_PEAK_MOVES = {
+    "lpk": (2, False), "udr": (2, True), ("udr", "pk"): (3, True), "epk": (2, True),
+}
+
+
 def _measure(stat: StatId, pi: Perm, sigma: Perm) -> int:
     if stat in SIGMA_SIDE_STATS:
         return maj(sigma)
-    m = len(pi)
-    if stat == "pk":
-        return sum(peak_family(pi, "interior"))
-    if stat in ("lpk", "udr", ("udr", "pk")):
-        return sum(peak_family(pi, "left"))
+    peaks = peak_family(pi, _PEAK_VARIANT[stat])
     if stat == "rpk":
-        return sum(m - k for k in peak_family(pi, "right"))
-    if stat == "epk":
-        return sum(peak_family(pi, "exterior"))
-    raise AssertionError(stat)
+        return sum(len(pi) - k for k in peaks)
+    return sum(peaks)
 
 
 def _default_chi_plus(m: int, left_peaks: set[int]) -> int:
@@ -221,9 +227,8 @@ def _sigma_side_step(stat, sigma):
     pipeline continues until no descent is left.
     """
     dset = des_set(sigma)
-    interior = sorted(i for i in dset if i >= 2 and i - 1 not in dset)
-    if interior:
-        i = interior[0]
+    i = min((d for d in dset if d >= 2 and d - 1 not in dset), default=None)
+    if i is not None:
         target = (dset - {i}) | {i - 1}
         return "theta_des", {"i": i}, perm_with_descent_set(sigma, target)
     if stat == "maj" and dset:
@@ -234,72 +239,43 @@ def _sigma_side_step(stat, sigma):
 def _pi_side_step(stat, pi):
     """Next pi-side rewrite, or None once canonical."""
     m = len(pi)
-    pk = peak_family(pi, "interior")
-    lpk = peak_family(pi, "left")
 
     if stat == "pk":
-        movable = sorted(j for j in pk if j >= 3 and j - 2 not in pk)
-        if not movable:
+        pk = peak_family(pi, "interior")
+        j = min((k for k in pk if k >= 3 and k - 2 not in pk), default=None)
+        if j is None:
             return None
-        j = movable[0]
         nxt = perm_with_descent_set(range(1, m + 1), (pk - {j}) | {j - 1})
-        return "theta_pk", {"j": j}, nxt
-
-    if stat in ("lpk", "udr"):
-        movable = sorted(j for j in lpk if j >= 2 and j - 2 not in lpk)
-        if not movable:
-            return None
-        j = movable[0]
-        target = (lpk - {j}) | {j - 1}
-        cp = chi_plus(pi) if stat == "udr" else _default_chi_plus(m, target)
-        nxt = perm_with_left_peak_profile(m, target, cp)
-        kind = "theta_lpk" if j == 2 else "theta_pk"
-        return kind, {"j": j}, nxt
-
-    if stat == ("udr", "pk"):
-        movable = sorted(
-            j for j in pk
-            if j - 2 not in pk and (j >= 4 or (j == 3 and chi_minus(pi) == 0))
-        )
-        if not movable:
-            return None
-        j = movable[0]
-        target = (lpk - {j}) | {j - 1}
-        nxt = perm_with_left_peak_profile(m, target, chi_plus(pi))
         return "theta_pk", {"j": j}, nxt
 
     if stat == "rpk":
         rpk = peak_family(pi, "right")
-        movable = sorted(
-            (j for j in rpk if j <= m - 1 and j + 2 not in rpk), reverse=True
-        )
-        if not movable:
+        j = max((k for k in rpk if k <= m - 1 and k + 2 not in rpk), default=None)
+        if j is None:
             return None
-        j = movable[0]
         mirrored = {m + 1 - k for k in (rpk - {j}) | {j + 1}}
         rho = perm_with_left_peak_profile(m, mirrored, _default_chi_plus(m, mirrored))
         return "theta_rpk_inverse", {"j": j}, tuple(reversed(rho))
 
-    if stat == "epk":
-        epk = peak_family(pi, "exterior")
-        movable = sorted(j for j in epk if j >= 2 and j - 2 not in epk)
-        if not movable:
-            return None
-        j = movable[0]
-        if j <= m - 1:
-            target = (lpk - {j}) | {j - 1}
-            nxt = perm_with_left_peak_profile(m, target, chi_plus(pi))
-            kind = "theta_lpk" if j == 2 else "theta_pk"
-            return kind, {"j": j}, nxt
+    lpk = peak_family(pi, "left")
+    least, keep_chi_plus = _LEFT_PEAK_MOVES[stat]
+    j = min((k for k in lpk if k >= least and k - 2 not in lpk), default=None)
+    if j is not None:
+        target = (lpk - {j}) | {j - 1}
+        cp = chi_plus(pi) if keep_chi_plus else _default_chi_plus(m, target)
+        nxt = perm_with_left_peak_profile(m, target, cp)
+        return "theta_lpk" if j == 2 else "theta_pk", {"j": j}, nxt
+    # An exterior peak at the last position moves left on the appended frame.
+    if stat == "epk" and m >= 2 and chi_plus(pi) and m - 2 not in lpk:
         nxt = perm_with_left_peak_profile(m, lpk | {m - 1}, 0)
-        return "theta_pk", {"j": j, "frame": "append"}, nxt
+        return "theta_pk", {"j": m, "frame": "append"}, nxt
+    return None
 
-    raise AssertionError(stat)
 
+def canonicalize(stat: StatId, pi: Perm, sigma: Perm):
+    """Reduce a separated pair to its canonical profile.
 
-def canonicalize(stat: StatId, side: str, pi: Perm, sigma: Perm):
-    """Reduce one side of a separated pair to its canonical profile.
-
+    Statistics in ``SIGMA_SIDE_STATS`` rewrite sigma, the others pi.
     Returns the canonical permutation for the rewritten side together with
     a trace whose replay (:func:`apply_trace`) is a bijection from the
     starting shuffle set onto the canonical one, preserving ``stat``
@@ -310,27 +286,22 @@ def canonicalize(stat: StatId, side: str, pi: Perm, sigma: Perm):
     stat = validate_stat(stat)
     if stat not in SUPPORTED_STATS:
         raise ValueError(f"no reduction pipeline for statistic {stat!r}")
-    want_side = "sigma_side" if stat in SIGMA_SIDE_STATS else "pi_side"
-    if side != want_side:
-        raise ValueError(f"statistic {stat!r} reduces on {want_side}, not {side!r}")
     m, n = len(pi), len(sigma)
     if set(pi) != set(range(1, m + 1)) or set(sigma) != set(range(m + 1, m + n + 1)):
         raise ValueError(
             "operands must be normalized to [m] and [n]+m (see normalize_pair)"
         )
 
+    on_sigma = stat in SIGMA_SIDE_STATS
     steps = []
     cur_pi, cur_sg = pi, sigma
     start_measure = _measure(stat, pi, sigma)
     while True:
-        if want_side == "sigma_side":
-            found = _sigma_side_step(stat, cur_sg)
-        else:
-            found = _pi_side_step(stat, cur_pi)
+        found = _sigma_side_step(stat, cur_sg) if on_sigma else _pi_side_step(stat, cur_pi)
         if found is None:
             break
         kind, params, nxt = found
-        nxt_pi, nxt_sg = (cur_pi, nxt) if want_side == "sigma_side" else (nxt, cur_sg)
+        nxt_pi, nxt_sg = (cur_pi, nxt) if on_sigma else (nxt, cur_sg)
         steps.append(
             ReductionStep(
                 kind, params, cur_pi, cur_sg, nxt_pi, nxt_sg,
@@ -348,8 +319,7 @@ def canonicalize(stat: StatId, side: str, pi: Perm, sigma: Perm):
         final_sigma=cur_sg,
         start_measure=start_measure,
     )
-    canonical = cur_sg if want_side == "sigma_side" else cur_pi
-    return canonical, trace
+    return (cur_sg if on_sigma else cur_pi), trace
 
 
 def maj_decrement(trace: ReductionTrace) -> int:
@@ -389,11 +359,7 @@ def apply_step(step: ReductionStep, tau: Perm) -> Perm:
 
 def apply_trace(trace: ReductionTrace, tau: Perm) -> Perm:
     """Replay every step of a trace on one interleaving of its start pair."""
-    if not is_shuffle(tau, trace.start_pi, trace.start_sigma):
-        raise NotAShuffleError(
-            f"{tau} is not in the shuffle set of "
-            f"{trace.start_pi} and {trace.start_sigma}"
-        )
+    _require_shuffle(tau, trace.start_pi, trace.start_sigma)
     cur = tau
     for step in trace.steps:
         cur = apply_step(step, cur)

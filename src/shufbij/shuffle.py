@@ -95,11 +95,15 @@ def is_shuffle(tau: Perm, pi: Perm, sigma: Perm) -> bool:
     return left == pi and right == sigma
 
 
+def _require_shuffle(tau: Perm, pi: Perm, sigma: Perm) -> None:
+    if not is_shuffle(tau, pi, sigma):
+        raise NotAShuffleError(f"{tau} is not a shuffle of {pi} and {sigma}")
+
+
 def word_of(tau: Perm, pi: Perm, sigma: Perm) -> ShuffleWord:
     """Word of an interleaving: ``a`` at positions from ``pi``, ``b`` from
     ``sigma``."""
-    if not is_shuffle(tau, pi, sigma):
-        raise NotAShuffleError(f"{tau} is not a shuffle of {pi} and {sigma}")
+    _require_shuffle(tau, pi, sigma)
     pset = set(pi)
     return "".join("a" if v in pset else "b" for v in tau)
 
@@ -138,16 +142,14 @@ def phi(tau: Perm, pi: Perm, pi_new: Perm, sigma: Perm) -> Perm:
     preserving positions; the unique member of the new shuffle set with the
     same word."""
     ReductionStep("phi", {}, pi, sigma, pi_new, sigma)  # checks the pair
-    if not is_shuffle(tau, pi, sigma):
-        raise NotAShuffleError(f"{tau} is not a shuffle of {pi} and {sigma}")
+    _require_shuffle(tau, pi, sigma)
     return _rename(tau, pi, pi_new)
 
 
 def phi_tilde(tau: Perm, pi: Perm, sigma: Perm, sigma_new: Perm) -> Perm:
     """Mirror of :func:`phi`, replacing the ``sigma`` side."""
     ReductionStep("phi_tilde", {}, pi, sigma, pi, sigma_new)  # checks the pair
-    if not is_shuffle(tau, pi, sigma):
-        raise NotAShuffleError(f"{tau} is not a shuffle of {pi} and {sigma}")
+    _require_shuffle(tau, pi, sigma)
     return _rename(tau, sigma, sigma_new)
 
 

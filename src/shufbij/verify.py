@@ -33,13 +33,7 @@ from typing import Optional
 from .errors import ResourceLimitError
 from .perm import Perm, count_before, descent_classes, format_perm
 from .qpoly import QPoly, gen_poly, q_binomial, qp, stanley_refined_rhs, stanley_rhs
-from .reduce import (
-    SIGMA_SIDE_STATS,
-    SUPPORTED_STATS,
-    apply_trace,
-    canonicalize,
-    maj_decrement,
-)
+from .reduce import apply_trace, canonicalize, maj_decrement
 from .shuffle import des_histogram, shuffles
 from .stats import (
     Distribution,
@@ -59,6 +53,7 @@ ENV_LIMIT_VAR = "SHUFBIJ_MAX_TOTAL"
 DEFAULT_REDUCED_LIMIT = 7
 DEFAULT_FULL_LIMIT = 6
 DEFAULT_IDENTITY_LIMIT = 8
+DEFAULT_SHUFFLE_LIMIT = 20  # one shuffle set of C(20, 10) = 184,756 interleavings
 MODES = ("reduced_pi", "reduced_sigma", "full")
 
 
@@ -274,12 +269,8 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
     bijectively, and the statistic is preserved pointwise (major-index
     components drop by exactly the number of descent-side steps).
     """
-    stat = validate_stat(stat)
-    if stat not in SUPPORTED_STATS:
-        raise ValueError(f"no reduction pipeline for statistic {stat!r}")
-    side = "sigma_side" if stat in SIGMA_SIDE_STATS else "pi_side"
     start = time.perf_counter()
-    _, trace = canonicalize(stat, side, pi, sigma)
+    _, trace = canonicalize(stat, pi, sigma)
 
     problems = []
     ms = (trace.start_measure,) + trace.measure_values

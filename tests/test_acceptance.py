@@ -13,7 +13,6 @@ from oracles import inv_oracle, maj_oracle, q_binomial_oracle
 from shufbij.perm import insert_in_space, space_labels
 from shufbij.qpoly import add, gen_poly, stanley_refined_rhs, stanley_rhs
 from shufbij.reduce import (
-    SIGMA_SIDE_STATS,
     SUPPORTED_STATS,
     apply_trace,
     canonicalize,
@@ -169,12 +168,11 @@ def test_criterion_3_compatibility_sweep():
 def test_criterion_4_bijection_audits():
     failures = []
     for stat in SUPPORTED_STATS:
-        side = "sigma_side" if stat in SIGMA_SIDE_STATS else "pi_side"
         for total in range(7):
             for m in range(total + 1):
                 for pi in permutations(range(1, m + 1)):
                     for sigma in permutations(range(m + 1, total + 1)):
-                        _, trace = canonicalize(stat, side, pi, sigma)
+                        _, trace = canonicalize(stat, pi, sigma)
                         measures = (trace.start_measure,) + trace.measure_values
                         if any(a <= b for a, b in zip(measures, measures[1:])):
                             failures.append(("measure", stat, pi, sigma))

@@ -10,7 +10,7 @@ normalized form and the full list of replay images, in a fixed order.
 import hashlib
 from itertools import combinations, permutations
 
-from shufbij.reduce import SIGMA_SIDE_STATS, SUPPORTED_STATS, apply_trace, canonicalize
+from shufbij.reduce import SUPPORTED_STATS, apply_trace, canonicalize
 from shufbij.shuffle import normalize_pair, shuffles
 
 PIPELINE_DIGEST = "8afe6c78f57a558bc4ec0c1666e6e8fb43bc862f871708b8e3a9a4243953e2b5"
@@ -30,12 +30,11 @@ def test_pipeline_replay_digest():
     digest = hashlib.sha256()
     count = 0
     for stat in SUPPORTED_STATS:
-        side = "sigma_side" if stat in SIGMA_SIDE_STATS else "pi_side"
         for total in range(7):
             for m in range(total + 1):
                 for pi in permutations(range(1, m + 1)):
                     for sigma in permutations(range(m + 1, total + 1)):
-                        _, trace = canonicalize(stat, side, pi, sigma)
+                        _, trace = canonicalize(stat, pi, sigma)
                         images = [apply_trace(trace, t) for t in shuffles(pi, sigma)]
                         count += len(images)
                         digest.update(repr((stat, pi, sigma, images)).encode())

@@ -117,6 +117,23 @@ def test_verify_limit_refusal_exits_2(capsys):
     assert "exceeds the bound" in err
 
 
+@pytest.mark.parametrize("command", ["shuffles", "dist", "genpoly"])
+def test_shuffle_set_size_bound_exits_2_before_any_output(capsys, monkeypatch, command):
+    stat = () if command == "shuffles" else ("maj",)
+    monkeypatch.setenv("SHUFBIJ_MAX_TOTAL", "5")
+    code, out, err = run_cli(capsys, command, *stat, "1,2,3", "4,5,6")
+    assert (code, out) == (2, "")
+    assert "m+n=6 exceeds the bound 5" in err
+    # Without the override the bound is m+n = 20.
+    monkeypatch.delenv("SHUFBIJ_MAX_TOTAL")
+    low, high = range(1, 12), range(12, 22)
+    code, out, err = run_cli(
+        capsys, command, *stat, ",".join(map(str, low)), ",".join(map(str, high))
+    )
+    assert (code, out) == (2, "")
+    assert "m+n=21 exceeds the bound 20" in err
+
+
 def test_identity_command(capsys):
     code, out, _ = run_cli(capsys, "identity", "maj", "--m", "2", "--n", "2")
     assert code == 0

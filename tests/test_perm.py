@@ -100,12 +100,19 @@ def test_perm_with_descent_set_examples():
 
 
 def test_perm_with_descent_set_exhaustive_to_8():
+    # Every descent class of [m] and of a spaced ground set 2, 5, 8, ...;
+    # the built permutation is the lexicographically greatest member.
     for m in range(9):
-        positions = list(range(1, m))
-        for mask in range(1 << len(positions)):
-            target = {positions[b] for b in range(len(positions)) if mask >> b & 1}
-            built = perm_with_descent_set(range(1, m + 1), target)
-            assert des_set_oracle(built) == target
+        for ground in (range(1, m + 1), range(2, 3 * m + 2, 3)):
+            greatest = {}
+            for p in permutations(reversed(ground)):
+                greatest.setdefault(frozenset(des_set_oracle(p)), p)
+            positions = list(range(1, m))
+            for mask in range(1 << len(positions)):
+                target = {positions[b] for b in range(len(positions)) if mask >> b & 1}
+                built = perm_with_descent_set(ground, target)
+                assert des_set_oracle(built) == target
+                assert built == greatest[frozenset(target)]
 
 
 def test_perm_with_descent_set_rejects_out_of_range():

@@ -33,10 +33,6 @@ def _normalized_pairs(max_total):
                     yield pi, sigma
 
 
-def _side_of(stat):
-    return "sigma_side" if stat in SIGMA_SIDE_STATS else "pi_side"
-
-
 # ---------------------------------------------------------------------------
 # elementary moves
 
@@ -234,32 +230,30 @@ def test_theta_lpk_validation():
 
 
 def test_canonicalize_worked_examples():
-    canonical, trace = canonicalize("maj", "sigma_side", (1,), (3, 2))
+    canonical, trace = canonicalize("maj", (1,), (3, 2))
     assert canonical == (2, 3)
     assert [s.kind for s in trace.steps] == ["theta_maj_first"]
 
-    canonical, trace = canonicalize("pk", "pi_side", (2, 1, 4, 3), (5,))
+    canonical, trace = canonicalize("pk", (2, 1, 4, 3), (5,))
     assert canonical == (3, 4, 1, 2)
     assert [s.kind for s in trace.steps] == ["theta_pk"]
 
 
 def test_canonicalize_fixed_points():
     sigma = perm_with_descent_set(range(4, 8), {1, 2})
-    _, trace = canonicalize("des", "sigma_side", (1, 2, 3), sigma)
+    _, trace = canonicalize("des", (1, 2, 3), sigma)
     assert len(trace.steps) == 0
-    _, trace = canonicalize("maj", "sigma_side", (1, 2), (3, 4, 5))
+    _, trace = canonicalize("maj", (1, 2), (3, 4, 5))
     assert len(trace.steps) == 0
-    _, trace = canonicalize("lpk", "pi_side", (2, 1, 3), (4,))
+    _, trace = canonicalize("lpk", (2, 1, 3), (4,))
     assert len(trace.steps) == 0
 
 
 def test_canonicalize_rejects_bad_input():
     with pytest.raises(ValueError):
-        canonicalize("inv", "pi_side", (1, 2), (3,))
+        canonicalize("inv", (1, 2), (3,))
     with pytest.raises(ValueError):
-        canonicalize("pk", "sigma_side", (1, 2), (3,))
-    with pytest.raises(ValueError):
-        canonicalize("des", "sigma_side", (1, 3), (2,))
+        canonicalize("des", (1, 3), (2,))
 
 
 CANONICAL_CHECKS = {
@@ -286,10 +280,9 @@ CANONICAL_CHECKS = {
 
 @pytest.mark.parametrize("stat", ALL_PIPELINE_STATS, ids=str)
 def test_pipelines_exhaustive_small(stat):
-    side = _side_of(stat)
     is_canonical = CANONICAL_CHECKS[stat]
     for pi, sigma in _normalized_pairs(5):
-        canonical, trace = canonicalize(stat, side, pi, sigma)
+        canonical, trace = canonicalize(stat, pi, sigma)
         assert is_canonical(trace.final_pi, trace.final_sigma)
         measures = (trace.start_measure,) + trace.measure_values
         assert all(a > b for a, b in zip(measures, measures[1:]))
@@ -309,11 +302,7 @@ def test_pipelines_exhaustive_small(stat):
             else:
                 assert evaluate(stat, im) == evaluate(stat, t)
 
-        again, trace2 = canonicalize(
-            stat, side,
-            trace.final_pi if side == "pi_side" else pi,
-            trace.final_sigma if side == "sigma_side" else sigma,
-        )
+        again, trace2 = canonicalize(stat, trace.final_pi, trace.final_sigma)
         assert len(trace2.steps) == 0
         assert again == canonical
 
@@ -328,8 +317,7 @@ def test_pipelines_hold_beyond_exhaustive_range(stat, m, data):
     n = data.draw(st.integers(max(0, 7 - m), 8 - m))
     pi = tuple(data.draw(st.permutations(list(range(1, m + 1)))))
     sigma = tuple(data.draw(st.permutations(list(range(m + 1, m + n + 1)))))
-    side = _side_of(stat)
-    _, trace = canonicalize(stat, side, pi, sigma)
+    _, trace = canonicalize(stat, pi, sigma)
     measures = (trace.start_measure,) + trace.measure_values
     assert all(a > b for a, b in zip(measures, measures[1:]))
     source = shuffles(pi, sigma)
@@ -348,19 +336,19 @@ def test_pipelines_hold_beyond_exhaustive_range(stat, m, data):
 
 def test_maj_trace_length_equals_major_index():
     for pi, sigma in _normalized_pairs(5):
-        _, trace = canonicalize("maj", "sigma_side", pi, sigma)
+        _, trace = canonicalize("maj", pi, sigma)
         assert len(trace.steps) == maj(sigma)
 
 
 def test_apply_trace_empty_and_validation():
-    _, trace = canonicalize("maj", "sigma_side", (1, 2), (3, 4, 5))
+    _, trace = canonicalize("maj", (1, 2), (3, 4, 5))
     assert apply_trace(trace, (1, 3, 2, 4, 5)) == (1, 3, 2, 4, 5)
     with pytest.raises(NotAShuffleError):
         apply_trace(trace, (3, 1, 2, 5, 4))
 
 
 def test_trace_serialization_round_trip_fields():
-    _, trace = canonicalize("pk", "pi_side", (2, 1, 4, 3), (5,))
+    _, trace = canonicalize("pk", (2, 1, 4, 3), (5,))
     payload = trace.to_json()
     assert payload["statistic"] == "pk"
     assert payload["start"] == {"pi": "2,1,4,3", "sigma": "5"}
