@@ -3,6 +3,7 @@
 
 For each named statistic, scans all domain splittings in increasing total
 length and prints the first witness found, or a pass-within-scope line.
+Exits 1 when a witness does not re-verify from scratch.
 
     python scripts/counterexample_hunt.py inv biruns --max-total 6
 """
@@ -20,14 +21,18 @@ def main() -> int:
     ap.add_argument("--max-total", type=int, default=6, help="largest m+n to scan")
     args = ap.parse_args()
 
+    exit_code = 0
     for name in args.statistics:
         stat = parse_stat(name)
         report = find_counterexample(stat, args.max_total)
         print(format_report(report))
         if not report.passed:
-            print(f"  witness re-verifies: {report.witness.recheck()}")
+            reverifies = report.witness.recheck()
+            print(f"  witness re-verifies: {reverifies}")
+            if not reverifies:
+                exit_code = 1
         print()
-    return 0
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -56,7 +56,8 @@ def _bounded_pair(args):
     """The operands of a command that enumerates their shuffle set,
     refused before any output when m+n exceeds the size bound."""
     pi, sigma = _parse_pair(args.pi, args.sigma)
-    _gate(len(pi) + len(sigma), _resolve_limit(None, DEFAULT_SHUFFLE_LIMIT), args.command)
+    limit = _resolve_limit(None, DEFAULT_SHUFFLE_LIMIT)
+    _gate(len(pi), len(sigma), limit, args.command, how="set SHUFBIJ_MAX_TOTAL")
     return pi, sigma
 
 

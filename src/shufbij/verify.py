@@ -7,16 +7,18 @@ bound raises :class:`~shufbij.errors.ResourceLimitError` instead of
 silently truncating.  Searches run in a fixed enumeration order, so the
 witness returned for a failing claim is deterministic.
 
-The reduced-mode sweeps and the ``maj``/``maj_des`` identities put sigma
-above pi, where the descent sets over a shuffle set depend only on the
-descent classes of the operands; they compute one descent-set histogram
-per class pair (:func:`~shufbij.shuffle.des_histogram`) instead of one
-shuffle set per pair.  They walk the operands by class too
-(:func:`~shufbij.perm.descent_classes`: size, least member and its rank,
-all without enumeration), and derive the cases and the witness a
-lexicographic pair-by-pair scan would report from those ranks and sizes.
-Full mode, the counterexample search, the pipeline audit and
-:meth:`Witness.recheck` enumerate shuffle sets directly.
+For a descent statistic the distribution over a shuffle set depends only
+on the descent classes of the operands (it is read off the product of
+their fundamental quasisymmetric functions).  The sweeps in every mode,
+the counterexample search and the identities therefore put sigma above
+pi and build one descent-set histogram per class pair
+(:func:`~shufbij.shuffle.des_histogram`), walking the operands by class
+(:func:`~shufbij.perm.descent_classes`: size, least member and rank, all
+without enumeration); cases and witnesses are those a lexicographic
+pair-by-pair scan would report, derived from the ranks and sizes.  Full
+mode over any other statistic takes the same walk with each permutation
+as its own class.  The pipeline audit and :meth:`Witness.recheck`
+enumerate shuffle sets directly.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional
 
 from .errors import ResourceLimitError
 from .perm import Perm, count_before, descent_classes, format_perm
-from .qpoly import QPoly, gen_poly, q_binomial, qp, stanley_refined_rhs, stanley_rhs
+from .qpoly import QPoly, qp, stanley_refined_rhs, stanley_rhs
 from .reduce import apply_trace, canonicalize, maj_decrement
 from .shuffle import des_histogram, shuffles
 from .stats import (
@@ -55,6 +57,7 @@ DEFAULT_FULL_LIMIT = 6
 DEFAULT_IDENTITY_LIMIT = 8
 DEFAULT_SHUFFLE_LIMIT = 20  # one shuffle set of C(20, 10) = 184,756 interleavings
 MODES = ("reduced_pi", "reduced_sigma", "full")
+_RAISE_LIMIT = f"pass a larger limit (--limit) or set {ENV_LIMIT_VAR}"
 
 
 @dataclass
@@ -135,12 +138,54 @@ def _resolve_limit(explicit: Optional[int], fallback: int) -> int:
     return fallback
 
 
-def _gate(total: int, limit: int, what: str) -> None:
-    if total > limit:
+def _gate(m: int, n: int, limit: int, what: str, how: str = _RAISE_LIMIT) -> None:
+    """Refuse negative sizes, and m+n above ``limit``; ``how`` names the
+    ways the caller has to raise the bound."""
+    if m < 0 or n < 0:
+        raise ValueError("sizes must be nonnegative")
+    if m + n > limit:
         raise ResourceLimitError(
-            f"{what} with m+n={total} exceeds the bound {limit}; "
-            f"pass limit explicitly or set {ENV_LIMIT_VAR} to allow it"
+            f"{what} with m+n={m + n} exceeds the bound {limit}; {how} to allow it"
         )
+
+
+def _class_dist(stat: StatId, m: int, n: int):
+    """The distribution of a descent statistic over the shuffle set of a
+    class pair, pi on [m] and sigma on [n]+m, as a function of the two
+    descent sets, read off :func:`des_histogram`."""
+    value_of = cache(lambda descents: evaluate_descent_class(stat, descents, m + n))
+
+    def dist_of(des_pi, des_sigma):
+        dist = Counter()
+        for descents, count in des_histogram(des_pi, des_sigma, m, n).items():
+            dist[value_of(descents)] += count
+        return dist
+
+    return dist_of
+
+
+def _singletons(ground) -> list:
+    """Every permutation of ``ground`` as its own class, keyed by itself."""
+    return [(rank, p, 1, p) for rank, p in enumerate(permutations(ground))]
+
+
+def _first_failure(m: int, n: int, fails, lows, classes):
+    """Walk the ``classes`` pairs of each splitting (pi on a ground in
+    ``lows``) in the order a lexicographic pair-by-pair scan first meets
+    them, pi first.  Returns ``(found, cases)`` at the first pair that
+    ``fails``, with the rank_pi·n! + rank_sigma + 1 cases of such a scan;
+    else ``(None, pairs walked)``."""
+    n_count = factorial(n)
+    done = 0
+    for low in lows:
+        pi_classes = classes(low)
+        sigma_classes = classes([v for v in range(1, m + n + 1) if v not in low])
+        for pi_class, sigma_class in product(pi_classes, sigma_classes):
+            found = fails(pi_class, sigma_class)
+            if found:
+                return found, done + pi_class[0] * n_count + sigma_class[0] + 1
+        done += sum(c[2] for c in pi_classes) * sum(c[2] for c in sigma_classes)
+    return None, done
 
 
 def _reduced_scan(stat: StatId, m: int, n: int, side: str):
@@ -148,7 +193,7 @@ def _reduced_scan(stat: StatId, m: int, n: int, side: str):
     require equal distributions within each group, for every fixed partner.
 
     A distribution depends only on the descent classes of the pair, so it
-    is built once per class pair from :func:`des_histogram`, and both sides
+    is built once per class pair by :func:`_class_dist`, and both sides
     are walked by class (:func:`descent_classes`), never by permutation.
     Cases and the first failing witness are those of a scan pair by pair
     in lexicographic order: the mover classes, grouped by value in rank
@@ -159,24 +204,13 @@ def _reduced_scan(stat: StatId, m: int, n: int, side: str):
     high = range(m + 1, m + n + 1)
     mover_ground, partner_ground = (low, high) if side == "pi" else (high, low)
     mover_count = factorial(len(mover_ground))
-
-    @cache
-    def value_of(descents, length):
-        return evaluate_descent_class(stat, descents, length)
-
-    def dist_of(mover_des, partner_des):
-        pair = (mover_des, partner_des) if side == "pi" else (partner_des, mover_des)
-        dist = Counter()
-        for descents, count in des_histogram(*pair, m, n).items():
-            dist[value_of(descents, m + n)] += count
-        return dist
+    class_dist = _class_dist(stat, m, n)
+    dist_of = class_dist if side == "pi" else lambda mover, partner: class_dist(partner, mover)
 
     # Mover classes by statistic value, as (descents, size, least member).
     groups: dict = {}
     for _, descents, size, first in descent_classes(mover_ground):
-        groups.setdefault(value_of(descents, len(mover_ground)), []).append(
-            (descents, size, first)
-        )
+        groups.setdefault(evaluate(stat, first), []).append((descents, size, first))
 
     for rank, partner_des, _, partner in descent_classes(partner_ground):
         done = 0  # movers in the groups already passed for this partner
@@ -201,25 +235,31 @@ def _reduced_scan(stat: StatId, m: int, n: int, side: str):
 
 def _full_scan(stat: StatId, m: int, n: int):
     """All splittings of [m+n]: distributions must agree across every pair
-    of instances whose statistic labels agree."""
-    total = m + n
+    of instances whose statistic labels agree.
+
+    For a descent statistic the other splittings repeat the class pair
+    distributions of the first (by the descent-preserving
+    :func:`~shufbij.shuffle.normalize_pair`), so only the first is walked,
+    and a pass counts all (m+n)! pairs.  Any other statistic walks every
+    splitting with each permutation as its own class.
+    """
+
+    def dist_of(pi, sigma):
+        return distribution(stat, shuffles(pi, sigma))
+
+    lows, classes = combinations(range(1, m + n + 1), m), _singletons
+    if is_descent_statistic(stat):
+        lows, classes, dist_of = [range(1, m + 1)], descent_classes, _class_dist(stat, m, n)
     seen: dict = {}
-    cases = 0
-    for domain_pi in combinations(range(1, total + 1), m):
-        pi_set = set(domain_pi)
-        domain_sigma = tuple(v for v in range(1, total + 1) if v not in pi_set)
-        for pi in permutations(domain_pi):
-            pi_value = evaluate(stat, pi)
-            for sigma in permutations(domain_sigma):
-                key = (pi_value, evaluate(stat, sigma))
-                dist = distribution(stat, shuffles(pi, sigma))
-                cases += 1
-                prev = seen.get(key)
-                if prev is None:
-                    seen[key] = (dist, pi, sigma)
-                elif prev[0] != dist:
-                    return Witness(prev[1], pi, prev[2], sigma, stat, prev[0], dist), cases
-    return None, cases
+
+    def fails(pi_class, sigma_class):
+        (_, key_pi, _, pi), (_, key_sigma, _, sigma) = pi_class, sigma_class
+        dist = dist_of(key_pi, key_sigma)
+        prev = seen.setdefault((evaluate(stat, pi), evaluate(stat, sigma)), (dist, pi, sigma))
+        return None if prev[0] == dist else Witness(prev[1], pi, prev[2], sigma, stat, prev[0], dist)
+
+    witness, cases = _first_failure(m, n, fails, lows, classes)
+    return witness, cases if witness else factorial(m + n)
 
 
 def check_compatibility(
@@ -229,10 +269,11 @@ def check_compatibility(
     depends only on the statistic values and lengths of the operands.
 
     ``reduced_pi`` varies the low side over [m] against every partner on
-    [n]+m; ``reduced_sigma`` is the mirror; ``full`` ranges over all domain
-    splittings of [m+n].  For descent statistics the reduced modes are each
-    equivalent to full compatibility; other statistics are refused there,
-    since only ``full`` is meaningful evidence for them.
+    [n]+m; ``reduced_sigma`` is the mirror; ``full`` covers all domain
+    splittings of [m+n], walking the class pairs of the first alone for a
+    descent statistic (:func:`_full_scan`).  For descent statistics each
+    reduced mode is equivalent to full compatibility; other statistics are
+    refused there, since only ``full`` is meaningful evidence for them.
     """
     stat = validate_stat(stat)
     if mode not in MODES:
@@ -242,10 +283,8 @@ def check_compatibility(
             f"{format_stat(stat)} is not a descent statistic, so mode {mode!r} "
             "is no evidence for it; use mode 'full' (--mode full)"
         )
-    if m < 0 or n < 0:
-        raise ValueError("sizes must be nonnegative")
     fallback = DEFAULT_FULL_LIMIT if mode == "full" else DEFAULT_REDUCED_LIMIT
-    _gate(m + n, _resolve_limit(limit, fallback), f"compatibility sweep ({mode})")
+    _gate(m, n, _resolve_limit(limit, fallback), f"compatibility sweep ({mode})")
     start = time.perf_counter()
     if mode == "full":
         witness, cases = _full_scan(stat, m, n)
@@ -331,73 +370,41 @@ def _maj_poly(hist: Counter, des: Optional[int] = None) -> QPoly:
     return qp(coeffs)
 
 
-def _closed_form_mismatch(which: str, pi: Perm, sigma: Perm, hist: Counter):
-    """First mismatch, as (problem, lhs, rhs), between the descent-set
-    histogram of a class pair and the closed form; None when they agree."""
-    if which == "maj":
-        lhs = _maj_poly(hist)
-        rhs = stanley_rhs(pi, sigma)
-        return None if lhs == rhs else ("closed form mismatch", lhs, rhs)
-    for k in range(len(pi) + len(sigma) + 1):
-        lhs = _maj_poly(hist, k)
-        rhs = stanley_refined_rhs(pi, sigma, k)
-        if lhs != rhs:
-            return f"refined identity fails at k={k}", lhs, rhs
-    return None
-
-
 def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> Report:
     """Exact polynomial identity checks over all normalized pairs.
 
     ``maj``: the maj generating polynomial over the shuffle set equals the
-    shifted q-binomial closed form, and the distribution depends only on
-    maj(pi)+maj(sigma).  ``maj_des``: the same refined by descent count.
-    ``word_base``: the increasing/increasing pair gives the bare q-binomial.
+    shifted q-binomial closed form, which depends only on maj(pi)+maj(sigma).
+    ``maj_des``: the same refined by descent count.  ``word_base``: the
+    increasing/increasing pair gives the bare q-binomial.  Each class pair
+    is checked once, on its least members.
     """
     if which not in ("maj", "maj_des", "word_base"):
         raise ValueError(f"unknown identity {which!r}")
-    _gate(m + n, _resolve_limit(limit, DEFAULT_IDENTITY_LIMIT), f"identity check ({which})")
+    _gate(m, n, _resolve_limit(limit, DEFAULT_IDENTITY_LIMIT), f"identity check ({which})")
     start = time.perf_counter()
-    cases = 0
-    witness = None
-    problem = ""
 
-    if which == "word_base":
-        pi = tuple(range(1, m + 1))
-        sigma = tuple(range(m + 1, m + n + 1))
-        lhs = gen_poly("maj", shuffles(pi, sigma))
-        rhs = q_binomial(m + n, m)
-        cases = 1
-        if lhs != rhs:
-            problem = "increasing-pair identity fails"
-            witness = Witness(pi, pi, sigma, sigma, "maj",
-                              _poly_as_counter(lhs), _poly_as_counter(rhs))
-    else:
-        # Class pairs in the order a pair-by-pair scan first meets them;
-        # a failure is a property of the class pair, so it is met there.
-        by_maj_sum: dict[int, Distribution] = {}
-        n_count = factorial(n)
-        cases = factorial(m) * n_count
-        pairs = product(
-            descent_classes(range(1, m + 1)), descent_classes(range(m + 1, m + n + 1))
-        )
-        for (rank_pi, des_pi, _, pi), (rank_sigma, des_sigma, _, sigma) in pairs:
-            hist = des_histogram(des_pi, des_sigma, m, n)
-            mismatch = _closed_form_mismatch(which, pi, sigma, hist)
-            if mismatch:
-                problem, lhs, rhs = mismatch
-                witness = Witness(pi, pi, sigma, sigma, "maj",
-                                  _poly_as_counter(lhs), _poly_as_counter(rhs))
-            elif which == "maj":
-                dist = _poly_as_counter(_maj_poly(hist))
-                prev = by_maj_sum.setdefault(sum(des_pi) + sum(des_sigma), dist)
-                if prev != dist:
-                    problem = "distribution not determined by maj(pi)+maj(sigma)"
-                    witness = Witness(pi, pi, sigma, sigma, "maj", dist, prev)
-            if problem:
-                cases = rank_pi * n_count + rank_sigma + 1
-                break
+    def classes(ground):
+        table = descent_classes(ground)
+        return table[:1] if which == "word_base" else table  # rank 0: increasing
 
+    def fails(pi_class, sigma_class):
+        (_, des_pi, _, pi), (_, des_sigma, _, sigma) = pi_class, sigma_class
+        hist = des_histogram(des_pi, des_sigma, m, n)
+        if which == "maj_des":
+            checks = ((f"refined identity fails at k={k}", _maj_poly(hist, k),
+                       stanley_refined_rhs(pi, sigma, k)) for k in range(m + n + 1))
+        else:
+            problem = "closed form mismatch" if which == "maj" else "increasing-pair identity fails"
+            checks = [(problem, _maj_poly(hist), stanley_rhs(pi, sigma))]
+        for problem, lhs, rhs in checks:
+            if lhs != rhs:
+                return problem, Witness(pi, pi, sigma, sigma, "maj",
+                                        _poly_as_counter(lhs), _poly_as_counter(rhs))
+        return None
+
+    found, cases = _first_failure(m, n, fails, [range(1, m + 1)], classes)
+    problem, witness = found or (None, None)
     return Report(
         subject=f"identity {which}" + (f": {problem}" if problem else ""),
         scope=f"all pi on [{m}], sigma on [{n}]+{m}",
@@ -418,27 +425,19 @@ def find_counterexample(stat: StatId, max_total_length: int) -> Report:
         )
     start = time.perf_counter()
     cases = 0
-    for total in range(max_total_length + 1):
-        for m in range(total + 1):
-            witness, scanned = _full_scan(stat, m, total - m)
-            cases += scanned
-            if witness:
-                return Report(
-                    subject=f"counterexample search for {format_stat(stat)}",
-                    scope=(
-                        f"all splittings with m+n <= {max_total_length}; "
-                        f"witness at |pi|={m}, |sigma|={total - m}"
-                    ),
-                    outcome="fail",
-                    witness=witness,
-                    cases_checked=cases,
-                    elapsed=time.perf_counter() - start,
-                )
+    scope = f"all splittings with m+n <= {max_total_length}"
+    splits = ((m, total - m) for total in range(max_total_length + 1) for m in range(total + 1))
+    for m, n in splits:
+        witness, scanned = _full_scan(stat, m, n)
+        cases += scanned
+        if witness:
+            scope += f"; witness at |pi|={m}, |sigma|={n}"
+            break
     return Report(
         subject=f"counterexample search for {format_stat(stat)}",
-        scope=f"all splittings with m+n <= {max_total_length}",
-        outcome="pass",
-        witness=None,
+        scope=scope,
+        outcome="fail" if witness else "pass",
+        witness=witness,
         cases_checked=cases,
         elapsed=time.perf_counter() - start,
     )
@@ -451,7 +450,7 @@ def check_conjecture_udr_pk_des(m: int, n: int, limit: Optional[int] = None) -> 
     says so explicitly.
     """
     stat: StatId = ("udr", "pk", "des")
-    _gate(m + n, _resolve_limit(limit, DEFAULT_REDUCED_LIMIT), "conjecture sweep")
+    _gate(m, n, _resolve_limit(limit, DEFAULT_REDUCED_LIMIT), "conjecture sweep")
     start = time.perf_counter()
     cases = 0
     witness = None

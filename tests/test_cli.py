@@ -115,6 +115,24 @@ def test_verify_limit_refusal_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "des", "--m", "5", "--n", "5")
     assert code == 2
     assert "exceeds the bound" in err
+    assert "--limit" in err and "SHUFBIJ_MAX_TOTAL" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "maj", "--m", "-1", "--n", "3"),
+        ("verify", "inv", "--m", "2", "--n", "-1", "--mode", "full"),
+        ("identity", "maj", "--m", "-1", "--n", "3"),
+        ("identity", "word_base", "--m", "3", "--n", "-2"),
+        ("conjecture", "udr-pk-des", "--m", "-2", "--n", "3"),
+    ],
+    ids=lambda a: "_".join(a[:2]),
+)
+def test_negative_sizes_exit_2_before_any_output(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "sizes must be nonnegative" in err
 
 
 @pytest.mark.parametrize("command", ["shuffles", "dist", "genpoly"])
@@ -123,7 +141,8 @@ def test_shuffle_set_size_bound_exits_2_before_any_output(capsys, monkeypatch, c
     monkeypatch.setenv("SHUFBIJ_MAX_TOTAL", "5")
     code, out, err = run_cli(capsys, command, *stat, "1,2,3", "4,5,6")
     assert (code, out) == (2, "")
-    assert "m+n=6 exceeds the bound 5" in err
+    assert "m+n=6 exceeds the bound 5; set SHUFBIJ_MAX_TOTAL to allow it" in err
+    assert "limit" not in err  # these commands have no --limit
     # Without the override the bound is m+n = 20.
     monkeypatch.delenv("SHUFBIJ_MAX_TOTAL")
     low, high = range(1, 12), range(12, 22)

@@ -5,12 +5,14 @@ Exhaustive over every normalized pair with m+n <= 7 (pi on [m], sigma on
 class tables (sizes, least members, ranks, ``count_before``) against the
 permutations they count, the class representative against its descent
 set, and the reduced-mode sweeps and the maj identities against
-pair-by-pair references that enumerate every shuffle set.
+pair-by-pair references that enumerate every shuffle set.  Full mode and
+the counterexample search are checked against a pair-by-pair scan of
+every splitting, m+n <= 6 (5 for statistics built on ``inv``).
 """
 
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -26,14 +28,17 @@ from shufbij.stats import (
     evaluate,
     evaluate_descent_class,
     format_stat,
+    is_descent_statistic,
 )
-from shufbij.verify import Witness, check_compatibility, check_identity
+from shufbij.verify import Witness, check_compatibility, check_identity, find_counterexample
 
 MAX_TOTAL = 7
 SPLITS = [(m, total - m) for total in range(MAX_TOTAL + 1) for m in range(total + 1)]
-DESCENT_STATS = [name for name, d in STATISTICS.items() if d.descent_statistic] + [
-    ("maj", "des"), ("udr", "pk"), ("udr", "pk", "des"), ("biruns", "des"),
-]
+TUPLES = [("maj", "des"), ("udr", "pk"), ("udr", "pk", "des"), ("biruns", "des")]
+DESCENT_STATS = [name for name, d in STATISTICS.items() if d.descent_statistic] + TUPLES
+CATALOG = list(STATISTICS) + TUPLES + [("maj", "inv")]
+FULL_MAX_TOTAL = 6
+FULL_SPLITS = [(m, total - m) for total in range(FULL_MAX_TOTAL + 1) for m in range(total + 1)]
 
 
 def _low(m):
@@ -115,6 +120,32 @@ def _reference_identity(which, m, n, shuffle_sets, maj_rhs=stanley_rhs,
                     witness = Witness(pi, pi, sigma, sigma, "maj", dist, prev)
                     return "fail", cases, witness.to_json()
     return "pass", cases, None
+
+
+def _reference_full(stat, m, n, dist_of):
+    """Full mode pair by pair: every splitting, every permutation pair,
+    every shuffle set; returns the witness (or None) and the cases."""
+    total = m + n
+    seen = {}
+    cases = 0
+    for domain_pi in combinations(range(1, total + 1), m):
+        domain_sigma = tuple(v for v in range(1, total + 1) if v not in domain_pi)
+        for pi in permutations(domain_pi):
+            pi_value = evaluate(stat, pi)
+            for sigma in permutations(domain_sigma):
+                key = (pi_value, evaluate(stat, sigma))
+                dist = dist_of(pi, sigma)
+                cases += 1
+                prev = seen.get(key)
+                if prev is None:
+                    seen[key] = (dist, pi, sigma)
+                elif prev[0] != dist:
+                    return Witness(prev[1], pi, prev[2], sigma, stat, prev[0], dist), cases
+    return None, cases
+
+
+def _expected_full(witness, cases):
+    return ("fail" if witness else "pass"), cases, witness.to_json() if witness else None
 
 
 def _members_by_class(ground):
@@ -234,3 +265,92 @@ def test_identity_failure_matches_pair_by_pair_scan(
     expected = _reference_identity(which, m, n, shuffle_sets, maj_rhs, refined_rhs)
     assert expected[0] == "fail"
     assert _outcome(check_identity(which, m, n)) == expected
+
+
+@pytest.fixture(scope="module")
+def all_shuffle_sets():
+    """Shuffle sets of every pair on every splitting of [t], t <= 6."""
+    sets = {}
+    for m, n in FULL_SPLITS:
+        for domain_pi in combinations(range(1, m + n + 1), m):
+            domain_sigma = [v for v in range(1, m + n + 1) if v not in domain_pi]
+            for pi in permutations(domain_pi):
+                for sigma in permutations(domain_sigma):
+                    sets[pi, sigma] = shuffles(pi, sigma)
+    return sets
+
+
+def _table_dist(stat, shuffle_sets):
+    """Distribution over the stored shuffle set of a pair, each
+    permutation of [t] evaluated once."""
+    values = {}
+
+    def dist_of(pi, sigma):
+        dist = Counter()
+        for tau in shuffle_sets.get((pi, sigma)) or shuffles(pi, sigma):
+            if tau not in values:
+                values[tau] = evaluate(stat, tau)
+            dist[values[tau]] += 1
+        return dist
+
+    return dist_of
+
+
+@pytest.mark.parametrize("stat", CATALOG, ids=format_stat)
+def test_full_mode_and_search_match_pair_by_pair_scan(stat, all_shuffle_sets):
+    dist_of = _table_dist(stat, all_shuffle_sets)
+    references = {}
+
+    def reference(m, n):
+        if (m, n) not in references:
+            references[m, n] = _expected_full(*_reference_full(stat, m, n, dist_of))
+        return references[m, n]
+
+    max_total = FULL_MAX_TOTAL if is_descent_statistic(stat) else FULL_MAX_TOTAL - 1
+    for m, n in FULL_SPLITS:
+        if m + n <= max_total:
+            report = check_compatibility(stat, m, n, mode="full")
+            assert _outcome(report) == reference(m, n), (m, n)
+            assert report.witness is None or report.witness.recheck()
+
+    # The search is the full-mode scans in split order up to the first failure.
+    cases, scope = 0, f"all splittings with m+n <= {FULL_MAX_TOTAL}"
+    for m, n in FULL_SPLITS:
+        outcome, scanned, witness = reference(m, n)
+        cases += scanned
+        if witness:
+            scope += f"; witness at |pi|={m}, |sigma|={n}"
+            break
+    report = find_counterexample(stat, FULL_MAX_TOTAL)
+    assert (report.scope, *_outcome(report)) == (scope, outcome, cases, witness)
+    assert report.witness is None or report.witness.recheck()
+
+
+@pytest.mark.parametrize("stat", ["Des", "biruns"])
+@pytest.mark.parametrize("m, n", [(3, 4), (4, 3)])
+def test_full_mode_matches_pair_by_pair_scan_at_7(stat, m, n):
+    expected = _expected_full(*_reference_full(stat, m, n, _table_dist(stat, {})))
+    report = check_compatibility(stat, m, n, mode="full", limit=7)
+    assert _outcome(report) == expected
+    assert report.witness is None or report.witness.recheck()
+
+
+def test_full_mode_and_search_build_no_shuffle_set_for_descent_statistics(monkeypatch):
+    expected = [
+        _outcome(check_compatibility(stat, 3, 3, mode="full"))
+        for stat in ("Des", "biruns", ("udr", "pk"))
+    ]
+    search = _outcome(find_counterexample("maj", 6))
+
+    def refuse(pi, sigma):
+        raise AssertionError("a descent statistic needs no shuffle set")
+
+    monkeypatch.setattr(verify, "shuffles", refuse)
+    assert [
+        _outcome(check_compatibility(stat, 3, 3, mode="full"))
+        for stat in ("Des", "biruns", ("udr", "pk"))
+    ] == expected
+    assert expected[1][0] == "fail"
+    assert _outcome(find_counterexample("maj", 6)) == search
+    with pytest.raises(AssertionError):
+        check_compatibility("inv", 1, 1, mode="full")

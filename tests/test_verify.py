@@ -102,6 +102,23 @@ def test_identity_reports():
         check_identity("maj", 6, 4)
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda m, n: check_compatibility("maj", m, n),
+        lambda m, n: check_compatibility("inv", m, n, mode="full"),
+        lambda m, n: check_identity("maj", m, n),
+        lambda m, n: check_identity("word_base", m, n),
+        lambda m, n: check_conjecture_udr_pk_des(m, n),
+    ],
+    ids=["reduced", "full", "identity", "word_base", "conjecture"],
+)
+@pytest.mark.parametrize("m, n", [(-1, 3), (3, -1), (-2, -2)])
+def test_negative_sizes_refused(check, m, n):
+    with pytest.raises(ValueError, match="sizes must be nonnegative"):
+        check(m, n)
+
+
 def test_identity_counts_pairs():
     report = check_identity("maj", 4, 2)
     assert report.passed
