@@ -10,7 +10,6 @@ from .errors import (
 from .perm import (
     Perm,
     as_perm,
-    domain,
     format_perm,
     insert_in_space,
     parse_perm,

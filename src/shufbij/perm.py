@@ -59,10 +59,6 @@ def format_perm(pi: Sequence[int]) -> str:
     return ",".join(str(v) for v in pi)
 
 
-def domain(pi: Sequence[int]) -> frozenset[int]:
-    return frozenset(pi)
-
-
 def _check_disjoint(pi: Perm, sigma: Perm) -> None:
     shared = set(pi) & set(sigma)
     if shared:

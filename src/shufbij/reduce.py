@@ -28,9 +28,15 @@ statistic-preserving bijection.  A :class:`ReductionStep` checks its pairs
 once, when it is built; ``apply_step`` replays each kind through one
 check-free function.  The public ``theta_*`` functions build the step,
 check that ``tau`` is a shuffle of the pair, and replay it.
+
+``canonicalize`` and ``shuffle.normalize_pair`` both run their loop and
+record their trace through one driver, ``traces.run_reduction``; a side
+step maps the whole pair to the next one.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .perm import (
     Perm,
@@ -47,7 +53,7 @@ from .stats import (
     peak_family,
     validate_stat,
 )
-from .traces import ReductionStep, ReductionTrace
+from .traces import ReductionStep, ReductionTrace, run_reduction
 
 SIGMA_SIDE_STATS = ("des", ("maj", "des"), "maj")
 PI_SIDE_STATS = ("pk", "lpk", "rpk", "epk", "udr", ("udr", "pk"))
@@ -220,8 +226,8 @@ def _default_chi_plus(m: int, left_peaks: set[int]) -> int:
     return 0 if (m - 1) in left_peaks else 1
 
 
-def _sigma_side_step(stat, sigma):
-    """Next sigma-side rewrite, or None once canonical.
+def _sigma_side_step(stat, pi, sigma):
+    """Next rewrite of the sigma side, or None once canonical.
 
     Descent statistics stop at a leading run of descents; the major index
     pipeline continues until no descent is left.
@@ -230,14 +236,14 @@ def _sigma_side_step(stat, sigma):
     i = min((d for d in dset if d >= 2 and d - 1 not in dset), default=None)
     if i is not None:
         target = (dset - {i}) | {i - 1}
-        return "theta_des", {"i": i}, perm_with_descent_set(sigma, target)
+        return "theta_des", {"i": i}, pi, perm_with_descent_set(sigma, target)
     if stat == "maj" and dset:
-        return "theta_maj_first", {}, perm_with_descent_set(sigma, dset - {1})
+        return "theta_maj_first", {}, pi, perm_with_descent_set(sigma, dset - {1})
     return None
 
 
-def _pi_side_step(stat, pi):
-    """Next pi-side rewrite, or None once canonical."""
+def _pi_side_step(stat, pi, sigma):
+    """Next rewrite of the pi side, or None once canonical."""
     m = len(pi)
 
     if stat == "pk":
@@ -246,7 +252,7 @@ def _pi_side_step(stat, pi):
         if j is None:
             return None
         nxt = perm_with_descent_set(range(1, m + 1), (pk - {j}) | {j - 1})
-        return "theta_pk", {"j": j}, nxt
+        return "theta_pk", {"j": j}, nxt, sigma
 
     if stat == "rpk":
         rpk = peak_family(pi, "right")
@@ -255,7 +261,7 @@ def _pi_side_step(stat, pi):
             return None
         mirrored = {m + 1 - k for k in (rpk - {j}) | {j + 1}}
         rho = perm_with_left_peak_profile(m, mirrored, _default_chi_plus(m, mirrored))
-        return "theta_rpk_inverse", {"j": j}, tuple(reversed(rho))
+        return "theta_rpk_inverse", {"j": j}, tuple(reversed(rho)), sigma
 
     lpk = peak_family(pi, "left")
     least, keep_chi_plus = _LEFT_PEAK_MOVES[stat]
@@ -264,11 +270,11 @@ def _pi_side_step(stat, pi):
         target = (lpk - {j}) | {j - 1}
         cp = chi_plus(pi) if keep_chi_plus else _default_chi_plus(m, target)
         nxt = perm_with_left_peak_profile(m, target, cp)
-        return "theta_lpk" if j == 2 else "theta_pk", {"j": j}, nxt
+        return "theta_lpk" if j == 2 else "theta_pk", {"j": j}, nxt, sigma
     # An exterior peak at the last position moves left on the appended frame.
     if stat == "epk" and m >= 2 and chi_plus(pi) and m - 2 not in lpk:
         nxt = perm_with_left_peak_profile(m, lpk | {m - 1}, 0)
-        return "theta_pk", {"j": m, "frame": "append"}, nxt
+        return "theta_pk", {"j": m, "frame": "append"}, nxt, sigma
     return None
 
 
@@ -293,33 +299,9 @@ def canonicalize(stat: StatId, pi: Perm, sigma: Perm):
         )
 
     on_sigma = stat in SIGMA_SIDE_STATS
-    steps = []
-    cur_pi, cur_sg = pi, sigma
-    start_measure = _measure(stat, pi, sigma)
-    while True:
-        found = _sigma_side_step(stat, cur_sg) if on_sigma else _pi_side_step(stat, cur_pi)
-        if found is None:
-            break
-        kind, params, nxt = found
-        nxt_pi, nxt_sg = (cur_pi, nxt) if on_sigma else (nxt, cur_sg)
-        steps.append(
-            ReductionStep(
-                kind, params, cur_pi, cur_sg, nxt_pi, nxt_sg,
-                _measure(stat, nxt_pi, nxt_sg),
-            )
-        )
-        cur_pi, cur_sg = nxt_pi, nxt_sg
-
-    trace = ReductionTrace(
-        statistic=stat,
-        steps=tuple(steps),
-        start_pi=pi,
-        start_sigma=sigma,
-        final_pi=cur_pi,
-        final_sigma=cur_sg,
-        start_measure=start_measure,
-    )
-    return (cur_sg if on_sigma else cur_pi), trace
+    move = partial(_sigma_side_step if on_sigma else _pi_side_step, stat)
+    trace = run_reduction(stat, pi, sigma, partial(_measure, stat), move)
+    return (trace.final_sigma if on_sigma else trace.final_pi), trace
 
 
 def maj_decrement(trace: ReductionTrace) -> int:

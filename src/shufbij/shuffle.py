@@ -8,7 +8,8 @@ The bijections here are the building blocks for statistic-preserving
 reductions: positional replacement of one side (``phi`` / ``phi_tilde``),
 the value swap ``t_swap`` exchanging i and i-1 when they are not adjacent,
 and ``normalize_pair``, which rewrites any disjoint pair onto the standard
-separated domains while recording a replayable descent-preserving trace.
+separated domains while recording a replayable descent-preserving trace
+through the same driver as ``reduce.canonicalize``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import combinations
 from .errors import NotAShuffleError
 from .perm import Perm, _check_disjoint
 from .stats import des_set
-from .traces import ReductionStep, ReductionTrace
+from .traces import ReductionStep, ReductionTrace, run_reduction
 
 ShuffleWord = str
 
@@ -170,40 +171,30 @@ def t_swap(tau: Perm, i: int) -> Perm:
     return tuple(out)
 
 
-def _order_lowering_count(first: Perm, second: Perm) -> int:
-    return sum(1 for a in first for b in second if a > b)
-
-
 def _relabel_steps(pi, sigma, pi1, sgm1, measure):
     """Steps rewriting (pi, sigma) to the jointly standardized (pi1, sgm1).
 
     Tries to replace one side at a time; when either order would collide,
-    detours the pi side through values above everything.
+    detours the pi side through values above everything.  Each step
+    replaces one side: ``phi`` when sigma is kept, ``phi_tilde`` otherwise.
     """
-    steps = []
-
-    def phi_step(src_pi, src_sg, tgt_pi):
-        return ReductionStep("phi", {}, src_pi, src_sg, tgt_pi, src_sg, measure)
-
-    def phi_tilde_step(src_pi, src_sg, tgt_sg):
-        return ReductionStep("phi_tilde", {}, src_pi, src_sg, src_pi, tgt_sg, measure)
-
     if sgm1 == sigma:
-        steps.append(phi_step(pi, sigma, pi1))
+        path = [(pi1, sigma)]
     elif pi1 == pi:
-        steps.append(phi_tilde_step(pi, sigma, sgm1))
+        path = [(pi, sgm1)]
     elif not set(pi) & set(sgm1):
-        steps.append(phi_tilde_step(pi, sigma, sgm1))
-        steps.append(phi_step(pi, sgm1, pi1))
+        path = [(pi, sgm1), (pi1, sgm1)]
     elif not set(pi1) & set(sigma):
-        steps.append(phi_step(pi, sigma, pi1))
-        steps.append(phi_tilde_step(pi1, sigma, sgm1))
+        path = [(pi1, sigma), (pi1, sgm1)]
     else:
         lift = max(max(pi), max(sigma))
         pi_hi = tuple(v + lift for v in pi1)
-        steps.append(phi_step(pi, sigma, pi_hi))
-        steps.append(phi_tilde_step(pi_hi, sigma, sgm1))
-        steps.append(phi_step(pi_hi, sgm1, pi1))
+        path = [(pi_hi, sigma), (pi_hi, sgm1), (pi1, sgm1)]
+    steps, cur = [], (pi, sigma)
+    for nxt in path:
+        kind = "phi" if nxt[1] == cur[1] else "phi_tilde"
+        steps.append(ReductionStep(kind, {}, *cur, *nxt, measure))
+        cur = nxt
     return steps
 
 
@@ -215,7 +206,9 @@ def normalize_pair(pi: Perm, sigma: Perm, mode: str) -> tuple[Perm, Perm, Reduct
     pair as a bijection onto the normalized shuffle set that preserves the
     descent set, hence every descent statistic.  After joint relabeling the
     value swap with the smallest applicable index is applied until the two
-    domains are separated.
+    domains are separated.  The relabeling steps and the swaps are
+    recorded by the reduction driver (``traces.run_reduction``); the mode
+    only picks which side must end low.
     """
     if mode not in ("pi_low", "sigma_low"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -226,48 +219,25 @@ def normalize_pair(pi: Perm, sigma: Perm, mode: str) -> tuple[Perm, Perm, Reduct
     pi1 = tuple(relabel[v] for v in pi)
     sgm1 = tuple(relabel[v] for v in sigma)
 
-    def measure(p, s):
-        if mode == "pi_low":
-            return _order_lowering_count(p, s)
-        return _order_lowering_count(s, p)
+    def low_high(p, s):
+        return (p, s) if mode == "pi_low" else (s, p)
 
-    start_measure = measure(pi1, sgm1)
+    def measure(p, s):
+        low, high = low_high(p, s)
+        return sum(1 for a in low for b in high if a > b)
+
+    def swap_move(p, s):
+        low, high = low_high(p, s)
+        partner = set(high)
+        i = min((v for v in low if v - 1 in partner), default=None)
+        if i is None:
+            return None
+        swap = {i: i - 1, i - 1: i}
+        p, s = [tuple([swap.get(v, v) for v in w]) for w in (p, s)]
+        return "t_swap", {"i": i}, p, s
+
     steps = []
     if (pi1, sgm1) != (pi, sigma):
-        steps.extend(_relabel_steps(pi, sigma, pi1, sgm1, start_measure))
-
-    cur_pi, cur_sg = pi1, sgm1
-    while True:
-        if mode == "pi_low":
-            partner = set(cur_sg)
-            cands = [i for i in cur_pi if (i - 1) in partner]
-        else:
-            partner = set(cur_pi)
-            cands = [i for i in cur_sg if (i - 1) in partner]
-        if not cands:
-            break
-        i = min(cands)
-        if mode == "pi_low":
-            nxt_pi = tuple(i - 1 if v == i else v for v in cur_pi)
-            nxt_sg = tuple(i if v == i - 1 else v for v in cur_sg)
-        else:
-            nxt_sg = tuple(i - 1 if v == i else v for v in cur_sg)
-            nxt_pi = tuple(i if v == i - 1 else v for v in cur_pi)
-        steps.append(
-            ReductionStep(
-                "t_swap", {"i": i}, cur_pi, cur_sg, nxt_pi, nxt_sg,
-                measure(nxt_pi, nxt_sg),
-            )
-        )
-        cur_pi, cur_sg = nxt_pi, nxt_sg
-
-    trace = ReductionTrace(
-        statistic="Des",
-        steps=tuple(steps),
-        start_pi=pi,
-        start_sigma=sigma,
-        final_pi=cur_pi,
-        final_sigma=cur_sg,
-        start_measure=start_measure,
-    )
-    return cur_pi, cur_sg, trace
+        steps = _relabel_steps(pi, sigma, pi1, sgm1, measure(pi1, sgm1))
+    trace = run_reduction("Des", pi, sigma, measure, swap_move, steps)
+    return trace.final_pi, trace.final_sigma, trace

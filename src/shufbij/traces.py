@@ -7,6 +7,8 @@ interleaving of the source pair: the step kind, its indices, the full
 
 A step checks its (source, target) pairs once, when it is built, with the
 checks of its kind below; replay (``reduce.apply_step``) then runs none.
+Every reduction (``reduce.canonicalize``, ``shuffle.normalize_pair``)
+records its trace through one driver, :func:`run_reduction`.
 """
 
 from __future__ import annotations
@@ -187,3 +189,22 @@ class ReductionTrace:
             "start_measure": self.start_measure,
             "steps": [s.to_json() for s in self.steps],
         }
+
+
+def run_reduction(statistic, pi: Perm, sigma: Perm, measure, move, steps=()) -> ReductionTrace:
+    """Apply ``move`` until it returns None and record the trace from
+    (``pi``, ``sigma``).
+
+    ``move`` maps the current pair to ``(kind, params, next_pi,
+    next_sigma)``; each step records ``measure`` of the pair it reaches.
+    The moves start where ``steps``, if any are given, leave the pair,
+    and the start measure is taken there.
+    """
+    steps = list(steps)
+    pair = (steps[-1].target_pi, steps[-1].target_sigma) if steps else (pi, sigma)
+    start_measure = measure(*pair)
+    while (found := move(*pair)) is not None:
+        kind, params, nxt_pi, nxt_sg = found
+        steps.append(ReductionStep(kind, params, *pair, nxt_pi, nxt_sg, measure(nxt_pi, nxt_sg)))
+        pair = nxt_pi, nxt_sg
+    return ReductionTrace(statistic, tuple(steps), pi, sigma, *pair, start_measure)

@@ -405,9 +405,14 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
 
     found, cases = _first_failure(m, n, fails, [range(1, m + 1)], classes)
     problem, witness = found or (None, None)
+    if which == "word_base":
+        pi, sigma = format_perm(range(1, m + 1)), format_perm(range(m + 1, m + n + 1))
+        scope = f"increasing pair pi={pi}, sigma={sigma}"
+    else:
+        scope = f"all pi on [{m}], sigma on [{n}]+{m}"
     return Report(
         subject=f"identity {which}" + (f": {problem}" if problem else ""),
-        scope=f"all pi on [{m}], sigma on [{n}]+{m}",
+        scope=scope,
         outcome="fail" if problem else "pass",
         witness=witness,
         cases_checked=cases,

@@ -5,9 +5,13 @@ that preserves the statistic; these digests check that it is *the same*
 bijection, image by image, as the one the package has always computed.
 Each digest is a sha256 over the reprs of every pair, its canonical or
 normalized form and the full list of replay images, in a fixed order.
+A second digest per test hashes each trace's ``to_json()`` (the steps,
+their params, ``measure_after`` and ``start_measure``), which is what
+``shufbij reduce --format json`` prints.
 """
 
 import hashlib
+import json
 from itertools import combinations, permutations
 
 from shufbij.reduce import SUPPORTED_STATS, apply_trace, canonicalize
@@ -15,6 +19,12 @@ from shufbij.shuffle import normalize_pair, shuffles
 
 PIPELINE_DIGEST = "8afe6c78f57a558bc4ec0c1666e6e8fb43bc862f871708b8e3a9a4243953e2b5"
 NORMALIZE_DIGEST = "e97fb6b900f1e731e1304083753124f2e14e8233b99a050bd605b43ea5cbc2dd"
+PIPELINE_TRACE_DIGEST = "73405e9c710ca8672f0b2db51f2a5d1c0afff43fb54ea9c43495ae7545d830ed"
+NORMALIZE_TRACE_DIGEST = "3deb6754e43fe634ef1e8cbaf00a83e3163a0e65e6eb4f52005e1c4dfc225a89"
+
+
+def _trace_bytes(trace):
+    return json.dumps(trace.to_json(), sort_keys=True).encode()
 
 
 def _disjoint_pairs(values):
@@ -28,6 +38,7 @@ def _disjoint_pairs(values):
 
 def test_pipeline_replay_digest():
     digest = hashlib.sha256()
+    trace_digest = hashlib.sha256()
     count = 0
     for stat in SUPPORTED_STATS:
         for total in range(7):
@@ -38,12 +49,15 @@ def test_pipeline_replay_digest():
                         images = [apply_trace(trace, t) for t in shuffles(pi, sigma)]
                         count += len(images)
                         digest.update(repr((stat, pi, sigma, images)).encode())
+                        trace_digest.update(_trace_bytes(trace))
     assert count == 53217
     assert digest.hexdigest() == PIPELINE_DIGEST
+    assert trace_digest.hexdigest() == PIPELINE_TRACE_DIGEST
 
 
 def test_normalize_replay_digest():
     digest = hashlib.sha256()
+    trace_digest = hashlib.sha256()
     count = 0
     for ground in ((1, 2, 3, 4, 5), (1, 3, 5, 7, 9)):
         for pi, sigma in _disjoint_pairs(ground):
@@ -52,5 +66,7 @@ def test_normalize_replay_digest():
                 images = [apply_trace(trace, t) for t in shuffles(pi, sigma)]
                 count += len(images)
                 digest.update(repr((pi, sigma, mode, npi, nsg, images)).encode())
+                trace_digest.update(_trace_bytes(trace))
     assert count == 15360
     assert digest.hexdigest() == NORMALIZE_DIGEST
+    assert trace_digest.hexdigest() == NORMALIZE_TRACE_DIGEST

@@ -95,6 +95,10 @@ def test_identity_reports():
     assert check_identity("maj", 2, 2).passed
     assert check_identity("maj_des", 2, 2).passed
     assert check_identity("word_base", 3, 4).passed
+    word_base = check_identity("word_base", 3, 3)
+    assert word_base.scope == "increasing pair pi=1,2,3, sigma=4,5,6"
+    assert word_base.cases_checked == 1
+    assert check_identity("maj", 3, 3).scope == "all pi on [3], sigma on [3]+3"
     assert check_identity("maj", 0, 3).passed
     with pytest.raises(ValueError):
         check_identity("nope", 1, 1)
