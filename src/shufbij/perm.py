@@ -2,9 +2,7 @@
 
 A permutation is a tuple of distinct integers read left to right; its
 domain is the set of entries.  User-facing permutations contain strictly
-positive integers only.  The value 0 is reserved as an internal sentinel
-that conjugation maps may prepend or append, so most functions here accept
-it but ``parse_perm`` and ``as_perm`` reject it by default.
+positive integers only.
 
 Besides relabeling (standardization), this module provides the space
 labeling of the gaps of a permutation, insertion of a new maximum into a
@@ -23,7 +21,7 @@ from .errors import DomainOverlapError, InfeasibleProfileError
 Perm = tuple[int, ...]
 
 
-def as_perm(values: Iterable[int], *, allow_zero: bool = False) -> Perm:
+def as_perm(values: Iterable[int]) -> Perm:
     """Validate and freeze a sequence of distinct integers as a permutation.
 
     >>> as_perm([2, 1, 5])
@@ -33,7 +31,7 @@ def as_perm(values: Iterable[int], *, allow_zero: bool = False) -> Perm:
     for v in pi:
         if not isinstance(v, int) or isinstance(v, bool):
             raise ValueError(f"permutation entries must be integers, got {v!r}")
-        if v < 0 or (v == 0 and not allow_zero):
+        if v <= 0:
             raise ValueError(f"permutation entries must be positive, got {v}")
     if len(set(pi)) != len(pi):
         raise ValueError(f"permutation entries must be distinct: {pi}")

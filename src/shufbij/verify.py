@@ -18,7 +18,8 @@ without enumeration); cases and witnesses are those a lexicographic
 pair-by-pair scan would report, derived from the ranks and sizes.  Full
 mode over any other statistic takes the same walk with each permutation
 as its own class.  The pipeline audit and :meth:`Witness.recheck`
-enumerate shuffle sets directly.
+enumerate shuffle sets directly; the audit replays its trace on its own
+enumeration unchecked.  A report fails exactly when it has a witness.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Optional
 from .errors import ResourceLimitError
 from .perm import Perm, count_before, descent_classes, format_perm
 from .qpoly import QPoly, qp, stanley_refined_rhs, stanley_rhs
-from .reduce import apply_trace, canonicalize, maj_decrement
+from .reduce import apply_step, canonicalize, maj_decrement
 from .shuffle import des_histogram, shuffles
 from .stats import (
     Distribution,
@@ -104,14 +105,17 @@ class Witness:
 class Report:
     subject: str
     scope: str
-    outcome: str
     witness: Optional[Witness]
     cases_checked: int
     elapsed: float
 
     @property
+    def outcome(self) -> str:
+        return "pass" if self.passed else "fail"
+
+    @property
     def passed(self) -> bool:
-        return self.outcome == "pass"
+        return self.witness is None
 
     def to_json(self, include_elapsed: bool = False) -> dict:
         out = {
@@ -293,7 +297,6 @@ def check_compatibility(
     return Report(
         subject=f"shuffle compatibility of {format_stat(stat)} ({mode})",
         scope=f"|pi|={m}, |sigma|={n}",
-        outcome="fail" if witness else "pass",
         witness=witness,
         cases_checked=cases,
         elapsed=time.perf_counter() - start,
@@ -303,11 +306,14 @@ def check_compatibility(
 def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
     """Audit one canonicalization end to end.
 
-    Builds the trace, replays it on every interleaving, and checks that the
-    measures strictly decrease, the images hit the canonical shuffle set
-    bijectively, and the statistic is preserved pointwise (major-index
+    Refuses m+n above the shuffle-set bound, replays the trace step by step
+    on the shuffle set, and checks that the measures strictly decrease, the
+    images form the canonical shuffle set (of the same size, so this is a
+    bijection), and the statistic is preserved pointwise (major-index
     components drop by exactly the number of descent-side steps).
     """
+    limit = _resolve_limit(None, DEFAULT_SHUFFLE_LIMIT)
+    _gate(len(pi), len(sigma), limit, "bijection audit", how=f"set {ENV_LIMIT_VAR}")
     start = time.perf_counter()
     _, trace = canonicalize(stat, pi, sigma)
 
@@ -317,9 +323,10 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
         problems.append(f"measures not strictly decreasing: {ms}")
 
     source = shuffles(pi, sigma)
-    images = [apply_trace(trace, t) for t in source]
-    target = shuffles(trace.final_pi, trace.final_sigma)
-    if len(set(images)) != len(images) or sorted(images) != sorted(target):
+    images = source
+    for step in trace.steps:
+        images = [apply_step(step, t) for t in images]
+    if set(images) != set(shuffles(trace.final_pi, trace.final_sigma)):
         problems.append("replay is not a bijection onto the canonical shuffle set")
 
     drop = maj_decrement(trace)
@@ -349,7 +356,6 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
             + (f": {'; '.join(problems)}" if problems else "")
         ),
         scope=f"pi={format_perm(pi)}, sigma={format_perm(sigma)}, steps={len(trace)}",
-        outcome="fail" if problems else "pass",
         witness=witness,
         cases_checked=len(source),
         elapsed=time.perf_counter() - start,
@@ -413,7 +419,6 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
     return Report(
         subject=f"identity {which}" + (f": {problem}" if problem else ""),
         scope=scope,
-        outcome="fail" if problem else "pass",
         witness=witness,
         cases_checked=cases,
         elapsed=time.perf_counter() - start,
@@ -441,7 +446,6 @@ def find_counterexample(stat: StatId, max_total_length: int) -> Report:
     return Report(
         subject=f"counterexample search for {format_stat(stat)}",
         scope=scope,
-        outcome="fail" if witness else "pass",
         witness=witness,
         cases_checked=cases,
         elapsed=time.perf_counter() - start,
@@ -458,7 +462,6 @@ def check_conjecture_udr_pk_des(m: int, n: int, limit: Optional[int] = None) -> 
     _gate(m, n, _resolve_limit(limit, DEFAULT_REDUCED_LIMIT), "conjecture sweep")
     start = time.perf_counter()
     cases = 0
-    witness = None
     for side in ("pi", "sigma"):
         witness, scanned = _reduced_scan(stat, m, n, side)
         cases += scanned
@@ -470,7 +473,6 @@ def check_conjecture_udr_pk_des(m: int, n: int, limit: Optional[int] = None) -> 
             "empirical evidence only, not a proof"
         ),
         scope=f"|pi|={m}, |sigma|={n}, both reduced modes",
-        outcome="fail" if witness else "pass",
         witness=witness,
         cases_checked=cases,
         elapsed=time.perf_counter() - start,

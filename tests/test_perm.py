@@ -184,7 +184,6 @@ def test_as_perm_validation():
         as_perm([1, 1])
     with pytest.raises(ValueError):
         as_perm([0, 1])
-    assert as_perm([0, 1], allow_zero=True) == (0, 1)
     with pytest.raises(ValueError):
         as_perm([-3])
 

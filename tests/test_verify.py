@@ -3,8 +3,9 @@ from collections import Counter
 
 import pytest
 
+from shufbij import reduce, verify
 from shufbij.errors import ResourceLimitError
-from shufbij.shuffle import shuffles
+from shufbij.shuffle import _rename, shuffles
 from shufbij.stats import distribution
 from shufbij.verify import (
     check_bijection_pipeline,
@@ -89,6 +90,48 @@ def test_bijection_pipeline_reports():
 def test_bijection_pipeline_rejects_unsupported():
     with pytest.raises(ValueError):
         check_bijection_pipeline("inv", (1, 2), (3,))
+
+
+def test_bijection_pipeline_reports_a_move_that_keeps_maj(monkeypatch):
+    # A descent move that only renames sigma, without moving its entry,
+    # does not lower maj by one on every interleaving.
+    monkeypatch.setattr(
+        reduce, "_des_move", lambda tau, sigma, i, sigma_new: _rename(tau, sigma, sigma_new)
+    )
+    report = check_bijection_pipeline("maj", (1,), (2, 4, 3))
+    assert report.outcome == "fail"
+    assert not report.passed
+    assert "statistic not preserved" in report.subject
+    assert "not a bijection" not in report.subject
+    assert report.witness is not None
+    assert report.witness.dist_left != report.witness.dist_right
+    assert "outcome: FAIL" in format_report(report)
+
+
+def test_bijection_pipeline_reports_colliding_images(monkeypatch):
+    # A peak move that sends every interleaving to the same one.
+    monkeypatch.setattr(
+        reduce, "_peak_move",
+        lambda tau, src, tgt, j, append=False: tgt + tuple(v for v in tau if v not in src),
+    )
+    report = check_bijection_pipeline("pk", (2, 1, 4, 3), (5,))
+    assert report.outcome == "fail"
+    assert "not a bijection onto the canonical shuffle set" in report.subject
+    assert report.witness is not None
+    assert report.to_json()["outcome"] == "fail"
+
+
+def test_bijection_pipeline_size_bound(monkeypatch):
+    def no_canonicalize(*args):
+        raise AssertionError("canonicalize ran before the size bound")
+
+    monkeypatch.setattr(verify, "canonicalize", no_canonicalize)
+    monkeypatch.setenv("SHUFBIJ_MAX_TOTAL", "3")
+    with pytest.raises(ResourceLimitError, match="set SHUFBIJ_MAX_TOTAL to allow it$"):
+        check_bijection_pipeline("des", (1, 2), (3, 4))
+    monkeypatch.delenv("SHUFBIJ_MAX_TOTAL")
+    with pytest.raises(ResourceLimitError, match="m\\+n=21 exceeds the bound 20"):
+        check_bijection_pipeline("des", tuple(range(1, 12)), tuple(range(12, 22)))
 
 
 def test_identity_reports():
