@@ -44,6 +44,7 @@ from .shuffle import (
     normalize_pair,
     phi,
     phi_tilde,
+    shuffle_distribution,
     shuffles,
     shuffles_with_k_descents,
     t_swap,

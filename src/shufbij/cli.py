@@ -17,11 +17,10 @@ import sys
 
 from .errors import DomainOverlapError, ResourceLimitError
 from .perm import format_perm, parse_perm
-from .qpoly import format_coeffs, format_pretty, gen_poly
+from .qpoly import check_integer_stat, distribution_poly, format_coeffs, format_pretty
 from .reduce import SUPPORTED_STATS, canonicalize
-from .shuffle import iter_shuffles, normalize_pair
+from .shuffle import iter_shuffles, normalize_pair, shuffle_distribution
 from .stats import (
-    distribution,
     distribution_entries,
     distribution_to_json,
     evaluate,
@@ -47,14 +46,14 @@ VERIFY_FAIL = 1
 
 
 def _parse_pair(pi_text: str, sigma_text: str):
-    # Overlapping domains are refused by iter_shuffles and normalize_pair
-    # before anything is printed.
+    # Overlapping domains are refused by iter_shuffles, shuffle_distribution
+    # and normalize_pair before anything is printed.
     return parse_perm(pi_text), parse_perm(sigma_text)
 
 
 def _bounded_pair(args):
-    """The operands of a command that enumerates their shuffle set,
-    refused before any output when m+n exceeds the size bound."""
+    """The operands of a command over their shuffle set, refused before any
+    output when m+n exceeds the size bound."""
     pi, sigma = _parse_pair(args.pi, args.sigma)
     limit = _resolve_limit(None, DEFAULT_SHUFFLE_LIMIT)
     _gate(len(pi), len(sigma), limit, args.command, how="set SHUFBIJ_MAX_TOTAL")
@@ -118,7 +117,7 @@ def _cmd_shuffles(args) -> int:
 def _cmd_dist(args) -> int:
     stat = parse_stat(args.statistic)
     pi, sigma = _bounded_pair(args)
-    dist = distribution(stat, iter_shuffles(pi, sigma))
+    dist = shuffle_distribution(stat, pi, sigma)
     if args.format == "json":
         print(json.dumps({
             "statistic": format_stat(stat),
@@ -135,7 +134,8 @@ def _cmd_dist(args) -> int:
 def _cmd_genpoly(args) -> int:
     stat = parse_stat(args.statistic)
     pi, sigma = _bounded_pair(args)
-    poly = gen_poly(stat, iter_shuffles(pi, sigma))
+    check_integer_stat(stat)
+    poly = distribution_poly(shuffle_distribution(stat, pi, sigma))
     if args.format == "json":
         print(json.dumps({"coefficients": list(poly)}))
     else:

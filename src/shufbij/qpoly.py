@@ -12,7 +12,15 @@ from collections.abc import Iterable
 from functools import lru_cache
 
 from .perm import Perm, _check_disjoint
-from .stats import StatId, des_set, evaluate, is_integer_valued, maj, validate_stat
+from .stats import (
+    Distribution,
+    StatId,
+    des_set,
+    evaluate,
+    is_integer_valued,
+    maj,
+    validate_stat,
+)
 
 QPoly = tuple[int, ...]
 
@@ -87,15 +95,28 @@ def _q_binomial_or_zero(n: int, k: int) -> QPoly:
     return q_binomial(n, k)
 
 
-def gen_poly(stat: StatId, perms: Iterable[Perm]) -> QPoly:
-    """Sum of q^stat over a collection of permutations."""
+def check_integer_stat(stat: StatId) -> StatId:
+    """Refuse a statistic that has no generating polynomial."""
     stat = validate_stat(stat)
     if not is_integer_valued(stat):
         raise ValueError(f"generating polynomial needs an integer statistic, got {stat!r}")
+    return stat
+
+
+def distribution_poly(dist: Distribution) -> QPoly:
+    """Sum of count * q^value over a distribution of an integer statistic."""
+    coeffs = [0] * (max(dist, default=-1) + 1)
+    for value, count in dist.items():
+        coeffs[value] += count
+    return qp(coeffs)
+
+
+def gen_poly(stat: StatId, perms: Iterable[Perm]) -> QPoly:
+    """Sum of q^stat over a collection of permutations."""
+    stat = check_integer_stat(stat)
     coeffs: list[int] = []
     for pi in perms:
         v = evaluate(stat, pi)
-        assert isinstance(v, int)
         if v >= len(coeffs):
             coeffs.extend([0] * (v + 1 - len(coeffs)))
         coeffs[v] += 1
@@ -110,19 +131,36 @@ def stanley_rhs(pi: Perm, sigma: Perm) -> QPoly:
     return shift(q_binomial(m + n, m), maj(pi) + maj(sigma))
 
 
+@lru_cache(maxsize=1024)
+def _refined_forms(m: int, n: int, dp: int, ds: int) -> tuple[QPoly, ...]:
+    """The refined closed forms for k = 0..m+n, before the shift by
+    maj pi + maj sigma, for operands of lengths m, n with dp and ds
+    descents."""
+    forms = []
+    for k in range(m + n + 1):
+        left = _q_binomial_or_zero(m - dp + ds, k - dp)
+        right = _q_binomial_or_zero(n - ds + dp, k - ds)
+        forms.append(shift(mul(left, right), (k - dp) * (k - ds)) if left and right else ZERO)
+    return tuple(forms)
+
+
 def stanley_refined_rhs(pi: Perm, sigma: Perm, k: int) -> QPoly:
     """Closed form for the maj generating polynomial over interleavings with
     exactly k descents; zero when no interleaving has k descents."""
     _check_disjoint(pi, sigma)
-    if k < 0:
+    forms = _refined_forms(len(pi), len(sigma), len(des_set(pi)), len(des_set(sigma)))
+    if not 0 <= k < len(forms) or not forms[k]:
         return ZERO
-    m, n = len(pi), len(sigma)
-    dp, ds = len(des_set(pi)), len(des_set(sigma))
-    left = _q_binomial_or_zero(m - dp + ds, k - dp)
-    right = _q_binomial_or_zero(n - ds + dp, k - ds)
-    if not left or not right:
-        return ZERO
-    return shift(mul(left, right), maj(pi) + maj(sigma) + (k - dp) * (k - ds))
+    return shift(forms[k], maj(pi) + maj(sigma))
+
+
+def stanley_refined_table(pi: Perm, sigma: Perm) -> tuple[QPoly, ...]:
+    """:func:`stanley_refined_rhs` for k = 0..m+n, the operands' descent
+    counts and major indices read once."""
+    _check_disjoint(pi, sigma)
+    forms = _refined_forms(len(pi), len(sigma), len(des_set(pi)), len(des_set(sigma)))
+    maj_sum = maj(pi) + maj(sigma)
+    return tuple(shift(form, maj_sum) for form in forms)
 
 
 def format_coeffs(p: QPoly) -> str:

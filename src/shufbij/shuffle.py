@@ -1,8 +1,17 @@
-"""Shuffle sets, their word encoding, and elementary shuffle bijections.
+"""Shuffle sets, their word encoding, distributions over them, and
+elementary shuffle bijections.
 
 An interleaving of two domain-disjoint permutations is encoded by a word
 over {a, b} marking which side each position came from; enumeration is in
 lexicographic word order with a < b, which makes every listing stable.
+
+Des is shuffle compatible, so the distribution of a descent statistic over
+a shuffle set depends only on the operands' descent sets and lengths.
+:func:`des_histogram` counts the descent sets of a class pair by a
+transfer-matrix DP over (letters placed, last letter), without listing a
+word, and :func:`class_pair_distributions` reads any descent statistic off
+it through the statistic's rule.  :func:`shuffle_distribution` serves one
+pair: by the DP for a descent statistic, by enumeration otherwise.
 
 The bijections here are the building blocks for statistic-preserving
 reductions: positional replacement of one side (``phi`` / ``phi_tilde``),
@@ -15,11 +24,20 @@ through the same driver as ``reduce.canonicalize``.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import combinations
 
 from .errors import NotAShuffleError
 from .perm import Perm, _check_disjoint
-from .stats import des_set
+from .stats import (
+    Distribution,
+    StatId,
+    des_set,
+    descent_rule,
+    distribution,
+    is_descent_statistic,
+    validate_stat,
+)
 from .traces import ReductionStep, ReductionTrace, run_reduction
 
 ShuffleWord = str
@@ -53,33 +71,95 @@ def shuffles(pi: Perm, sigma: Perm) -> tuple[Perm, ...]:
 
 def des_histogram(
     des_pi: frozenset[int], des_sigma: frozenset[int], m: int, n: int
-) -> Counter:
-    """Descent sets over the shuffle set of any pi on [m] with descent set
-    ``des_pi`` and sigma on [n]+m with descent set ``des_sigma``.
+) -> dict[int, int]:
+    """Descent sets, as bitmasks with bit d set for a descent at position d,
+    over the shuffle set of any pi on [m] with descent set ``des_pi`` and
+    sigma on [n]+m with descent set ``des_sigma``.
 
     Every sigma entry exceeds every pi entry, so the descent set of an
     interleaving is fixed by its word: adjacent letters b, a give a
     descent, a, b an ascent, and a, a or b, b copy the comparison of the
-    operand they come from.  Equals
-    ``Counter(des_set(t) for t in shuffles(pi, sigma))`` without building
-    the shuffle set.
+    operand they come from.  The transfer-matrix DP runs over the words
+    letter by letter; its state is the number of a's placed and the last
+    letter, and each state keeps a count per descent bitmask so far.
+    Equals the bitmasks of ``Counter(des_set(t) for t in shuffles(pi,
+    sigma))`` without listing a word.
     """
-    hist: Counter = Counter()
-    for apos in combinations(range(m + n), m):
-        aset = set(apos)
-        descents = []
-        ai = bi = 0  # entries of pi / sigma placed so far
-        for p in range(m + n):
-            if p in aset:
-                if p and (p - 1 not in aset or ai in des_pi):
-                    descents.append(p)
-                ai += 1
-            else:
-                if p and p - 1 not in aset and bi in des_sigma:
-                    descents.append(p)
-                bi += 1
-        hist[frozenset(descents)] += 1
-    return hist
+    if not m or not n:  # one interleaving: the other operand itself
+        return {sum(1 << d for d in des_pi | des_sigma): 1}
+    # ends_a[i] / ends_b[i]: counts of the words with i a's placed that end
+    # in a / in b.  Each state feeds exactly two states of the next layer
+    # and is dropped once read, so about one layer of counts is alive.
+    ends_a, ends_b = {1: {0: 1}}, {0: {0: 1}}
+    for t in range(1, m + n):  # t letters placed; the next step is position t
+        bit = 1 << t
+        next_a, next_b = {}, {}
+        for i in range(max(0, t - n), min(t, m) + 1):
+            end_a, end_b = ends_a.pop(i, {}), ends_b.pop(i, {})
+            if i < m:  # a after a copies Des pi; a after b is a descent
+                next_a[i + 1] = _join(end_a, bit if i in des_pi else 0, end_b, bit)
+            if t - i < n:  # b after a is an ascent; b after b copies Des sigma
+                next_b[i] = _join(end_a, 0, end_b, bit if t - i in des_sigma else 0)
+        ends_a, ends_b = next_a, next_b
+    return _join(ends_a.get(m, {}), 0, ends_b.get(m, {}), 0)
+
+
+def _with_bit(counts: dict, bit: int) -> dict:
+    return {mask | bit: count for mask, count in counts.items()} if bit else counts
+
+
+def _join(x: dict, x_bit: int, y: dict, y_bit: int) -> dict:
+    """The counts of ``x`` with ``x_bit`` set in every mask, plus those of
+    ``y`` with ``y_bit``; the bit is one that no mask has yet.  The result
+    may be ``x`` or ``y`` itself: no count table is changed once built."""
+    if not y:
+        return _with_bit(x, x_bit)
+    if not x:
+        return _with_bit(y, y_bit)
+    if x_bit != y_bit:  # one side gains the bit, so no mask is shared
+        return {**_with_bit(x, x_bit), **_with_bit(y, y_bit)}
+    if len(x) < len(y):
+        x, y = y, x
+    joined = dict(x)
+    for mask, count in y.items():
+        joined[mask] = joined.get(mask, 0) + count
+    return _with_bit(joined, x_bit)
+
+
+def _tally(hist: dict[int, int], value_of) -> Distribution:
+    dist: Distribution = Counter()
+    for mask, count in hist.items():
+        dist[value_of(mask)] += count
+    return dist
+
+
+def class_pair_distributions(stat: StatId, m: int, n: int):
+    """``dist_of(des_pi, des_sigma)``: the distribution of a descent
+    statistic over the shuffle set of a class pair, pi on [m] and sigma on
+    [n]+m with those descent sets, read off :func:`des_histogram` by the
+    statistic's rule; each bitmask is valued once across calls."""
+    rule = descent_rule(stat)
+    value_of = cache(lambda mask: rule(mask, m + n))
+    return lambda des_pi, des_sigma: _tally(des_histogram(des_pi, des_sigma, m, n), value_of)
+
+
+def shuffle_distribution(stat: StatId, pi: Perm, sigma: Perm) -> Distribution:
+    """Distribution of a statistic over the shuffle set of ``pi`` and
+    ``sigma``.
+
+    For a descent statistic (or a tuple of them) it is a function of
+    (Des pi, Des sigma, m, n), Des being shuffle compatible, so it is read
+    off :func:`des_histogram` by the statistic's rule without building the
+    shuffle set; the operands need not be separated.  A statistic
+    involving ``inv`` is evaluated on every interleaving.
+    """
+    stat = validate_stat(stat)
+    _check_disjoint(pi, sigma)
+    if is_descent_statistic(stat):
+        rule, length = descent_rule(stat), len(pi) + len(sigma)
+        hist = des_histogram(des_set(pi), des_set(sigma), len(pi), len(sigma))
+        return _tally(hist, lambda mask: rule(mask, length))
+    return distribution(stat, iter_shuffles(pi, sigma))
 
 
 def shuffles_with_k_descents(pi: Perm, sigma: Perm, k: int) -> tuple[Perm, ...]:

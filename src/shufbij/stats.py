@@ -6,7 +6,13 @@ are plain integers, frozensets of 1-based positions, or tuples of values;
 a distribution is a ``collections.Counter`` over such values.
 
 Every statistic in the catalog except ``inv`` is a descent statistic: its
-value is determined by the descent set and the length.
+value is determined by the descent set and the length.  Each one therefore
+carries, besides its direct code on a permutation, a rule that reads the
+value off a descent bitmask (bit d set when position d is a descent) and
+the length; the peak and valley families read theirs through one sentinel
+helper, :func:`_turns`.  :func:`evaluate` runs the direct code on real
+permutations; the shuffle-set engine (:mod:`shufbij.shuffle`) runs the
+rules on the bitmasks of its transfer-matrix histogram.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
-from .perm import Perm, least_with_descent_set
+from .perm import Perm
 
 StatId = Union[str, tuple]
 StatValue = Union[int, frozenset, tuple]
@@ -108,40 +114,113 @@ def udr(pi: Perm) -> int:
     return biruns((0,) + pi)
 
 
+def _positions(mask: int) -> frozenset[int]:
+    """The set bits of ``mask``, as positions."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
+def _inner(length: int) -> int:
+    """The bitmask of the positions 1..length-1 that can be descents."""
+    return ((1 << length) - 1) & ~1
+
+
+def _turns(mask: int, length: int, peak: bool, left: bool, right: bool) -> int:
+    """Peak (or, for ``peak`` false, valley) positions as a bitmask, read off
+    the descent bitmask of a permutation of ``length``.
+
+    Step d joins positions d and d+1.  A sentinel before position 1
+    (``left``) adds step 0 and one after position ``length`` (``right``)
+    adds step ``length``; sentinels are low for peaks and high for
+    valleys, as ``tests/oracles.py`` builds the extended sequence.
+    Position i is a peak when step i-1 rises and step i falls, a valley
+    when step i-1 falls and step i rises.
+    """
+    down = mask
+    if peak and right:
+        down |= 1 << length
+    if not peak and left:
+        down |= 1
+    up = (_inner(length) | (1 if left else 0) | (1 << length if right else 0)) & ~down
+    return (up << 1) & down if peak else (down << 1) & up
+
+
+def _biruns(mask: int, length: int) -> int:
+    if length < 2:
+        return length
+    return 1 + ((mask ^ (mask >> 1)) & _inner(length - 1)).bit_count()
+
+
 @dataclass(frozen=True)
 class StatDef:
+    """``func`` evaluates a permutation; ``rule(mask, length)`` reads the
+    value off a descent bitmask, and is None for a statistic that is not
+    a descent statistic."""
+
     func: Callable[[Perm], StatValue]
-    descent_statistic: bool
+    rule: Optional[Callable[[int, int], StatValue]]
     integer_valued: bool
+
+    @property
+    def descent_statistic(self) -> bool:
+        return self.rule is not None
+
+
+def _turn_stat(peak: bool, variant: str, count: bool) -> StatDef:
+    """The peak (or valley) set or count with the sentinels of ``variant``."""
+    family = peak_family if peak else valley_family
+    left, right = variant in ("left", "exterior"), variant in ("right", "exterior")
+    if count:
+        return StatDef(
+            lambda p: len(family(p, variant)),
+            lambda mask, length: _turns(mask, length, peak, left, right).bit_count(),
+            True,
+        )
+    return StatDef(
+        lambda p: family(p, variant),
+        lambda mask, length: _positions(_turns(mask, length, peak, left, right)),
+        False,
+    )
 
 
 STATISTICS: dict[str, StatDef] = {
-    "Des": StatDef(des_set, True, False),
-    "des": StatDef(lambda p: len(des_set(p)), True, True),
-    "Asc": StatDef(asc_set, True, False),
-    "asc": StatDef(lambda p: len(asc_set(p)), True, True),
-    "maj": StatDef(maj, True, True),
-    "inv": StatDef(inv, False, True),
-    "Pk": StatDef(lambda p: peak_family(p, "interior"), True, False),
-    "pk": StatDef(lambda p: len(peak_family(p, "interior")), True, True),
-    "Val": StatDef(lambda p: valley_family(p, "interior"), True, False),
-    "val": StatDef(lambda p: len(valley_family(p, "interior")), True, True),
-    "Lpk": StatDef(lambda p: peak_family(p, "left"), True, False),
-    "lpk": StatDef(lambda p: len(peak_family(p, "left")), True, True),
-    "Rpk": StatDef(lambda p: peak_family(p, "right"), True, False),
-    "rpk": StatDef(lambda p: len(peak_family(p, "right")), True, True),
-    "Epk": StatDef(lambda p: peak_family(p, "exterior"), True, False),
-    "epk": StatDef(lambda p: len(peak_family(p, "exterior")), True, True),
-    "Lval": StatDef(lambda p: valley_family(p, "left"), True, False),
-    "lval": StatDef(lambda p: len(valley_family(p, "left")), True, True),
-    "Rval": StatDef(lambda p: valley_family(p, "right"), True, False),
-    "rval": StatDef(lambda p: len(valley_family(p, "right")), True, True),
-    "Eval": StatDef(lambda p: valley_family(p, "exterior"), True, False),
-    "eval": StatDef(lambda p: len(valley_family(p, "exterior")), True, True),
-    "chi_minus": StatDef(chi_minus, True, True),
-    "chi_plus": StatDef(chi_plus, True, True),
-    "udr": StatDef(udr, True, True),
-    "biruns": StatDef(biruns, True, True),
+    "Des": StatDef(des_set, lambda mask, length: _positions(mask), False),
+    "des": StatDef(lambda p: len(des_set(p)), lambda mask, length: mask.bit_count(), True),
+    "Asc": StatDef(asc_set, lambda mask, length: _positions(_inner(length) & ~mask), False),
+    "asc": StatDef(
+        lambda p: len(asc_set(p)), lambda mask, length: (_inner(length) & ~mask).bit_count(), True
+    ),
+    "maj": StatDef(maj, lambda mask, length: sum(_positions(mask)), True),
+    "inv": StatDef(inv, None, True),
+    "Pk": _turn_stat(True, "interior", False),
+    "pk": _turn_stat(True, "interior", True),
+    "Val": _turn_stat(False, "interior", False),
+    "val": _turn_stat(False, "interior", True),
+    "Lpk": _turn_stat(True, "left", False),
+    "lpk": _turn_stat(True, "left", True),
+    "Rpk": _turn_stat(True, "right", False),
+    "rpk": _turn_stat(True, "right", True),
+    "Epk": _turn_stat(True, "exterior", False),
+    "epk": _turn_stat(True, "exterior", True),
+    "Lval": _turn_stat(False, "left", False),
+    "lval": _turn_stat(False, "left", True),
+    "Rval": _turn_stat(False, "right", False),
+    "rval": _turn_stat(False, "right", True),
+    "Eval": _turn_stat(False, "exterior", False),
+    "eval": _turn_stat(False, "exterior", True),
+    "chi_minus": StatDef(chi_minus, lambda mask, length: mask >> 1 & 1, True),
+    "chi_plus": StatDef(
+        chi_plus, lambda mask, length: int(length >= 2 and not mask >> (length - 1) & 1), True
+    ),
+    # a low value prepended: one more position, and a first step that rises
+    "udr": StatDef(
+        udr, lambda mask, length: _biruns(mask << 1, length + 1) if length else 0, True
+    ),
+    "biruns": StatDef(biruns, _biruns, True),
 }
 
 
@@ -181,12 +260,24 @@ def evaluate(stat: StatId, pi: Perm) -> StatValue:
     return tuple(STATISTICS[name].func(pi) for name in stat)
 
 
-def evaluate_descent_class(stat: StatId, descents: frozenset[int], length: int) -> StatValue:
-    """Value of a descent statistic on every permutation of ``length`` with
-    descent set ``descents``, read off the least member of that class."""
+def descent_rule(stat: StatId) -> Callable[[int, int], StatValue]:
+    """The rule ``(mask, length) -> value`` of a descent statistic; a tuple
+    id reads its components off the same mask, in order."""
     if not is_descent_statistic(stat):
         raise ValueError(f"{format_stat(stat)} is not a descent statistic")
-    return evaluate(stat, least_with_descent_set(range(1, length + 1), descents))
+    if isinstance(stat, str):
+        return STATISTICS[stat].rule
+    rules = [STATISTICS[name].rule for name in stat]
+    return lambda mask, length: tuple(rule(mask, length) for rule in rules)
+
+
+def evaluate_descent_class(stat: StatId, descents: frozenset[int], length: int) -> StatValue:
+    """Value of a descent statistic on every permutation of ``length`` with
+    descent set ``descents``, read off the descent set by its rule."""
+    rule = descent_rule(stat)
+    if descents and not 0 < min(descents) <= max(descents) < length:
+        raise ValueError(f"descent set {sorted(descents)} not within 1..{length - 1}")
+    return rule(sum(1 << d for d in descents), length)
 
 
 def distribution(stat: StatId, perms: Iterable[Perm]) -> Distribution:

@@ -11,33 +11,32 @@ For a descent statistic the distribution over a shuffle set depends only
 on the descent classes of the operands (it is read off the product of
 their fundamental quasisymmetric functions).  The sweeps in every mode,
 the counterexample search and the identities therefore put sigma above
-pi and build one descent-set histogram per class pair
-(:func:`~shufbij.shuffle.des_histogram`), walking the operands by class
-(:func:`~shufbij.perm.descent_classes`: size, least member and rank, all
-without enumeration); cases and witnesses are those a lexicographic
-pair-by-pair scan would report, derived from the ranks and sizes.  Full
-mode over any other statistic takes the same walk with each permutation
-as its own class.  The pipeline audit and :meth:`Witness.recheck`
-enumerate shuffle sets directly; the audit replays its trace on its own
-enumeration unchecked.  A report fails exactly when it has a witness.
+pi and read one distribution per class pair off the transfer-matrix DP
+(:func:`~shufbij.shuffle.class_pair_distributions`), walking the operands
+by class (:func:`~shufbij.perm.descent_classes`: size, least member and
+rank, all without enumeration); cases and witnesses are those a
+lexicographic pair-by-pair scan would report, derived from the ranks and
+sizes.  Full mode over any other statistic takes the same walk with each
+permutation as its own class.  The pipeline audit and
+:meth:`Witness.recheck` enumerate shuffle sets directly; the audit
+replays its trace on its own enumeration unchecked.  A report fails
+exactly when it has a witness.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations, permutations, product
 from math import factorial
 from typing import Optional
 
 from .errors import ResourceLimitError
 from .perm import Perm, count_before, descent_classes, format_perm
-from .qpoly import QPoly, qp, stanley_refined_rhs, stanley_rhs
+from .qpoly import QPoly, distribution_poly, stanley_refined_table, stanley_rhs
 from .reduce import apply_step, canonicalize, maj_decrement
-from .shuffle import des_histogram, shuffles
+from .shuffle import class_pair_distributions, shuffles
 from .stats import (
     Distribution,
     StatId,
@@ -45,7 +44,6 @@ from .stats import (
     distribution_entries,
     distribution_to_json,
     evaluate,
-    evaluate_descent_class,
     format_stat,
     format_stat_value,
     is_descent_statistic,
@@ -153,21 +151,6 @@ def _gate(m: int, n: int, limit: int, what: str, how: str = _RAISE_LIMIT) -> Non
         )
 
 
-def _class_dist(stat: StatId, m: int, n: int):
-    """The distribution of a descent statistic over the shuffle set of a
-    class pair, pi on [m] and sigma on [n]+m, as a function of the two
-    descent sets, read off :func:`des_histogram`."""
-    value_of = cache(lambda descents: evaluate_descent_class(stat, descents, m + n))
-
-    def dist_of(des_pi, des_sigma):
-        dist = Counter()
-        for descents, count in des_histogram(des_pi, des_sigma, m, n).items():
-            dist[value_of(descents)] += count
-        return dist
-
-    return dist_of
-
-
 def _singletons(ground) -> list:
     """Every permutation of ``ground`` as its own class, keyed by itself."""
     return [(rank, p, 1, p) for rank, p in enumerate(permutations(ground))]
@@ -197,18 +180,19 @@ def _reduced_scan(stat: StatId, m: int, n: int, side: str):
     require equal distributions within each group, for every fixed partner.
 
     A distribution depends only on the descent classes of the pair, so it
-    is built once per class pair by :func:`_class_dist`, and both sides
-    are walked by class (:func:`descent_classes`), never by permutation.
-    Cases and the first failing witness are those of a scan pair by pair
-    in lexicographic order: the mover classes, grouped by value in rank
-    order, meet the groups and their classes in first-occurrence order, and
-    a failure's offset within its group is counted by :func:`count_before`.
+    is read once per class pair off :func:`class_pair_distributions`, and
+    both sides are walked by class (:func:`descent_classes`), never by
+    permutation.  Cases and the first failing witness are those of a scan
+    pair by pair in lexicographic order: the mover classes, grouped by
+    value in rank order, meet the groups and their classes in
+    first-occurrence order, and a failure's offset within its group is
+    counted by :func:`count_before`.
     """
     low = range(1, m + 1)
     high = range(m + 1, m + n + 1)
     mover_ground, partner_ground = (low, high) if side == "pi" else (high, low)
     mover_count = factorial(len(mover_ground))
-    class_dist = _class_dist(stat, m, n)
+    class_dist = class_pair_distributions(stat, m, n)
     dist_of = class_dist if side == "pi" else lambda mover, partner: class_dist(partner, mover)
 
     # Mover classes by statistic value, as (descents, size, least member).
@@ -253,7 +237,8 @@ def _full_scan(stat: StatId, m: int, n: int):
 
     lows, classes = combinations(range(1, m + n + 1), m), _singletons
     if is_descent_statistic(stat):
-        lows, classes, dist_of = [range(1, m + 1)], descent_classes, _class_dist(stat, m, n)
+        lows, classes = [range(1, m + 1)], descent_classes
+        dist_of = class_pair_distributions(stat, m, n)
     seen: dict = {}
 
     def fails(pi_class, sigma_class):
@@ -366,16 +351,6 @@ def _poly_as_counter(p: QPoly) -> Distribution:
     return Distribution({e: c for e, c in enumerate(p) if c})
 
 
-def _maj_poly(hist: Counter, des: Optional[int] = None) -> QPoly:
-    """Generating polynomial of maj = sum(D) over a descent-set histogram,
-    restricted to the sets with ``des`` elements when given."""
-    coeffs = [0] * (max(map(sum, hist), default=0) + 1)
-    for descents, count in hist.items():
-        if des is None or len(descents) == des:
-            coeffs[sum(descents)] += count
-    return qp(coeffs)
-
-
 def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> Report:
     """Exact polynomial identity checks over all normalized pairs.
 
@@ -394,15 +369,23 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
         table = descent_classes(ground)
         return table[:1] if which == "word_base" else table  # rank 0: increasing
 
+    # maj_des reads one (des, maj) table per class pair, split by des.
+    dist_of = class_pair_distributions(("des", "maj") if which == "maj_des" else "maj", m, n)
+
     def fails(pi_class, sigma_class):
         (_, des_pi, _, pi), (_, des_sigma, _, sigma) = pi_class, sigma_class
-        hist = des_histogram(des_pi, des_sigma, m, n)
+        dist = dist_of(des_pi, des_sigma)
         if which == "maj_des":
-            checks = ((f"refined identity fails at k={k}", _maj_poly(hist, k),
-                       stanley_refined_rhs(pi, sigma, k)) for k in range(m + n + 1))
+            by_des: dict = {}
+            for (des, maj), count in dist.items():
+                by_des.setdefault(des, {})[maj] = count
+            checks = (
+                (f"refined identity fails at k={k}", distribution_poly(by_des.get(k, {})), rhs)
+                for k, rhs in enumerate(stanley_refined_table(pi, sigma))
+            )
         else:
             problem = "closed form mismatch" if which == "maj" else "increasing-pair identity fails"
-            checks = [(problem, _maj_poly(hist), stanley_rhs(pi, sigma))]
+            checks = [(problem, distribution_poly(dist), stanley_rhs(pi, sigma))]
         for problem, lhs, rhs in checks:
             if lhs != rhs:
                 return problem, Witness(pi, pi, sigma, sigma, "maj",

@@ -1,8 +1,12 @@
 import json
+import random
 
 import pytest
 
+from shufbij import cli, shuffle
 from shufbij.cli import main
+from shufbij.shuffle import iter_shuffles
+from shufbij.stats import distribution, distribution_entries, parse_stat
 
 
 def run_cli(capsys, *argv):
@@ -204,3 +208,83 @@ def test_genpoly_command(capsys):
     code, out, _ = run_cli(capsys, "genpoly", "maj", "4,3,1,2", "7,6")
     assert code == 0
     assert "[0,0,0,0,1,1,2,2,3,2,2,1,1]" in out
+
+
+DP_DIST_STATS = ["Des", "Pk", "Epk", "Lval", "maj", "udr", "biruns", "chi_plus", "(maj,des)"]
+DP_GENPOLY_STATS = ["maj", "udr", "biruns", "chi_plus"]
+
+
+def _seeded_pairs(count=12, max_total=12):
+    """Seeded pairs with interleaved domains (never sigma above pi), up to
+    m+n = max_total."""
+    rng = random.Random(20190618)
+    pairs = []
+    while len(pairs) < count:
+        total = rng.randint(2, max_total)
+        m = rng.randint(1, total - 1)
+        values = rng.sample(range(1, 2 * total + 1), total)
+        pi, sigma = values[:m], values[m:]
+        if max(pi) > min(sigma) and max(sigma) > min(pi):
+            pairs.append((",".join(map(str, pi)), ",".join(map(str, sigma))))
+    return pairs
+
+
+def _enumerated(stat, pi, sigma):
+    return distribution(stat, iter_shuffles(pi, sigma))
+
+
+@pytest.mark.parametrize("pi, sigma", _seeded_pairs())
+def test_dist_and_genpoly_match_the_enumeration_path(capsys, monkeypatch, pi, sigma):
+    commands = [("dist", stat) for stat in DP_DIST_STATS]
+    commands += [("genpoly", stat) for stat in DP_GENPOLY_STATS]
+    runs = [
+        (command, "--format", fmt, stat, pi, sigma)
+        for command, stat in commands for fmt in ("text", "json")
+    ]
+    fast = [run_cli(capsys, *argv) for argv in runs]
+    monkeypatch.setattr(cli, "shuffle_distribution", _enumerated)
+    slow = [run_cli(capsys, *argv) for argv in runs]
+    assert fast == slow
+    assert all(code == 0 and out for code, out, _ in fast)
+
+
+def test_dist_of_a_descent_statistic_builds_no_shuffle_set(capsys, monkeypatch):
+    expected = [run_cli(capsys, "dist", stat, "5,1,8", "2,7,3,6") for stat in ("Pk", "(maj,des)")]
+
+    def refuse(pi, sigma):
+        raise AssertionError("a descent statistic needs no shuffle set")
+
+    monkeypatch.setattr(shuffle, "iter_shuffles", refuse)
+    assert [run_cli(capsys, "dist", stat, "5,1,8", "2,7,3,6") for stat in ("Pk", "(maj,des)")] \
+        == expected
+
+
+@pytest.mark.parametrize("stat", ["inv", "(inv,des)"])
+def test_dist_with_inv_still_enumerates(capsys, monkeypatch, stat):
+    pi, sigma = "5,1,8", "2,7,3,6"
+    expected = _enumerated(parse_stat(stat), (5, 1, 8), (2, 7, 3, 6))
+    body = ", ".join(f"{v}:{c}" for v, c in distribution_entries(expected))
+
+    def refuse(stat, m, n):
+        raise AssertionError("inv is not read off descent sets")
+
+    monkeypatch.setattr(shuffle, "class_pair_distributions", refuse)
+    assert run_cli(capsys, "dist", stat, pi, sigma) == (0, "{" + body + "}\n", "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_genpoly_of_a_set_statistic_keeps_its_error(capsys, fmt):
+    code, out, err = run_cli(capsys, "genpoly", "--format", fmt, "Des", "5,1,8", "2,7,3,6")
+    assert (code, out) == (2, "")
+    assert err == "error: generating polynomial needs an integer statistic, got 'Des'\n"
+
+
+@pytest.mark.parametrize("command, stat", [("dist", "Pk"), ("genpoly", "maj")])
+def test_interleaved_pair_above_the_bound_refused_before_any_output(capsys, command, stat):
+    values = list(range(1, 22))
+    pi, sigma = values[0::2], values[1::2]  # 11 + 10, interleaved domains
+    code, out, err = run_cli(
+        capsys, command, stat, ",".join(map(str, pi)), ",".join(map(str, sigma))
+    )
+    assert (code, out) == (2, "")
+    assert "m+n=21 exceeds the bound 20" in err

@@ -1,13 +1,15 @@
 """Differential tests of the descent-class quotient against brute force.
 
 Exhaustive over every normalized pair with m+n <= 7 (pi on [m], sigma on
-[n]+m).  The descent-set histogram is checked against enumeration, the
-class tables (sizes, least members, ranks, ``count_before``) against the
-permutations they count, the class representative against its descent
-set, and the reduced-mode sweeps and the maj identities against
-pair-by-pair references that enumerate every shuffle set.  Full mode and
-the counterexample search are checked against a pair-by-pair scan of
-every splitting, m+n <= 6 (5 for statistics built on ``inv``).
+[n]+m).  The descent-set histogram of the transfer-matrix DP is checked
+against enumeration (and, up to m+n = 9, on the least members of every
+class pair), the class tables (sizes, least members, ranks,
+``count_before``) against the permutations they count, the class
+representative against its descent set, and the reduced-mode sweeps and
+the maj identities against pair-by-pair references that enumerate every
+shuffle set.  Full mode and the counterexample search are checked against
+a pair-by-pair scan of every splitting, m+n <= 6 (5 for statistics built
+on ``inv``).
 """
 
 from bisect import bisect_left
@@ -180,14 +182,30 @@ def test_count_before_matches_enumeration(k):
             assert count_before(ground, descents, x) == bisect_left(ordered, x), (descents, x)
 
 
+def _mask(descents):
+    return sum(1 << d for d in descents)
+
+
 def test_des_histogram_matches_enumeration():
     for m, n in SPLITS:
         for pi in _low(m):
             for sigma in _high(m, n):
                 brute = Counter(
-                    frozenset(des_set_oracle(t)) for t in shuffle_set_oracle(pi, sigma)
+                    _mask(des_set_oracle(t)) for t in shuffle_set_oracle(pi, sigma)
                 )
                 assert des_histogram(des_set(pi), des_set(sigma), m, n) == brute, (pi, sigma)
+
+
+@pytest.mark.parametrize("total", range(10))
+def test_des_histogram_matches_least_members_shuffle_sets(total):
+    """Every class pair with m+n = total, m = 0 and n = 0 included: the
+    DP's histogram is the Des histogram of the real shuffle set of the
+    least members."""
+    for m in range(total + 1):
+        for _, des_pi, _, pi in descent_classes(range(1, m + 1)):
+            for _, des_sigma, _, sigma in descent_classes(range(m + 1, total + 1)):
+                brute = Counter(_mask(des_set_oracle(t)) for t in shuffles(pi, sigma))
+                assert des_histogram(des_pi, des_sigma, m, n=total - m) == brute, (pi, sigma)
 
 
 def test_descent_class_representative_has_that_descent_set():
@@ -260,8 +278,11 @@ def test_identity_failure_matches_pair_by_pair_scan(
         des_pair = (des_set(pi), des_set(sigma))
         return shift(rhs, 1) if des_pair in bad and k == sum(map(len, des_pair)) else rhs
 
+    def refined_table(pi, sigma):
+        return tuple(refined_rhs(pi, sigma, k) for k in range(len(pi) + len(sigma) + 1))
+
     monkeypatch.setattr(verify, "stanley_rhs", maj_rhs)
-    monkeypatch.setattr(verify, "stanley_refined_rhs", refined_rhs)
+    monkeypatch.setattr(verify, "stanley_refined_table", refined_table)
     expected = _reference_identity(which, m, n, shuffle_sets, maj_rhs, refined_rhs)
     assert expected[0] == "fail"
     assert _outcome(check_identity(which, m, n)) == expected

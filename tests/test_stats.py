@@ -6,7 +6,7 @@ from conftest import perms
 from hypothesis import given
 
 import oracles
-from shufbij.perm import standardize
+from shufbij.perm import least_with_descent_set, perm_with_descent_set, standardize
 from shufbij.stats import (
     STATISTICS,
     asc_set,
@@ -14,9 +14,11 @@ from shufbij.stats import (
     chi_minus,
     chi_plus,
     des_set,
+    descent_rule,
     distribution,
     distribution_entries,
     evaluate,
+    evaluate_descent_class,
     format_stat,
     format_stat_value,
     inv,
@@ -197,3 +199,79 @@ def test_parse_and_format_stat():
     assert format_stat(("maj", "des")) == "(maj,des)"
     with pytest.raises(ValueError):
         parse_stat("bogus")
+
+
+DESCENT_NAMES = [name for name, d in STATISTICS.items() if d.descent_statistic]
+
+
+def _mask(descents):
+    return sum(1 << d for d in descents)
+
+
+def _oracle_value(name, pi):
+    """A catalog statistic recomputed by ``tests/oracles.py``."""
+    length = len(pi)
+    descents = oracles.des_set_oracle(pi)
+    sets = {
+        "Des": descents,
+        "Asc": set(range(1, length)) - descents,
+        "Pk": oracles.pk_set_oracle(pi),
+        "Val": oracles.val_set_oracle(pi),
+        "Lpk": oracles.lpk_set_oracle(pi),
+        "Rpk": oracles.rpk_set_oracle(pi),
+        "Epk": oracles.epk_set_oracle(pi),
+        "Lval": oracles.lval_set_oracle(pi),
+        "Rval": oracles.rval_set_oracle(pi),
+        "Eval": oracles.eval_set_oracle(pi),
+    }
+    if name in sets:
+        return frozenset(sets[name])
+    if name.capitalize() in sets:
+        return len(sets[name.capitalize()])
+    return {
+        "maj": lambda: oracles.maj_oracle(pi),
+        "chi_minus": lambda: int(1 in descents),
+        "chi_plus": lambda: int(length >= 2 and length - 1 not in descents),
+        "udr": lambda: oracles.udr_oracle(pi),
+        "biruns": lambda: oracles.biruns_oracle(pi),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", DESCENT_NAMES)
+def test_descent_rule_matches_evaluate_exhaustive(name):
+    rule = STATISTICS[name].rule
+    for length in range(7 + 1):
+        for pi in permutations(range(1, length + 1)):
+            value = rule(_mask(des_set(pi)), length)
+            expected = evaluate(name, pi)
+            assert value == expected and type(value) is type(expected), (name, pi)
+
+
+@pytest.mark.parametrize("name", DESCENT_NAMES)
+def test_descent_rule_matches_oracles_on_class_extremes(name):
+    rule = STATISTICS[name].rule
+    for length in range(10 + 1):
+        ground = range(1, length + 1)
+        for mask in range(0, 1 << length, 2):  # bit 0 is never a position
+            descents = {d for d in range(1, length) if mask >> d & 1}
+            for pi in (least_with_descent_set(ground, descents),
+                       perm_with_descent_set(ground, descents)):
+                assert oracles.des_set_oracle(pi) == descents
+                assert rule(mask, length) == _oracle_value(name, pi), (name, pi)
+
+
+def test_tuple_rule_reads_components_in_order():
+    rule = descent_rule(("maj", "Pk", "des"))
+    pi = (2, 1, 5, 7, 3, 6, 4)
+    assert rule(_mask(des_set(pi)), len(pi)) == evaluate(("maj", "Pk", "des"), pi)
+
+
+def test_evaluate_descent_class_refusals_keep_their_messages():
+    with pytest.raises(ValueError, match="^inv is not a descent statistic$"):
+        evaluate_descent_class("inv", frozenset({1}), 3)
+    with pytest.raises(ValueError, match=r"^\(maj,inv\) is not a descent statistic$"):
+        evaluate_descent_class(("maj", "inv"), frozenset(), 3)
+    with pytest.raises(ValueError, match=r"^descent set \[3\] not within 1\.\.2$"):
+        evaluate_descent_class("Des", frozenset({3}), 3)
+    with pytest.raises(ValueError, match=r"^descent set \[0, 2\] not within 1\.\.3$"):
+        evaluate_descent_class("maj", frozenset({0, 2}), 4)
