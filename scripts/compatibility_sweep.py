@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Sweep the whole statistic catalog for shuffle compatibility.
 
-Runs both reduced modes for every descent statistic over all size splits
-up to a bound and prints one verdict per statistic.  biruns is not
-compatible and is expected to fail; everything else should pass.
+Runs both reduced modes for every descent statistic of the table in
+``shufbij.stats`` and for the tuples (maj,des), (udr,pk) and
+(udr,pk,des), over all size splits up to a bound, and prints one verdict
+per statistic.  biruns is not compatible and is expected to fail;
+everything else should pass.
 
     python scripts/compatibility_sweep.py --max-total 6
 """
@@ -12,14 +14,11 @@ import argparse
 import sys
 import time
 
-from shufbij.stats import format_stat
+from shufbij.stats import STATISTICS, format_stat
 from shufbij.verify import check_compatibility
 
-CATALOG = (
-    "Des", "Asc", "Pk", "Val", "Lpk", "Rpk", "Epk", "Lval", "Rval", "Eval",
-    "des", "maj", ("maj", "des"), "pk", "lpk", "rpk", "epk", "udr",
-    ("udr", "pk"), ("udr", "pk", "des"), "biruns",
-)
+TUPLES = (("maj", "des"), ("udr", "pk"), ("udr", "pk", "des"))
+CATALOG = [name for name, d in STATISTICS.items() if d.descent_statistic] + list(TUPLES)
 
 
 def main() -> int:

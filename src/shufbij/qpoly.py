@@ -16,7 +16,7 @@ from .stats import (
     Distribution,
     StatId,
     des_set,
-    evaluate,
+    distribution,
     is_integer_valued,
     maj,
     validate_stat,
@@ -113,14 +113,7 @@ def distribution_poly(dist: Distribution) -> QPoly:
 
 def gen_poly(stat: StatId, perms: Iterable[Perm]) -> QPoly:
     """Sum of q^stat over a collection of permutations."""
-    stat = check_integer_stat(stat)
-    coeffs: list[int] = []
-    for pi in perms:
-        v = evaluate(stat, pi)
-        if v >= len(coeffs):
-            coeffs.extend([0] * (v + 1 - len(coeffs)))
-        coeffs[v] += 1
-    return qp(coeffs)
+    return distribution_poly(distribution(check_integer_stat(stat), perms))
 
 
 def stanley_rhs(pi: Perm, sigma: Perm) -> QPoly:
@@ -147,16 +140,15 @@ def _refined_forms(m: int, n: int, dp: int, ds: int) -> tuple[QPoly, ...]:
 def stanley_refined_rhs(pi: Perm, sigma: Perm, k: int) -> QPoly:
     """Closed form for the maj generating polynomial over interleavings with
     exactly k descents; zero when no interleaving has k descents."""
-    _check_disjoint(pi, sigma)
-    forms = _refined_forms(len(pi), len(sigma), len(des_set(pi)), len(des_set(sigma)))
-    if not 0 <= k < len(forms) or not forms[k]:
-        return ZERO
-    return shift(forms[k], maj(pi) + maj(sigma))
+    table = stanley_refined_table(pi, sigma)
+    return table[k] if 0 <= k < len(table) else ZERO
 
 
+@lru_cache(maxsize=32)
 def stanley_refined_table(pi: Perm, sigma: Perm) -> tuple[QPoly, ...]:
     """:func:`stanley_refined_rhs` for k = 0..m+n, the operands' descent
-    counts and major indices read once."""
+    counts and major indices read once.  The last few tables are kept, as
+    :func:`stanley_refined_rhs` reads one entry per call."""
     _check_disjoint(pi, sigma)
     forms = _refined_forms(len(pi), len(sigma), len(des_set(pi)), len(des_set(sigma)))
     maj_sum = maj(pi) + maj(sigma)

@@ -24,7 +24,7 @@ through the same driver as ``reduce.canonicalize``.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import NotAShuffleError
@@ -126,21 +126,23 @@ def _join(x: dict, x_bit: int, y: dict, y_bit: int) -> dict:
     return _with_bit(joined, x_bit)
 
 
-def _tally(hist: dict[int, int], value_of) -> Distribution:
-    dist: Distribution = Counter()
-    for mask, count in hist.items():
-        dist[value_of(mask)] += count
-    return dist
-
-
 def class_pair_distributions(stat: StatId, m: int, n: int):
     """``dist_of(des_pi, des_sigma)``: the distribution of a descent
     statistic over the shuffle set of a class pair, pi on [m] and sigma on
     [n]+m with those descent sets, read off :func:`des_histogram` by the
-    statistic's rule; each bitmask is valued once across calls."""
+    statistic's rule.  The values of the last 1024 bitmasks are kept
+    across calls: a sweep meets the same bitmasks in every class pair,
+    while one class pair at 9+9 can have over 20,000, too many to keep."""
     rule = descent_rule(stat)
-    value_of = cache(lambda mask: rule(mask, m + n))
-    return lambda des_pi, des_sigma: _tally(des_histogram(des_pi, des_sigma, m, n), value_of)
+    value_of = lru_cache(maxsize=1 << 10)(lambda mask: rule(mask, m + n))
+
+    def dist_of(des_pi: frozenset[int], des_sigma: frozenset[int]) -> Distribution:
+        dist: Distribution = Counter()
+        for mask, count in des_histogram(des_pi, des_sigma, m, n).items():
+            dist[value_of(mask)] += count
+        return dist
+
+    return dist_of
 
 
 def shuffle_distribution(stat: StatId, pi: Perm, sigma: Perm) -> Distribution:
@@ -149,16 +151,15 @@ def shuffle_distribution(stat: StatId, pi: Perm, sigma: Perm) -> Distribution:
 
     For a descent statistic (or a tuple of them) it is a function of
     (Des pi, Des sigma, m, n), Des being shuffle compatible, so it is read
-    off :func:`des_histogram` by the statistic's rule without building the
-    shuffle set; the operands need not be separated.  A statistic
-    involving ``inv`` is evaluated on every interleaving.
+    off :func:`class_pair_distributions` without building the shuffle set;
+    the operands need not be separated.  A statistic involving ``inv`` is
+    evaluated on every interleaving.
     """
     stat = validate_stat(stat)
     _check_disjoint(pi, sigma)
     if is_descent_statistic(stat):
-        rule, length = descent_rule(stat), len(pi) + len(sigma)
-        hist = des_histogram(des_set(pi), des_set(sigma), len(pi), len(sigma))
-        return _tally(hist, lambda mask: rule(mask, length))
+        dist_of = class_pair_distributions(stat, len(pi), len(sigma))
+        return dist_of(des_set(pi), des_set(sigma))
     return distribution(stat, iter_shuffles(pi, sigma))
 
 

@@ -6,13 +6,16 @@ are plain integers, frozensets of 1-based positions, or tuples of values;
 a distribution is a ``collections.Counter`` over such values.
 
 Every statistic in the catalog except ``inv`` is a descent statistic: its
-value is determined by the descent set and the length.  Each one therefore
-carries, besides its direct code on a permutation, a rule that reads the
-value off a descent bitmask (bit d set when position d is a descent) and
-the length; the peak and valley families read theirs through one sentinel
-helper, :func:`_turns`.  :func:`evaluate` runs the direct code on real
-permutations; the shuffle-set engine (:mod:`shufbij.shuffle`) runs the
-rules on the bitmasks of its transfer-matrix histogram.
+value is determined by the descent set and the length.  Each one has a
+single definition, a rule that reads the value off a descent bitmask (bit
+d set when position d is a descent, :func:`descent_mask`) and the length;
+the peak and valley families read theirs through one sentinel helper,
+:func:`_turns`.  :func:`evaluate` computes the bitmask of a permutation
+once and reads every component through its rule, and the named functions
+(:func:`des_set`, :func:`maj`, :func:`peak_family`, ...) do the same for
+one statistic; the shuffle-set engine (:mod:`shufbij.shuffle`) runs the
+rules on the bitmasks of its transfer-matrix histogram.  Only ``inv`` has
+code of its own on a permutation.
 """
 
 from __future__ import annotations
@@ -29,89 +32,19 @@ StatValue = Union[int, frozenset, tuple]
 Distribution = Counter
 
 
-def des_set(pi: Perm) -> frozenset[int]:
-    """Positions i with pi_i > pi_{i+1}."""
-    return frozenset(i for i in range(1, len(pi)) if pi[i - 1] > pi[i])
-
-
-def asc_set(pi: Perm) -> frozenset[int]:
-    """Positions i with pi_i < pi_{i+1}."""
-    return frozenset(i for i in range(1, len(pi)) if pi[i - 1] < pi[i])
-
-
-def maj(pi: Perm) -> int:
-    """Sum of the descent positions."""
-    return sum(des_set(pi))
+def descent_mask(pi: Perm) -> int:
+    """The descent set of ``pi`` as a bitmask: bit i set when pi_i > pi_{i+1}."""
+    mask = 0
+    for i in range(1, len(pi)):
+        if pi[i - 1] > pi[i]:
+            mask |= 1 << i
+    return mask
 
 
 def inv(pi: Perm) -> int:
     """Number of out-of-order pairs.  Not a descent statistic."""
     m = len(pi)
     return sum(1 for i in range(m) for j in range(i + 1, m) if pi[i] > pi[j])
-
-
-PEAK_VARIANTS = ("interior", "left", "right", "exterior")
-
-
-def peak_family(pi: Perm, variant: str) -> frozenset[int]:
-    """Peak set of ``pi`` with optional low sentinels at either end.
-
-    ``interior`` uses no sentinels, ``left``/``right``/``exterior`` treat a
-    value below everything as sitting before position 1 and/or after
-    position m.
-    """
-    if variant not in PEAK_VARIANTS:
-        raise ValueError(f"unknown peak variant {variant!r}")
-    m = len(pi)
-    peaks = {i for i in range(2, m) if pi[i - 2] < pi[i - 1] > pi[i]}
-    if variant in ("left", "exterior") and m >= 2 and pi[0] > pi[1]:
-        peaks.add(1)
-    if variant in ("right", "exterior") and m >= 2 and pi[m - 2] < pi[m - 1]:
-        peaks.add(m)
-    if variant == "exterior" and m == 1:
-        peaks.add(1)
-    return frozenset(peaks)
-
-
-def valley_family(pi: Perm, variant: str) -> frozenset[int]:
-    """Valley set of ``pi``, the mirror of :func:`peak_family` with high
-    sentinels: the peaks of the negated permutation."""
-    return peak_family(tuple(-v for v in pi), variant)
-
-
-def chi_minus(pi: Perm) -> int:
-    """1 when position 1 is a descent."""
-    return 1 if len(pi) >= 2 and pi[0] > pi[1] else 0
-
-
-def chi_plus(pi: Perm) -> int:
-    """1 when the last position is an ascent."""
-    return 1 if len(pi) >= 2 and pi[-2] < pi[-1] else 0
-
-
-def biruns(pi: Perm) -> int:
-    """Number of maximal strictly monotone factors.
-
-    Adjacent factors share an endpoint; for length >= 2 this equals the
-    number of maximal constant runs in the ascent/descent pattern.
-    """
-    m = len(pi)
-    if m == 0:
-        return 0
-    if m == 1:
-        return 1
-    runs = 1
-    for i in range(1, m - 1):
-        if (pi[i - 1] < pi[i]) != (pi[i] < pi[i + 1]):
-            runs += 1
-    return runs
-
-
-def udr(pi: Perm) -> int:
-    """Number of maximal monotone factors after a low value is prepended."""
-    if not pi:
-        return 0
-    return biruns((0,) + pi)
 
 
 def _positions(mask: int) -> frozenset[int]:
@@ -155,13 +88,23 @@ def _biruns(mask: int, length: int) -> int:
     return 1 + ((mask ^ (mask >> 1)) & _inner(length - 1)).bit_count()
 
 
+def _maj(mask: int, length: int) -> int:
+    """The sum of the positions set in ``mask``."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += low.bit_length() - 1
+        mask ^= low
+    return total
+
+
 @dataclass(frozen=True)
 class StatDef:
-    """``func`` evaluates a permutation; ``rule(mask, length)`` reads the
-    value off a descent bitmask, and is None for a statistic that is not
-    a descent statistic."""
+    """A catalog entry.  ``rule(mask, length)`` is a descent statistic's one
+    definition: it reads the value off the descent bitmask of a
+    permutation of ``length``.  It is None for ``inv``, the one statistic
+    that is not a descent statistic."""
 
-    func: Callable[[Perm], StatValue]
     rule: Optional[Callable[[int, int], StatValue]]
     integer_valued: bool
 
@@ -172,30 +115,21 @@ class StatDef:
 
 def _turn_stat(peak: bool, variant: str, count: bool) -> StatDef:
     """The peak (or valley) set or count with the sentinels of ``variant``."""
-    family = peak_family if peak else valley_family
     left, right = variant in ("left", "exterior"), variant in ("right", "exterior")
     if count:
         return StatDef(
-            lambda p: len(family(p, variant)),
-            lambda mask, length: _turns(mask, length, peak, left, right).bit_count(),
-            True,
+            lambda mask, length: _turns(mask, length, peak, left, right).bit_count(), True
         )
-    return StatDef(
-        lambda p: family(p, variant),
-        lambda mask, length: _positions(_turns(mask, length, peak, left, right)),
-        False,
-    )
+    return StatDef(lambda mask, length: _positions(_turns(mask, length, peak, left, right)), False)
 
 
 STATISTICS: dict[str, StatDef] = {
-    "Des": StatDef(des_set, lambda mask, length: _positions(mask), False),
-    "des": StatDef(lambda p: len(des_set(p)), lambda mask, length: mask.bit_count(), True),
-    "Asc": StatDef(asc_set, lambda mask, length: _positions(_inner(length) & ~mask), False),
-    "asc": StatDef(
-        lambda p: len(asc_set(p)), lambda mask, length: (_inner(length) & ~mask).bit_count(), True
-    ),
-    "maj": StatDef(maj, lambda mask, length: sum(_positions(mask)), True),
-    "inv": StatDef(inv, None, True),
+    "Des": StatDef(lambda mask, length: _positions(mask), False),
+    "des": StatDef(lambda mask, length: mask.bit_count(), True),
+    "Asc": StatDef(lambda mask, length: _positions(_inner(length) & ~mask), False),
+    "asc": StatDef(lambda mask, length: (_inner(length) & ~mask).bit_count(), True),
+    "maj": StatDef(_maj, True),
+    "inv": StatDef(None, True),
     "Pk": _turn_stat(True, "interior", False),
     "pk": _turn_stat(True, "interior", True),
     "Val": _turn_stat(False, "interior", False),
@@ -212,16 +146,85 @@ STATISTICS: dict[str, StatDef] = {
     "rval": _turn_stat(False, "right", True),
     "Eval": _turn_stat(False, "exterior", False),
     "eval": _turn_stat(False, "exterior", True),
-    "chi_minus": StatDef(chi_minus, lambda mask, length: mask >> 1 & 1, True),
+    "chi_minus": StatDef(lambda mask, length: mask >> 1 & 1, True),
     "chi_plus": StatDef(
-        chi_plus, lambda mask, length: int(length >= 2 and not mask >> (length - 1) & 1), True
+        lambda mask, length: int(length >= 2 and not mask >> (length - 1) & 1), True
     ),
     # a low value prepended: one more position, and a first step that rises
-    "udr": StatDef(
-        udr, lambda mask, length: _biruns(mask << 1, length + 1) if length else 0, True
-    ),
-    "biruns": StatDef(biruns, _biruns, True),
+    "udr": StatDef(lambda mask, length: _biruns(mask << 1, length + 1) if length else 0, True),
+    "biruns": StatDef(_biruns, True),
 }
+
+
+def _read(name: str, pi: Perm) -> StatValue:
+    """The descent statistic ``name`` of ``pi``, read through its rule."""
+    return STATISTICS[name].rule(descent_mask(pi), len(pi))
+
+
+def des_set(pi: Perm) -> frozenset[int]:
+    """Positions i with pi_i > pi_{i+1}."""
+    return _read("Des", pi)
+
+
+def asc_set(pi: Perm) -> frozenset[int]:
+    """Positions i with pi_i < pi_{i+1}."""
+    return _read("Asc", pi)
+
+
+def maj(pi: Perm) -> int:
+    """Sum of the descent positions."""
+    return _read("maj", pi)
+
+
+PEAK_VARIANTS = ("interior", "left", "right", "exterior")
+_PEAK_SETS = dict(zip(PEAK_VARIANTS, ("Pk", "Lpk", "Rpk", "Epk")))
+_VALLEY_SETS = dict(zip(PEAK_VARIANTS, ("Val", "Lval", "Rval", "Eval")))
+
+
+def _family(names: dict[str, str], pi: Perm, variant: str) -> frozenset[int]:
+    if variant not in names:
+        raise ValueError(f"unknown peak variant {variant!r}")
+    return _read(names[variant], pi)
+
+
+def peak_family(pi: Perm, variant: str) -> frozenset[int]:
+    """Peak set of ``pi`` with optional low sentinels at either end.
+
+    ``interior`` uses no sentinels, ``left``/``right``/``exterior`` treat a
+    value below everything as sitting before position 1 and/or after
+    position m.
+    """
+    return _family(_PEAK_SETS, pi, variant)
+
+
+def valley_family(pi: Perm, variant: str) -> frozenset[int]:
+    """Valley set of ``pi``, the mirror of :func:`peak_family` with high
+    sentinels."""
+    return _family(_VALLEY_SETS, pi, variant)
+
+
+def chi_minus(pi: Perm) -> int:
+    """1 when position 1 is a descent."""
+    return _read("chi_minus", pi)
+
+
+def chi_plus(pi: Perm) -> int:
+    """1 when the last position is an ascent."""
+    return _read("chi_plus", pi)
+
+
+def biruns(pi: Perm) -> int:
+    """Number of maximal strictly monotone factors.
+
+    Adjacent factors share an endpoint; for length >= 2 this equals the
+    number of maximal constant runs in the ascent/descent pattern.
+    """
+    return _read("biruns", pi)
+
+
+def udr(pi: Perm) -> int:
+    """Number of maximal monotone factors after a low value is prepended."""
+    return _read("udr", pi)
 
 
 def validate_stat(stat: StatId) -> StatId:
@@ -253,11 +256,18 @@ def is_integer_valued(stat: StatId) -> bool:
 
 
 def evaluate(stat: StatId, pi: Perm) -> StatValue:
-    """Evaluate a statistic; tuple ids evaluate componentwise in order."""
+    """Evaluate a statistic; tuple ids evaluate componentwise in order.  The
+    descent bitmask of ``pi`` is computed once and every descent statistic
+    is read off it through its rule."""
     stat = validate_stat(stat)
+    if stat == "inv":
+        return inv(pi)
+    mask, length = descent_mask(pi), len(pi)
     if isinstance(stat, str):
-        return STATISTICS[stat].func(pi)
-    return tuple(STATISTICS[name].func(pi) for name in stat)
+        return STATISTICS[stat].rule(mask, length)
+    return tuple(
+        inv(pi) if name == "inv" else STATISTICS[name].rule(mask, length) for name in stat
+    )
 
 
 def descent_rule(stat: StatId) -> Callable[[int, int], StatValue]:
@@ -269,15 +279,6 @@ def descent_rule(stat: StatId) -> Callable[[int, int], StatValue]:
         return STATISTICS[stat].rule
     rules = [STATISTICS[name].rule for name in stat]
     return lambda mask, length: tuple(rule(mask, length) for rule in rules)
-
-
-def evaluate_descent_class(stat: StatId, descents: frozenset[int], length: int) -> StatValue:
-    """Value of a descent statistic on every permutation of ``length`` with
-    descent set ``descents``, read off the descent set by its rule."""
-    rule = descent_rule(stat)
-    if descents and not 0 < min(descents) <= max(descents) < length:
-        raise ValueError(f"descent set {sorted(descents)} not within 1..{length - 1}")
-    return rule(sum(1 << d for d in descents), length)
 
 
 def distribution(stat: StatId, perms: Iterable[Perm]) -> Distribution:

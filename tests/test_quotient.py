@@ -4,12 +4,11 @@ Exhaustive over every normalized pair with m+n <= 7 (pi on [m], sigma on
 [n]+m).  The descent-set histogram of the transfer-matrix DP is checked
 against enumeration (and, up to m+n = 9, on the least members of every
 class pair), the class tables (sizes, least members, ranks,
-``count_before``) against the permutations they count, the class
-representative against its descent set, and the reduced-mode sweeps and
-the maj identities against pair-by-pair references that enumerate every
-shuffle set.  Full mode and the counterexample search are checked against
-a pair-by-pair scan of every splitting, m+n <= 6 (5 for statistics built
-on ``inv``).
+``count_before``) against the permutations they count, and the
+reduced-mode sweeps and the maj identities against pair-by-pair
+references that enumerate every shuffle set.  Full mode and the
+counterexample search are checked against a pair-by-pair scan of every
+splitting, m+n <= 6 (5 for statistics built on ``inv``).
 """
 
 from bisect import bisect_left
@@ -28,7 +27,6 @@ from shufbij.stats import (
     des_set,
     distribution,
     evaluate,
-    evaluate_descent_class,
     format_stat,
     is_descent_statistic,
 )
@@ -206,17 +204,6 @@ def test_des_histogram_matches_least_members_shuffle_sets(total):
             for _, des_sigma, _, sigma in descent_classes(range(m + 1, total + 1)):
                 brute = Counter(_mask(des_set_oracle(t)) for t in shuffles(pi, sigma))
                 assert des_histogram(des_pi, des_sigma, m, n=total - m) == brute, (pi, sigma)
-
-
-def test_descent_class_representative_has_that_descent_set():
-    for length in range(MAX_TOTAL + 1):
-        for mask in range(1 << max(length - 1, 0)):
-            descents = frozenset(d for d in range(1, length) if mask >> (d - 1) & 1)
-            assert evaluate_descent_class("Des", descents, length) == descents
-    with pytest.raises(ValueError):
-        evaluate_descent_class("inv", frozenset({1}), 3)
-    with pytest.raises(ValueError, match="not within"):
-        evaluate_descent_class("Des", frozenset({3}), 3)
 
 
 @pytest.mark.parametrize("stat", DESCENT_STATS, ids=format_stat)
