@@ -7,7 +7,7 @@ Runs both reduced modes for every descent statistic of the table in
 per statistic.  biruns is not compatible and is expected to fail;
 everything else should pass.
 
-    python scripts/compatibility_sweep.py --max-total 6
+    python scripts/compatibility_sweep.py --max-total 7
 """
 
 import argparse
@@ -15,7 +15,7 @@ import sys
 import time
 
 from shufbij.stats import STATISTICS, format_stat
-from shufbij.verify import check_compatibility
+from shufbij.verify import DEFAULT_REDUCED_LIMIT, check_compatibility
 
 TUPLES = (("maj", "des"), ("udr", "pk"), ("udr", "pk", "des"))
 CATALOG = [name for name, d in STATISTICS.items() if d.descent_statistic] + list(TUPLES)
@@ -23,7 +23,10 @@ CATALOG = [name for name, d in STATISTICS.items() if d.descent_statistic] + list
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-total", type=int, default=6, help="largest m+n")
+    ap.add_argument(
+        "--max-total", type=int, default=DEFAULT_REDUCED_LIMIT,
+        help="largest m+n (default: the library's reduced-mode bound, %(default)s)",
+    )
     args = ap.parse_args()
 
     exit_code = 0

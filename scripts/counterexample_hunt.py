@@ -12,13 +12,16 @@ import argparse
 import sys
 
 from shufbij.stats import parse_stat
-from shufbij.verify import find_counterexample, format_report
+from shufbij.verify import DEFAULT_FULL_LIMIT, find_counterexample, format_report
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("statistics", nargs="+", help="statistic names, e.g. inv biruns maj")
-    ap.add_argument("--max-total", type=int, default=6, help="largest m+n to scan")
+    ap.add_argument(
+        "--max-total", type=int, default=DEFAULT_FULL_LIMIT,
+        help="largest m+n to scan (default: the library's full-mode bound, %(default)s)",
+    )
     args = ap.parse_args()
 
     exit_code = 0

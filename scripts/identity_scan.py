@@ -12,12 +12,15 @@ import argparse
 import sys
 import time
 
-from shufbij.verify import check_identity
+from shufbij.verify import DEFAULT_IDENTITY_LIMIT, check_identity
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-total", type=int, default=8, help="largest m+n")
+    ap.add_argument(
+        "--max-total", type=int, default=DEFAULT_IDENTITY_LIMIT,
+        help="largest m+n (default: the library's identity bound, %(default)s)",
+    )
     args = ap.parse_args()
 
     exit_code = 0

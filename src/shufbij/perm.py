@@ -8,8 +8,11 @@ Besides relabeling (standardization), this module provides the space
 labeling of the gaps of a permutation, insertion of a new maximum into a
 labeled space, the least and the greatest permutation with a prescribed
 descent set, a deterministic one with a prescribed left-peak profile, and
-the descent classes of a ground set, counted and ranked without
-enumerating their members.
+the descent classes of a ground set, counted without enumerating their
+members.  A class is named by its descent bitmask (bit d set for a descent
+at d), the one format between this module, :mod:`shufbij.shuffle` and
+:mod:`shufbij.verify`; a member and its rank (:func:`lex_rank`) are built
+only where a permutation is wanted.
 """
 
 from __future__ import annotations
@@ -153,6 +156,16 @@ def perm_with_descent_set(ground: Iterable[int], descents: Iterable[int]) -> Per
     return tuple(flip[v] for v in least_with_descent_set(g, set(range(1, m)) - dset))
 
 
+def mask_positions(mask: int) -> frozenset[int]:
+    """The set bits of ``mask``, as positions: a descent bitmask's set."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
 def least_with_descent_set(ground: Iterable[int], descents: Iterable[int]) -> Perm:
     """Lexicographically least permutation of ``ground`` with descent set
     ``descents``: the increasing arrangement with every maximal run of
@@ -191,85 +204,67 @@ def _extend_counts(counts: list[int], up: bool) -> list[int]:
     return new
 
 
-def _least_rank(k: int, descents: set[int]) -> int:
-    """Lexicographic rank of ``least_with_descent_set`` of a k-element
-    ground set: each entry is read off its reversed run, which holds
-    exactly the smaller entries after it (its Lehmer code digit)."""
-    rank = end = 0
-    for p in range(k):
-        if p == end:
-            end = p + 1
-            while end in descents:
-                end += 1
-        rank = rank * (k - p) + end - p - 1
+def lex_rank(x: Perm) -> int:
+    """Lexicographic rank of ``x`` among the permutations of its entries,
+    from its Lehmer code (each digit counts the smaller entries after it).
+
+    >>> lex_rank((5, 2, 7))
+    2
+    """
+    rank, k = 0, len(x)
+    for p, v in enumerate(x):
+        rank = rank * (k - p) + sum(1 for w in x[p + 1:] if w < v)
     return rank
 
 
-def descent_classes(
-    ground: Iterable[int],
-) -> list[tuple[int, frozenset[int], int, Perm]]:
-    """Every descent class of the permutations of ``ground``, counted and
-    represented without enumerating them.
+def descent_classes(k: int) -> list[tuple[int, int]]:
+    """``(mask, size)`` for every descent bitmask of the permutations of a
+    k-element ground set, in the lexicographic order of the least members
+    (:func:`least_with_descent_set`), without enumerating a member.
 
-    Returns ``(rank, descents, size, first)`` per descent set, in increasing
-    ``rank``: ``first`` is the lexicographically least member
-    (:func:`least_with_descent_set`), ``rank`` its lexicographic rank among
-    all permutations of ``ground``, and ``size`` the number of members,
-    from the rank DP shared by the patterns with a common prefix.  Two
-    least members first differ where their runs first differ in length,
-    and the shorter run puts the smaller entry there, so trying an ascent
-    (ending a run) before a descent at each position yields rank order.
+    The sizes come from the rank DP, grown one position at a time and
+    shared by the patterns with a common prefix.  Two least members first
+    differ where their runs first differ in length, and the shorter run
+    puts the smaller entry there, so taking an ascent (ending a run)
+    before a descent at each position yields rank order.
 
-    >>> [(r, sorted(d), s, f) for r, d, s, f in descent_classes([2, 5, 7])]
-    [(0, [], 1, (2, 5, 7)), (1, [2], 2, (2, 7, 5)), (2, [1], 2, (5, 2, 7)), (5, [1, 2], 1, (7, 5, 2))]
+    >>> descent_classes(3)
+    [(0, 1), (4, 2), (2, 2), (6, 1)]
     """
-    g = sorted(ground)
-    classes = []
-
-    def grow(t, descents, counts):
-        # ``counts`` covers positions 1..t; position t+1 is next.
-        if t >= len(g):
-            dset = frozenset(descents)
-            classes.append((
-                _least_rank(len(g), dset), dset, sum(counts),
-                least_with_descent_set(g, dset),
-            ))
-            return
-        grow(t + 1, descents, _extend_counts(counts, True))
-        grow(t + 1, descents + (t,), _extend_counts(counts, False))
-
-    grow(1, (), [1])
-    return classes
+    classes = [(0, [1])]
+    for t in range(1, k):  # an ascent, then a descent, at position t
+        classes = [(mask | d << t, _extend_counts(counts, not d))
+                   for mask, counts in classes for d in (0, 1)]
+    return [(mask, sum(counts)) for mask, counts in classes]
 
 
-def count_before(ground: Iterable[int], descents: Iterable[int], x: Perm) -> int:
-    """Number of permutations of ``ground`` with descent set ``descents``
+def count_before(ground: Iterable[int], mask: int, x: Perm) -> int:
+    """Number of permutations of ``ground`` with descent bitmask ``mask``
     that come lexicographically before ``x``, a permutation of ``ground``.
 
     A member before ``x`` agrees with it on a prefix, then puts a smaller
     entry y; the completions after y are counted by the rank DP run from
     the right end, by the rank of y among the entries not yet placed.
 
-    >>> count_before([1, 2, 3], {1}, (3, 1, 2))
+    >>> count_before([1, 2, 3], 0b10, (3, 1, 2))
     1
     """
     g = sorted(ground)
     k = len(g)
-    dset = set(descents)
-    # suffix[i][s]: arrangements of positions i+1..k (1-based) with descent
-    # set dset there whose entry at position i+1 has rank s among them.
+    # suffix[i][s]: arrangements of positions i+1..k (1-based) with the
+    # descents of mask there whose entry at position i+1 has rank s among them.
     suffix = [[1]] * k
     for i in range(k - 2, -1, -1):
-        suffix[i] = _extend_counts(suffix[i + 1], i + 1 in dset)
+        suffix[i] = _extend_counts(suffix[i + 1], mask >> (i + 1) & 1)
     total = 0
     remaining = g
     for i, v in enumerate(x):
         for s, y in enumerate(remaining):
             if y >= v:
                 break
-            if i == 0 or (x[i - 1] > y) == (i in dset):
+            if i == 0 or (x[i - 1] > y) == mask >> i & 1:
                 total += suffix[i][s]
-        if i and (x[i - 1] > v) != (i in dset):
+        if i and (x[i - 1] > v) != mask >> i & 1:
             break
         remaining = [y for y in remaining if y != v]
     return total

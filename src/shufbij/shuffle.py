@@ -6,8 +6,9 @@ over {a, b} marking which side each position came from; enumeration is in
 lexicographic word order with a < b, which makes every listing stable.
 
 Des is shuffle compatible, so the distribution of a descent statistic over
-a shuffle set depends only on the operands' descent sets and lengths.
-:func:`des_histogram` counts the descent sets of a class pair by a
+a shuffle set depends only on the operands' descent bitmasks (bit d set
+for a descent at d, :func:`~shufbij.stats.descent_mask`) and lengths.
+:func:`des_histogram` counts the descent bitmasks of a class pair by a
 transfer-matrix DP over (letters placed, last letter), without listing a
 word, and :func:`class_pair_distributions` reads any descent statistic off
 it through the statistic's rule.  :func:`shuffle_distribution` serves one
@@ -32,7 +33,7 @@ from .perm import Perm, _check_disjoint
 from .stats import (
     Distribution,
     StatId,
-    des_set,
+    descent_mask,
     descent_rule,
     distribution,
     is_descent_statistic,
@@ -69,12 +70,10 @@ def shuffles(pi: Perm, sigma: Perm) -> tuple[Perm, ...]:
     return tuple(iter_shuffles(pi, sigma))
 
 
-def des_histogram(
-    des_pi: frozenset[int], des_sigma: frozenset[int], m: int, n: int
-) -> dict[int, int]:
+def des_histogram(mask_pi: int, mask_sigma: int, m: int, n: int) -> dict[int, int]:
     """Descent sets, as bitmasks with bit d set for a descent at position d,
-    over the shuffle set of any pi on [m] with descent set ``des_pi`` and
-    sigma on [n]+m with descent set ``des_sigma``.
+    over the shuffle set of any pi on [m] with descent bitmask ``mask_pi``
+    and sigma on [n]+m with descent bitmask ``mask_sigma``.
 
     Every sigma entry exceeds every pi entry, so the descent set of an
     interleaving is fixed by its word: adjacent letters b, a give a
@@ -82,11 +81,11 @@ def des_histogram(
     operand they come from.  The transfer-matrix DP runs over the words
     letter by letter; its state is the number of a's placed and the last
     letter, and each state keeps a count per descent bitmask so far.
-    Equals the bitmasks of ``Counter(des_set(t) for t in shuffles(pi,
-    sigma))`` without listing a word.
+    Equals ``Counter(descent_mask(t) for t in shuffles(pi, sigma))``
+    without listing a word.
     """
     if not m or not n:  # one interleaving: the other operand itself
-        return {sum(1 << d for d in des_pi | des_sigma): 1}
+        return {mask_pi | mask_sigma: 1}
     # ends_a[i] / ends_b[i]: counts of the words with i a's placed that end
     # in a / in b.  Each state feeds exactly two states of the next layer
     # and is dropped once read, so about one layer of counts is alive.
@@ -97,9 +96,9 @@ def des_histogram(
         for i in range(max(0, t - n), min(t, m) + 1):
             end_a, end_b = ends_a.pop(i, {}), ends_b.pop(i, {})
             if i < m:  # a after a copies Des pi; a after b is a descent
-                next_a[i + 1] = _join(end_a, bit if i in des_pi else 0, end_b, bit)
+                next_a[i + 1] = _join(end_a, bit if mask_pi >> i & 1 else 0, end_b, bit)
             if t - i < n:  # b after a is an ascent; b after b copies Des sigma
-                next_b[i] = _join(end_a, 0, end_b, bit if t - i in des_sigma else 0)
+                next_b[i] = _join(end_a, 0, end_b, bit if mask_sigma >> (t - i) & 1 else 0)
         ends_a, ends_b = next_a, next_b
     return _join(ends_a.get(m, {}), 0, ends_b.get(m, {}), 0)
 
@@ -127,18 +126,18 @@ def _join(x: dict, x_bit: int, y: dict, y_bit: int) -> dict:
 
 
 def class_pair_distributions(stat: StatId, m: int, n: int):
-    """``dist_of(des_pi, des_sigma)``: the distribution of a descent
+    """``dist_of(mask_pi, mask_sigma)``: the distribution of a descent
     statistic over the shuffle set of a class pair, pi on [m] and sigma on
-    [n]+m with those descent sets, read off :func:`des_histogram` by the
+    [n]+m with those descent bitmasks, read off :func:`des_histogram` by the
     statistic's rule.  The values of the last 1024 bitmasks are kept
     across calls: a sweep meets the same bitmasks in every class pair,
     while one class pair at 9+9 can have over 20,000, too many to keep."""
     rule = descent_rule(stat)
     value_of = lru_cache(maxsize=1 << 10)(lambda mask: rule(mask, m + n))
 
-    def dist_of(des_pi: frozenset[int], des_sigma: frozenset[int]) -> Distribution:
+    def dist_of(mask_pi: int, mask_sigma: int) -> Distribution:
         dist: Distribution = Counter()
-        for mask, count in des_histogram(des_pi, des_sigma, m, n).items():
+        for mask, count in des_histogram(mask_pi, mask_sigma, m, n).items():
             dist[value_of(mask)] += count
         return dist
 
@@ -159,12 +158,12 @@ def shuffle_distribution(stat: StatId, pi: Perm, sigma: Perm) -> Distribution:
     _check_disjoint(pi, sigma)
     if is_descent_statistic(stat):
         dist_of = class_pair_distributions(stat, len(pi), len(sigma))
-        return dist_of(des_set(pi), des_set(sigma))
+        return dist_of(descent_mask(pi), descent_mask(sigma))
     return distribution(stat, iter_shuffles(pi, sigma))
 
 
 def shuffles_with_k_descents(pi: Perm, sigma: Perm, k: int) -> tuple[Perm, ...]:
-    return tuple(t for t in shuffles(pi, sigma) if len(des_set(t)) == k)
+    return tuple(t for t in shuffles(pi, sigma) if descent_mask(t).bit_count() == k)
 
 
 def is_shuffle(tau: Perm, pi: Perm, sigma: Perm) -> bool:

@@ -25,7 +25,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .perm import Perm
+from .perm import Perm, mask_positions
 
 StatId = Union[str, tuple]
 StatValue = Union[int, frozenset, tuple]
@@ -45,16 +45,6 @@ def inv(pi: Perm) -> int:
     """Number of out-of-order pairs.  Not a descent statistic."""
     m = len(pi)
     return sum(1 for i in range(m) for j in range(i + 1, m) if pi[i] > pi[j])
-
-
-def _positions(mask: int) -> frozenset[int]:
-    """The set bits of ``mask``, as positions."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
 
 
 def _inner(length: int) -> int:
@@ -116,17 +106,14 @@ class StatDef:
 def _turn_stat(peak: bool, variant: str, count: bool) -> StatDef:
     """The peak (or valley) set or count with the sentinels of ``variant``."""
     left, right = variant in ("left", "exterior"), variant in ("right", "exterior")
-    if count:
-        return StatDef(
-            lambda mask, length: _turns(mask, length, peak, left, right).bit_count(), True
-        )
-    return StatDef(lambda mask, length: _positions(_turns(mask, length, peak, left, right)), False)
+    read = int.bit_count if count else mask_positions
+    return StatDef(lambda mask, length: read(_turns(mask, length, peak, left, right)), count)
 
 
 STATISTICS: dict[str, StatDef] = {
-    "Des": StatDef(lambda mask, length: _positions(mask), False),
+    "Des": StatDef(lambda mask, length: mask_positions(mask), False),
     "des": StatDef(lambda mask, length: mask.bit_count(), True),
-    "Asc": StatDef(lambda mask, length: _positions(_inner(length) & ~mask), False),
+    "Asc": StatDef(lambda mask, length: mask_positions(_inner(length) & ~mask), False),
     "asc": StatDef(lambda mask, length: (_inner(length) & ~mask).bit_count(), True),
     "maj": StatDef(_maj, True),
     "inv": StatDef(None, True),
@@ -284,7 +271,10 @@ def descent_rule(stat: StatId) -> Callable[[int, int], StatValue]:
 def distribution(stat: StatId, perms: Iterable[Perm]) -> Distribution:
     """Multiset of statistic values over a collection of permutations."""
     stat = validate_stat(stat)
-    return Counter(evaluate(stat, pi) for pi in perms)
+    dist: Distribution = Counter()
+    for pi in perms:
+        dist[evaluate(stat, pi)] += 1
+    return dist
 
 
 def parse_stat(text: str) -> StatId:

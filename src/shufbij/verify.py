@@ -11,16 +11,18 @@ For a descent statistic the distribution over a shuffle set depends only
 on the descent classes of the operands (it is read off the product of
 their fundamental quasisymmetric functions).  The sweeps in every mode,
 the counterexample search and the identities therefore put sigma above
-pi and read one distribution per class pair off the transfer-matrix DP
-(:func:`~shufbij.shuffle.class_pair_distributions`), walking the operands
-by class (:func:`~shufbij.perm.descent_classes`: size, least member and
-rank, all without enumeration); cases and witnesses are those a
-lexicographic pair-by-pair scan would report, derived from the ranks and
-sizes.  Full mode over any other statistic takes the same walk with each
-permutation as its own class.  The pipeline audit and
-:meth:`Witness.recheck` enumerate shuffle sets directly; the audit
-replays its trace on its own enumeration unchecked.  A report fails
-exactly when it has a witness.
+pi and read one distribution per pair of descent bitmasks off the
+transfer-matrix DP (:func:`~shufbij.shuffle.class_pair_distributions`),
+walking the operands by class (:func:`~shufbij.perm.descent_classes`).
+A reduced sweep labels a class by the statistic's rule on its bitmask
+and builds least members for a witness only; full mode and the
+identities walk each class with its least member, and full mode over any
+other statistic walks each permutation as its own class.  Cases and
+witnesses are those a lexicographic pair-by-pair scan would report, read
+off the ranks of the failing pair's members and the class sizes.  The
+pipeline audit and :meth:`Witness.recheck` enumerate shuffle sets; the
+audit replays its trace on its own enumeration unchecked.  A report
+fails exactly when it has a witness.
 """
 
 from __future__ import annotations
@@ -33,13 +35,15 @@ from math import factorial
 from typing import Optional
 
 from .errors import ResourceLimitError
-from .perm import Perm, count_before, descent_classes, format_perm
+from .perm import Perm, count_before, descent_classes, format_perm, lex_rank
+from .perm import least_with_descent_set, mask_positions
 from .qpoly import QPoly, distribution_poly, stanley_refined_table, stanley_rhs
 from .reduce import apply_step, canonicalize, maj_decrement
 from .shuffle import class_pair_distributions, shuffles
 from .stats import (
     Distribution,
     StatId,
+    descent_rule,
     distribution,
     distribution_entries,
     distribution_to_json,
@@ -153,26 +157,32 @@ def _gate(m: int, n: int, limit: int, what: str, how: str = _RAISE_LIMIT) -> Non
 
 def _singletons(ground) -> list:
     """Every permutation of ``ground`` as its own class, keyed by itself."""
-    return [(rank, p, 1, p) for rank, p in enumerate(permutations(ground))]
+    return [(p, p) for p in permutations(ground)]
+
+
+def _least_member(ground, mask: int) -> Perm:
+    return least_with_descent_set(ground, mask_positions(mask))
+
+
+def _least_members(ground) -> list:
+    """Every descent class of ``ground``, as (bitmask, least member)."""
+    return [(mask, _least_member(ground, mask)) for mask, _ in descent_classes(len(ground))]
 
 
 def _first_failure(m: int, n: int, fails, lows, classes):
-    """Walk the ``classes`` pairs of each splitting (pi on a ground in
-    ``lows``) in the order a lexicographic pair-by-pair scan first meets
-    them, pi first.  Returns ``(found, cases)`` at the first pair that
-    ``fails``, with the rank_pi·n! + rank_sigma + 1 cases of such a scan;
-    else ``(None, pairs walked)``."""
+    """Walk the ``(key, member)`` pairs of ``classes`` for each splitting
+    (pi on a ground in ``lows``) in the order a lexicographic pair-by-pair
+    scan first meets them, pi first.  Returns ``(found, cases)`` at the
+    first pair that ``fails``, the cases of such a scan read off the ranks
+    of the members; None on a pass."""
     n_count = factorial(n)
-    done = 0
-    for low in lows:
-        pi_classes = classes(low)
-        sigma_classes = classes([v for v in range(1, m + n + 1) if v not in low])
-        for pi_class, sigma_class in product(pi_classes, sigma_classes):
-            found = fails(pi_class, sigma_class)
-            if found:
-                return found, done + pi_class[0] * n_count + sigma_class[0] + 1
-        done += sum(c[2] for c in pi_classes) * sum(c[2] for c in sigma_classes)
-    return None, done
+    for split, low in enumerate(lows):
+        high = [v for v in range(1, m + n + 1) if v not in low]
+        for (key_pi, pi), (key_sigma, sigma) in product(classes(low), classes(high)):
+            found = fails(key_pi, pi, key_sigma, sigma)
+            if found:  # each earlier splitting holds m!·n! pairs
+                return found, (split * factorial(m) + lex_rank(pi)) * n_count + lex_rank(sigma) + 1
+    return None
 
 
 def _reduced_scan(stat: StatId, m: int, n: int, side: str):
@@ -181,43 +191,48 @@ def _reduced_scan(stat: StatId, m: int, n: int, side: str):
 
     A distribution depends only on the descent classes of the pair, so it
     is read once per class pair off :func:`class_pair_distributions`, and
-    both sides are walked by class (:func:`descent_classes`), never by
-    permutation.  Cases and the first failing witness are those of a scan
-    pair by pair in lexicographic order: the mover classes, grouped by
-    value in rank order, meet the groups and their classes in
-    first-occurrence order, and a failure's offset within its group is
-    counted by :func:`count_before`.
+    both sides are walked by descent bitmask (:func:`descent_classes`),
+    never by permutation; the mover classes are labeled by the
+    statistic's rule on the bitmask.  Cases and the first failing witness
+    are those of a scan pair by pair in lexicographic order: the mover
+    classes, grouped by value in rank order, meet the groups and their
+    classes in first-occurrence order, and a failure's offset within its
+    group is counted by :func:`count_before`.  Least members are built
+    for the witness alone.
     """
-    low = range(1, m + 1)
-    high = range(m + 1, m + n + 1)
+    low, high = range(1, m + 1), range(m + 1, m + n + 1)
     mover_ground, partner_ground = (low, high) if side == "pi" else (high, low)
     mover_count = factorial(len(mover_ground))
     class_dist = class_pair_distributions(stat, m, n)
     dist_of = class_dist if side == "pi" else lambda mover, partner: class_dist(partner, mover)
+    rule = descent_rule(stat)
 
-    # Mover classes by statistic value, as (descents, size, least member).
+    # Mover classes by statistic value, as (descent bitmask, size).
     groups: dict = {}
-    for _, descents, size, first in descent_classes(mover_ground):
-        groups.setdefault(evaluate(stat, first), []).append((descents, size, first))
+    for mask, size in descent_classes(len(mover_ground)):
+        groups.setdefault(rule(mask, len(mover_ground)), []).append((mask, size))
 
-    for rank, partner_des, _, partner in descent_classes(partner_ground):
+    for partner_mask, _ in descent_classes(len(partner_ground)):
         done = 0  # movers in the groups already passed for this partner
         for members in groups.values():
             if len(members) > 1:  # one class alone cannot disagree
-                ref_des, _, ref = members[0]
-                ref_dist = dist_of(ref_des, partner_des)
-                for index, (mover_des, _, mover) in enumerate(members[1:], start=1):
-                    dist = dist_of(mover_des, partner_des)
+                ref_mask = members[0][0]
+                ref_dist = dist_of(ref_mask, partner_mask)
+                for index, (mover_mask, _) in enumerate(members[1:], start=1):
+                    dist = dist_of(mover_mask, partner_mask)
                     if dist != ref_dist:
+                        ref = _least_member(mover_ground, ref_mask)
+                        mover = _least_member(mover_ground, mover_mask)
+                        partner = _least_member(partner_ground, partner_mask)
                         if side == "pi":
                             witness = Witness(ref, mover, partner, partner, stat, ref_dist, dist)
                         else:
                             witness = Witness(partner, partner, ref, mover, stat, ref_dist, dist)
                         offset = sum(
-                            count_before(mover_ground, d, mover) for d, _, _ in members[:index]
+                            count_before(mover_ground, k, mover) for k, _ in members[:index]
                         )
-                        return witness, rank * mover_count + done + offset + 1
-            done += sum(size for _, size, _ in members)
+                        return witness, lex_rank(partner) * mover_count + done + offset + 1
+            done += sum(size for _, size in members)
     return None, mover_count * factorial(len(partner_ground))
 
 
@@ -228,8 +243,9 @@ def _full_scan(stat: StatId, m: int, n: int):
     For a descent statistic the other splittings repeat the class pair
     distributions of the first (by the descent-preserving
     :func:`~shufbij.shuffle.normalize_pair`), so only the first is walked,
-    and a pass counts all (m+n)! pairs.  Any other statistic walks every
-    splitting with each permutation as its own class.
+    by descent class with its least member, and a pass counts all (m+n)!
+    pairs.  Any other statistic walks every splitting with each
+    permutation as its own class.
     """
 
     def dist_of(pi, sigma):
@@ -237,18 +253,16 @@ def _full_scan(stat: StatId, m: int, n: int):
 
     lows, classes = combinations(range(1, m + n + 1), m), _singletons
     if is_descent_statistic(stat):
-        lows, classes = [range(1, m + 1)], descent_classes
+        lows, classes = [range(1, m + 1)], _least_members
         dist_of = class_pair_distributions(stat, m, n)
     seen: dict = {}
 
-    def fails(pi_class, sigma_class):
-        (_, key_pi, _, pi), (_, key_sigma, _, sigma) = pi_class, sigma_class
+    def fails(key_pi, pi, key_sigma, sigma):
         dist = dist_of(key_pi, key_sigma)
         prev = seen.setdefault((evaluate(stat, pi), evaluate(stat, sigma)), (dist, pi, sigma))
         return None if prev[0] == dist else Witness(prev[1], pi, prev[2], sigma, stat, prev[0], dist)
 
-    witness, cases = _first_failure(m, n, fails, lows, classes)
-    return witness, cases if witness else factorial(m + n)
+    return _first_failure(m, n, fails, lows, classes) or (None, factorial(m + n))
 
 
 def check_compatibility(
@@ -365,16 +379,14 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
     _gate(m, n, _resolve_limit(limit, DEFAULT_IDENTITY_LIMIT), f"identity check ({which})")
     start = time.perf_counter()
 
-    def classes(ground):
-        table = descent_classes(ground)
-        return table[:1] if which == "word_base" else table  # rank 0: increasing
+    def classes(ground):  # word_base: the increasing class alone, bitmask 0
+        return [(0, tuple(ground))] if which == "word_base" else _least_members(ground)
 
     # maj_des reads one (des, maj) table per class pair, split by des.
     dist_of = class_pair_distributions(("des", "maj") if which == "maj_des" else "maj", m, n)
 
-    def fails(pi_class, sigma_class):
-        (_, des_pi, _, pi), (_, des_sigma, _, sigma) = pi_class, sigma_class
-        dist = dist_of(des_pi, des_sigma)
+    def fails(mask_pi, pi, mask_sigma, sigma):
+        dist = dist_of(mask_pi, mask_sigma)
         if which == "maj_des":
             by_des: dict = {}
             for (des, maj), count in dist.items():
@@ -392,7 +404,8 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
                                         _poly_as_counter(lhs), _poly_as_counter(rhs))
         return None
 
-    found, cases = _first_failure(m, n, fails, [range(1, m + 1)], classes)
+    passed = (None, 1 if which == "word_base" else factorial(m) * factorial(n))
+    found, cases = _first_failure(m, n, fails, [range(1, m + 1)], classes) or passed
     problem, witness = found or (None, None)
     if which == "word_base":
         pi, sigma = format_perm(range(1, m + 1)), format_perm(range(m + 1, m + n + 1))

@@ -1,10 +1,11 @@
 """Differential tests of the descent-class quotient against brute force.
 
 Exhaustive over every normalized pair with m+n <= 7 (pi on [m], sigma on
-[n]+m).  The descent-set histogram of the transfer-matrix DP is checked
-against enumeration (and, up to m+n = 9, on the least members of every
-class pair), the class tables (sizes, least members, ranks,
-``count_before``) against the permutations they count, and the
+[n]+m).  The descent-bitmask histogram of the transfer-matrix DP is
+checked against enumeration (and, up to m+n = 10, on the least members of
+every class pair), the class tables (bitmasks, sizes and rank order, the
+least member built from each bitmask, ``count_before``) against the
+permutations they count, and the
 reduced-mode sweeps and the maj identities against pair-by-pair
 references that enumerate every shuffle set.  Full mode and the
 counterexample search are checked against a pair-by-pair scan of every
@@ -19,7 +20,14 @@ import pytest
 
 import shufbij.verify as verify
 from oracles import des_set_oracle, shuffle_set_oracle
-from shufbij.perm import count_before, descent_classes
+import shufbij.perm as perm
+from shufbij.perm import (
+    count_before,
+    descent_classes,
+    least_with_descent_set,
+    lex_rank,
+    mask_positions,
+)
 from shufbij.qpoly import gen_poly, shift, stanley_refined_rhs, stanley_rhs
 from shufbij.shuffle import des_histogram, shuffles
 from shufbij.stats import (
@@ -30,7 +38,13 @@ from shufbij.stats import (
     format_stat,
     is_descent_statistic,
 )
-from shufbij.verify import Witness, check_compatibility, check_identity, find_counterexample
+from shufbij.verify import (
+    Witness,
+    check_compatibility,
+    check_conjecture_udr_pk_des,
+    check_identity,
+    find_counterexample,
+)
 
 MAX_TOTAL = 7
 SPLITS = [(m, total - m) for total in range(MAX_TOTAL + 1) for m in range(total + 1)]
@@ -148,25 +162,38 @@ def _expected_full(witness, cases):
     return ("fail" if witness else "pass"), cases, witness.to_json() if witness else None
 
 
+def _mask(descents):
+    return sum(1 << d for d in descents)
+
+
 def _members_by_class(ground):
     """Every permutation of ``ground`` in lexicographic order, with its
-    index, grouped by descent set."""
+    index, grouped by descent bitmask."""
     members = defaultdict(list)
     for index, p in enumerate(permutations(ground)):
-        members[des_set(p)].append((index, p))
+        members[_mask(des_set_oracle(p))].append((index, p))
     return members
+
+
+def _least(ground, mask):
+    return least_with_descent_set(ground, mask_positions(mask))
 
 
 @pytest.mark.parametrize("k", range(9))
 def test_descent_classes_match_enumeration(k):
+    """Bitmasks, sizes and rank order against enumeration; the least member
+    built from each bitmask is the first member, at its lexicographic
+    rank."""
     ground = tuple(range(2, 2 + 3 * k, 3))
     members = _members_by_class(ground)
-    classes = descent_classes(ground)
+    classes = descent_classes(k)
     assert len(classes) == len(members) == 2 ** max(k - 1, 0)
-    assert [rank for rank, _, _, _ in classes] == sorted(rank for rank, _, _, _ in classes)
-    for rank, descents, size, first in classes:
-        assert (rank, first) == members[descents][0], (k, descents)
-        assert size == len(members[descents]), (k, descents)
+    ranks = [members[mask][0][0] for mask, _ in classes]
+    assert ranks == sorted(ranks)
+    for mask, size in classes:
+        first = _least(ground, mask)
+        assert (lex_rank(first), first) == members[mask][0], (k, mask)
+        assert size == len(members[mask]), (k, mask)
 
 
 @pytest.mark.parametrize("k", range(7))
@@ -174,14 +201,10 @@ def test_count_before_matches_enumeration(k):
     ground = tuple(range(2, 2 + 3 * k, 3))
     members = _members_by_class(ground)
     everything = list(permutations(ground))
-    for descents, indexed in members.items():
+    for mask, indexed in members.items():
         ordered = [p for _, p in indexed]
         for x in everything:
-            assert count_before(ground, descents, x) == bisect_left(ordered, x), (descents, x)
-
-
-def _mask(descents):
-    return sum(1 << d for d in descents)
+            assert count_before(ground, mask, x) == bisect_left(ordered, x), (mask, x)
 
 
 def test_des_histogram_matches_enumeration():
@@ -191,19 +214,22 @@ def test_des_histogram_matches_enumeration():
                 brute = Counter(
                     _mask(des_set_oracle(t)) for t in shuffle_set_oracle(pi, sigma)
                 )
-                assert des_histogram(des_set(pi), des_set(sigma), m, n) == brute, (pi, sigma)
+                masks = _mask(des_set_oracle(pi)), _mask(des_set_oracle(sigma))
+                assert des_histogram(*masks, m, n) == brute, (pi, sigma)
 
 
-@pytest.mark.parametrize("total", range(10))
+@pytest.mark.parametrize("total", range(11))
 def test_des_histogram_matches_least_members_shuffle_sets(total):
     """Every class pair with m+n = total, m = 0 and n = 0 included: the
     DP's histogram is the Des histogram of the real shuffle set of the
-    least members."""
+    least members built from the two bitmasks."""
     for m in range(total + 1):
-        for _, des_pi, _, pi in descent_classes(range(1, m + 1)):
-            for _, des_sigma, _, sigma in descent_classes(range(m + 1, total + 1)):
+        for mask_pi, _ in descent_classes(m):
+            pi = _least(range(1, m + 1), mask_pi)
+            for mask_sigma, _ in descent_classes(total - m):
+                sigma = _least(range(m + 1, total + 1), mask_sigma)
                 brute = Counter(_mask(des_set_oracle(t)) for t in shuffles(pi, sigma))
-                assert des_histogram(des_pi, des_sigma, m, n=total - m) == brute, (pi, sigma)
+                assert des_histogram(mask_pi, mask_sigma, m, n=total - m) == brute, (pi, sigma)
 
 
 @pytest.mark.parametrize("stat", DESCENT_STATS, ids=format_stat)
@@ -227,6 +253,37 @@ def test_differential_sweep_covers_failing_witnesses():
         not check_compatibility("biruns", m, n, mode=mode).passed
         for m, n in SPLITS for mode in ("reduced_pi", "reduced_sigma")
     )
+
+
+SWEEP_STATS = ["Des", "Pk", "Epk", "maj", "udr", ("maj", "des"), ("udr", "pk")]
+
+
+def test_reduced_passes_build_no_least_member(monkeypatch):
+    """A passing reduced scan reads every class by its descent bitmask
+    alone: with each least-member construction refused, both reduced modes
+    and the conjecture still pass at every split of m+n = 7.  A failing
+    scan builds its witness from least members, and it re-verifies."""
+
+    def refuse(ground, descents):
+        raise AssertionError("a passing reduced scan needs no least member")
+
+    modes = ("reduced_pi", "reduced_sigma")
+    with monkeypatch.context() as patch:
+        patch.setattr(perm, "least_with_descent_set", refuse)
+        patch.setattr(verify, "least_with_descent_set", refuse)
+        for m in range(8):
+            for stat in SWEEP_STATS:
+                for mode in modes:
+                    assert check_compatibility(stat, m, 7 - m, mode=mode).passed, (stat, m, mode)
+            assert check_conjecture_udr_pk_des(m, 7 - m).passed, m
+        with pytest.raises(AssertionError, match="least member"):
+            check_compatibility("biruns", 3, 4)
+    failures = [
+        check_compatibility("biruns", m, 7 - m, mode=mode).witness
+        for m in range(8) for mode in modes
+    ]
+    assert any(failures)
+    assert all(w.recheck() for w in failures if w)
 
 
 @pytest.mark.parametrize("which", ["maj", "maj_des"])
