@@ -8,11 +8,14 @@ lexicographic word order with a < b, which makes every listing stable.
 Des is shuffle compatible, so the distribution of a descent statistic over
 a shuffle set depends only on the operands' descent bitmasks (bit d set
 for a descent at d, :func:`~shufbij.stats.descent_mask`) and lengths.
-:func:`des_histogram` counts the descent bitmasks of a class pair by a
-transfer-matrix DP over (letters placed, last letter), without listing a
-word, and :func:`class_pair_distributions` reads any descent statistic off
-it through the statistic's rule.  :func:`shuffle_distribution` serves one
-pair: by the DP for a descent statistic, by enumeration otherwise.
+:func:`class_pair_distributions` computes it for a class pair by one
+transfer-matrix DP over (a's placed, last letter), without listing a
+word.  Each state counts packed keys that carry every component's partial
+value, read off the statistic's mark tables (:class:`~shufbij.stats.MarkTable`)
+as each step is decided: a handful of keys for ``pk`` or ``maj``, the
+whole descent bitmask for ``Des``, whose instance is :func:`des_histogram`.
+:func:`shuffle_distribution` serves one pair: by the DP for a descent
+statistic, by enumeration otherwise.
 
 The bijections here are the building blocks for statistic-preserving
 reductions: positional replacement of one side (``phi`` / ``phi_tilde``),
@@ -29,14 +32,16 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import NotAShuffleError
-from .perm import Perm, _check_disjoint
+from .perm import Perm, _check_disjoint, mask_positions
 from .stats import (
+    FALL,
+    RISE,
     Distribution,
     StatId,
     descent_mask,
-    descent_rule,
     distribution,
     is_descent_statistic,
+    mark_tables,
     validate_stat,
 )
 from .traces import ReductionStep, ReductionTrace, run_reduction
@@ -70,75 +75,142 @@ def shuffles(pi: Perm, sigma: Perm) -> tuple[Perm, ...]:
     return tuple(iter_shuffles(pi, sigma))
 
 
+@lru_cache(maxsize=256)
+def _value_dp(stat: StatId, length: int):
+    """The packed-key DP of a descent statistic over words of ``length``:
+    ``(start, steps, decode)``, built from its mark tables.
+
+    A key packs each component's partial value in a field of its own: a
+    mark at position i adds 1 << i to a set field, 1 to a count and i to a
+    sum.  Bit 0 holds whether the last step fell, when some interior mark
+    reads the step before it.  ``steps[t]`` is the pair of key deltas of a
+    falling and of a rising step t, each indexed by that bit: step t marks
+    position t, and the last step the last position too.  ``start`` is the
+    key before any step, and ``decode`` reads a final key as the value.
+    Built once per statistic and length, and kept.
+    """
+    tables = mark_tables(stat)
+    reads_prev = any(
+        ((RISE, s) in table.marks) != ((FALL, s) in table.marks)
+        for table in tables for s in (RISE, FALL)
+    )
+    fields, offset = [], int(reads_prev)  # (table, offset, width mask)
+    for table in tables:
+        top = {"set": 1 << length, "count": length, "sum": length * (length + 1) // 2}
+        width = top[table.output].bit_length()
+        fields.append((table, offset, (1 << width) - 1))
+        offset += width
+
+    def marked(i, prev, step):  # the key increment of position i's marks
+        return sum(
+            {"set": 1 << i, "count": 1, "sum": i}[table.output] << offset
+            for table, offset, _ in fields
+            if (table.left if i == 1 else prev, table.right if i == length else step) in table.marks
+        )
+
+    steps = (None, *(
+        tuple(
+            tuple(
+                marked(t, prev, step) + (t == length - 1 and marked(length, step, None))
+                + reads_prev * ((step == FALL) - (prev == FALL))
+                for prev in (RISE, FALL)
+            )
+            for step in (FALL, RISE)
+        )
+        for t in range(1, length)
+    ))
+
+    def reader(table, offset, width):
+        if table.output == "set":
+            return lambda key: mask_positions(key >> offset & width)
+        return lambda key: key >> offset & width
+
+    readers = [reader(*field) for field in fields]
+    decode = readers[0] if isinstance(stat, str) else (
+        lambda key: tuple(read(key) for read in readers))
+    start = marked(1, None, None) if length == 1 else 0
+    return start, steps, lru_cache(maxsize=1 << 10)(decode)
+
+
+def _value_counts(dp, mask_pi: int, mask_sigma: int, m: int, n: int) -> dict:
+    """Packed keys with their counts over the shuffle set of any pi on [m]
+    with descent bitmask ``mask_pi`` and sigma on [n]+m with descent
+    bitmask ``mask_sigma``, by the DP ``dp`` of :func:`_value_dp`.
+
+    Every sigma entry exceeds every pi entry, so each step of an
+    interleaving is fixed by its word: adjacent letters b, a fall, a, b
+    rise, and a, a or b, b copy the step of the operand they come from.
+    The transfer-matrix DP runs over the words letter by letter; its state
+    is the number of a's placed and the last letter, and each state keeps
+    a count per key.
+    """
+    start, steps, _ = dp
+    if not m or not n:  # one interleaving, the other operand itself: walk its steps
+        key, mask = start, mask_pi | mask_sigma
+        for t in range(1, m + n):
+            key += steps[t][not mask >> t & 1][key & 1]
+        return {key: 1}
+    # ends_a[i] / ends_b[i]: counts of the words with i a's placed that end
+    # in a / in b.  Each state feeds the two states of the next layer that
+    # fit in (m, n), and is dropped once read.
+    ends_a, ends_b = {1: {start: 1}}, {0: {start: 1}}
+    for t in range(1, m + n):  # t letters placed; the next step is step t
+        fall, rise = steps[t]
+        moves = []  # (counts, next layer: 1 for a, a's placed, key deltas)
+        for i, counts in ends_a.items():  # a after a copies Des pi; b after a rises
+            moves += [(counts, 1, i + 1, fall if mask_pi >> i & 1 else rise), (counts, 0, i, rise)]
+        for i, counts in ends_b.items():  # a after b falls; b after b copies Des sigma
+            moves += [(counts, 1, i + 1, fall),
+                      (counts, 0, i, fall if mask_sigma >> (t - i) & 1 else rise)]
+        ends_b, ends_a = layers = ({}, {})
+        for counts, ends_with_a, i, (step, step_after_fall) in moves:
+            if i > m or t + 1 - i > n:
+                continue
+            layer = layers[ends_with_a]
+            if step != step_after_fall:
+                into = layer.setdefault(i, {})
+                for key, count in counts.items():
+                    key += step_after_fall if key & 1 else step
+                    into[key] = into.get(key, 0) + count
+            elif i not in layer:  # no mark reads the step before: keys move as one
+                layer[i] = {key + step: count for key, count in counts.items()}
+            else:
+                into = layer[i]
+                for key, count in counts.items():
+                    key += step
+                    into[key] = into.get(key, 0) + count
+    final = ends_a.get(m, {})
+    for key, count in ends_b.get(m, {}).items():
+        final[key] = final.get(key, 0) + count
+    return final
+
+
 def des_histogram(mask_pi: int, mask_sigma: int, m: int, n: int) -> dict[int, int]:
     """Descent sets, as bitmasks with bit d set for a descent at position d,
     over the shuffle set of any pi on [m] with descent bitmask ``mask_pi``
-    and sigma on [n]+m with descent bitmask ``mask_sigma``.
-
-    Every sigma entry exceeds every pi entry, so the descent set of an
-    interleaving is fixed by its word: adjacent letters b, a give a
-    descent, a, b an ascent, and a, a or b, b copy the comparison of the
-    operand they come from.  The transfer-matrix DP runs over the words
-    letter by letter; its state is the number of a's placed and the last
-    letter, and each state keeps a count per descent bitmask so far.
+    and sigma on [n]+m with descent bitmask ``mask_sigma``: the DP of
+    :func:`_value_counts` for ``Des``, whose packed key is the bitmask.
     Equals ``Counter(descent_mask(t) for t in shuffles(pi, sigma))``
     without listing a word.
     """
-    if not m or not n:  # one interleaving: the other operand itself
-        return {mask_pi | mask_sigma: 1}
-    # ends_a[i] / ends_b[i]: counts of the words with i a's placed that end
-    # in a / in b.  Each state feeds exactly two states of the next layer
-    # and is dropped once read, so about one layer of counts is alive.
-    ends_a, ends_b = {1: {0: 1}}, {0: {0: 1}}
-    for t in range(1, m + n):  # t letters placed; the next step is position t
-        bit = 1 << t
-        next_a, next_b = {}, {}
-        for i in range(max(0, t - n), min(t, m) + 1):
-            end_a, end_b = ends_a.pop(i, {}), ends_b.pop(i, {})
-            if i < m:  # a after a copies Des pi; a after b is a descent
-                next_a[i + 1] = _join(end_a, bit if mask_pi >> i & 1 else 0, end_b, bit)
-            if t - i < n:  # b after a is an ascent; b after b copies Des sigma
-                next_b[i] = _join(end_a, 0, end_b, bit if mask_sigma >> (t - i) & 1 else 0)
-        ends_a, ends_b = next_a, next_b
-    return _join(ends_a.get(m, {}), 0, ends_b.get(m, {}), 0)
-
-
-def _with_bit(counts: dict, bit: int) -> dict:
-    return {mask | bit: count for mask, count in counts.items()} if bit else counts
-
-
-def _join(x: dict, x_bit: int, y: dict, y_bit: int) -> dict:
-    """The counts of ``x`` with ``x_bit`` set in every mask, plus those of
-    ``y`` with ``y_bit``; the bit is one that no mask has yet.  The result
-    may be ``x`` or ``y`` itself: no count table is changed once built."""
-    if not y:
-        return _with_bit(x, x_bit)
-    if not x:
-        return _with_bit(y, y_bit)
-    if x_bit != y_bit:  # one side gains the bit, so no mask is shared
-        return {**_with_bit(x, x_bit), **_with_bit(y, y_bit)}
-    if len(x) < len(y):
-        x, y = y, x
-    joined = dict(x)
-    for mask, count in y.items():
-        joined[mask] = joined.get(mask, 0) + count
-    return _with_bit(joined, x_bit)
+    return _value_counts(_value_dp("Des", m + n), mask_pi, mask_sigma, m, n)
 
 
 def class_pair_distributions(stat: StatId, m: int, n: int):
     """``dist_of(mask_pi, mask_sigma)``: the distribution of a descent
     statistic over the shuffle set of a class pair, pi on [m] and sigma on
-    [n]+m with those descent bitmasks, read off :func:`des_histogram` by the
-    statistic's rule.  The values of the last 1024 bitmasks are kept
-    across calls: a sweep meets the same bitmasks in every class pair,
-    while one class pair at 9+9 can have over 20,000, too many to keep."""
-    rule = descent_rule(stat)
-    value_of = lru_cache(maxsize=1 << 10)(lambda mask: rule(mask, m + n))
+    [n]+m with those descent bitmasks.  One DP (:func:`_value_counts`)
+    carries each component's partial value in a packed key.  The decoded
+    values of the last 1024 final keys are kept across calls and class
+    pairs: a sweep meets the same keys in every class pair, while one class
+    pair of ``Des`` at 9+9 has over 20,000."""
+    dp = _value_dp(validate_stat(stat), m + n)
+    decode = dp[2]
 
     def dist_of(mask_pi: int, mask_sigma: int) -> Distribution:
         dist: Distribution = Counter()
-        for mask, count in des_histogram(mask_pi, mask_sigma, m, n).items():
-            dist[value_of(mask)] += count
+        for key, count in _value_counts(dp, mask_pi, mask_sigma, m, n).items():
+            dist[decode(key)] += count
         return dist
 
     return dist_of

@@ -6,30 +6,36 @@ are plain integers, frozensets of 1-based positions, or tuples of values;
 a distribution is a ``collections.Counter`` over such values.
 
 Every statistic in the catalog except ``inv`` is a descent statistic: its
-value is determined by the descent set and the length.  Each one has a
-single definition, a rule that reads the value off a descent bitmask (bit
-d set when position d is a descent, :func:`descent_mask`) and the length;
-the peak and valley families read theirs through one sentinel helper,
-:func:`_turns`.  :func:`evaluate` computes the bitmask of a permutation
-once and reads every component through its rule, and the named functions
-(:func:`des_set`, :func:`maj`, :func:`peak_family`, ...) do the same for
-one statistic; the shuffle-set engine (:mod:`shufbij.shuffle`) runs the
-rules on the bitmasks of its transfer-matrix histogram.  Only ``inv`` has
-code of its own on a permutation.
+value is determined by the descent set and the length.  Each one is
+defined once, by a :class:`MarkTable`: step i joins positions i and i+1
+and is a rise or a fall (steps 0 and ``length`` join a sentinel, or are
+*none* when that end has none), position i is marked when the pair (step
+i-1, step i) is in the table, and the value is the set of marked
+positions, their count or their sum.  :attr:`StatDef.rule` compiles the
+table once into a few bit operations on the descent bitmask (bit d set
+when position d is a descent, :func:`descent_mask`); :func:`evaluate`
+computes the bitmask of a permutation once and reads every component
+through its rule, and the named functions (:func:`des_set`, :func:`maj`,
+:func:`peak_family`, ...) do the same for one statistic.  The shuffle-set
+engine (:mod:`shufbij.shuffle`) reads the tables themselves, adding each
+mark as its transfer-matrix DP decides a step.  Only ``inv`` has code of
+its own on a permutation.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional, Union
 
 from .perm import Perm, mask_positions
 
 StatId = Union[str, tuple]
 StatValue = Union[int, frozenset, tuple]
 Distribution = Counter
+
+RISE, FALL, NONE = "rise", "fall", "none"
 
 
 def descent_mask(pi: Perm) -> int:
@@ -47,99 +53,169 @@ def inv(pi: Perm) -> int:
     return sum(1 for i in range(m) for j in range(i + 1, m) if pi[i] > pi[j])
 
 
-def _inner(length: int) -> int:
-    """The bitmask of the positions 1..length-1 that can be descents."""
-    return ((1 << length) - 1) & ~1
+class MarkTable(NamedTuple):
+    """A descent statistic of a permutation of ``length``.
 
-
-def _turns(mask: int, length: int, peak: bool, left: bool, right: bool) -> int:
-    """Peak (or, for ``peak`` false, valley) positions as a bitmask, read off
-    the descent bitmask of a permutation of ``length``.
-
-    Step d joins positions d and d+1.  A sentinel before position 1
-    (``left``) adds step 0 and one after position ``length`` (``right``)
-    adds step ``length``; sentinels are low for peaks and high for
-    valleys, as ``tests/oracles.py`` builds the extended sequence.
-    Position i is a peak when step i-1 rises and step i falls, a valley
-    when step i-1 falls and step i rises.
+    Step d (1 <= d < length) joins positions d and d+1 and is a ``FALL``
+    when d is a descent, a ``RISE`` otherwise.  Step 0 is ``left`` and
+    step ``length`` is ``right``: the step from a sentinel before position
+    1 or to one after the last position (a low sentinel makes step 0 rise
+    and the last step fall, a high one the reverse), or ``NONE`` where
+    that end has no sentinel.  Position i (1..length) is marked when
+    (step i-1, step i) is in ``marks``; the value is the ``"set"`` of
+    marked positions, their ``"count"`` or their ``"sum"``.
     """
-    down = mask
-    if peak and right:
-        down |= 1 << length
-    if not peak and left:
-        down |= 1
-    up = (_inner(length) | (1 if left else 0) | (1 << length if right else 0)) & ~down
-    return (up << 1) & down if peak else (down << 1) & up
+
+    marks: frozenset
+    output: str = "set"
+    left: str = NONE
+    right: str = NONE
 
 
-def _biruns(mask: int, length: int) -> int:
-    if length < 2:
-        return length
-    return 1 + ((mask ^ (mask >> 1)) & _inner(length - 1)).bit_count()
-
-
-def _maj(mask: int, length: int) -> int:
-    """The sum of the positions set in ``mask``."""
-    total = 0
-    while mask:
-        low = mask & -mask
+# The gate that marks the interior positions, by its inputs (step i-1
+# falls, step i falls), over the descent word W: bit i of ``W << 1`` is
+# step i-1 and bit i of ``W`` is step i.  One form per input pair, and
+# shorter ones for the gates the catalog uses.
+_MINTERMS = {(0, 0): "~(W | W << 1)", (0, 1): "W & ~(W << 1)", (1, 0): "W << 1 & ~W",
+             (1, 1): "W & W << 1"}
+_SHORT_GATES = {frozenset({(0, 1), (1, 1)}): "W", frozenset({(0, 0), (1, 0)}): "~W",
+                frozenset({(0, 1), (1, 0)}): "(W ^ W << 1)"}
+# The body of ``rule(mask, length)`` for each output, on the marked positions.
+_READ = {
+    "set": "return positions({})",
+    "count": "return ({}).bit_count()",
+    "sum": """marks, total = {}, 0
+    while marks:
+        low = marks & -marks
         total += low.bit_length() - 1
-        mask ^= low
-    return total
+        marks ^= low
+    return total""",
+}
 
 
-@dataclass(frozen=True)
+def _end_term(steps: list, word: str, bit: str) -> list:
+    """The mark of an end position that the gate cannot read, at ``bit``
+    where ``word`` holds its inner step and that step is in ``steps``."""
+    if len(steps) < 2:
+        return [f"{'~' * (steps == [RISE])}{word} & {bit}"] if steps else []
+    return [bit]
+
+
+def _rule_source(table: MarkTable) -> str:
+    """The source of ``rule(mask, length)``: the marked positions as few
+    bit operations on the descent bitmask as the table needs, read out as
+    the table's output.
+
+    The descent word W is the bitmask with a falling sentinel step set (bit
+    0 for step 0, bit ``length`` for the last step), and one gate of ``W <<
+    1`` and ``W`` marks each position both of whose steps it reads.  A
+    missing sentinel reads as a rise where that changes no mark; otherwise
+    its end position is cut out of the gate's window and takes a term of
+    its own.  The window is cut only where the gate could set a bit
+    outside it, and lengths 0 and 1 are guarded only where the formula
+    misreads them.
+    """
+    marks, both = table.marks, (RISE, FALL)
+    left, right = table.left, table.right
+    if left == NONE and all(((NONE, s) in marks) == ((RISE, s) in marks) for s in both):
+        left = RISE
+    if right == NONE and all(((p, NONE) in marks) == ((p, RISE) in marks) for p in both):
+        right = RISE
+    first = [s for s in both if (NONE, s) in marks] if left == NONE else []
+    last = [p for p in both if (p, NONE) in marks] if right == NONE else []
+    gate = frozenset((int(p == FALL), int(s == FALL)) for p, s in marks if NONE not in (p, s))
+    fall_0, fall_end = int(left == FALL), int(right == FALL)
+    # The gate's inputs at the bits below its window, and above it.
+    below = {(0, fall_0)} | ({(0, 0), (0, 1)} if left == NONE and len(first) < 2 else set())
+    above = {(fall_end, 0), (0, 0)} | ({(1, 0)} if right == NONE and len(last) < 2 else set())
+    parts = _end_term(first, "mask", "2") + _end_term(last, "mask << 1", "1 << length")
+    if gate:
+        source = _SHORT_GATES.get(gate) or "(" + " | ".join(_MINTERMS[g] for g in sorted(gate)) + ")"
+        word = "mask" + " | 1" * fall_0 + " | 1 << length" * fall_end
+        if word != "mask":  # bind the extended word once
+            source = source.replace("W", f"(w := {word})", 1)
+        source = source.replace("W", "mask" if word == "mask" else "w")
+        low, top = 4 if left == NONE else 2, "(1 << length)" if right == NONE else "(2 << length)"
+        if gate & below:
+            source += f" & ({top} - {low})" if gate & above else f" & -{low}"
+        elif gate & above:
+            source += f" & ({top} - 1)"
+        parts.insert(0, source)
+    source = " | ".join(parts) or "0"
+    alone = (table.left, table.right) in marks  # length 1: position 1 between the ends
+    probe = eval(f"lambda mask, length: {source}")
+    if probe(0, 0) or probe(0, 1) != 2 * alone:
+        source = f"{source} if length > 1 else {'length << 1' if alone else 0}"
+    return f"def rule(mask, length):\n    {_READ[table.output].format(source)}\n"
+
+
 class StatDef:
-    """A catalog entry.  ``rule(mask, length)`` is a descent statistic's one
-    definition: it reads the value off the descent bitmask of a
-    permutation of ``length``.  It is None for ``inv``, the one statistic
-    that is not a descent statistic."""
+    """A catalog entry: a descent statistic's one definition, its mark
+    table, or None for ``inv``, the one statistic that is not a descent
+    statistic."""
 
-    rule: Optional[Callable[[int, int], StatValue]]
-    integer_valued: bool
+    def __init__(self, table: Optional[MarkTable]):
+        self.table = table
+
+    @cached_property
+    def rule(self) -> Optional[Callable[[int, int], StatValue]]:
+        """``rule(mask, length)``: the value read off the descent bitmask of
+        a permutation of ``length``, compiled from the table on first use."""
+        if self.table is None:
+            return None
+        namespace = {"positions": mask_positions}
+        exec(_rule_source(self.table), namespace)
+        return namespace["rule"]
+
+    @property
+    def integer_valued(self) -> bool:
+        return self.table is None or self.table.output != "set"
 
     @property
     def descent_statistic(self) -> bool:
-        return self.rule is not None
+        return self.table is not None
 
 
-def _turn_stat(peak: bool, variant: str, count: bool) -> StatDef:
-    """The peak (or valley) set or count with the sentinels of ``variant``."""
-    left, right = variant in ("left", "exterior"), variant in ("right", "exterior")
-    read = int.bit_count if count else mask_positions
-    return StatDef(lambda mask, length: read(_turns(mask, length, peak, left, right)), count)
+def _stat(marks, output: str = "set", left: str = NONE, right: str = NONE) -> StatDef:
+    return StatDef(MarkTable(frozenset(marks), output, left, right))
 
 
+_FALLS = {(p, FALL) for p in (RISE, FALL, NONE)}
+_RISES = {(p, RISE) for p in (RISE, FALL, NONE)}
+_PEAK, _VALLEY = {(RISE, FALL)}, {(FALL, RISE)}
+# The last position of every maximal monotone run: each turn, and the end.
+_RUN_ENDS = {(RISE, FALL), (FALL, RISE), (RISE, NONE), (FALL, NONE), (NONE, NONE)}
+
+# A low sentinel makes step 0 rise and the last step fall; a high one, as
+# the valley family has, the reverse.
 STATISTICS: dict[str, StatDef] = {
-    "Des": StatDef(lambda mask, length: mask_positions(mask), False),
-    "des": StatDef(lambda mask, length: mask.bit_count(), True),
-    "Asc": StatDef(lambda mask, length: mask_positions(_inner(length) & ~mask), False),
-    "asc": StatDef(lambda mask, length: (_inner(length) & ~mask).bit_count(), True),
-    "maj": StatDef(_maj, True),
-    "inv": StatDef(None, True),
-    "Pk": _turn_stat(True, "interior", False),
-    "pk": _turn_stat(True, "interior", True),
-    "Val": _turn_stat(False, "interior", False),
-    "val": _turn_stat(False, "interior", True),
-    "Lpk": _turn_stat(True, "left", False),
-    "lpk": _turn_stat(True, "left", True),
-    "Rpk": _turn_stat(True, "right", False),
-    "rpk": _turn_stat(True, "right", True),
-    "Epk": _turn_stat(True, "exterior", False),
-    "epk": _turn_stat(True, "exterior", True),
-    "Lval": _turn_stat(False, "left", False),
-    "lval": _turn_stat(False, "left", True),
-    "Rval": _turn_stat(False, "right", False),
-    "rval": _turn_stat(False, "right", True),
-    "Eval": _turn_stat(False, "exterior", False),
-    "eval": _turn_stat(False, "exterior", True),
-    "chi_minus": StatDef(lambda mask, length: mask >> 1 & 1, True),
-    "chi_plus": StatDef(
-        lambda mask, length: int(length >= 2 and not mask >> (length - 1) & 1), True
-    ),
-    # a low value prepended: one more position, and a first step that rises
-    "udr": StatDef(lambda mask, length: _biruns(mask << 1, length + 1) if length else 0, True),
-    "biruns": StatDef(_biruns, True),
+    "Des": _stat(_FALLS),
+    "des": _stat(_FALLS, "count"),
+    "Asc": _stat(_RISES),
+    "asc": _stat(_RISES, "count"),
+    "maj": _stat(_FALLS, "sum"),
+    "inv": StatDef(None),
+    "Pk": _stat(_PEAK),
+    "pk": _stat(_PEAK, "count"),
+    "Val": _stat(_VALLEY),
+    "val": _stat(_VALLEY, "count"),
+    "Lpk": _stat(_PEAK, left=RISE),
+    "lpk": _stat(_PEAK, "count", left=RISE),
+    "Rpk": _stat(_PEAK, right=FALL),
+    "rpk": _stat(_PEAK, "count", right=FALL),
+    "Epk": _stat(_PEAK, left=RISE, right=FALL),
+    "epk": _stat(_PEAK, "count", left=RISE, right=FALL),
+    "Lval": _stat(_VALLEY, left=FALL),
+    "lval": _stat(_VALLEY, "count", left=FALL),
+    "Rval": _stat(_VALLEY, right=RISE),
+    "rval": _stat(_VALLEY, "count", right=RISE),
+    "Eval": _stat(_VALLEY, left=FALL, right=RISE),
+    "eval": _stat(_VALLEY, "count", left=FALL, right=RISE),
+    "chi_minus": _stat({(NONE, FALL)}, "count"),
+    "chi_plus": _stat({(RISE, NONE)}, "count"),
+    # a low value prepended: step 0 rises
+    "udr": _stat(_RUN_ENDS, "count", left=RISE),
+    "biruns": _stat(_RUN_ENDS, "count"),
 }
 
 
@@ -257,15 +333,24 @@ def evaluate(stat: StatId, pi: Perm) -> StatValue:
     )
 
 
+def _descent_components(stat: StatId) -> list[StatDef]:
+    if not is_descent_statistic(stat):
+        raise ValueError(f"{format_stat(stat)} is not a descent statistic")
+    return [STATISTICS[name] for name in ((stat,) if isinstance(stat, str) else stat)]
+
+
 def descent_rule(stat: StatId) -> Callable[[int, int], StatValue]:
     """The rule ``(mask, length) -> value`` of a descent statistic; a tuple
     id reads its components off the same mask, in order."""
-    if not is_descent_statistic(stat):
-        raise ValueError(f"{format_stat(stat)} is not a descent statistic")
+    rules = [defn.rule for defn in _descent_components(stat)]
     if isinstance(stat, str):
-        return STATISTICS[stat].rule
-    rules = [STATISTICS[name].rule for name in stat]
+        return rules[0]
     return lambda mask, length: tuple(rule(mask, length) for rule in rules)
+
+
+def mark_tables(stat: StatId) -> tuple[MarkTable, ...]:
+    """The mark tables of a descent statistic's components, in order."""
+    return tuple(defn.table for defn in _descent_components(stat))
 
 
 def distribution(stat: StatId, perms: Iterable[Perm]) -> Distribution:

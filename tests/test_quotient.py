@@ -3,9 +3,12 @@
 Exhaustive over every normalized pair with m+n <= 7 (pi on [m], sigma on
 [n]+m).  The descent-bitmask histogram of the transfer-matrix DP is
 checked against enumeration (and, up to m+n = 10, on the least members of
-every class pair), the class tables (bitmasks, sizes and rank order, the
-least member built from each bitmask, ``count_before``) against the
-permutations they count, and the
+every class pair); the DP of every descent statistic and catalog tuple
+against brute force on every class pair with m+n <= 7, against its rule
+read off the histogram up to m+n = 8, and against itself with the
+operands' roles swapped up to m+n = 8; the class tables (bitmasks, sizes
+and rank order, the least member built from each bitmask,
+``count_before``) against the permutations they count, and the
 reduced-mode sweeps and the maj identities against pair-by-pair
 references that enumerate every shuffle set.  Full mode and the
 counterexample search are checked against a pair-by-pair scan of every
@@ -29,10 +32,11 @@ from shufbij.perm import (
     mask_positions,
 )
 from shufbij.qpoly import gen_poly, shift, stanley_refined_rhs, stanley_rhs
-from shufbij.shuffle import des_histogram, shuffles
+from shufbij.shuffle import class_pair_distributions, des_histogram, shuffles
 from shufbij.stats import (
     STATISTICS,
     des_set,
+    descent_rule,
     distribution,
     evaluate,
     format_stat,
@@ -230,6 +234,69 @@ def test_des_histogram_matches_least_members_shuffle_sets(total):
                 sigma = _least(range(m + 1, total + 1), mask_sigma)
                 brute = Counter(_mask(des_set_oracle(t)) for t in shuffles(pi, sigma))
                 assert des_histogram(mask_pi, mask_sigma, m, n=total - m) == brute, (pi, sigma)
+
+
+def _class_pairs(max_total):
+    """Every class pair with m+n <= max_total, m = 0 and n = 0 included, as
+    (m, n, mask_pi, mask_sigma)."""
+    return [
+        (m, total - m, mask_pi, mask_sigma)
+        for total in range(max_total + 1) for m in range(total + 1)
+        for mask_pi, _ in descent_classes(m) for mask_sigma, _ in descent_classes(total - m)
+    ]
+
+
+@pytest.fixture(scope="module")
+def class_pair_histograms():
+    """The Des histogram of every class pair with m+n <= 8, and the real
+    shuffle set of its least members where m+n <= MAX_TOTAL."""
+    out = {}
+    for m, n, mask_pi, mask_sigma in _class_pairs(8):
+        histogram = des_histogram(mask_pi, mask_sigma, m, n)
+        members = None
+        if m + n <= MAX_TOTAL:
+            members = shuffles(_least(range(1, m + 1), mask_pi),
+                               _least(range(m + 1, m + n + 1), mask_sigma))
+        out[m, n, mask_pi, mask_sigma] = histogram, members
+    return out
+
+
+@pytest.mark.parametrize("stat", DESCENT_STATS, ids=format_stat)
+def test_value_dp_matches_brute_force_and_des_histogram(stat, class_pair_histograms):
+    """The packed-key DP of every descent statistic and catalog tuple: equal
+    to brute force over the least members' shuffle set on every class pair
+    with m+n <= 7, and to the statistic's rule read off the Des histogram
+    on every class pair with m+n <= 8."""
+    rule = descent_rule(stat)
+    for (m, n, mask_pi, mask_sigma), (histogram, members) in class_pair_histograms.items():
+        dist = class_pair_distributions(stat, m, n)(mask_pi, mask_sigma)
+        if members is not None:
+            assert dist == distribution(stat, members), (m, n, mask_pi, mask_sigma)
+        by_rule = Counter()
+        for mask, count in histogram.items():
+            by_rule[rule(mask, m + n)] += count
+        assert dist == by_rule, (m, n, mask_pi, mask_sigma)
+
+
+@pytest.mark.parametrize("stat", DESCENT_STATS, ids=format_stat)
+def test_class_pair_distributions_commute(stat):
+    """Swapping the operands' roles changes no distribution: Des is shuffle
+    compatible, so pi ш sigma and sigma ш pi have equal statistic
+    distributions, on every class pair with m+n <= 8.  Needs no
+    enumeration, and reads each DP from both ends."""
+    for m, n, mask_pi, mask_sigma in _class_pairs(8):
+        forward = class_pair_distributions(stat, m, n)(mask_pi, mask_sigma)
+        assert forward == class_pair_distributions(stat, n, m)(mask_sigma, mask_pi), (
+            m, n, mask_pi, mask_sigma)
+
+
+def test_class_pair_distributions_refuse_other_statistics():
+    """Refused before any table is built or cached, whatever the id."""
+    for stat, message in ((["maj"], "must be a name or tuple"), ("nope", "unknown statistic"),
+                          ("inv", "not a descent statistic"),
+                          (("maj", "inv"), "not a descent statistic")):
+        with pytest.raises(ValueError, match=message):
+            class_pair_distributions(stat, 2, 2)
 
 
 @pytest.mark.parametrize("stat", DESCENT_STATS, ids=format_stat)

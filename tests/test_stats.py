@@ -8,7 +8,12 @@ from hypothesis import given
 import oracles
 from shufbij.perm import least_with_descent_set, perm_with_descent_set, standardize
 from shufbij.stats import (
+    FALL,
+    NONE,
+    RISE,
     STATISTICS,
+    MarkTable,
+    StatDef,
     asc_set,
     biruns,
     chi_minus,
@@ -272,3 +277,24 @@ def test_tuple_rule_reads_components_in_order():
         descent_rule("inv")
     with pytest.raises(ValueError, match=r"^\(maj,inv\) is not a descent statistic$"):
         descent_rule(("maj", "inv"))
+
+
+def test_every_mark_table_compiles_to_its_marks():
+    """A rule compiled from any mark table (each of the 512 sets of step
+    pairs, with every pair of end steps) marks exactly the positions whose
+    (step i-1, step i) is in the table, read off the step word built
+    position by position, on every descent bitmask of length 0-5."""
+    steps = (RISE, FALL, NONE)
+    pairs = [(p, s) for p in steps for s in steps]
+    for bits in range(1 << len(pairs)):
+        marks = frozenset(pair for k, pair in enumerate(pairs) if bits >> k & 1)
+        for left in steps:
+            for right in steps:
+                table = MarkTable(marks, "set", left, right)
+                rule = StatDef(table).rule
+                for length in range(6):
+                    for mask in range(0, 1 << length, 2):
+                        word = [left, *(FALL if mask >> d & 1 else RISE for d in range(1, length)),
+                                right]
+                        marked = {i for i in range(1, length + 1) if (word[i - 1], word[i]) in marks}
+                        assert rule(mask, length) == marked, (table, mask, length)
