@@ -30,6 +30,9 @@ from .stats import (
 )
 from .traces import ReductionTrace
 from .verify import (
+    DEFAULT_FULL_LIMIT,
+    DEFAULT_IDENTITY_LIMIT,
+    DEFAULT_REDUCED_LIMIT,
     DEFAULT_SHUFFLE_LIMIT,
     Report,
     _gate,
@@ -247,15 +250,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("reduced_pi", "reduced_sigma", "full"),
                    default="reduced_pi")
-    p.add_argument("--limit", type=int, default=None,
-                   help="override the size bound (default 7 reduced / 6 full)")
+    p.add_argument("--limit", type=int, default=None, help="override the size bound "
+                   f"(default {DEFAULT_REDUCED_LIMIT} reduced / {DEFAULT_FULL_LIMIT} full)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("identity", parents=[common], help="polynomial identity check")
     p.add_argument("which", choices=("maj", "maj_des", "word_base"))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=int, default=None,
+                   help=f"override the size bound (default {DEFAULT_IDENTITY_LIMIT})")
     p.set_defaults(func=_cmd_identity)
 
     p = sub.add_parser("counterexample", parents=[common],
@@ -268,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", help="only udr-pk-des is known")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=int, default=None,
+                   help=f"override the size bound (default {DEFAULT_REDUCED_LIMIT})")
     p.set_defaults(func=_cmd_conjecture)
 
     return parser

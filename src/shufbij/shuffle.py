@@ -11,9 +11,9 @@ for a descent at d, :func:`~shufbij.stats.descent_mask`) and lengths.
 :func:`class_pair_distributions` computes it for a class pair by one
 transfer-matrix DP over (a's placed, last letter), without listing a
 word.  Each state counts packed keys that carry every component's partial
-value, read off the statistic's mark tables (:class:`~shufbij.stats.MarkTable`)
-as each step is decided: a handful of keys for ``pk`` or ``maj``, the
-whole descent bitmask for ``Des``, whose instance is :func:`des_histogram`.
+value, moved by the step deltas of :func:`~shufbij.stats.value_dp` as
+each step is decided: a handful of keys for ``pk`` or ``maj``, the whole
+descent bitmask for ``Des``, whose instance is :func:`des_histogram`.
 :func:`shuffle_distribution` serves one pair: by the DP for a descent
 statistic, by enumeration otherwise.
 
@@ -28,14 +28,11 @@ through the same driver as ``reduce.canonicalize``.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import NotAShuffleError
-from .perm import Perm, _check_disjoint, mask_positions
+from .perm import Perm, _check_disjoint
 from .stats import (
-    FALL,
-    RISE,
     Distribution,
     StatId,
     descent_mask,
@@ -43,6 +40,8 @@ from .stats import (
     is_descent_statistic,
     mark_tables,
     validate_stat,
+    value_dp,
+    walk,
 )
 from .traces import ReductionStep, ReductionTrace, run_reduction
 
@@ -75,87 +74,28 @@ def shuffles(pi: Perm, sigma: Perm) -> tuple[Perm, ...]:
     return tuple(iter_shuffles(pi, sigma))
 
 
-@lru_cache(maxsize=256)
-def _value_dp(stat: StatId, length: int):
-    """The packed-key DP of a descent statistic over words of ``length``:
-    ``(start, steps, decode)``, built from its mark tables.
-
-    A key packs each component's partial value in a field of its own: a
-    mark at position i adds 1 << i to a set field, 1 to a count and i to a
-    sum.  Bit 0 holds whether the last step fell, when some interior mark
-    reads the step before it.  ``steps[t]`` is the pair of key deltas of a
-    falling and of a rising step t, each indexed by that bit: step t marks
-    position t, and the last step the last position too.  ``start`` is the
-    key before any step, and ``decode`` reads a final key as the value.
-    Built once per statistic and length, and kept.
-    """
-    tables = mark_tables(stat)
-    reads_prev = any(
-        ((RISE, s) in table.marks) != ((FALL, s) in table.marks)
-        for table in tables for s in (RISE, FALL)
-    )
-    fields, offset = [], int(reads_prev)  # (table, offset, width mask)
-    for table in tables:
-        top = {"set": 1 << length, "count": length, "sum": length * (length + 1) // 2}
-        width = top[table.output].bit_length()
-        fields.append((table, offset, (1 << width) - 1))
-        offset += width
-
-    def marked(i, prev, step):  # the key increment of position i's marks
-        return sum(
-            {"set": 1 << i, "count": 1, "sum": i}[table.output] << offset
-            for table, offset, _ in fields
-            if (table.left if i == 1 else prev, table.right if i == length else step) in table.marks
-        )
-
-    steps = (None, *(
-        tuple(
-            tuple(
-                marked(t, prev, step) + (t == length - 1 and marked(length, step, None))
-                + reads_prev * ((step == FALL) - (prev == FALL))
-                for prev in (RISE, FALL)
-            )
-            for step in (FALL, RISE)
-        )
-        for t in range(1, length)
-    ))
-
-    def reader(table, offset, width):
-        if table.output == "set":
-            return lambda key: mask_positions(key >> offset & width)
-        return lambda key: key >> offset & width
-
-    readers = [reader(*field) for field in fields]
-    decode = readers[0] if isinstance(stat, str) else (
-        lambda key: tuple(read(key) for read in readers))
-    start = marked(1, None, None) if length == 1 else 0
-    return start, steps, lru_cache(maxsize=1 << 10)(decode)
-
-
 def _value_counts(dp, mask_pi: int, mask_sigma: int, m: int, n: int) -> dict:
     """Packed keys with their counts over the shuffle set of any pi on [m]
     with descent bitmask ``mask_pi`` and sigma on [n]+m with descent
-    bitmask ``mask_sigma``, by the DP ``dp`` of :func:`_value_dp`.
+    bitmask ``mask_sigma``, by the DP ``dp`` of :func:`~shufbij.stats.value_dp`.
 
     Every sigma entry exceeds every pi entry, so each step of an
     interleaving is fixed by its word: adjacent letters b, a fall, a, b
     rise, and a, a or b, b copy the step of the operand they come from.
     The transfer-matrix DP runs over the words letter by letter; its state
     is the number of a's placed and the last letter, and each state keeps
-    a count per key.
+    a count per key.  With an operand empty there is one word, the other
+    operand's, and the key is that of its rule (:func:`~shufbij.stats.walk`).
     """
+    if not m or not n:  # one interleaving, the other operand itself
+        return {walk(dp, mask_pi | mask_sigma): 1}
     start, steps, _ = dp
-    if not m or not n:  # one interleaving, the other operand itself: walk its steps
-        key, mask = start, mask_pi | mask_sigma
-        for t in range(1, m + n):
-            key += steps[t][not mask >> t & 1][key & 1]
-        return {key: 1}
     # ends_a[i] / ends_b[i]: counts of the words with i a's placed that end
     # in a / in b.  Each state feeds the two states of the next layer that
     # fit in (m, n), and is dropped once read.
     ends_a, ends_b = {1: {start: 1}}, {0: {start: 1}}
     for t in range(1, m + n):  # t letters placed; the next step is step t
-        fall, rise = steps[t]
+        rise, fall = steps[t]
         moves = []  # (counts, next layer: 1 for a, a's placed, key deltas)
         for i, counts in ends_a.items():  # a after a copies Des pi; b after a rises
             moves += [(counts, 1, i + 1, fall if mask_pi >> i & 1 else rise), (counts, 0, i, rise)]
@@ -193,18 +133,19 @@ def des_histogram(mask_pi: int, mask_sigma: int, m: int, n: int) -> dict[int, in
     Equals ``Counter(descent_mask(t) for t in shuffles(pi, sigma))``
     without listing a word.
     """
-    return _value_counts(_value_dp("Des", m + n), mask_pi, mask_sigma, m, n)
+    return _value_counts(value_dp(mark_tables("Des"), True, m + n), mask_pi, mask_sigma, m, n)
 
 
 def class_pair_distributions(stat: StatId, m: int, n: int):
     """``dist_of(mask_pi, mask_sigma)``: the distribution of a descent
     statistic over the shuffle set of a class pair, pi on [m] and sigma on
     [n]+m with those descent bitmasks.  One DP (:func:`_value_counts`)
-    carries each component's partial value in a packed key.  The decoded
-    values of the last 1024 final keys are kept across calls and class
-    pairs: a sweep meets the same keys in every class pair, while one class
-    pair of ``Des`` at 9+9 has over 20,000."""
-    dp = _value_dp(validate_stat(stat), m + n)
+    carries each component's partial value in a packed key, with the step
+    deltas and the decode that the statistic's rule walks over one word.
+    The decode keeps the values of its last 1024 final keys across calls
+    and class pairs: a sweep meets the same keys in every class pair, while
+    one class pair of ``Des`` at 9+9 has over 20,000."""
+    dp = value_dp(mark_tables(stat), isinstance(stat, str), m + n)
     decode = dp[2]
 
     def dist_of(mask_pi: int, mask_sigma: int) -> Distribution:

@@ -11,22 +11,24 @@ defined once, by a :class:`MarkTable`: step i joins positions i and i+1
 and is a rise or a fall (steps 0 and ``length`` join a sentinel, or are
 *none* when that end has none), position i is marked when the pair (step
 i-1, step i) is in the table, and the value is the set of marked
-positions, their count or their sum.  :attr:`StatDef.rule` compiles the
-table once into a few bit operations on the descent bitmask (bit d set
-when position d is a descent, :func:`descent_mask`); :func:`evaluate`
-computes the bitmask of a permutation once and reads every component
-through its rule, and the named functions (:func:`des_set`, :func:`maj`,
-:func:`peak_family`, ...) do the same for one statistic.  The shuffle-set
-engine (:mod:`shufbij.shuffle`) reads the tables themselves, adding each
-mark as its transfer-matrix DP decides a step.  Only ``inv`` has code of
-its own on a permutation.
+positions, their count or their sum.  :func:`value_dp` is the one reader
+of a table's fields: it packs every component's partial value into one
+integer key and gives the key's delta at each step.  The shuffle-set
+engine (:mod:`shufbij.shuffle`) runs it over the words of two operands;
+a permutation is the one-word case, so :attr:`StatDef.rule` walks the key
+over the descent bitmask (bit d set when position d is a descent,
+:func:`descent_mask`) and decodes it.  :func:`evaluate` computes the
+bitmask of a permutation once and reads it through the statistic's rule,
+all components of a tuple in one walk, and the named functions
+(:func:`des_set`, :func:`maj`, :func:`peak_family`, ...) do the same for
+one statistic.  Only ``inv`` has code of its own on a permutation.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
 from .perm import Perm, mask_positions
@@ -72,81 +74,83 @@ class MarkTable(NamedTuple):
     right: str = NONE
 
 
-# The gate that marks the interior positions, by its inputs (step i-1
-# falls, step i falls), over the descent word W: bit i of ``W << 1`` is
-# step i-1 and bit i of ``W`` is step i.  One form per input pair, and
-# shorter ones for the gates the catalog uses.
-_MINTERMS = {(0, 0): "~(W | W << 1)", (0, 1): "W & ~(W << 1)", (1, 0): "W << 1 & ~W",
-             (1, 1): "W & W << 1"}
-_SHORT_GATES = {frozenset({(0, 1), (1, 1)}): "W", frozenset({(0, 0), (1, 0)}): "~W",
-                frozenset({(0, 1), (1, 0)}): "(W ^ W << 1)"}
-# The body of ``rule(mask, length)`` for each output, on the marked positions.
-_READ = {
-    "set": "return positions({})",
-    "count": "return ({}).bit_count()",
-    "sum": """marks, total = {}, 0
-    while marks:
-        low = marks & -marks
-        total += low.bit_length() - 1
-        marks ^= low
-    return total""",
-}
+@lru_cache(maxsize=256)
+def value_dp(tables: tuple[MarkTable, ...], single: bool, length: int):
+    """The packed-key DP of the statistic with mark tables ``tables`` (one
+    value when ``single``, a tuple of them otherwise) over step words of a
+    permutation of ``length``: ``(start, steps, decode)``.
 
-
-def _end_term(steps: list, word: str, bit: str) -> list:
-    """The mark of an end position that the gate cannot read, at ``bit``
-    where ``word`` holds its inner step and that step is in ``steps``."""
-    if len(steps) < 2:
-        return [f"{'~' * (steps == [RISE])}{word} & {bit}"] if steps else []
-    return [bit]
-
-
-def _rule_source(table: MarkTable) -> str:
-    """The source of ``rule(mask, length)``: the marked positions as few
-    bit operations on the descent bitmask as the table needs, read out as
-    the table's output.
-
-    The descent word W is the bitmask with a falling sentinel step set (bit
-    0 for step 0, bit ``length`` for the last step), and one gate of ``W <<
-    1`` and ``W`` marks each position both of whose steps it reads.  A
-    missing sentinel reads as a rise where that changes no mark; otherwise
-    its end position is cut out of the gate's window and takes a term of
-    its own.  The window is cut only where the gate could set a bit
-    outside it, and lengths 0 and 1 are guarded only where the formula
-    misreads them.
+    A key packs each component's partial value in a field of its own: a
+    mark at position i adds 1 << i to a set field, 1 to a count and i to a
+    sum.  Bit 0 holds whether the last step fell, when some interior mark
+    reads the step before it.  ``steps[t]`` is the pair of key deltas of a
+    rising and of a falling step t, each indexed by that bit: step t marks
+    position t, and the last step the last position too.  ``start`` is the
+    key before any step, and ``decode`` reads a final key as the value.
+    This is the one reader of a table's fields; built once per tables and
+    length, and kept.
     """
-    marks, both = table.marks, (RISE, FALL)
-    left, right = table.left, table.right
-    if left == NONE and all(((NONE, s) in marks) == ((RISE, s) in marks) for s in both):
-        left = RISE
-    if right == NONE and all(((p, NONE) in marks) == ((p, RISE) in marks) for p in both):
-        right = RISE
-    first = [s for s in both if (NONE, s) in marks] if left == NONE else []
-    last = [p for p in both if (p, NONE) in marks] if right == NONE else []
-    gate = frozenset((int(p == FALL), int(s == FALL)) for p, s in marks if NONE not in (p, s))
-    fall_0, fall_end = int(left == FALL), int(right == FALL)
-    # The gate's inputs at the bits below its window, and above it.
-    below = {(0, fall_0)} | ({(0, 0), (0, 1)} if left == NONE and len(first) < 2 else set())
-    above = {(fall_end, 0), (0, 0)} | ({(1, 0)} if right == NONE and len(last) < 2 else set())
-    parts = _end_term(first, "mask", "2") + _end_term(last, "mask << 1", "1 << length")
-    if gate:
-        source = _SHORT_GATES.get(gate) or "(" + " | ".join(_MINTERMS[g] for g in sorted(gate)) + ")"
-        word = "mask" + " | 1" * fall_0 + " | 1 << length" * fall_end
-        if word != "mask":  # bind the extended word once
-            source = source.replace("W", f"(w := {word})", 1)
-        source = source.replace("W", "mask" if word == "mask" else "w")
-        low, top = 4 if left == NONE else 2, "(1 << length)" if right == NONE else "(2 << length)"
-        if gate & below:
-            source += f" & ({top} - {low})" if gate & above else f" & -{low}"
-        elif gate & above:
-            source += f" & ({top} - 1)"
-        parts.insert(0, source)
-    source = " | ".join(parts) or "0"
-    alone = (table.left, table.right) in marks  # length 1: position 1 between the ends
-    probe = eval(f"lambda mask, length: {source}")
-    if probe(0, 0) or probe(0, 1) != 2 * alone:
-        source = f"{source} if length > 1 else {'length << 1' if alone else 0}"
-    return f"def rule(mask, length):\n    {_READ[table.output].format(source)}\n"
+    reads_prev = any(
+        ((RISE, s) in table.marks) != ((FALL, s) in table.marks)
+        for table in tables for s in (RISE, FALL)
+    )
+    fields, offset = [], int(reads_prev)  # (table, offset, width mask)
+    for table in tables:
+        top = {"set": 1 << length, "count": length, "sum": length * (length + 1) // 2}
+        width = top[table.output].bit_length()
+        fields.append((table, offset, (1 << width) - 1))
+        offset += width
+
+    def marked(i, prev, step):  # the key increment of position i's marks
+        return sum(
+            {"set": 1 << i, "count": 1, "sum": i}[table.output] << offset
+            for table, offset, _ in fields
+            if (table.left if i == 1 else prev, table.right if i == length else step) in table.marks
+        )
+
+    steps = (None, *(
+        tuple(
+            tuple(
+                marked(t, prev, step) + (t == length - 1 and marked(length, step, None))
+                + reads_prev * ((step == FALL) - (prev == FALL))
+                for prev in (RISE, FALL)
+            )
+            for step in (RISE, FALL)
+        )
+        for t in range(1, length)
+    ))
+
+    def reader(table, offset, width):
+        if table.output == "set":
+            return lambda key: mask_positions(key >> offset & width)
+        return lambda key: key >> offset & width
+
+    readers = [reader(*field) for field in fields]
+    decode = readers[0] if single else lambda key: tuple([read(key) for read in readers])
+    start = marked(1, None, None) if length == 1 else 0
+    return start, steps, lru_cache(maxsize=1 << 10)(decode)
+
+
+def walk(dp, mask: int) -> int:
+    """The final key of the DP ``dp`` (:func:`value_dp`) over the one word
+    of a permutation with descent bitmask ``mask``, of the DP's length."""
+    key, steps, _ = dp
+    for step in steps[1:]:  # step t reads bit t
+        mask >>= 1
+        key += step[mask & 1][key & 1]
+    return key
+
+
+def _rule(tables: tuple[MarkTable, ...], single: bool) -> Callable[[int, int], StatValue]:
+    """``rule(mask, length)``: the DP of ``tables`` walked over one word and
+    decoded, its last 1024 values kept."""
+
+    @lru_cache(maxsize=1 << 10)
+    def rule(mask: int, length: int) -> StatValue:
+        dp = value_dp(tables, single, length)
+        return dp[2](walk(dp, mask))
+
+    return rule
 
 
 class StatDef:
@@ -159,13 +163,10 @@ class StatDef:
 
     @cached_property
     def rule(self) -> Optional[Callable[[int, int], StatValue]]:
-        """``rule(mask, length)``: the value read off the descent bitmask of
-        a permutation of ``length``, compiled from the table on first use."""
-        if self.table is None:
-            return None
-        namespace = {"positions": mask_positions}
-        exec(_rule_source(self.table), namespace)
-        return namespace["rule"]
+        """``rule(mask, length)``: the value on a permutation of ``length``
+        with descent bitmask ``mask``, read by :func:`value_dp` over its
+        one word."""
+        return None if self.table is None else _rule((self.table,), True)
 
     @property
     def integer_valued(self) -> bool:
@@ -320,37 +321,39 @@ def is_integer_valued(stat: StatId) -> bool:
 
 def evaluate(stat: StatId, pi: Perm) -> StatValue:
     """Evaluate a statistic; tuple ids evaluate componentwise in order.  The
-    descent bitmask of ``pi`` is computed once and every descent statistic
-    is read off it through its rule."""
+    descent bitmask of ``pi`` is computed once and read by the statistic's
+    rule; a tuple of descent statistics reads all its components in one
+    walk, and a tuple containing ``inv`` reads them one by one."""
     stat = validate_stat(stat)
     if stat == "inv":
         return inv(pi)
     mask, length = descent_mask(pi), len(pi)
     if isinstance(stat, str):
         return STATISTICS[stat].rule(mask, length)
+    if "inv" not in stat:
+        return _tuple_rule(stat)(mask, length)
     return tuple(
         inv(pi) if name == "inv" else STATISTICS[name].rule(mask, length) for name in stat
     )
 
 
-def _descent_components(stat: StatId) -> list[StatDef]:
+def mark_tables(stat: StatId) -> tuple[MarkTable, ...]:
+    """The mark tables of a descent statistic's components, in order."""
     if not is_descent_statistic(stat):
         raise ValueError(f"{format_stat(stat)} is not a descent statistic")
-    return [STATISTICS[name] for name in ((stat,) if isinstance(stat, str) else stat)]
+    return tuple(STATISTICS[name].table for name in ((stat,) if isinstance(stat, str) else stat))
+
+
+@lru_cache(maxsize=256)
+def _tuple_rule(stat: tuple) -> Callable[[int, int], StatValue]:
+    return _rule(mark_tables(stat), False)
 
 
 def descent_rule(stat: StatId) -> Callable[[int, int], StatValue]:
     """The rule ``(mask, length) -> value`` of a descent statistic; a tuple
-    id reads its components off the same mask, in order."""
-    rules = [defn.rule for defn in _descent_components(stat)]
-    if isinstance(stat, str):
-        return rules[0]
-    return lambda mask, length: tuple(rule(mask, length) for rule in rules)
-
-
-def mark_tables(stat: StatId) -> tuple[MarkTable, ...]:
-    """The mark tables of a descent statistic's components, in order."""
-    return tuple(defn.table for defn in _descent_components(stat))
+    id reads its components off one packed key, in order."""
+    mark_tables(stat)  # refuses what is not a descent statistic
+    return STATISTICS[stat].rule if isinstance(stat, str) else _tuple_rule(stat)
 
 
 def distribution(stat: StatId, perms: Iterable[Perm]) -> Distribution:

@@ -122,6 +122,19 @@ def test_verify_limit_refusal_exits_2(capsys):
     assert "--limit" in err and "SHUFBIJ_MAX_TOTAL" in err
 
 
+def test_limit_help_names_the_default_bounds(capsys, monkeypatch):
+    """Each --limit help is built from the bound it falls back to, so it
+    follows a raised default."""
+    for name, value in (("REDUCED", 11), ("FULL", 9), ("IDENTITY", 12)):
+        monkeypatch.setattr(cli, f"DEFAULT_{name}_LIMIT", value)
+    assert [" ".join(run_cli(capsys, command, "--help")[1].split()).rpartition("--limit LIMIT ")[2]
+            for command in ("verify", "identity", "conjecture")] == [
+        "override the size bound (default 11 reduced / 9 full)",
+        "override the size bound (default 12)",
+        "override the size bound (default 11)",
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

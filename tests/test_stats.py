@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import permutations
 
@@ -269,6 +270,26 @@ def test_descent_rule_matches_oracles_on_class_extremes(name):
                 assert rule(mask, length) == _oracle_value(name, pi), (name, pi)
 
 
+CATALOG_TUPLES = [("maj", "des"), ("udr", "pk"), ("udr", "pk", "des"), ("biruns", "des")]
+
+
+def test_evaluate_matches_oracles_at_lengths_11_to_20():
+    """Past the exhaustive range, up to length 20 where the packed key is
+    widest: seeded permutations of every length 11-20, every descent
+    statistic, the catalog tuples and a 1-tuple, which stays a tuple."""
+    rng = random.Random(20261018)
+    for length in range(11, 20 + 1):
+        for _ in range(25):
+            pi = tuple(rng.sample(range(1, length + 1), length))
+            for name in DESCENT_NAMES:
+                value, expected = evaluate(name, pi), _oracle_value(name, pi)
+                assert value == expected and type(value) is type(expected), (name, pi)
+            for stat in [*CATALOG_TUPLES, ("maj",)]:
+                value = evaluate(stat, pi)
+                expected = tuple(_oracle_value(name, pi) for name in stat)
+                assert value == expected and type(value) is tuple, (stat, pi)
+
+
 def test_tuple_rule_reads_components_in_order():
     rule = descent_rule(("maj", "Pk", "des"))
     pi = (2, 1, 5, 7, 3, 6, 4)
@@ -280,21 +301,25 @@ def test_tuple_rule_reads_components_in_order():
 
 
 def test_every_mark_table_compiles_to_its_marks():
-    """A rule compiled from any mark table (each of the 512 sets of step
-    pairs, with every pair of end steps) marks exactly the positions whose
-    (step i-1, step i) is in the table, read off the step word built
-    position by position, on every descent bitmask of length 0-5."""
+    """The rule of any mark table (each of the 512 sets of step pairs, with
+    every pair of end steps and every output) reads exactly the positions
+    whose (step i-1, step i) is in the table, as their set, count or sum,
+    off the step word built position by position, on every descent bitmask
+    of length 0-5."""
     steps = (RISE, FALL, NONE)
     pairs = [(p, s) for p in steps for s in steps]
+    outputs = {"set": frozenset, "count": len, "sum": sum}
     for bits in range(1 << len(pairs)):
         marks = frozenset(pair for k, pair in enumerate(pairs) if bits >> k & 1)
         for left in steps:
             for right in steps:
-                table = MarkTable(marks, "set", left, right)
-                rule = StatDef(table).rule
+                rules = {output: StatDef(MarkTable(marks, output, left, right)).rule
+                         for output in outputs}
                 for length in range(6):
                     for mask in range(0, 1 << length, 2):
                         word = [left, *(FALL if mask >> d & 1 else RISE for d in range(1, length)),
                                 right]
                         marked = {i for i in range(1, length + 1) if (word[i - 1], word[i]) in marks}
-                        assert rule(mask, length) == marked, (table, mask, length)
+                        for output, read in outputs.items():
+                            assert rules[output](mask, length) == read(marked), (
+                                marks, output, left, right, mask, length)
