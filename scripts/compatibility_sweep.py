@@ -18,7 +18,7 @@ from shufbij.stats import STATISTICS, format_stat
 from shufbij.verify import DEFAULT_REDUCED_LIMIT, check_compatibility
 
 TUPLES = (("maj", "des"), ("udr", "pk"), ("udr", "pk", "des"))
-CATALOG = [name for name, d in STATISTICS.items() if d.descent_statistic] + list(TUPLES)
+CATALOG = [name for name, table in STATISTICS.items() if table] + list(TUPLES)
 
 
 def main() -> int:

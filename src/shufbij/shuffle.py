@@ -133,7 +133,7 @@ def des_histogram(mask_pi: int, mask_sigma: int, m: int, n: int) -> dict[int, in
     Equals ``Counter(descent_mask(t) for t in shuffles(pi, sigma))``
     without listing a word.
     """
-    return _value_counts(value_dp(mark_tables("Des"), True, m + n), mask_pi, mask_sigma, m, n)
+    return _value_counts(value_dp(mark_tables("Des"), m + n), mask_pi, mask_sigma, m, n)
 
 
 def class_pair_distributions(stat: StatId, m: int, n: int):
@@ -145,7 +145,7 @@ def class_pair_distributions(stat: StatId, m: int, n: int):
     The decode keeps the values of its last 1024 final keys across calls
     and class pairs: a sweep meets the same keys in every class pair, while
     one class pair of ``Des`` at 9+9 has over 20,000."""
-    dp = value_dp(mark_tables(stat), isinstance(stat, str), m + n)
+    dp = value_dp(mark_tables(stat), m + n)
     decode = dp[2]
 
     def dist_of(mask_pi: int, mask_sigma: int) -> Distribution:

@@ -11,24 +11,25 @@ defined once, by a :class:`MarkTable`: step i joins positions i and i+1
 and is a rise or a fall (steps 0 and ``length`` join a sentinel, or are
 *none* when that end has none), position i is marked when the pair (step
 i-1, step i) is in the table, and the value is the set of marked
-positions, their count or their sum.  :func:`value_dp` is the one reader
-of a table's fields: it packs every component's partial value into one
-integer key and gives the key's delta at each step.  The shuffle-set
-engine (:mod:`shufbij.shuffle`) runs it over the words of two operands;
-a permutation is the one-word case, so :attr:`StatDef.rule` walks the key
-over the descent bitmask (bit d set when position d is a descent,
-:func:`descent_mask`) and decodes it.  :func:`evaluate` computes the
-bitmask of a permutation once and reads it through the statistic's rule,
-all components of a tuple in one walk, and the named functions
-(:func:`des_set`, :func:`maj`, :func:`peak_family`, ...) do the same for
-one statistic.  Only ``inv`` has code of its own on a permutation.
+positions, their count or their sum; :data:`STATISTICS` maps ``inv`` to
+None.  :func:`value_dp` is the one reader of a table's fields: it packs
+every component's partial value into one integer key and gives the key's
+delta at each step.  The shuffle-set engine (:mod:`shufbij.shuffle`)
+runs it over the words of two operands; a permutation is the one-word
+case, so :func:`descent_rule`, the one rule of a statistic id, walks the
+key over the descent bitmask (bit d set when position d is a descent,
+:func:`descent_mask`) and decodes it.  :func:`evaluate` and the named
+functions (:func:`des_set`, :func:`maj`, :func:`peak_family`, ...)
+compute the bitmask of a permutation once and read it through that rule,
+all components of a tuple in one walk.  Only ``inv`` has code of its own
+on a permutation.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
 from .perm import Perm, mask_positions
@@ -75,10 +76,11 @@ class MarkTable(NamedTuple):
 
 
 @lru_cache(maxsize=256)
-def value_dp(tables: tuple[MarkTable, ...], single: bool, length: int):
+def value_dp(tables: Union[MarkTable, tuple[MarkTable, ...]], length: int):
     """The packed-key DP of the statistic with mark tables ``tables`` (one
-    value when ``single``, a tuple of them otherwise) over step words of a
-    permutation of ``length``: ``(start, steps, decode)``.
+    value for a :class:`MarkTable`, a tuple of values for a tuple of them)
+    over step words of a permutation of ``length``: ``(start, steps,
+    decode)``.
 
     A key packs each component's partial value in a field of its own: a
     mark at position i adds 1 << i to a set field, 1 to a count and i to a
@@ -90,6 +92,8 @@ def value_dp(tables: tuple[MarkTable, ...], single: bool, length: int):
     This is the one reader of a table's fields; built once per tables and
     length, and kept.
     """
+    single = isinstance(tables, MarkTable)
+    tables = (tables,) if single else tables
     reads_prev = any(
         ((RISE, s) in table.marks) != ((FALL, s) in table.marks)
         for table in tables for s in (RISE, FALL)
@@ -141,103 +145,58 @@ def walk(dp, mask: int) -> int:
     return key
 
 
-def _rule(tables: tuple[MarkTable, ...], single: bool) -> Callable[[int, int], StatValue]:
-    """``rule(mask, length)``: the DP of ``tables`` walked over one word and
-    decoded, its last 1024 values kept."""
-
-    @lru_cache(maxsize=1 << 10)
-    def rule(mask: int, length: int) -> StatValue:
-        dp = value_dp(tables, single, length)
-        return dp[2](walk(dp, mask))
-
-    return rule
-
-
-class StatDef:
-    """A catalog entry: a descent statistic's one definition, its mark
-    table, or None for ``inv``, the one statistic that is not a descent
-    statistic."""
-
-    def __init__(self, table: Optional[MarkTable]):
-        self.table = table
-
-    @cached_property
-    def rule(self) -> Optional[Callable[[int, int], StatValue]]:
-        """``rule(mask, length)``: the value on a permutation of ``length``
-        with descent bitmask ``mask``, read by :func:`value_dp` over its
-        one word."""
-        return None if self.table is None else _rule((self.table,), True)
-
-    @property
-    def integer_valued(self) -> bool:
-        return self.table is None or self.table.output != "set"
-
-    @property
-    def descent_statistic(self) -> bool:
-        return self.table is not None
-
-
-def _stat(marks, output: str = "set", left: str = NONE, right: str = NONE) -> StatDef:
-    return StatDef(MarkTable(frozenset(marks), output, left, right))
-
-
-_FALLS = {(p, FALL) for p in (RISE, FALL, NONE)}
-_RISES = {(p, RISE) for p in (RISE, FALL, NONE)}
-_PEAK, _VALLEY = {(RISE, FALL)}, {(FALL, RISE)}
+_FALLS = frozenset((p, FALL) for p in (RISE, FALL, NONE))
+_RISES = frozenset((p, RISE) for p in (RISE, FALL, NONE))
+_PEAK, _VALLEY = frozenset({(RISE, FALL)}), frozenset({(FALL, RISE)})
 # The last position of every maximal monotone run: each turn, and the end.
-_RUN_ENDS = {(RISE, FALL), (FALL, RISE), (RISE, NONE), (FALL, NONE), (NONE, NONE)}
+_RUN_ENDS = frozenset({(RISE, FALL), (FALL, RISE), (RISE, NONE), (FALL, NONE), (NONE, NONE)})
 
 # A low sentinel makes step 0 rise and the last step fall; a high one, as
 # the valley family has, the reverse.
-STATISTICS: dict[str, StatDef] = {
-    "Des": _stat(_FALLS),
-    "des": _stat(_FALLS, "count"),
-    "Asc": _stat(_RISES),
-    "asc": _stat(_RISES, "count"),
-    "maj": _stat(_FALLS, "sum"),
-    "inv": StatDef(None),
-    "Pk": _stat(_PEAK),
-    "pk": _stat(_PEAK, "count"),
-    "Val": _stat(_VALLEY),
-    "val": _stat(_VALLEY, "count"),
-    "Lpk": _stat(_PEAK, left=RISE),
-    "lpk": _stat(_PEAK, "count", left=RISE),
-    "Rpk": _stat(_PEAK, right=FALL),
-    "rpk": _stat(_PEAK, "count", right=FALL),
-    "Epk": _stat(_PEAK, left=RISE, right=FALL),
-    "epk": _stat(_PEAK, "count", left=RISE, right=FALL),
-    "Lval": _stat(_VALLEY, left=FALL),
-    "lval": _stat(_VALLEY, "count", left=FALL),
-    "Rval": _stat(_VALLEY, right=RISE),
-    "rval": _stat(_VALLEY, "count", right=RISE),
-    "Eval": _stat(_VALLEY, left=FALL, right=RISE),
-    "eval": _stat(_VALLEY, "count", left=FALL, right=RISE),
-    "chi_minus": _stat({(NONE, FALL)}, "count"),
-    "chi_plus": _stat({(RISE, NONE)}, "count"),
+STATISTICS: dict[str, Optional[MarkTable]] = {
+    "Des": MarkTable(_FALLS),
+    "des": MarkTable(_FALLS, "count"),
+    "Asc": MarkTable(_RISES),
+    "asc": MarkTable(_RISES, "count"),
+    "maj": MarkTable(_FALLS, "sum"),
+    "inv": None,
+    "Pk": MarkTable(_PEAK),
+    "pk": MarkTable(_PEAK, "count"),
+    "Val": MarkTable(_VALLEY),
+    "val": MarkTable(_VALLEY, "count"),
+    "Lpk": MarkTable(_PEAK, left=RISE),
+    "lpk": MarkTable(_PEAK, "count", left=RISE),
+    "Rpk": MarkTable(_PEAK, right=FALL),
+    "rpk": MarkTable(_PEAK, "count", right=FALL),
+    "Epk": MarkTable(_PEAK, left=RISE, right=FALL),
+    "epk": MarkTable(_PEAK, "count", left=RISE, right=FALL),
+    "Lval": MarkTable(_VALLEY, left=FALL),
+    "lval": MarkTable(_VALLEY, "count", left=FALL),
+    "Rval": MarkTable(_VALLEY, right=RISE),
+    "rval": MarkTable(_VALLEY, "count", right=RISE),
+    "Eval": MarkTable(_VALLEY, left=FALL, right=RISE),
+    "eval": MarkTable(_VALLEY, "count", left=FALL, right=RISE),
+    "chi_minus": MarkTable(frozenset({(NONE, FALL)}), "count"),
+    "chi_plus": MarkTable(frozenset({(RISE, NONE)}), "count"),
     # a low value prepended: step 0 rises
-    "udr": _stat(_RUN_ENDS, "count", left=RISE),
-    "biruns": _stat(_RUN_ENDS, "count"),
+    "udr": MarkTable(_RUN_ENDS, "count", left=RISE),
+    "biruns": MarkTable(_RUN_ENDS, "count"),
 }
-
-
-def _read(name: str, pi: Perm) -> StatValue:
-    """The descent statistic ``name`` of ``pi``, read through its rule."""
-    return STATISTICS[name].rule(descent_mask(pi), len(pi))
 
 
 def des_set(pi: Perm) -> frozenset[int]:
     """Positions i with pi_i > pi_{i+1}."""
-    return _read("Des", pi)
+    return descent_rule("Des")(descent_mask(pi), len(pi))
 
 
 def asc_set(pi: Perm) -> frozenset[int]:
     """Positions i with pi_i < pi_{i+1}."""
-    return _read("Asc", pi)
+    return descent_rule("Asc")(descent_mask(pi), len(pi))
 
 
 def maj(pi: Perm) -> int:
     """Sum of the descent positions."""
-    return _read("maj", pi)
+    return descent_rule("maj")(descent_mask(pi), len(pi))
 
 
 PEAK_VARIANTS = ("interior", "left", "right", "exterior")
@@ -248,7 +207,7 @@ _VALLEY_SETS = dict(zip(PEAK_VARIANTS, ("Val", "Lval", "Rval", "Eval")))
 def _family(names: dict[str, str], pi: Perm, variant: str) -> frozenset[int]:
     if variant not in names:
         raise ValueError(f"unknown peak variant {variant!r}")
-    return _read(names[variant], pi)
+    return descent_rule(names[variant])(descent_mask(pi), len(pi))
 
 
 def peak_family(pi: Perm, variant: str) -> frozenset[int]:
@@ -269,12 +228,12 @@ def valley_family(pi: Perm, variant: str) -> frozenset[int]:
 
 def chi_minus(pi: Perm) -> int:
     """1 when position 1 is a descent."""
-    return _read("chi_minus", pi)
+    return descent_rule("chi_minus")(descent_mask(pi), len(pi))
 
 
 def chi_plus(pi: Perm) -> int:
     """1 when the last position is an ascent."""
-    return _read("chi_plus", pi)
+    return descent_rule("chi_plus")(descent_mask(pi), len(pi))
 
 
 def biruns(pi: Perm) -> int:
@@ -283,12 +242,12 @@ def biruns(pi: Perm) -> int:
     Adjacent factors share an endpoint; for length >= 2 this equals the
     number of maximal constant runs in the ascent/descent pattern.
     """
-    return _read("biruns", pi)
+    return descent_rule("biruns")(descent_mask(pi), len(pi))
 
 
 def udr(pi: Perm) -> int:
     """Number of maximal monotone factors after a low value is prepended."""
-    return _read("udr", pi)
+    return descent_rule("udr")(descent_mask(pi), len(pi))
 
 
 def validate_stat(stat: StatId) -> StatId:
@@ -309,51 +268,60 @@ def validate_stat(stat: StatId) -> StatId:
 
 def is_descent_statistic(stat: StatId) -> bool:
     stat = validate_stat(stat)
-    if isinstance(stat, str):
-        return STATISTICS[stat].descent_statistic
-    return all(STATISTICS[name].descent_statistic for name in stat)
+    names = (stat,) if isinstance(stat, str) else stat
+    return all(STATISTICS[name] is not None for name in names)
 
 
 def is_integer_valued(stat: StatId) -> bool:
     stat = validate_stat(stat)
-    return isinstance(stat, str) and STATISTICS[stat].integer_valued
+    return isinstance(stat, str) and (STATISTICS[stat] is None or STATISTICS[stat].output != "set")
 
 
 def evaluate(stat: StatId, pi: Perm) -> StatValue:
-    """Evaluate a statistic; tuple ids evaluate componentwise in order.  The
-    descent bitmask of ``pi`` is computed once and read by the statistic's
-    rule; a tuple of descent statistics reads all its components in one
-    walk, and a tuple containing ``inv`` reads them one by one."""
-    stat = validate_stat(stat)
+    """Evaluate a statistic; tuple ids evaluate componentwise in order.  A
+    descent statistic, or a tuple of them, is read off the descent bitmask
+    of ``pi`` by its rule, all components in one walk; a tuple containing
+    ``inv`` reads its components one by one."""
     if stat == "inv":
         return inv(pi)
-    mask, length = descent_mask(pi), len(pi)
-    if isinstance(stat, str):
-        return STATISTICS[stat].rule(mask, length)
-    if "inv" not in stat:
-        return _tuple_rule(stat)(mask, length)
-    return tuple(
-        inv(pi) if name == "inv" else STATISTICS[name].rule(mask, length) for name in stat
-    )
+    if isinstance(stat, tuple) and "inv" in stat:
+        stat, mask, length = validate_stat(stat), descent_mask(pi), len(pi)
+        return tuple(inv(pi) if name == "inv" else descent_rule(name)(mask, length)
+                     for name in stat)
+    return descent_rule(stat)(descent_mask(pi), len(pi))  # descent_rule validates
 
 
-def mark_tables(stat: StatId) -> tuple[MarkTable, ...]:
-    """The mark tables of a descent statistic's components, in order."""
+def mark_tables(stat: StatId) -> Union[MarkTable, tuple[MarkTable, ...]]:
+    """The mark table of a descent statistic's name; the tuple of its
+    components' tables, in order, for a tuple id."""
     if not is_descent_statistic(stat):
         raise ValueError(f"{format_stat(stat)} is not a descent statistic")
-    return tuple(STATISTICS[name].table for name in ((stat,) if isinstance(stat, str) else stat))
+    return STATISTICS[stat] if isinstance(stat, str) else tuple(STATISTICS[name] for name in stat)
 
 
-@lru_cache(maxsize=256)
-def _tuple_rule(stat: tuple) -> Callable[[int, int], StatValue]:
-    return _rule(mark_tables(stat), False)
+_RULES: dict = {}  # validated statistic id -> its rule, for at most 256 ids
 
 
 def descent_rule(stat: StatId) -> Callable[[int, int], StatValue]:
-    """The rule ``(mask, length) -> value`` of a descent statistic; a tuple
-    id reads its components off one packed key, in order."""
-    mark_tables(stat)  # refuses what is not a descent statistic
-    return STATISTICS[stat].rule if isinstance(stat, str) else _tuple_rule(stat)
+    """The rule ``(mask, length) -> value`` of a descent statistic: the
+    :func:`value_dp` of its :func:`mark_tables` walked over one word and
+    decoded, all components of a tuple id off one packed key.  Built once
+    per validated id, it keeps its last 1024 values."""
+    try:
+        return _RULES[stat]
+    except (KeyError, TypeError):  # not built yet, or unhashable: refused below
+        pass
+    tables = mark_tables(stat)  # refuses what is not a descent statistic
+
+    @lru_cache(maxsize=1 << 10)
+    def rule(mask: int, length: int) -> StatValue:
+        dp = value_dp(tables, length)
+        return dp[2](walk(dp, mask))
+
+    if len(_RULES) == 256:
+        _RULES.clear()
+    _RULES[stat] = rule
+    return rule
 
 
 def distribution(stat: StatId, perms: Iterable[Perm]) -> Distribution:

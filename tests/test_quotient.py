@@ -53,7 +53,7 @@ from shufbij.verify import (
 MAX_TOTAL = 7
 SPLITS = [(m, total - m) for total in range(MAX_TOTAL + 1) for m in range(total + 1)]
 TUPLES = [("maj", "des"), ("udr", "pk"), ("udr", "pk", "des"), ("biruns", "des")]
-DESCENT_STATS = [name for name, d in STATISTICS.items() if d.descent_statistic] + TUPLES
+DESCENT_STATS = [name for name in STATISTICS if is_descent_statistic(name)] + TUPLES
 CATALOG = list(STATISTICS) + TUPLES + [("maj", "inv")]
 FULL_MAX_TOTAL = 6
 FULL_SPLITS = [(m, total - m) for total in range(FULL_MAX_TOTAL + 1) for m in range(total + 1)]

@@ -212,7 +212,7 @@ def test_normalize_pair_colliding_relabel_orders():
 
 
 def _descent_stat_names():
-    return [name for name, d in STATISTICS.items() if d.descent_statistic]
+    return [name for name, table in STATISTICS.items() if table]
 
 
 def test_normalize_trace_preserves_every_descent_statistic_exhaustive():

@@ -14,7 +14,6 @@ from shufbij.stats import (
     RISE,
     STATISTICS,
     MarkTable,
-    StatDef,
     asc_set,
     biruns,
     chi_minus,
@@ -34,6 +33,8 @@ from shufbij.stats import (
     peak_family,
     udr,
     valley_family,
+    value_dp,
+    walk,
 )
 
 RUNNING = (6, 8, 5, 9, 3, 4)  # the catalog's running example
@@ -154,8 +155,8 @@ def test_descent_statistic_flags():
 def test_descent_statistics_invariant_under_standardize(pi):
     target = [2 * v + 5 for v in range(len(pi))]
     moved = standardize(pi, target)
-    for name, defn in STATISTICS.items():
-        if defn.descent_statistic:
+    for name, table in STATISTICS.items():
+        if table:
             assert evaluate(name, pi) == evaluate(name, moved), name
 
 
@@ -169,8 +170,8 @@ def test_descent_statistics_determined_by_descent_set_exhaustive():
         for group in by_des.values():
             ref = group[0]
             for other in group[1:]:
-                for name, defn in STATISTICS.items():
-                    if defn.descent_statistic:
+                for name, table in STATISTICS.items():
+                    if table:
                         assert evaluate(name, ref) == evaluate(name, other)
     assert inv((1, 3, 2)) != inv((2, 3, 1))
     assert des_set((1, 3, 2)) == des_set((2, 3, 1))
@@ -209,7 +210,7 @@ def test_parse_and_format_stat():
         parse_stat("bogus")
 
 
-DESCENT_NAMES = [name for name, d in STATISTICS.items() if d.descent_statistic]
+DESCENT_NAMES = [name for name, table in STATISTICS.items() if table]
 
 
 def _mask(descents):
@@ -234,6 +235,7 @@ _ORACLE_VALUES = {
     "chi_plus": lambda pi: int(len(pi) >= 2 and len(pi) - 1 not in oracles.des_set_oracle(pi)),
     "udr": oracles.udr_oracle,
     "biruns": oracles.biruns_oracle,
+    "inv": oracles.inv_oracle,
 }
 
 
@@ -259,7 +261,7 @@ def test_descent_rule_matches_evaluate_exhaustive(name):
 
 @pytest.mark.parametrize("name", DESCENT_NAMES)
 def test_descent_rule_matches_oracles_on_class_extremes(name):
-    rule = STATISTICS[name].rule
+    rule = descent_rule(name)
     for length in range(10 + 1):
         ground = range(1, length + 1)
         for mask in range(0, 1 << length, 2):  # bit 0 is never a position
@@ -300,12 +302,37 @@ def test_tuple_rule_reads_components_in_order():
         descent_rule(("maj", "inv"))
 
 
+def test_malformed_ids_are_refused_before_any_rule_is_cached():
+    """A rule is built only for a validated id: an unhashable id is refused
+    with the validation message, not a ``TypeError`` from the cache."""
+    message = r"^statistic must be a name or tuple of names, got \['maj'\]$"
+    for call in (lambda: descent_rule(["maj"]), lambda: evaluate(["maj"], (1, 2))):
+        with pytest.raises(ValueError, match=message):
+            call()
+    with pytest.raises(ValueError, match="^empty tuple statistic$"):
+        descent_rule(())
+    with pytest.raises(ValueError, match=r"^unknown statistic component \['x'\]$"):
+        evaluate(("maj", ["x"]), (1, 2))
+
+
+@pytest.mark.parametrize("name", list(STATISTICS))
+def test_tuples_with_inv_evaluate_componentwise(name):
+    """A tuple containing ``inv`` reads every component on its own: each
+    catalog statistic paired with ``inv``, in both orders, equals the pair
+    of oracle values on every permutation of length 0-6."""
+    for length in range(6 + 1):
+        for pi in permutations(range(1, length + 1)):
+            value, inv_value = _oracle_value(name, pi), oracles.inv_oracle(pi)
+            assert evaluate((name, "inv"), pi) == (value, inv_value), (name, pi)
+            assert evaluate(("inv", name), pi) == (inv_value, value), (name, pi)
+
+
 def test_every_mark_table_compiles_to_its_marks():
-    """The rule of any mark table (each of the 512 sets of step pairs, with
-    every pair of end steps and every output) reads exactly the positions
-    whose (step i-1, step i) is in the table, as their set, count or sum,
-    off the step word built position by position, on every descent bitmask
-    of length 0-5."""
+    """The DP of any mark table (each of the 512 sets of step pairs, with
+    every pair of end steps and every output), walked over one word, reads
+    exactly the positions whose (step i-1, step i) is in the table, as their
+    set, count or sum, off the step word built position by position, on
+    every descent bitmask of length 0-5."""
     steps = (RISE, FALL, NONE)
     pairs = [(p, s) for p in steps for s in steps]
     outputs = {"set": frozenset, "count": len, "sum": sum}
@@ -313,13 +340,14 @@ def test_every_mark_table_compiles_to_its_marks():
         marks = frozenset(pair for k, pair in enumerate(pairs) if bits >> k & 1)
         for left in steps:
             for right in steps:
-                rules = {output: StatDef(MarkTable(marks, output, left, right)).rule
-                         for output in outputs}
                 for length in range(6):
+                    dps = {output: value_dp(MarkTable(marks, output, left, right), length)
+                           for output in outputs}
                     for mask in range(0, 1 << length, 2):
                         word = [left, *(FALL if mask >> d & 1 else RISE for d in range(1, length)),
                                 right]
                         marked = {i for i in range(1, length + 1) if (word[i - 1], word[i]) in marks}
                         for output, read in outputs.items():
-                            assert rules[output](mask, length) == read(marked), (
+                            dp = dps[output]
+                            assert dp[2](walk(dp, mask)) == read(marked), (
                                 marks, output, left, right, mask, length)
