@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Subcommands: stat, shuffles, dist, reduce, verify, identity,
+Subcommands: stat, shuffles, dist, genpoly, reduce, verify, identity,
 counterexample, conjecture.  Output is human-readable text by default;
 ``--format json`` emits the documented machine serializations.  Exit
 codes: 0 success, 1 a verification reported failure, 2 usage error or a
 size bound refusal.  The environment variable SHUFBIJ_MAX_TOTAL overrides
 the default size bounds of the verification commands and the bound of
-m+n <= 20 on shuffles, dist and genpoly.
+m+n <= 20 on shuffles, dist and genpoly.  A command imports ``verify``,
+``reduce`` or ``qpoly`` in its handler, only when it runs them.
 """
 
 from __future__ import annotations
@@ -15,10 +16,17 @@ import argparse
 import json
 import sys
 
-from .errors import DomainOverlapError, ResourceLimitError
+from .errors import (
+    DEFAULT_FULL_LIMIT,
+    DEFAULT_IDENTITY_LIMIT,
+    DEFAULT_REDUCED_LIMIT,
+    DEFAULT_SHUFFLE_LIMIT,
+    DomainOverlapError,
+    ResourceLimitError,
+    _gate,
+    _resolve_limit,
+)
 from .perm import format_perm, parse_perm
-from .qpoly import check_integer_stat, distribution_poly, format_coeffs, format_pretty
-from .reduce import SUPPORTED_STATS, canonicalize
 from .shuffle import iter_shuffles, normalize_pair, shuffle_distribution
 from .stats import (
     distribution_entries,
@@ -27,21 +35,6 @@ from .stats import (
     format_stat,
     format_stat_value,
     parse_stat,
-)
-from .traces import ReductionTrace
-from .verify import (
-    DEFAULT_FULL_LIMIT,
-    DEFAULT_IDENTITY_LIMIT,
-    DEFAULT_REDUCED_LIMIT,
-    DEFAULT_SHUFFLE_LIMIT,
-    Report,
-    _gate,
-    _resolve_limit,
-    check_compatibility,
-    check_conjecture_udr_pk_des,
-    check_identity,
-    find_counterexample,
-    format_report,
 )
 
 USAGE_ERROR = 2
@@ -63,7 +56,7 @@ def _bounded_pair(args):
     return pi, sigma
 
 
-def _trace_lines(trace: ReductionTrace) -> list[str]:
+def _trace_lines(trace) -> list[str]:
     lines = [
         f"start: pi = {format_perm(trace.start_pi)} | sigma = {format_perm(trace.start_sigma)}"
         f"  (measure {trace.start_measure})"
@@ -80,7 +73,9 @@ def _trace_lines(trace: ReductionTrace) -> list[str]:
     return lines
 
 
-def _emit_report(report: Report, fmt: str) -> int:
+def _emit_report(report, fmt: str) -> int:
+    from .verify import format_report
+
     if fmt == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -135,6 +130,8 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_genpoly(args) -> int:
+    from .qpoly import check_integer_stat, distribution_poly, format_coeffs, format_pretty
+
     stat = parse_stat(args.statistic)
     pi, sigma = _bounded_pair(args)
     check_integer_stat(stat)
@@ -147,6 +144,8 @@ def _cmd_genpoly(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reduce import SUPPORTED_STATS, canonicalize
+
     stat = parse_stat(args.statistic)
     if stat not in SUPPORTED_STATS:
         print(f"error: no reduction pipeline for {format_stat(stat)}", file=sys.stderr)
@@ -178,23 +177,31 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import check_compatibility
+
     stat = parse_stat(args.statistic)
     report = check_compatibility(stat, args.m, args.n, mode=args.mode, limit=args.limit)
     return _emit_report(report, args.format)
 
 
 def _cmd_identity(args) -> int:
+    from .verify import check_identity
+
     report = check_identity(args.which, args.m, args.n, limit=args.limit)
     return _emit_report(report, args.format)
 
 
 def _cmd_counterexample(args) -> int:
+    from .verify import find_counterexample
+
     stat = parse_stat(args.statistic)
     report = find_counterexample(stat, args.max)
     return _emit_report(report, args.format)
 
 
 def _cmd_conjecture(args) -> int:
+    from .verify import check_conjecture_udr_pk_des
+
     if args.which != "udr-pk-des":
         print(f"error: unknown conjecture {args.which!r}", file=sys.stderr)
         return USAGE_ERROR

@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size bounds that
+raise :class:`ResourceLimitError`.
+
+The bounds live here, not in ``verify``, so that the command-line parser
+and the shuffle-set commands read them without importing the
+verification layer; ``verify`` imports them back.
+"""
+
+import os
+
+ENV_LIMIT_VAR = "SHUFBIJ_MAX_TOTAL"
+DEFAULT_REDUCED_LIMIT = 7
+DEFAULT_FULL_LIMIT = 6
+DEFAULT_IDENTITY_LIMIT = 8
+DEFAULT_SHUFFLE_LIMIT = 20  # one shuffle set of C(20, 10) = 184,756 interleavings
+_RAISE_LIMIT = f"pass a larger limit (--limit) or set {ENV_LIMIT_VAR}"
 
 
 class DomainOverlapError(ValueError):
@@ -19,3 +34,26 @@ class ResourceLimitError(RuntimeError):
     Raised instead of silently truncating the search; the message states
     the bound and how to raise it.
     """
+
+
+def _resolve_limit(explicit: int | None, fallback: int) -> int:
+    if explicit is not None:
+        return explicit
+    env = os.environ.get(ENV_LIMIT_VAR)
+    if env is not None:
+        try:
+            return int(env)
+        except ValueError:
+            raise ResourceLimitError(f"{ENV_LIMIT_VAR}={env!r} is not an integer") from None
+    return fallback
+
+
+def _gate(m: int, n: int, limit: int, what: str, how: str = _RAISE_LIMIT) -> None:
+    """Refuse negative sizes, and m+n above ``limit``; ``how`` names the
+    ways the caller has to raise the bound."""
+    if m < 0 or n < 0:
+        raise ValueError("sizes must be nonnegative")
+    if m + n > limit:
+        raise ResourceLimitError(
+            f"{what} with m+n={m + n} exceeds the bound {limit}; {how} to allow it"
+        )

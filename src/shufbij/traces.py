@@ -13,8 +13,7 @@ records its trace through one driver, :func:`run_reduction`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .perm import Perm, _check_disjoint, format_perm
 from .stats import des_set, format_stat, peak_family
@@ -132,25 +131,14 @@ _PAIR_CHECKS = {
 _INDEX_PARAMS = {"t_swap": "i", "theta_des": "i", "theta_pk": "j", "theta_rpk_inverse": "j"}
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class _Step(NamedTuple):
     kind: str
-    params: dict[str, Any] = field(default_factory=dict)
-    source_pi: Perm = ()
-    source_sigma: Perm = ()
-    target_pi: Perm = ()
-    target_sigma: Perm = ()
-    measure_after: int = 0
-
-    def __post_init__(self):
-        if self.kind not in STEP_KINDS:
-            raise ValueError(f"unknown step kind {self.kind!r}")
-        index = _INDEX_PARAMS.get(self.kind)
-        if index is not None and not isinstance(self.params.get(index), int):
-            raise ValueError(f"a {self.kind} step needs an integer parameter {index!r}")
-        check = _PAIR_CHECKS.get(self.kind)
-        if check is not None:
-            check(self)
+    params: dict[str, Any]
+    source_pi: Perm
+    source_sigma: Perm
+    target_pi: Perm
+    target_sigma: Perm
+    measure_after: int
 
     def to_json(self) -> dict:
         return {
@@ -162,8 +150,29 @@ class ReductionStep:
         }
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionStep(_Step):
+    """One step of a trace: an immutable tuple of its fields, checked
+    against its kind when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, params=None, source_pi: Perm = (), source_sigma: Perm = (),
+                target_pi: Perm = (), target_sigma: Perm = (), measure_after: int = 0):
+        params = {} if params is None else params
+        self = tuple.__new__(cls, (kind, params, source_pi, source_sigma,
+                                   target_pi, target_sigma, measure_after))
+        if kind not in STEP_KINDS:
+            raise ValueError(f"unknown step kind {kind!r}")
+        index = _INDEX_PARAMS.get(kind)
+        if index is not None and not isinstance(params.get(index), int):
+            raise ValueError(f"a {kind} step needs an integer parameter {index!r}")
+        check = _PAIR_CHECKS.get(kind)
+        if check is not None:
+            check(self)
+        return self
+
+
+class ReductionTrace(NamedTuple):
     statistic: Any
     steps: tuple[ReductionStep, ...]
     start_pi: Perm
@@ -179,6 +188,7 @@ class ReductionTrace:
         return tuple(s.measure_after for s in self.steps)
 
     def __len__(self) -> int:
+        """The number of steps, not of fields: a trace without steps is falsy."""
         return len(self.steps)
 
     def to_json(self) -> dict:

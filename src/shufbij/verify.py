@@ -27,14 +27,20 @@ fails exactly when it has a witness.
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import factorial
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .errors import ResourceLimitError
+from .errors import (
+    DEFAULT_FULL_LIMIT,
+    DEFAULT_IDENTITY_LIMIT,
+    DEFAULT_REDUCED_LIMIT,
+    DEFAULT_SHUFFLE_LIMIT,
+    ENV_LIMIT_VAR,
+    _gate,
+    _resolve_limit,
+)
 from .perm import Perm, count_before, descent_classes, format_perm, lex_rank
 from .perm import least_with_descent_set, mask_positions
 from .qpoly import QPoly, distribution_poly, stanley_refined_table, stanley_rhs
@@ -54,26 +60,30 @@ from .stats import (
     validate_stat,
 )
 
-ENV_LIMIT_VAR = "SHUFBIJ_MAX_TOTAL"
-DEFAULT_REDUCED_LIMIT = 7
-DEFAULT_FULL_LIMIT = 6
-DEFAULT_IDENTITY_LIMIT = 8
-DEFAULT_SHUFFLE_LIMIT = 20  # one shuffle set of C(20, 10) = 184,756 interleavings
 MODES = ("reduced_pi", "reduced_sigma", "full")
-_RAISE_LIMIT = f"pass a larger limit (--limit) or set {ENV_LIMIT_VAR}"
 
 
-@dataclass
 class Witness:
-    """A pair of equally-labeled instances whose distributions differ."""
+    """A pair of equally-labeled instances whose distributions differ.
 
-    pi: Perm
-    pi_prime: Perm
-    sigma: Perm
-    sigma_prime: Perm
-    statistic: StatId
-    dist_left: Distribution
-    dist_right: Distribution
+    Its fields can be reassigned, so :meth:`recheck` can be seen to fail
+    on stale data."""
+
+    __slots__ = ("pi", "pi_prime", "sigma", "sigma_prime", "statistic", "dist_left", "dist_right")
+
+    def __init__(self, pi: Perm, pi_prime: Perm, sigma: Perm, sigma_prime: Perm,
+                 statistic: StatId, dist_left: Distribution, dist_right: Distribution):
+        self.pi, self.pi_prime, self.sigma, self.sigma_prime = pi, pi_prime, sigma, sigma_prime
+        self.statistic, self.dist_left, self.dist_right = statistic, dist_left, dist_right
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is Witness else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Witness({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
 
     def recheck(self) -> bool:
         """Recompute everything from scratch and confirm the inequality."""
@@ -103,8 +113,7 @@ class Witness:
         }
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     subject: str
     scope: str
     witness: Optional[Witness]
@@ -130,29 +139,6 @@ class Report:
         if include_elapsed:
             out["elapsed_seconds"] = self.elapsed
         return out
-
-
-def _resolve_limit(explicit: Optional[int], fallback: int) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(ENV_LIMIT_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ResourceLimitError(f"{ENV_LIMIT_VAR}={env!r} is not an integer") from None
-    return fallback
-
-
-def _gate(m: int, n: int, limit: int, what: str, how: str = _RAISE_LIMIT) -> None:
-    """Refuse negative sizes, and m+n above ``limit``; ``how`` names the
-    ways the caller has to raise the bound."""
-    if m < 0 or n < 0:
-        raise ValueError("sizes must be nonnegative")
-    if m + n > limit:
-        raise ResourceLimitError(
-            f"{what} with m+n={m + n} exceeds the bound {limit}; {how} to allow it"
-        )
 
 
 def _singletons(ground) -> list:

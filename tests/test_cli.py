@@ -1,7 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
 
 import pytest
+
+import shufbij
 
 from shufbij import cli, shuffle
 from shufbij.cli import main
@@ -301,3 +308,89 @@ def test_interleaved_pair_above_the_bound_refused_before_any_output(capsys, comm
     )
     assert (code, out) == (2, "")
     assert "m+n=21 exceeds the bound 20" in err
+
+
+# One small run of each command, in a fresh interpreter: what it imports.
+_COMMAND_ARGV = {
+    "stat": ["stat", "maj", "3,1,2"],
+    "shuffles": ["shuffles", "1,3", "2"],
+    "dist": ["dist", "des", "1,3", "2"],
+    "genpoly": ["genpoly", "maj", "1,3", "2"],
+    "reduce": ["reduce", "maj", "2,1", "3"],
+    "verify": ["verify", "des", "--m", "2", "--n", "1"],
+    "identity": ["identity", "maj", "--m", "2", "--n", "1"],
+    "counterexample": ["counterexample", "maj", "--max", "3"],
+    "conjecture": ["conjecture", "udr-pk-des", "--m", "2", "--n", "1"],
+}
+_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+{body}
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+_RUN_COMMAND = """
+from shufbij import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(json.loads(sys.argv[1])) == 0
+"""
+
+
+def _modules_loaded(body, *args):
+    """The modules a fresh interpreter loads while it runs ``body``."""
+    env = dict(os.environ)
+    src = str(Path(shufbij.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(body=body), *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_ARGV))
+def test_each_command_imports_only_the_modules_it_runs(command):
+    loaded = _modules_loaded(_RUN_COMMAND, json.dumps(_COMMAND_ARGV[command]))
+    assert "shufbij.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+    if command in ("stat", "shuffles", "dist"):
+        assert not loaded & {"shufbij.verify", "shufbij.reduce", "shufbij.qpoly"}
+
+
+def test_bare_package_import_loads_no_submodule():
+    loaded = _modules_loaded("import shufbij")
+    assert "shufbij" in loaded
+    assert not {m for m in loaded if m.startswith("shufbij.")}
+
+
+# The package's public names, by home module.
+_PUBLIC_NAMES = {
+    "errors": ["DomainOverlapError", "InfeasibleProfileError", "NotAShuffleError",
+               "ResourceLimitError"],
+    "perm": ["Perm", "as_perm", "format_perm", "insert_in_space", "parse_perm",
+             "perm_with_descent_set", "perm_with_left_peak_profile", "space_labels",
+             "standardize", "standardize_unit"],
+    "qpoly": ["QPoly", "gen_poly", "q_binomial", "q_factorial", "q_int", "stanley_refined_rhs",
+              "stanley_rhs"],
+    "reduce": ["apply_step", "apply_trace", "canonicalize", "theta_des", "theta_lpk",
+               "theta_maj_first", "theta_pk"],
+    "shuffle": ["from_word", "is_shuffle", "iter_shuffles", "normalize_pair", "phi",
+                "phi_tilde", "shuffle_distribution", "shuffles", "shuffles_with_k_descents",
+                "t_swap", "word_of"],
+    "stats": ["Distribution", "StatValue", "asc_set", "biruns", "chi_minus", "chi_plus",
+              "des_set", "distribution", "evaluate", "inv", "maj", "parse_stat", "peak_family",
+              "udr", "valley_family"],
+    "traces": ["ReductionStep", "ReductionTrace"],
+    "verify": ["Report", "Witness", "check_bijection_pipeline", "check_compatibility",
+               "check_conjecture_udr_pk_des", "check_identity", "find_counterexample"],
+}
+
+
+def test_package_names_resolve_to_their_home_objects():
+    expected = {name: home for home, names in _PUBLIC_NAMES.items() for name in names}
+    assert sorted(shufbij.__all__) == sorted(expected)
+    assert set(expected) <= set(dir(shufbij))
+    for name, home in expected.items():
+        assert getattr(shufbij, name) is getattr(import_module(f"shufbij.{home}"), name), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        shufbij.no_such_name

@@ -19,7 +19,7 @@ from shufbij.reduce import (
     theta_pk,
 )
 from shufbij.shuffle import shuffles
-from shufbij.traces import ReductionStep
+from shufbij.traces import ReductionStep, ReductionTrace
 from shufbij.stats import des_set, distribution, evaluate, maj, peak_family
 
 ALL_PIPELINE_STATS = SIGMA_SIDE_STATS + PI_SIDE_STATS
@@ -165,6 +165,7 @@ def test_pk_core_inverse_roundtrip():
         ("theta_rpk_inverse", {"j": 2}, ((2, 3, 1), (4,), (1, 3, 2), (4,))),
         # 1,2,3 has no right peak at 1
         ("theta_rpk_inverse", {"j": 1}, ((1, 2, 3), (4,), (2, 1, 3), (4,))),
+        ("no_such_kind", {}, ((), (), (), ())),
     ],
 )
 def test_invalid_step_rejected_when_built(kind, params, pairs):
@@ -357,3 +358,49 @@ def test_trace_serialization_round_trip_fields():
     assert step["kind"] == "theta_pk"
     assert step["params"] == {"j": 3}
     assert isinstance(step["measure_after"], int)
+
+
+# --- value semantics of steps and traces ---------------------------------------
+
+_PK_TRACE_JSON = {
+    "statistic": "pk",
+    "start": {"pi": "2,1,4,3", "sigma": "5"},
+    "final": {"pi": "3,4,1,2", "sigma": "5"},
+    "start_measure": 3,
+    "steps": [{
+        "kind": "theta_pk",
+        "params": {"j": 3},
+        "source": {"pi": "2,1,4,3", "sigma": "5"},
+        "target": {"pi": "3,4,1,2", "sigma": "5"},
+        "measure_after": 2,
+    }],
+}
+
+
+def test_step_and_trace_are_immutable_values():
+    _, trace = canonicalize("pk", (2, 1, 4, 3), (5,))
+    assert trace.to_json() == _PK_TRACE_JSON
+    (step,) = trace.steps
+    fields = ("theta_pk", {"j": 3}, (2, 1, 4, 3), (5,), (3, 4, 1, 2), (5,), 2)
+    assert step == ReductionStep(*fields)
+    assert step == ReductionStep(
+        kind="theta_pk", params={"j": 3}, source_pi=(2, 1, 4, 3), source_sigma=(5,),
+        target_pi=(3, 4, 1, 2), target_sigma=(5,), measure_after=2,
+    )
+    assert step != ReductionStep(*fields[:-1], 1)
+    assert ReductionStep("phi") == ReductionStep("phi", {}, (), (), (), (), 0)
+    assert trace == ReductionTrace("pk", (step,), (2, 1, 4, 3), (5,), (3, 4, 1, 2), (5,), 3)
+    assert trace == ReductionTrace(
+        statistic="pk", steps=(step,), start_pi=(2, 1, 4, 3), start_sigma=(5,),
+        final_pi=(3, 4, 1, 2), final_sigma=(5,), start_measure=3,
+    )
+    assert (len(trace), trace.measure_values) == (1, (2,))
+    for value, attr in ((step, "kind"), (step, "new_field"), (trace, "steps")):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, None)
+
+
+def test_trace_without_steps_is_empty():
+    _, trace = canonicalize("maj", (1, 2), (3, 4, 5))
+    assert (len(trace), bool(trace), trace.steps) == (0, False, ())
+    assert trace.to_json()["steps"] == []

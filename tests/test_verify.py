@@ -14,6 +14,8 @@ from shufbij.verify import (
     check_identity,
     find_counterexample,
     format_report,
+    Report,
+    Witness,
 )
 
 
@@ -241,3 +243,31 @@ def test_distribution_shapes_against_direct_enumeration():
     w = report.witness
     assert distribution("inv", shuffles(w.pi, w.sigma)) == w.dist_left
     assert distribution("inv", shuffles(w.pi_prime, w.sigma_prime)) == w.dist_right
+
+
+def test_witness_and_report_are_values():
+    report = check_compatibility("inv", 2, 1, mode="full")
+    w = report.witness
+    fields = ((1, 2), (1, 3), (3,), (2,), "inv", Counter({0: 1, 1: 1, 2: 1}), Counter({0: 1, 1: 2}))
+    assert w == Witness(*fields)
+    assert w == Witness(
+        pi=(1, 2), pi_prime=(1, 3), sigma=(3,), sigma_prime=(2,), statistic="inv",
+        dist_left=fields[5], dist_right=fields[6],
+    )
+    assert w != Witness(*fields[:4], "maj", *fields[5:])
+    assert repr(w).startswith("Witness(pi=(1, 2), pi_prime=(1, 3), sigma=(3,), ")
+    assert w.to_json() == {
+        "pi": "1,2", "pi_prime": "1,3", "sigma": "3", "sigma_prime": "2", "statistic": "inv",
+        "dist_left": [{"value": "0", "mult": 1}, {"value": "1", "mult": 1},
+                      {"value": "2", "mult": 1}],
+        "dist_right": [{"value": "0", "mult": 1}, {"value": "1", "mult": 2}],
+    }
+    subject, scope = "shuffle compatibility of inv (full)", "|pi|=2, |sigma|=1"
+    assert report == Report(subject, scope, w, 3, report.elapsed)
+    assert report == Report(subject=subject, scope=scope, witness=w, cases_checked=3,
+                            elapsed=report.elapsed)
+    assert report.to_json() == {"subject": subject, "scope": scope, "outcome": "fail",
+                                "cases_checked": 3, "witness": w.to_json()}
+    passing = Report("s", "t", None, 1, 0.5)
+    assert (passing.passed, passing.outcome) == (True, "pass")
+    assert passing.to_json(include_elapsed=True)["elapsed_seconds"] == 0.5
