@@ -9,8 +9,10 @@ then, from this checkout's root:
 
     python scripts/bench_record.py --parent ../parent-checkout --label class_dp
 
-The file holds both runs' result files (``.bench_out/result-*.json``) and,
-per metric, the parent's value, the change's and the relative change.
+``--traced replay`` reads the per-layer run of ``--workload replay --trace
+1`` instead of ``cli``'s.  The file holds both runs' result files
+(``.bench_out/result-*.json``) and, per metric, the parent's value, the
+change's and the relative change.
 """
 
 from __future__ import annotations
@@ -19,15 +21,13 @@ import argparse
 import json
 from pathlib import Path
 
-# The result files of the two commands, at run.py's default seed.
-RESULTS = {"all": "result-all-seed1-trace0.json", "cli_trace": "result-cli-seed1-trace1.json"}
 
-
-def load(root: Path) -> dict:
-    return {
-        name: json.loads((root / ".bench_out" / file).read_text())
-        for name, file in RESULTS.items()
-    }
+def load(root: Path, traced: str) -> dict:
+    """The result files of the two commands, at run.py's default seed."""
+    files = {"all": "result-all-seed1-trace0.json",
+             f"{traced}_trace": f"result-{traced}-seed1-trace1.json"}
+    return {name: json.loads((root / ".bench_out" / file).read_text())
+            for name, file in files.items()}
 
 
 def metrics(result_file: dict) -> dict:
@@ -54,17 +54,20 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
     parser.add_argument("--label", required=True)
+    parser.add_argument("--traced", default="cli",
+                        help="workload of the per-layer run (default: %(default)s)")
     args = parser.parse_args()
-    parent, change = load(args.parent), load(Path("."))
+    traced = f"{args.traced}_trace"
+    parent, change = load(args.parent, args.traced), load(Path("."), args.traced)
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps({
         "label": args.label,
         "commands": [
             "python3 perfbench/run.py --workload all",
-            "python3 perfbench/run.py --workload cli --trace 1",
+            f"python3 perfbench/run.py --workload {args.traced} --trace 1",
         ],
         "end_to_end": compare(metrics(parent["all"]), metrics(change["all"])),
-        "per_layer": compare(metrics(parent["cli_trace"]), metrics(change["cli_trace"])),
+        "per_layer": compare(metrics(parent[traced]), metrics(change[traced])),
         "parent": parent,
         "change": change,
     }, indent=1) + "\n")

@@ -29,6 +29,10 @@ once, when it is built; ``apply_step`` replays each kind through one
 check-free function.  The public ``theta_*`` functions build the step,
 check that ``tau`` is a shuffle of the pair, and replay it.
 
+A move, its target and the measure read the rewritten side only by its
+descent set, so ``canonicalize`` plans once per statistic, sizes and
+bitmask of that side (:func:`_class_plan`, a bounded cache) and builds and
+checks each step against the caller's pair (``BENCH_class_plan.json``).
 ``canonicalize`` and ``shuffle.normalize_pair`` both run their loop and
 record their trace through one driver, ``traces.run_reduction``; a side
 step maps the whole pair to the next one.
@@ -36,10 +40,11 @@ step maps the whole pair to the next one.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 from .perm import (
     Perm,
+    mask_positions,
     perm_with_descent_set,
     perm_with_left_peak_profile,
     space_labels,
@@ -49,6 +54,7 @@ from .stats import (
     StatId,
     chi_plus,
     des_set,
+    descent_mask,
     maj,
     peak_family,
     validate_stat,
@@ -278,6 +284,23 @@ def _pi_side_step(stat, pi, sigma):
     return None
 
 
+@lru_cache(maxsize=1 << 12)
+def _class_plan(stat: StatId, m: int, n: int, mask: int):
+    """The reduction of every normalized pair of sizes m, n whose rewritten
+    side has descent bitmask ``mask``, read off the one whose other side
+    is increasing: its start measure and, per step, the kind, the params
+    as items, the target of the rewritten side and the measure after."""
+    on_sigma = stat in SIGMA_SIDE_STATS
+    pi, sigma = tuple(range(1, m + 1)), tuple(range(m + 1, m + n + 1))
+    side = perm_with_descent_set(sigma if on_sigma else pi, mask_positions(mask))
+    pi, sigma = (pi, side) if on_sigma else (side, sigma)
+    move = partial(_sigma_side_step if on_sigma else _pi_side_step, stat)
+    trace = run_reduction(stat, pi, sigma, partial(_measure, stat), move)
+    return trace.start_measure, tuple(
+        (s.kind, tuple(s.params.items()), s.target_sigma if on_sigma else s.target_pi,
+         s.measure_after) for s in trace.steps)
+
+
 def canonicalize(stat: StatId, pi: Perm, sigma: Perm):
     """Reduce a separated pair to its canonical profile.
 
@@ -294,13 +317,16 @@ def canonicalize(stat: StatId, pi: Perm, sigma: Perm):
         raise ValueError(f"no reduction pipeline for statistic {stat!r}")
     m, n = len(pi), len(sigma)
     if set(pi) != set(range(1, m + 1)) or set(sigma) != set(range(m + 1, m + n + 1)):
-        raise ValueError(
-            "operands must be normalized to [m] and [n]+m (see normalize_pair)"
-        )
+        raise ValueError("operands must be normalized to [m] and [n]+m (see normalize_pair)")
 
     on_sigma = stat in SIGMA_SIDE_STATS
-    move = partial(_sigma_side_step if on_sigma else _pi_side_step, stat)
-    trace = run_reduction(stat, pi, sigma, partial(_measure, stat), move)
+    start, plan = _class_plan(stat, m, n, descent_mask(sigma if on_sigma else pi))
+    # The plan's moves from the caller's pair, each with params of its own.
+    moves = iter([(kind, dict(params), *((pi, side) if on_sigma else (side, sigma)))
+                  for kind, params, side, _ in plan])
+    measures = iter((start, *(after for *_, after in plan)))
+    trace = run_reduction(stat, pi, sigma, lambda p, s: next(measures),
+                          lambda p, s: next(moves, None))
     return (trace.final_sigma if on_sigma else trace.final_pi), trace
 
 

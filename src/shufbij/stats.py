@@ -99,30 +99,25 @@ def value_dp(tables: Union[MarkTable, tuple[MarkTable, ...]], length: int):
         for table in tables for s in (RISE, FALL)
     )
     fields, offset = [], int(reads_prev)  # (table, offset, width mask)
+    # steps[t][step][prev]: the previous-step bit's delta, then the marks add on
+    steps = [[[0, -reads_prev], [reads_prev, 0]] for _ in range(length)]
+    start = 0
     for table in tables:
         top = {"set": 1 << length, "count": length, "sum": length * (length + 1) // 2}
         width = top[table.output].bit_length()
         fields.append((table, offset, (1 << width) - 1))
+        out, marks, left, right = table.output, table.marks, table.left, table.right
+        inc = [(1 << i if out == "set" else i if out == "sum" else 1) << offset
+               for i in range(length + 1)]  # inc[i]: the key increment of a mark at i
         offset += width
-
-    def marked(i, prev, step):  # the key increment of position i's marks
-        return sum(
-            {"set": 1 << i, "count": 1, "sum": i}[table.output] << offset
-            for table, offset, _ in fields
-            if (table.left if i == 1 else prev, table.right if i == length else step) in table.marks
-        )
-
-    steps = (None, *(
-        tuple(
-            tuple(
-                marked(t, prev, step) + (t == length - 1 and marked(length, step, None))
-                + reads_prev * ((step == FALL) - (prev == FALL))
-                for prev in (RISE, FALL)
-            )
-            for step in (RISE, FALL)
-        )
-        for t in range(1, length)
-    ))
+        if length == 1:
+            start += inc[1] * ((left, right) in marks)
+        for t in range(1, length):  # step t marks position t, the last step the last too
+            for s, row in zip((RISE, FALL), steps[t]):
+                end = inc[length] if t == length - 1 and (s, right) in marks else 0
+                for k, p in enumerate((RISE, FALL)):
+                    row[k] += end + inc[t] * ((left if t == 1 else p, s) in marks)
+    steps = (None, *(tuple(map(tuple, step)) for step in steps[1:]))
 
     def reader(table, offset, width):
         if table.output == "set":
@@ -131,7 +126,6 @@ def value_dp(tables: Union[MarkTable, tuple[MarkTable, ...]], length: int):
 
     readers = [reader(*field) for field in fields]
     decode = readers[0] if single else lambda key: tuple([read(key) for read in readers])
-    start = marked(1, None, None) if length == 1 else 0
     return start, steps, lru_cache(maxsize=1 << 10)(decode)
 
 
@@ -182,6 +176,9 @@ STATISTICS: dict[str, Optional[MarkTable]] = {
     "udr": MarkTable(_RUN_ENDS, "count", left=RISE),
     "biruns": MarkTable(_RUN_ENDS, "count"),
 }
+# The catalog the sweeps, scripts and tests run: descent names, then tuples.
+DESCENT_NAMES = tuple(name for name, table in STATISTICS.items() if table)
+CATALOG_TUPLES = (("maj", "des"), ("udr", "pk"), ("udr", "pk", "des"), ("biruns", "des"))
 
 
 def des_set(pi: Perm) -> frozenset[int]:

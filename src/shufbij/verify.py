@@ -315,17 +315,14 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
         problems.append("replay is not a bijection onto the canonical shuffle set")
 
     drop = maj_decrement(trace)
+
+    def lowered(value):  # a source's value, its maj component lowered by drop
+        if isinstance(stat, tuple):
+            return tuple(v - drop if name == "maj" else v for name, v in zip(stat, value))
+        return value - drop if stat == "maj" else value
+
     for t, img in zip(source, images):
-        if stat == "maj":
-            ok = evaluate("maj", img) == evaluate("maj", t) - drop
-        elif stat == ("maj", "des"):
-            ok = (
-                evaluate("maj", img) == evaluate("maj", t) - drop
-                and evaluate("des", img) == evaluate("des", t)
-            )
-        else:
-            ok = evaluate(stat, img) == evaluate(stat, t)
-        if not ok:
+        if evaluate(stat, img) != lowered(evaluate(stat, t)):
             problems.append(f"statistic not preserved on {t} -> {img}")
             break
 

@@ -34,6 +34,8 @@ from shufbij.perm import (
 from shufbij.qpoly import gen_poly, shift, stanley_refined_rhs, stanley_rhs
 from shufbij.shuffle import class_pair_distributions, des_histogram, shuffles
 from shufbij.stats import (
+    CATALOG_TUPLES,
+    DESCENT_NAMES,
     STATISTICS,
     des_set,
     descent_rule,
@@ -52,9 +54,8 @@ from shufbij.verify import (
 
 MAX_TOTAL = 7
 SPLITS = [(m, total - m) for total in range(MAX_TOTAL + 1) for m in range(total + 1)]
-TUPLES = [("maj", "des"), ("udr", "pk"), ("udr", "pk", "des"), ("biruns", "des")]
-DESCENT_STATS = [name for name in STATISTICS if is_descent_statistic(name)] + TUPLES
-CATALOG = list(STATISTICS) + TUPLES + [("maj", "inv")]
+DESCENT_STATS = [*DESCENT_NAMES, *CATALOG_TUPLES]
+CATALOG = [*STATISTICS, *CATALOG_TUPLES, ("maj", "inv")]
 FULL_MAX_TOTAL = 6
 FULL_SPLITS = [(m, total - m) for total in range(FULL_MAX_TOTAL + 1) for m in range(total + 1)]
 

@@ -1,9 +1,11 @@
+from functools import partial
 from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shufbij import reduce
 from shufbij.errors import DomainOverlapError, NotAShuffleError
 from shufbij.perm import perm_with_descent_set
 from shufbij.reduce import (
@@ -19,7 +21,7 @@ from shufbij.reduce import (
     theta_pk,
 )
 from shufbij.shuffle import shuffles
-from shufbij.traces import ReductionStep, ReductionTrace
+from shufbij.traces import ReductionStep, ReductionTrace, run_reduction
 from shufbij.stats import des_set, distribution, evaluate, maj, peak_family
 
 ALL_PIPELINE_STATS = SIGMA_SIDE_STATS + PI_SIDE_STATS
@@ -333,6 +335,50 @@ def test_pipelines_hold_beyond_exhaustive_range(stat, m, data):
             assert evaluate("des", im) == evaluate("des", t)
         else:
             assert evaluate(stat, im) == evaluate(stat, t)
+
+
+# ---------------------------------------------------------------------------
+# the class plan
+
+
+def _per_permutation_trace(stat, pi, sigma):
+    """The reduction with every move, target and measure worked out from
+    the pair itself, step by step, with no plan."""
+    move = reduce._sigma_side_step if stat in SIGMA_SIDE_STATS else reduce._pi_side_step
+    return run_reduction(stat, pi, sigma, partial(reduce._measure, stat), partial(move, stat))
+
+
+@pytest.mark.parametrize("stat", ALL_PIPELINE_STATS, ids=str)
+def test_class_plan_matches_per_permutation_moves(stat):
+    """Every normalized pair with m+n <= 6: the planned trace is the one the
+    per-permutation moves record, from a warm cache and a cleared one."""
+    pairs = list(_normalized_pairs(6))
+    expected = [_per_permutation_trace(stat, pi, sigma).to_json() for pi, sigma in pairs]
+    assert [canonicalize(stat, pi, sigma)[1].to_json() for pi, sigma in pairs] == expected
+    reduce._class_plan.cache_clear()
+    assert [canonicalize(stat, pi, sigma)[1].to_json() for pi, sigma in pairs] == expected
+    assert reduce._class_plan.cache_info().maxsize is not None
+
+
+def test_class_plan_gives_each_trace_its_own_params():
+    # (2, 4, 3) and (3, 4, 2) share the descent set {2}, so one plan.
+    _, first = canonicalize("des", (1,), (2, 4, 3))
+    _, second = canonicalize("des", (1,), (3, 4, 2))
+    assert [s.source_sigma for s in first.steps[:1] + second.steps[:1]] == [(2, 4, 3), (3, 4, 2)]
+    assert first.steps[0].params == second.steps[0].params == {"i": 2}
+    assert first.steps[0].params is not second.steps[0].params
+    first.steps[0].params["i"] = 99
+    assert second.steps[0].params == {"i": 2}
+    assert canonicalize("des", (1,), (2, 4, 3))[1].steps[0].params == {"i": 2}
+
+
+def test_a_plan_that_does_not_fit_the_pair_raises(monkeypatch):
+    # The plan of the class {2} moves an interior peak at 2; (4, 2, 3) has
+    # none there, so building the first step against it refuses.
+    wrong = reduce._class_plan("des", 1, 3, 0b100)
+    monkeypatch.setattr(reduce, "_class_plan", lambda *key: wrong)
+    with pytest.raises(ValueError, match="is not an interior peak"):
+        canonicalize("des", (1,), (4, 2, 3))
 
 
 def test_maj_trace_length_equals_major_index():

@@ -9,6 +9,8 @@ from hypothesis import given
 import oracles
 from shufbij.perm import least_with_descent_set, perm_with_descent_set, standardize
 from shufbij.stats import (
+    CATALOG_TUPLES,
+    DESCENT_NAMES,
     FALL,
     NONE,
     RISE,
@@ -210,9 +212,6 @@ def test_parse_and_format_stat():
         parse_stat("bogus")
 
 
-DESCENT_NAMES = [name for name, table in STATISTICS.items() if table]
-
-
 def _mask(descents):
     return sum(1 << d for d in descents)
 
@@ -270,9 +269,6 @@ def test_descent_rule_matches_oracles_on_class_extremes(name):
                        perm_with_descent_set(ground, descents)):
                 assert oracles.des_set_oracle(pi) == descents
                 assert rule(mask, length) == _oracle_value(name, pi), (name, pi)
-
-
-CATALOG_TUPLES = [("maj", "des"), ("udr", "pk"), ("udr", "pk", "des"), ("biruns", "des")]
 
 
 def test_evaluate_matches_oracles_at_lengths_11_to_20():

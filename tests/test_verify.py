@@ -110,6 +110,18 @@ def test_bijection_pipeline_reports_a_move_that_keeps_maj(monkeypatch):
     assert "outcome: FAIL" in format_report(report)
 
 
+def test_bijection_pipeline_lowers_only_the_maj_component(monkeypatch):
+    # (maj,des) keeps des and lowers maj by one per descent move; the same
+    # rename-only move as above keeps neither on every interleaving.
+    assert check_bijection_pipeline(("maj", "des"), (1,), (2, 4, 3)).passed
+    monkeypatch.setattr(
+        reduce, "_des_move", lambda tau, sigma, i, sigma_new: _rename(tau, sigma, sigma_new)
+    )
+    report = check_bijection_pipeline(("maj", "des"), (1,), (2, 4, 3))
+    assert report.outcome == "fail"
+    assert "statistic not preserved" in report.subject
+
+
 def test_bijection_pipeline_reports_colliding_images(monkeypatch):
     # A peak move that sends every interleaving to the same one.
     monkeypatch.setattr(
