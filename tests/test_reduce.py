@@ -364,7 +364,7 @@ def test_class_plan_gives_each_trace_its_own_params():
     # (2, 4, 3) and (3, 4, 2) share the descent set {2}, so one plan.
     _, first = canonicalize("des", (1,), (2, 4, 3))
     _, second = canonicalize("des", (1,), (3, 4, 2))
-    assert [s.source_sigma for s in first.steps[:1] + second.steps[:1]] == [(2, 4, 3), (3, 4, 2)]
+    assert (first.steps[0].source_sigma, second.steps[0].source_sigma) == ((2, 4, 3), (3, 4, 2))
     assert first.steps[0].params == second.steps[0].params == {"i": 2}
     assert first.steps[0].params is not second.steps[0].params
     first.steps[0].params["i"] = 99
