@@ -4,8 +4,8 @@ Subcommands: stat, shuffles, dist, genpoly, reduce, verify, identity,
 counterexample, conjecture.  Output is human-readable text by default;
 ``--format json`` emits the documented machine serializations.  Exit
 codes: 0 success, 1 a verification reported failure, 2 usage error or a
-size bound refusal.  The environment variable SHUFBIJ_MAX_TOTAL overrides
-the default size bounds of the verification commands and the bound of
+size bound refusal.  SHUFBIJ_MAX_TOTAL overrides the default size bounds
+of the verification commands but counterexample, and the bound of
 m+n <= 20 on shuffles, dist and genpoly.  A command imports ``verify``,
 ``reduce`` or ``qpoly`` in its handler, only when it runs them.
 """
@@ -17,6 +17,7 @@ import json
 import sys
 
 from .errors import (
+    DEFAULT_COUNTEREXAMPLE_LIMIT,
     DEFAULT_FULL_LIMIT,
     DEFAULT_IDENTITY_LIMIT,
     DEFAULT_REDUCED_LIMIT,
@@ -195,7 +196,7 @@ def _cmd_counterexample(args) -> int:
     from .verify import find_counterexample
 
     stat = parse_stat(args.statistic)
-    report = find_counterexample(stat, args.max)
+    report = find_counterexample(stat, args.max, limit=args.limit)
     return _emit_report(report, args.format)
 
 
@@ -273,6 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search for a compatibility counterexample")
     p.add_argument("statistic")
     p.add_argument("--max", type=int, required=True, help="largest m+n to scan")
+    p.add_argument("--limit", type=int, default=None, help="override the size bound "
+                   f"(default {DEFAULT_COUNTEREXAMPLE_LIMIT}, or {DEFAULT_FULL_LIMIT} with inv)")
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("conjecture", parents=[common], help="empirical conjecture sweep")

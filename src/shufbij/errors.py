@@ -12,6 +12,7 @@ ENV_LIMIT_VAR = "SHUFBIJ_MAX_TOTAL"
 DEFAULT_REDUCED_LIMIT = 7
 DEFAULT_FULL_LIMIT = 6
 DEFAULT_IDENTITY_LIMIT = 8
+DEFAULT_COUNTEREXAMPLE_LIMIT = 10  # descent statistics; with inv the search takes DEFAULT_FULL_LIMIT
 DEFAULT_SHUFFLE_LIMIT = 20  # one shuffle set of C(20, 10) = 184,756 interleavings
 _RAISE_LIMIT = f"pass a larger limit (--limit) or set {ENV_LIMIT_VAR}"
 

@@ -4,6 +4,10 @@ elementary shuffle bijections.
 An interleaving of two domain-disjoint permutations is encoded by a word
 over {a, b} marking which side each position came from; enumeration is in
 lexicographic word order with a < b, which makes every listing stable.
+Where each entry goes depends only on (m, n) and the word: a shape of at
+most ``_TABLE_CUT`` entries (words times m+n) is a cached table of one
+``operator.itemgetter`` per word, and a larger one streams, recursing on
+its first letter, a before b, down to tabled rests.
 
 Des is shuffle compatible, so the distribution of a descent statistic over
 a shuffle set depends only on the operands' descent bitmasks (bit d set
@@ -28,7 +32,10 @@ through the same driver as ``reduce.canonicalize``.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
+from math import comb
+from operator import itemgetter
 
 from .errors import NotAShuffleError
 from .perm import Perm, _check_disjoint
@@ -48,29 +55,51 @@ from .traces import ReductionStep, ReductionTrace, run_reduction
 ShuffleWord = str
 
 
-def iter_shuffles(pi: Perm, sigma: Perm):
-    """Yield all interleavings in lexicographic word order (a < b)."""
-    _check_disjoint(pi, sigma)
-    m, n = len(pi), len(sigma)
+_TABLE_CUT = 1 << 12  # most entries (words times m+n) of a tabled shape
+
+
+@lru_cache(maxsize=256)  # every shape with m+n <= 20; the tables take about 2 MB
+def _word_getters(m: int, n: int):
+    """One getter per word of m a's and n b's, in lexicographic word order,
+    that reads the word's interleaving off ``pi + sigma``; None above the cut."""
+    if m and n and comb(m + n, m) * (m + n) > _TABLE_CUT:
+        return None
+    if m + n < 2:  # an itemgetter of one index returns the bare entry
+        return (tuple,)
+    getters = []
     for apos in combinations(range(m + n), m):
-        out = [0] * (m + n)
-        aset = set(apos)
-        ai = bi = 0
-        for p in range(m + n):
-            if p in aset:
-                out[p] = pi[ai]
-                ai += 1
-            else:
-                out[p] = sigma[bi]
-                bi += 1
-        yield tuple(out)
+        slots = apos + tuple(p for p in range(m + n) if p not in apos)  # entry -> slot
+        getters.append(itemgetter(*sorted(range(m + n), key=slots.__getitem__)))
+    return tuple(getters)
+
+
+def _blocks(prefix: Perm, pi: Perm, sigma: Perm):
+    """``(prefix, pi + sigma, getters)`` per tabled rest, in word order."""
+    if getters := _word_getters(len(pi), len(sigma)):
+        yield prefix, pi + sigma, getters
+    else:
+        yield from _blocks(prefix + pi[:1], pi[1:], sigma)
+        yield from _blocks(prefix + sigma[:1], pi, sigma[1:])
+
+
+def iter_shuffles(pi: Perm, sigma: Perm):
+    """Yield all interleavings in lexicographic word order (a < b), by :func:`_blocks`."""
+    _check_disjoint(pi, sigma)
+    for prefix, rest, getters in _blocks((), tuple(pi), tuple(sigma)):
+        for get in getters:
+            yield prefix + get(rest)
 
 
 def shuffles(pi: Perm, sigma: Perm) -> tuple[Perm, ...]:
     """All interleavings of ``pi`` and ``sigma``, in lexicographic word order.
 
-    The result always has binomial(m+n, m) entries.
+    The result always has binomial(m+n, m) entries.  A tabled shape reads
+    them off its word getters; a larger one collects :func:`iter_shuffles`.
     """
+    _check_disjoint(pi, sigma)
+    if getters := _word_getters(len(pi), len(sigma)):
+        rest = tuple(pi) + tuple(sigma)
+        return tuple([get(rest) for get in getters])
     return tuple(iter_shuffles(pi, sigma))
 
 
@@ -211,16 +240,8 @@ def from_word(pi: Perm, sigma: Perm, word: ShuffleWord) -> Perm:
         )
     if set(word) - {"a", "b"}:
         raise ValueError(f"word {word!r} has letters outside a/b")
-    out = []
-    ai = bi = 0
-    for ch in word:
-        if ch == "a":
-            out.append(pi[ai])
-            ai += 1
-        else:
-            out.append(sigma[bi])
-            bi += 1
-    return tuple(out)
+    a, b = iter(pi), iter(sigma)
+    return tuple(next(a) if ch == "a" else next(b) for ch in word)
 
 
 def _rename(tau: Perm, old: Perm, new: Perm) -> Perm:

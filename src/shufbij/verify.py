@@ -33,6 +33,7 @@ from math import factorial
 from typing import NamedTuple, Optional
 
 from .errors import (
+    DEFAULT_COUNTEREXAMPLE_LIMIT,
     DEFAULT_FULL_LIMIT,
     DEFAULT_IDENTITY_LIMIT,
     DEFAULT_REDUCED_LIMIT,
@@ -404,14 +405,18 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
     )
 
 
-def find_counterexample(stat: StatId, max_total_length: int) -> Report:
+def find_counterexample(stat: StatId, max_total_length: int, limit: Optional[int] = None) -> Report:
     """Search all domain splittings in increasing total length for a pair of
-    equally-labeled instances with different distributions; first hit wins."""
+    equally-labeled instances with different distributions; first hit wins.
+    Only ``limit`` moves the default bound; ``SHUFBIJ_MAX_TOTAL`` does not."""
     stat = validate_stat(stat)
     if max_total_length < 0:
         raise ValueError(
             f"the largest m+n to scan must be >= 0, got {max_total_length}"
         )
+    fallback = DEFAULT_COUNTEREXAMPLE_LIMIT if is_descent_statistic(stat) else DEFAULT_FULL_LIMIT
+    _gate(max_total_length, 0, fallback if limit is None else limit, "counterexample search",
+          how="pass a larger limit (--limit)")
     start = time.perf_counter()
     cases = 0
     scope = f"all splittings with m+n <= {max_total_length}"

@@ -132,13 +132,14 @@ def test_verify_limit_refusal_exits_2(capsys):
 def test_limit_help_names_the_default_bounds(capsys, monkeypatch):
     """Each --limit help is built from the bound it falls back to, so it
     follows a raised default."""
-    for name, value in (("REDUCED", 11), ("FULL", 9), ("IDENTITY", 12)):
+    for name, value in (("REDUCED", 11), ("FULL", 9), ("IDENTITY", 12), ("COUNTEREXAMPLE", 13)):
         monkeypatch.setattr(cli, f"DEFAULT_{name}_LIMIT", value)
     assert [" ".join(run_cli(capsys, command, "--help")[1].split()).rpartition("--limit LIMIT ")[2]
-            for command in ("verify", "identity", "conjecture")] == [
+            for command in ("verify", "identity", "conjecture", "counterexample")] == [
         "override the size bound (default 11 reduced / 9 full)",
         "override the size bound (default 12)",
         "override the size bound (default 11)",
+        "override the size bound (default 13, or 9 with inv)",
     ]
 
 
@@ -193,6 +194,21 @@ def test_counterexample_command(capsys):
     assert "witness" in out
     code, out, _ = run_cli(capsys, "counterexample", "Des", "--max", "4")
     assert code == 0
+
+
+def test_counterexample_size_bound_exits_2_before_any_output(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "counterexample", "maj", "--max", "11")
+    assert (code, out) == (2, "")
+    assert "m+n=11 exceeds the bound 10" in err and "--limit" in err
+    code, out, err = run_cli(capsys, "counterexample", "inv", "--max", "7")
+    assert (code, out) == (2, "")
+    assert "m+n=7 exceeds the bound 6" in err and "SHUFBIJ_MAX_TOTAL" not in err
+    code, out, _ = run_cli(capsys, "counterexample", "inv", "--max", "3", "--limit", "3")
+    assert code == 1 and "witness" in out
+    # The variable bounds shuffle sets and sweeps, not the search.
+    monkeypatch.setenv("SHUFBIJ_MAX_TOTAL", "6")
+    code, out, _ = run_cli(capsys, "counterexample", "biruns", "--max", "7")
+    assert code == 1 and "witness" in out
 
 
 def test_counterexample_negative_max_exits_2(capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, permutations
 from math import comb
 
@@ -10,8 +11,10 @@ from oracles import shuffle_set_oracle
 from shufbij.errors import DomainOverlapError, NotAShuffleError
 from shufbij.reduce import apply_trace
 from shufbij.shuffle import (
+    _word_getters,
     from_word,
     is_shuffle,
+    iter_shuffles,
     normalize_pair,
     phi,
     phi_tilde,
@@ -53,6 +56,79 @@ def test_shuffles_match_recursive_oracle(pair):
     assert len(set(out)) == len(out)
     words = [word_of(t, pi, sigma) for t in out]
     assert words == sorted(words)
+
+
+def _per_position_shuffles(pi, sigma):
+    """The enumeration the word tables replaced: each interleaving built
+    position by position from the a positions of its word."""
+    m, n = len(pi), len(sigma)
+    for apos in combinations(range(m + n), m):
+        out = [0] * (m + n)
+        aset = set(apos)
+        ai = bi = 0
+        for p in range(m + n):
+            if p in aset:
+                out[p] = pi[ai]
+                ai += 1
+            else:
+                out[p] = sigma[bi]
+                bi += 1
+        yield tuple(out)
+
+
+def test_word_tables_match_oracle_on_every_small_shape():
+    for total in range(9):
+        for m in range(total + 1):
+            # Interleaved domains: pi the first m odd values, descending;
+            # sigma the smallest other values, ascending.
+            pi = tuple(range(2 * m - 1, 0, -2))
+            sigma = tuple(sorted(set(range(1, 2 * total + 1)) - set(pi)))[: total - m]
+            out = shuffles(pi, sigma)
+            assert set(out) == shuffle_set_oracle(pi, sigma)
+            assert len(out) == comb(total, m)
+            words = [word_of(t, pi, sigma) for t in out]
+            assert all(u < v for u, v in zip(words, words[1:]))
+            assert tuple(iter_shuffles(pi, sigma)) == out
+
+
+@pytest.mark.parametrize("m,n", [(6, 7), (7, 7), (1, 15), (12, 1)])
+def test_word_tables_keep_the_per_position_order_across_the_cut(m, n):
+    pi = tuple(range(2 * m, 0, -2))
+    sigma = tuple(range(1, 2 * n, 2))
+    expected = tuple(_per_position_shuffles(pi, sigma))
+    assert shuffles(pi, sigma) == expected
+    assert tuple(iter_shuffles(list(pi), list(sigma))) == expected
+
+
+def test_word_tables_take_lists_and_the_smallest_shapes():
+    assert shuffles([], []) == ((),)
+    assert shuffles([5], []) == shuffles([], [5]) == ((5,),)
+    assert shuffles([2, 1], [3]) == ((2, 1, 3), (2, 3, 1), (3, 2, 1))
+    assert list(iter_shuffles([4], [])) == [(4,)]
+    assert all(type(t) is tuple for t in iter_shuffles([2, 1], [4, 3]))
+    for pi, sigma in [((1, 2), (2, 3)), (tuple(range(1, 8)), tuple(range(7, 14)))]:
+        with pytest.raises(DomainOverlapError):
+            shuffles(pi, sigma)
+        with pytest.raises(DomainOverlapError):
+            list(iter_shuffles(pi, sigma))
+    assert _word_getters.cache_info().maxsize is not None
+
+
+def test_streaming_a_10_10_pair_stays_small():
+    pi = (3, 17, 1, 9, 12, 20, 6, 14, 8, 11)
+    sigma = (15, 2, 19, 7, 10, 4, 18, 13, 5, 16)
+    # The first pass builds the word tables it reads (about 1.1 MB, kept in
+    # the bounded cache); a stream itself holds only its prefixes.
+    for _ in iter_shuffles(pi, sigma):
+        pass
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in iter_shuffles(pi, sigma))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == comb(20, 10)
+    assert peak < 1 << 20
 
 
 def test_cardinality_exhaustive_by_sizes():

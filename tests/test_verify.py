@@ -206,6 +206,27 @@ def test_find_counterexample_rejects_negative_bound():
         find_counterexample("maj", -3)
 
 
+def test_find_counterexample_is_gated_before_scanning(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scanned past the bound")
+
+    monkeypatch.setattr(verify, "_full_scan", no_scan)
+    with pytest.raises(ResourceLimitError, match="m\\+n=11 exceeds the bound 10"):
+        find_counterexample("maj", 11)
+    with pytest.raises(ResourceLimitError, match="m\\+n=7 exceeds the bound 6"):
+        find_counterexample("inv", 7)
+    with pytest.raises(ResourceLimitError, match="bound 6"):
+        find_counterexample(("des", "inv"), 7)
+    with pytest.raises(ResourceLimitError, match="bound 3; pass a larger limit \\(--limit\\) to"):
+        find_counterexample("maj", 5, limit=3)
+
+
+def test_find_counterexample_explicit_limit_allows_more():
+    report = find_counterexample("inv", 3, limit=3)
+    assert not report.passed
+    assert find_counterexample("Des", 4, limit=4).passed
+
+
 def test_find_counterexample_des_passes_in_scope():
     report = find_counterexample("Des", 5)
     assert report.passed
