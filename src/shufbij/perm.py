@@ -18,6 +18,7 @@ only where a permutation is wanted.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 
 from .errors import DomainOverlapError, InfeasibleProfileError
 
@@ -217,7 +218,8 @@ def lex_rank(x: Perm) -> int:
     return rank
 
 
-def descent_classes(k: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=16)  # sweeps walk the same few lengths for every statistic and mode
+def descent_classes(k: int) -> tuple[tuple[int, int], ...]:
     """``(mask, size)`` for every descent bitmask of the permutations of a
     k-element ground set, in the lexicographic order of the least members
     (:func:`least_with_descent_set`), without enumerating a member.
@@ -229,13 +231,13 @@ def descent_classes(k: int) -> list[tuple[int, int]]:
     before a descent at each position yields rank order.
 
     >>> descent_classes(3)
-    [(0, 1), (4, 2), (2, 2), (6, 1)]
+    ((0, 1), (4, 2), (2, 2), (6, 1))
     """
     classes = [(0, [1])]
     for t in range(1, k):  # an ascent, then a descent, at position t
         classes = [(mask | d << t, _extend_counts(counts, not d))
                    for mask, counts in classes for d in (0, 1)]
-    return [(mask, sum(counts)) for mask, counts in classes]
+    return tuple([(mask, sum(counts)) for mask, counts in classes])
 
 
 def count_before(ground: Iterable[int], mask: int, x: Perm) -> int:

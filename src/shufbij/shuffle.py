@@ -12,14 +12,15 @@ its first letter, a before b, down to tabled rests.
 Des is shuffle compatible, so the distribution of a descent statistic over
 a shuffle set depends only on the operands' descent bitmasks (bit d set
 for a descent at d, :func:`~shufbij.stats.descent_mask`) and lengths.
-:func:`class_pair_distributions` computes it for a class pair by one
-transfer-matrix DP over (a's placed, last letter), without listing a
-word.  Each state counts packed keys that carry every component's partial
-value, moved by the step deltas of :func:`~shufbij.stats.value_dp` as
-each step is decided: a handful of keys for ``pk`` or ``maj``, the whole
-descent bitmask for ``Des``, whose instance is :func:`des_histogram`.
-:func:`shuffle_distribution` serves one pair: by the DP for a descent
-statistic, by enumeration otherwise.
+:func:`class_pair_distributions` computes it for every class pair of a
+product of two bitmask sets by one transfer-matrix DP over (a's placed,
+last letter, the operands' bits decided so far), without listing a word;
+pairs with a common prefix share states.  Each state counts packed keys
+that carry every component's partial value, moved by the step deltas of
+:func:`~shufbij.stats.value_dp` as each step is decided: a handful of keys
+for ``pk`` or ``maj``, the whole descent bitmask for ``Des``.
+:func:`des_histogram` and :func:`shuffle_distribution` read one pair, the
+latter by enumeration for a statistic that is not a descent statistic.
 
 The bijections here are the building blocks for statistic-preserving
 reductions: positional replacement of one side (``phi`` / ``phi_tilde``),
@@ -103,87 +104,96 @@ def shuffles(pi: Perm, sigma: Perm) -> tuple[Perm, ...]:
     return tuple(iter_shuffles(pi, sigma))
 
 
-def _value_counts(dp, mask_pi: int, mask_sigma: int, m: int, n: int) -> dict:
-    """Packed keys with their counts over the shuffle set of any pi on [m]
-    with descent bitmask ``mask_pi`` and sigma on [n]+m with descent
-    bitmask ``mask_sigma``, by the DP ``dp`` of :func:`~shufbij.stats.value_dp`.
+def _class_pair_counts(dp, m: int, n: int, masks_pi=None, masks_sigma=None) -> dict:
+    """``{(mask_pi, mask_sigma): key counts}`` over ``masks_pi`` times
+    ``masks_sigma`` (None: every bitmask of the length): the packed keys of
+    the DP ``dp`` (:func:`~shufbij.stats.value_dp`), with their counts, over
+    the shuffle set of any pi on [m] and sigma on [n]+m with those bitmasks.
 
     Every sigma entry exceeds every pi entry, so each step of an
-    interleaving is fixed by its word: adjacent letters b, a fall, a, b
-    rise, and a, a or b, b copy the step of the operand they come from.
-    The transfer-matrix DP runs over the words letter by letter; its state
-    is the number of a's placed and the last letter, and each state keeps
-    a count per key.  With an operand empty there is one word, the other
-    operand's, and the key is that of its rule (:func:`~shufbij.stats.walk`).
+    interleaving is fixed by its word and the operands' bits: adjacent
+    letters b, a fall, a, b rise, and a, a or b, b copy the step of the
+    operand they come from.  The transfer-matrix DP runs over the words
+    letter by letter; its state is the number of a's placed, the last
+    letter and the bits decided so far, and each state keeps a count per
+    key.  The (i+1)-th a, i >= 1, decides pi's bit i on every path, read or
+    not, keeping the bits that some mask of ``masks_pi`` starts with; b's
+    decide sigma's bits alike.  An empty operand leaves one word, the
+    other's, keyed as by its rule (:func:`~shufbij.stats.walk`).
     """
-    if not m or not n:  # one interleaving, the other operand itself
-        return {walk(dp, mask_pi | mask_sigma): 1}
+    # keep[c]: bits 1..c of some member of the set, bit 0 never being a
+    # descent; keep[-1] holds the members ([0] for an empty operand).
+    keep_pi, keep_sigma = (
+        [range(0, 2 << c, 2) if masks is None else {x & (2 << c) - 1 for x in masks}
+         for c in range(max(k, 1))] for masks, k in ((masks_pi, m), (masks_sigma, n)))
+    if not (m and n and keep_pi[-1] and keep_sigma[-1]):  # one word, the other operand's
+        return {(p, s): {walk(dp, p | s): 1} for p in keep_pi[-1] for s in keep_sigma[-1]}
     start, steps, _ = dp
-    # ends_a[i] / ends_b[i]: counts of the words with i a's placed that end
-    # in a / in b.  Each state feeds the two states of the next layer that
-    # fit in (m, n), and is dropped once read.
-    ends_a, ends_b = {1: {start: 1}}, {0: {start: 1}}
+    # ends_a / ends_b: (a's placed, pi's bits, sigma's bits) -> counts, of the
+    # words so far that end in a / in b.  Each state feeds the states of the
+    # next layer that fit in (m, n), and is dropped once read.
+    ends_a, ends_b = {(1, 0, 0): {start: 1}}, {(0, 0, 0): {start: 1}}
     for t in range(1, m + n):  # t letters placed; the next step is step t
         rise, fall = steps[t]
-        moves = []  # (counts, next layer: 1 for a, a's placed, key deltas)
-        for i, counts in ends_a.items():  # a after a copies Des pi; b after a rises
-            moves += [(counts, 1, i + 1, fall if mask_pi >> i & 1 else rise), (counts, 0, i, rise)]
-        for i, counts in ends_b.items():  # a after b falls; b after b copies Des sigma
-            moves += [(counts, 1, i + 1, fall),
-                      (counts, 0, i, fall if mask_sigma >> (t - i) & 1 else rise)]
-        ends_b, ends_a = layers = ({}, {})
-        for counts, ends_with_a, i, (step, step_after_fall) in moves:
-            if i > m or t + 1 - i > n:
-                continue
+        moves = []  # (counts, next layer: 1 for a, next state, key deltas)
+        for after_a, layer in ((1, ends_a), (0, ends_b)):
+            for (i, bits_pi, bits_sigma), counts in layer.items():
+                for d in (0, 1):  # a after a copies pi's bit i; a after b falls
+                    if i < m and (bits := bits_pi | d << i) in keep_pi[i]:
+                        moves.append((counts, 1, (i + 1, bits, bits_sigma),
+                                      fall if d or not after_a else rise))
+                    # b after b copies sigma's bit t-i; b after a rises
+                    if t - i < n and (bits := bits_sigma | d << t - i) in keep_sigma[t - i]:
+                        moves.append((counts, 0, (i, bits_pi, bits),
+                                      fall if d and not after_a else rise))
+        # The last layer is one: a word's last letter matters no more.
+        ends_b, ends_a = layers = ({}, {}) if t < m + n - 1 else ({},) * 2
+        while moves:  # each state's counts are dropped once its last move is made
+            counts, ends_with_a, state, (step, step_after_fall) = moves.pop()
             layer = layers[ends_with_a]
             if step != step_after_fall:
-                into = layer.setdefault(i, {})
+                into = layer.setdefault(state, {})
                 for key, count in counts.items():
                     key += step_after_fall if key & 1 else step
                     into[key] = into.get(key, 0) + count
-            elif i not in layer:  # no mark reads the step before: keys move as one
-                layer[i] = {key + step: count for key, count in counts.items()}
+            elif state not in layer:  # no mark reads the step before: keys move as one
+                layer[state] = {key + step: count for key, count in counts.items()}
             else:
-                into = layer[i]
+                into = layer[state]
                 for key, count in counts.items():
                     key += step
                     into[key] = into.get(key, 0) + count
-    final = ends_a.get(m, {})
-    for key, count in ends_b.get(m, {}).items():
-        final[key] = final.get(key, 0) + count
-    return final
+    return {(bits_pi, bits_sigma): counts for (_, bits_pi, bits_sigma), counts in ends_a.items()}
 
 
 def des_histogram(mask_pi: int, mask_sigma: int, m: int, n: int) -> dict[int, int]:
     """Descent sets, as bitmasks with bit d set for a descent at position d,
     over the shuffle set of any pi on [m] with descent bitmask ``mask_pi``
     and sigma on [n]+m with descent bitmask ``mask_sigma``: the DP of
-    :func:`_value_counts` for ``Des``, whose packed key is the bitmask.
-    Equals ``Counter(descent_mask(t) for t in shuffles(pi, sigma))``
-    without listing a word.
+    :func:`_class_pair_counts` for ``Des`` on that one pair, whose packed
+    key is the bitmask.  Equals ``Counter(descent_mask(t) for t in
+    shuffles(pi, sigma))`` without listing a word.
     """
-    return _value_counts(value_dp(mark_tables("Des"), m + n), mask_pi, mask_sigma, m, n)
+    dp = value_dp(mark_tables("Des"), m + n)
+    return _class_pair_counts(dp, m, n, {mask_pi}, {mask_sigma})[mask_pi, mask_sigma]
 
 
-def class_pair_distributions(stat: StatId, m: int, n: int):
-    """``dist_of(mask_pi, mask_sigma)``: the distribution of a descent
-    statistic over the shuffle set of a class pair, pi on [m] and sigma on
-    [n]+m with those descent bitmasks.  One DP (:func:`_value_counts`)
-    carries each component's partial value in a packed key, with the step
-    deltas and the decode that the statistic's rule walks over one word.
-    The decode keeps the values of its last 1024 final keys across calls
-    and class pairs: a sweep meets the same keys in every class pair, while
-    one class pair of ``Des`` at 9+9 has over 20,000."""
+def class_pair_distributions(stat: StatId, m: int, n: int, masks_pi=None, masks_sigma=None):
+    """``{(mask_pi, mask_sigma): distribution}`` of a descent statistic over
+    the shuffle set of each class pair of ``masks_pi`` times ``masks_sigma``
+    (None: every bitmask of the length), pi on [m] and sigma on [n]+m.  One
+    DP (:func:`_class_pair_counts`) carries each component's partial value
+    in a packed key, with the step deltas and the decode that the
+    statistic's rule walks over one word.  Each final key is decoded once
+    per call; the decode also keeps its last 1024 across calls."""
     dp = value_dp(mark_tables(stat), m + n)
-    decode = dp[2]
-
-    def dist_of(mask_pi: int, mask_sigma: int) -> Distribution:
-        dist: Distribution = Counter()
-        for key, count in _value_counts(dp, mask_pi, mask_sigma, m, n).items():
-            dist[decode(key)] += count
-        return dist
-
-    return dist_of
+    table = _class_pair_counts(dp, m, n, masks_pi, masks_sigma)
+    values = {key: dp[2](key) for counts in table.values() for key in counts}
+    for pair, counts in table.items():
+        table[pair] = dist = Counter()
+        for key, count in counts.items():
+            dist[values[key]] += count
+    return table
 
 
 def shuffle_distribution(stat: StatId, pi: Perm, sigma: Perm) -> Distribution:
@@ -192,15 +202,15 @@ def shuffle_distribution(stat: StatId, pi: Perm, sigma: Perm) -> Distribution:
 
     For a descent statistic (or a tuple of them) it is a function of
     (Des pi, Des sigma, m, n), Des being shuffle compatible, so it is read
-    off :func:`class_pair_distributions` without building the shuffle set;
-    the operands need not be separated.  A statistic involving ``inv`` is
-    evaluated on every interleaving.
+    off :func:`class_pair_distributions` of the one class pair without
+    building the shuffle set; the operands need not be separated.  A
+    statistic involving ``inv`` is evaluated on every interleaving.
     """
     stat = validate_stat(stat)
     _check_disjoint(pi, sigma)
     if is_descent_statistic(stat):
-        dist_of = class_pair_distributions(stat, len(pi), len(sigma))
-        return dist_of(descent_mask(pi), descent_mask(sigma))
+        pair = descent_mask(pi), descent_mask(sigma)
+        return class_pair_distributions(stat, len(pi), len(sigma), {pair[0]}, {pair[1]})[pair]
     return distribution(stat, iter_shuffles(pi, sigma))
 
 

@@ -11,18 +11,21 @@ For a descent statistic the distribution over a shuffle set depends only
 on the descent classes of the operands (it is read off the product of
 their fundamental quasisymmetric functions).  The sweeps in every mode,
 the counterexample search and the identities therefore put sigma above
-pi and read one distribution per pair of descent bitmasks off the
-transfer-matrix DP (:func:`~shufbij.shuffle.class_pair_distributions`),
-walking the operands by class (:func:`~shufbij.perm.descent_classes`).
-A reduced sweep labels a class by the statistic's rule on its bitmask
-and builds least members for a witness only; full mode and the
-identities walk each class with its least member, and full mode over any
-other statistic walks each permutation as its own class.  Cases and
-witnesses are those a lexicographic pair-by-pair scan would report, read
-off the ranks of the failing pair's members and the class sizes.  The
-pipeline audit and :meth:`Witness.recheck` enumerate shuffle sets; the
-audit replays its trace on its own enumeration unchecked.  A report
-fails exactly when it has a witness.
+pi, walk the operands by class (:func:`~shufbij.perm.descent_classes`),
+and read each class pair's distribution off one table per shape from one
+transfer-matrix DP (:func:`~shufbij.shuffle.class_pair_distributions`):
+every class pair for full mode and the identities; for a reduced sweep
+(both of them at once in the conjecture) the mover classes in value
+groups of two or more, and no table when there are none.  A reduced
+sweep labels a class by the statistic's rule on its bitmask and builds
+least members for a witness only; full mode and the identities walk each
+class with its least member, and full mode over any other statistic
+walks each permutation as its own class.  Cases and witnesses are those
+a lexicographic pair-by-pair scan would report, read off the ranks of
+the failing pair's members and the class sizes.  The pipeline audit and
+:meth:`Witness.recheck` enumerate shuffle sets; the audit replays its
+trace on its own enumeration unchecked.  A report fails exactly when it
+has a witness.
 """
 
 from __future__ import annotations
@@ -172,14 +175,38 @@ def _first_failure(m: int, n: int, fails, lows, classes):
     return None
 
 
-def _reduced_scan(stat: StatId, m: int, n: int, side: str):
+def _reduced_scans(stat: StatId, m: int, n: int, sides):
+    """The one-sided sweeps of ``sides`` in turn, up to the first witness:
+    ``(witness, cases)``.  All read one :func:`class_pair_distributions`
+    table over the least product of class sets that pairs every mover class
+    in a value group of two or more with every partner; none if no group."""
+    rule, groups = descent_rule(stat), {}
+    for side in sides:  # mover classes by value, as (descent bitmask, size)
+        k = m if side == "pi" else n
+        groups[side] = by_value = {}
+        for mask, size in descent_classes(k):
+            by_value.setdefault(rule(mask, k), []).append((mask, size))
+    pis, sigmas = ({mask for members in groups.get(side, {}).values() if len(members) > 1
+                    for mask, _ in members} for side in ("pi", "sigma"))
+    table = class_pair_distributions(stat, m, n, None if sigmas else pis,
+                                     None if pis else sigmas) if pis or sigmas else {}
+    cases = 0
+    for side in sides:
+        witness, scanned = _reduced_scan(stat, m, n, side, groups[side], table)
+        cases += scanned
+        if witness:
+            break
+    return witness, cases
+
+
+def _reduced_scan(stat: StatId, m: int, n: int, side: str, groups: dict, table: dict):
     """One-sided sweep: group the varying side by statistic value and
     require equal distributions within each group, for every fixed partner.
 
     A distribution depends only on the descent classes of the pair, so it
-    is read once per class pair off :func:`class_pair_distributions`, and
-    both sides are walked by descent bitmask (:func:`descent_classes`),
-    never by permutation; the mover classes are labeled by the
+    is read off ``table`` (:func:`_reduced_scans`), and both sides are
+    walked by descent bitmask (:func:`descent_classes`), never by
+    permutation; ``groups`` holds the mover classes, labeled by the
     statistic's rule on the bitmask.  Cases and the first failing witness
     are those of a scan pair by pair in lexicographic order: the mover
     classes, grouped by value in rank order, meet the groups and their
@@ -190,14 +217,9 @@ def _reduced_scan(stat: StatId, m: int, n: int, side: str):
     low, high = range(1, m + 1), range(m + 1, m + n + 1)
     mover_ground, partner_ground = (low, high) if side == "pi" else (high, low)
     mover_count = factorial(len(mover_ground))
-    class_dist = class_pair_distributions(stat, m, n)
-    dist_of = class_dist if side == "pi" else lambda mover, partner: class_dist(partner, mover)
-    rule = descent_rule(stat)
 
-    # Mover classes by statistic value, as (descent bitmask, size).
-    groups: dict = {}
-    for mask, size in descent_classes(len(mover_ground)):
-        groups.setdefault(rule(mask, len(mover_ground)), []).append((mask, size))
+    def dist_of(mover, partner):
+        return table[mover, partner] if side == "pi" else table[partner, mover]
 
     for partner_mask, _ in descent_classes(len(partner_ground)):
         done = 0  # movers in the groups already passed for this partner
@@ -235,17 +257,17 @@ def _full_scan(stat: StatId, m: int, n: int):
     permutation as its own class.
     """
 
-    def dist_of(pi, sigma):
-        return distribution(stat, shuffles(pi, sigma))
+    def dist_of(pair):
+        return distribution(stat, shuffles(*pair))
 
     lows, classes = combinations(range(1, m + n + 1), m), _singletons
     if is_descent_statistic(stat):
         lows, classes = [range(1, m + 1)], _least_members
-        dist_of = class_pair_distributions(stat, m, n)
+        dist_of = class_pair_distributions(stat, m, n).__getitem__
     seen: dict = {}
 
     def fails(key_pi, pi, key_sigma, sigma):
-        dist = dist_of(key_pi, key_sigma)
+        dist = dist_of((key_pi, key_sigma))
         prev = seen.setdefault((evaluate(stat, pi), evaluate(stat, sigma)), (dist, pi, sigma))
         return None if prev[0] == dist else Witness(prev[1], pi, prev[2], sigma, stat, prev[0], dist)
 
@@ -279,7 +301,7 @@ def check_compatibility(
     if mode == "full":
         witness, cases = _full_scan(stat, m, n)
     else:
-        witness, cases = _reduced_scan(stat, m, n, "pi" if mode == "reduced_pi" else "sigma")
+        witness, cases = _reduced_scans(stat, m, n, [mode.removeprefix("reduced_")])
     return Report(
         subject=f"shuffle compatibility of {format_stat(stat)} ({mode})",
         scope=f"|pi|={m}, |sigma|={n}",
@@ -366,11 +388,12 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
     def classes(ground):  # word_base: the increasing class alone, bitmask 0
         return [(0, tuple(ground))] if which == "word_base" else _least_members(ground)
 
-    # maj_des reads one (des, maj) table per class pair, split by des.
-    dist_of = class_pair_distributions(("des", "maj") if which == "maj_des" else "maj", m, n)
+    masks = {0} if which == "word_base" else None  # maj_des splits (des, maj) by des
+    table = class_pair_distributions(("des", "maj") if which == "maj_des" else "maj", m, n,
+                                     masks, masks)
 
     def fails(mask_pi, pi, mask_sigma, sigma):
-        dist = dist_of(mask_pi, mask_sigma)
+        dist = table[mask_pi, mask_sigma]
         if which == "maj_des":
             by_des: dict = {}
             for (des, maj), count in dist.items():
@@ -445,12 +468,7 @@ def check_conjecture_udr_pk_des(m: int, n: int, limit: Optional[int] = None) -> 
     stat: StatId = ("udr", "pk", "des")
     _gate(m, n, _resolve_limit(limit, DEFAULT_REDUCED_LIMIT), "conjecture sweep")
     start = time.perf_counter()
-    cases = 0
-    for side in ("pi", "sigma"):
-        witness, scanned = _reduced_scan(stat, m, n, side)
-        cases += scanned
-        if witness:
-            break
+    witness, cases = _reduced_scans(stat, m, n, ["pi", "sigma"])
     return Report(
         subject=(
             "conjectured shuffle compatibility of (udr,pk,des) -- "

@@ -301,7 +301,7 @@ def test_dist_with_inv_still_enumerates(capsys, monkeypatch, stat):
     expected = _enumerated(parse_stat(stat), (5, 1, 8), (2, 7, 3, 6))
     body = ", ".join(f"{v}:{c}" for v, c in distribution_entries(expected))
 
-    def refuse(stat, m, n):
+    def refuse(*args):
         raise AssertionError("inv is not read off descent sets")
 
     monkeypatch.setattr(shuffle, "class_pair_distributions", refuse)

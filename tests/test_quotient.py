@@ -269,8 +269,11 @@ def test_value_dp_matches_brute_force_and_des_histogram(stat, class_pair_histogr
     with m+n <= 7, and to the statistic's rule read off the Des histogram
     on every class pair with m+n <= 8."""
     rule = descent_rule(stat)
+    tables = {}
     for (m, n, mask_pi, mask_sigma), (histogram, members) in class_pair_histograms.items():
-        dist = class_pair_distributions(stat, m, n)(mask_pi, mask_sigma)
+        if (m, n) not in tables:
+            tables[m, n] = class_pair_distributions(stat, m, n)
+        dist = tables[m, n][mask_pi, mask_sigma]
         if members is not None:
             assert dist == distribution(stat, members), (m, n, mask_pi, mask_sigma)
         by_rule = Counter()
@@ -285,10 +288,65 @@ def test_class_pair_distributions_commute(stat):
     compatible, so pi ш sigma and sigma ш pi have equal statistic
     distributions, on every class pair with m+n <= 8.  Needs no
     enumeration, and reads each DP from both ends."""
+    tables = {(m, total - m): class_pair_distributions(stat, m, total - m)
+              for total in range(9) for m in range(total + 1)}
     for m, n, mask_pi, mask_sigma in _class_pairs(8):
-        forward = class_pair_distributions(stat, m, n)(mask_pi, mask_sigma)
-        assert forward == class_pair_distributions(stat, n, m)(mask_sigma, mask_pi), (
-            m, n, mask_pi, mask_sigma)
+        forward = tables[m, n][mask_pi, mask_sigma]
+        assert forward == tables[n, m][mask_sigma, mask_pi], (m, n, mask_pi, mask_sigma)
+
+
+def _mask_set_tables(stat, m, n):
+    """The class pair tables of four mask-set shapes: every class times
+    every class, every other class of pi (in rank order) times every
+    class, every class times every other class of sigma, and one table per
+    class pair."""
+    pis, sigmas = ([mask for mask, _ in descent_classes(k)] for k in (m, n))
+    return {
+        "all x all": class_pair_distributions(stat, m, n),
+        "subset x all": class_pair_distributions(stat, m, n, set(pis[::2]), None),
+        "all x subset": class_pair_distributions(stat, m, n, None, set(sigmas[1::2])),
+        "singletons": {
+            (p, s): dist for p in pis for s in sigmas
+            for dist in class_pair_distributions(stat, m, n, {p}, {s}).values()
+        },
+    }, {
+        "all x all": {(p, s) for p in pis for s in sigmas},
+        "subset x all": {(p, s) for p in pis[::2] for s in sigmas},
+        "all x subset": {(p, s) for p in pis for s in sigmas[1::2]},
+        "singletons": {(p, s) for p in pis for s in sigmas},
+    }
+
+
+@pytest.fixture(scope="module")
+def least_member_oracle_sets():
+    """The oracle's shuffle set of the least members of every class pair
+    with m+n <= MAX_TOTAL."""
+    return {
+        (m, n, mask_pi, mask_sigma): shuffle_set_oracle(
+            _least(range(1, m + 1), mask_pi), _least(range(m + 1, m + n + 1), mask_sigma))
+        for m, n, mask_pi, mask_sigma in _class_pairs(MAX_TOTAL)
+    }
+
+
+@pytest.mark.parametrize("stat", DESCENT_STATS, ids=format_stat)
+def test_mask_set_tables_match_brute_force(stat, least_member_oracle_sets):
+    """Every mask-set shape of the class pair DP holds exactly the pairs of
+    its product, each with the distribution over the oracle's shuffle set
+    of the least members, on every shape with m+n <= 7; at m+n = 8 the four
+    shapes agree pair by pair."""
+    for m, n in SPLITS:
+        tables, products = _mask_set_tables(stat, m, n)
+        for shape, table in tables.items():
+            assert set(table) == products[shape], (shape, m, n)
+            for (mask_pi, mask_sigma), dist in table.items():
+                brute = distribution(stat, least_member_oracle_sets[m, n, mask_pi, mask_sigma])
+                assert dist == brute, (shape, m, n, mask_pi, mask_sigma)
+    for m in range(9):
+        tables, products = _mask_set_tables(stat, m, 8 - m)
+        whole = tables["all x all"]
+        for shape, table in tables.items():
+            assert set(table) == products[shape], (shape, m)
+            assert all(dist == whole[pair] for pair, dist in table.items()), (shape, m)
 
 
 def test_class_pair_distributions_refuse_other_statistics():

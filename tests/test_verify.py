@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -304,3 +305,17 @@ def test_witness_and_report_are_values():
     passing = Report("s", "t", None, 1, 0.5)
     assert (passing.passed, passing.outcome) == (True, "pass")
     assert passing.to_json(include_elapsed=True)["elapsed_seconds"] == 0.5
+
+
+def test_full_mode_table_memory_stays_bounded():
+    """A scan holds its whole class pair table: full-mode Des at 5+5 keeps
+    the distributions of all 256 class pairs.  Its traced peak must stay
+    under 16 MB."""
+    tracemalloc.start()
+    try:
+        report = check_compatibility("Des", 5, 5, "full", limit=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 16 * 2**20, peak
