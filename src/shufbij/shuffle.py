@@ -126,7 +126,7 @@ def _class_pair_counts(dp, m: int, n: int, masks_pi=None, masks_sigma=None) -> d
     keep_pi, keep_sigma = (
         [range(0, 2 << c, 2) if masks is None else {x & (2 << c) - 1 for x in masks}
          for c in range(max(k, 1))] for masks, k in ((masks_pi, m), (masks_sigma, n)))
-    if not (m and n and keep_pi[-1] and keep_sigma[-1]):  # one word, the other operand's
+    if not (m and n and keep_pi[-1] and keep_sigma[-1]):  # an empty operand, or no pair
         return {(p, s): {walk(dp, p | s): 1} for p in keep_pi[-1] for s in keep_sigma[-1]}
     start, steps, _ = dp
     # ends_a / ends_b: (a's placed, pi's bits, sigma's bits) -> counts, of the

@@ -6,7 +6,10 @@ checked against enumeration (and, up to m+n = 10, on the least members of
 every class pair); the DP of every descent statistic and catalog tuple
 against brute force on every class pair with m+n <= 7, against its rule
 read off the histogram up to m+n = 8, and against itself with the
-operands' roles swapped up to m+n = 8; the class tables (bitmasks, sizes
+operands' roles swapped up to m+n = 8; its tables over four shapes of
+bitmask sets (all x all, a subset x all, all x a subset, singletons)
+against the oracle's shuffle sets up to m+n = 7 and against each other
+at m+n = 8; the class tables (bitmasks, sizes
 and rank order, the least member built from each bitmask,
 ``count_before``) against the permutations they count, and the
 reduced-mode sweeps and the maj identities against pair-by-pair
