@@ -7,7 +7,7 @@ Runs both reduced modes for every descent statistic of the table in
 prints one verdict per statistic.  biruns and (biruns,des) are not
 compatible and are expected to fail; everything else should pass.
 
-    python scripts/compatibility_sweep.py --max-total 7
+    python scripts/compatibility_sweep.py --max-total 10
 """
 
 import argparse
@@ -15,14 +15,14 @@ import sys
 import time
 
 from shufbij.stats import CATALOG_TUPLES, DESCENT_NAMES, format_stat
-from shufbij.verify import DEFAULT_REDUCED_LIMIT, check_compatibility
+from shufbij.verify import DEFAULT_CLASS_LIMIT, check_compatibility
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
-        "--max-total", type=int, default=DEFAULT_REDUCED_LIMIT,
-        help="largest m+n (default: the library's reduced-mode bound, %(default)s)",
+        "--max-total", type=int, default=DEFAULT_CLASS_LIMIT,
+        help="largest m+n (default: the library's bound for descent statistics, %(default)s)",
     )
     args = ap.parse_args()
 

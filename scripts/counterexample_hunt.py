@@ -5,29 +5,31 @@ For each named statistic, scans all domain splittings in increasing total
 length and prints the first witness found, or a pass-within-scope line.
 Exits 1 when a witness does not re-verify from scratch.
 
-    python scripts/counterexample_hunt.py inv biruns --max-total 6
+    python scripts/counterexample_hunt.py inv biruns maj
 """
 
 import argparse
 import sys
 
 from shufbij.stats import parse_stat
-from shufbij.verify import DEFAULT_FULL_LIMIT, find_counterexample, format_report
+from shufbij.verify import default_limit, find_counterexample, format_report
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("statistics", nargs="+", help="statistic names, e.g. inv biruns maj")
     ap.add_argument(
-        "--max-total", type=int, default=DEFAULT_FULL_LIMIT,
-        help="largest m+n to scan (default: the library's full-mode bound, %(default)s)",
+        "--max-total", type=int,
+        help="largest m+n to scan (default: the library's bound for each statistic, "
+        "10, or 6 with inv)",
     )
     args = ap.parse_args()
 
     exit_code = 0
     for name in args.statistics:
         stat = parse_stat(name)
-        report = find_counterexample(stat, args.max_total)
+        top = default_limit(stat) if args.max_total is None else args.max_total
+        report = find_counterexample(stat, top)
         print(format_report(report))
         if not report.passed:
             reverifies = report.witness.recheck()

@@ -5,21 +5,21 @@ Runs the closed-form checks (full, descent-refined, and the word base
 case) over every size split up to a bound and prints pass/fail with
 timings per total length.
 
-    python scripts/identity_scan.py --max-total 8
+    python scripts/identity_scan.py --max-total 10
 """
 
 import argparse
 import sys
 import time
 
-from shufbij.verify import DEFAULT_IDENTITY_LIMIT, check_identity
+from shufbij.verify import DEFAULT_CLASS_LIMIT, check_identity
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
-        "--max-total", type=int, default=DEFAULT_IDENTITY_LIMIT,
-        help="largest m+n (default: the library's identity bound, %(default)s)",
+        "--max-total", type=int, default=DEFAULT_CLASS_LIMIT,
+        help="largest m+n (default: the library's bound for descent statistics, %(default)s)",
     )
     args = ap.parse_args()
 

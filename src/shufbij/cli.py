@@ -4,9 +4,10 @@ Subcommands: stat, shuffles, dist, genpoly, reduce, verify, identity,
 counterexample, conjecture.  Output is human-readable text by default;
 ``--format json`` emits the documented machine serializations.  Exit
 codes: 0 success, 1 a verification reported failure, 2 usage error or a
-size bound refusal.  SHUFBIJ_MAX_TOTAL overrides the default size bounds
-of the verification commands but counterexample, and the bound of
-m+n <= 20 on shuffles, dist and genpoly.  A command imports ``verify``,
+size bound refusal.  The verification commands share one ``--limit``,
+whose default is m+n <= 10 for a descent statistic and 6 with inv;
+SHUFBIJ_MAX_TOTAL overrides it for all of them but counterexample, and
+the bound of m+n <= 20 on shuffles, dist and genpoly.  A command imports ``verify``,
 ``reduce`` or ``qpoly`` in its handler, only when it runs them.
 """
 
@@ -17,10 +18,8 @@ import json
 import sys
 
 from .errors import (
-    DEFAULT_COUNTEREXAMPLE_LIMIT,
-    DEFAULT_FULL_LIMIT,
-    DEFAULT_IDENTITY_LIMIT,
-    DEFAULT_REDUCED_LIMIT,
+    DEFAULT_CLASS_LIMIT,
+    DEFAULT_ENUM_LIMIT,
     DEFAULT_SHUFFLE_LIMIT,
     DomainOverlapError,
     ResourceLimitError,
@@ -216,6 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="output format (default: text)",
     )
+    bounded = argparse.ArgumentParser(add_help=False, parents=[common])
+    bounded.add_argument("--limit", type=int, default=None, help="override the size bound "
+                         f"(default {DEFAULT_CLASS_LIMIT}, or {DEFAULT_ENUM_LIMIT} with inv)")
     parser = argparse.ArgumentParser(
         prog="shufbij",
         description="permutation statistics, shuffle sets, and shuffle-compatibility checks",
@@ -252,38 +254,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sigma")
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("verify", parents=[common], help="compatibility sweep")
+    p = sub.add_parser("verify", parents=[bounded], help="compatibility sweep")
     p.add_argument("statistic")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("reduced_pi", "reduced_sigma", "full"),
                    default="reduced_pi")
-    p.add_argument("--limit", type=int, default=None, help="override the size bound "
-                   f"(default {DEFAULT_REDUCED_LIMIT} reduced / {DEFAULT_FULL_LIMIT} full)")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("identity", parents=[common], help="polynomial identity check")
+    p = sub.add_parser("identity", parents=[bounded], help="polynomial identity check")
     p.add_argument("which", choices=("maj", "maj_des", "word_base"))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None,
-                   help=f"override the size bound (default {DEFAULT_IDENTITY_LIMIT})")
     p.set_defaults(func=_cmd_identity)
 
-    p = sub.add_parser("counterexample", parents=[common],
+    p = sub.add_parser("counterexample", parents=[bounded],
                        help="search for a compatibility counterexample")
     p.add_argument("statistic")
     p.add_argument("--max", type=int, required=True, help="largest m+n to scan")
-    p.add_argument("--limit", type=int, default=None, help="override the size bound "
-                   f"(default {DEFAULT_COUNTEREXAMPLE_LIMIT}, or {DEFAULT_FULL_LIMIT} with inv)")
     p.set_defaults(func=_cmd_counterexample)
 
-    p = sub.add_parser("conjecture", parents=[common], help="empirical conjecture sweep")
+    p = sub.add_parser("conjecture", parents=[bounded], help="empirical conjecture sweep")
     p.add_argument("which", help="only udr-pk-des is known")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None,
-                   help=f"override the size bound (default {DEFAULT_REDUCED_LIMIT})")
     p.set_defaults(func=_cmd_conjecture)
 
     return parser

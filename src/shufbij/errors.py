@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the size bounds that
-raise :class:`ResourceLimitError`.
+raise :class:`ResourceLimitError`: one per scan engine (class-pair tables
+for a descent statistic, shuffle sets with ``inv``) and one per shuffle set.
 
 The bounds live here, not in ``verify``, so that the command-line parser
 and the shuffle-set commands read them without importing the
@@ -9,10 +10,8 @@ verification layer; ``verify`` imports them back.
 import os
 
 ENV_LIMIT_VAR = "SHUFBIJ_MAX_TOTAL"
-DEFAULT_REDUCED_LIMIT = 7
-DEFAULT_FULL_LIMIT = 6
-DEFAULT_IDENTITY_LIMIT = 8
-DEFAULT_COUNTEREXAMPLE_LIMIT = 10  # descent statistics; with inv the search takes DEFAULT_FULL_LIMIT
+DEFAULT_CLASS_LIMIT = 10  # a scan of a descent statistic: one class-pair table per shape
+DEFAULT_ENUM_LIMIT = 6  # a scan of a statistic with inv: it enumerates shuffle sets
 DEFAULT_SHUFFLE_LIMIT = 20  # one shuffle set of C(20, 10) = 184,756 interleavings
 _RAISE_LIMIT = f"pass a larger limit (--limit) or set {ENV_LIMIT_VAR}"
 

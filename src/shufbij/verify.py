@@ -2,9 +2,10 @@
 identity checks, and counterexample search.
 
 Everything here is exact exhaustive enumeration at desk scale.  Size
-bounds are explicit parameters with safe defaults; a request beyond the
-bound raises :class:`~shufbij.errors.ResourceLimitError` instead of
-silently truncating.  Searches run in a fixed enumeration order, so the
+bounds are explicit parameters with one default per engine
+(:func:`default_limit`); a request beyond the bound raises
+:class:`~shufbij.errors.ResourceLimitError` instead of silently
+truncating.  Searches run in a fixed enumeration order, so the
 witness returned for a failing claim is deterministic.
 
 For a descent statistic the distribution over a shuffle set depends only
@@ -35,16 +36,8 @@ from itertools import combinations, permutations, product
 from math import factorial
 from typing import NamedTuple, Optional
 
-from .errors import (
-    DEFAULT_COUNTEREXAMPLE_LIMIT,
-    DEFAULT_FULL_LIMIT,
-    DEFAULT_IDENTITY_LIMIT,
-    DEFAULT_REDUCED_LIMIT,
-    DEFAULT_SHUFFLE_LIMIT,
-    ENV_LIMIT_VAR,
-    _gate,
-    _resolve_limit,
-)
+from .errors import DEFAULT_CLASS_LIMIT, DEFAULT_ENUM_LIMIT, DEFAULT_SHUFFLE_LIMIT, ENV_LIMIT_VAR
+from .errors import _gate, _resolve_limit
 from .perm import Perm, count_before, descent_classes, format_perm, lex_rank
 from .perm import least_with_descent_set, mask_positions
 from .qpoly import QPoly, distribution_poly, stanley_refined_table, stanley_rhs
@@ -65,6 +58,13 @@ from .stats import (
 )
 
 MODES = ("reduced_pi", "reduced_sigma", "full")
+
+
+def default_limit(stat: StatId) -> int:
+    """The default largest m+n of every scan over ``stat``: 10 for a descent
+    statistic, whose scans read class-pair tables, and 6 with ``inv``,
+    whose scans enumerate shuffle sets."""
+    return DEFAULT_CLASS_LIMIT if is_descent_statistic(stat) else DEFAULT_ENUM_LIMIT
 
 
 class Witness:
@@ -284,8 +284,11 @@ def check_compatibility(
     [n]+m; ``reduced_sigma`` is the mirror; ``full`` covers all domain
     splittings of [m+n], walking the class pairs of the first alone for a
     descent statistic (:func:`_full_scan`).  For descent statistics each
-    reduced mode is equivalent to full compatibility; other statistics are
-    refused there, since only ``full`` is meaningful evidence for them.
+    reduced mode, taken over all shapes, is equivalent to full
+    compatibility, but not at one shape: ``(maj,Pk)`` at 1+7 passes
+    ``reduced_pi`` (pi has one class, so nothing is compared) and fails
+    ``reduced_sigma`` and ``full``.  Other statistics are refused there,
+    since only ``full`` is meaningful evidence for them.
     """
     stat = validate_stat(stat)
     if mode not in MODES:
@@ -295,8 +298,7 @@ def check_compatibility(
             f"{format_stat(stat)} is not a descent statistic, so mode {mode!r} "
             "is no evidence for it; use mode 'full' (--mode full)"
         )
-    fallback = DEFAULT_FULL_LIMIT if mode == "full" else DEFAULT_REDUCED_LIMIT
-    _gate(m, n, _resolve_limit(limit, fallback), f"compatibility sweep ({mode})")
+    _gate(m, n, _resolve_limit(limit, default_limit(stat)), f"compatibility sweep ({mode})")
     start = time.perf_counter()
     if mode == "full":
         witness, cases = _full_scan(stat, m, n)
@@ -382,15 +384,15 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
     """
     if which not in ("maj", "maj_des", "word_base"):
         raise ValueError(f"unknown identity {which!r}")
-    _gate(m, n, _resolve_limit(limit, DEFAULT_IDENTITY_LIMIT), f"identity check ({which})")
+    stat: StatId = ("des", "maj") if which == "maj_des" else "maj"
+    _gate(m, n, _resolve_limit(limit, default_limit(stat)), f"identity check ({which})")
     start = time.perf_counter()
 
     def classes(ground):  # word_base: the increasing class alone, bitmask 0
         return [(0, tuple(ground))] if which == "word_base" else _least_members(ground)
 
     masks = {0} if which == "word_base" else None  # maj_des splits (des, maj) by des
-    table = class_pair_distributions(("des", "maj") if which == "maj_des" else "maj", m, n,
-                                     masks, masks)
+    table = class_pair_distributions(stat, m, n, masks, masks)
 
     def fails(mask_pi, pi, mask_sigma, sigma):
         dist = table[mask_pi, mask_sigma]
@@ -437,9 +439,8 @@ def find_counterexample(stat: StatId, max_total_length: int, limit: Optional[int
         raise ValueError(
             f"the largest m+n to scan must be >= 0, got {max_total_length}"
         )
-    fallback = DEFAULT_COUNTEREXAMPLE_LIMIT if is_descent_statistic(stat) else DEFAULT_FULL_LIMIT
-    _gate(max_total_length, 0, fallback if limit is None else limit, "counterexample search",
-          how="pass a larger limit (--limit)")
+    _gate(max_total_length, 0, default_limit(stat) if limit is None else limit,
+          "counterexample search", how="pass a larger limit (--limit)")
     start = time.perf_counter()
     cases = 0
     scope = f"all splittings with m+n <= {max_total_length}"
@@ -466,7 +467,7 @@ def check_conjecture_udr_pk_des(m: int, n: int, limit: Optional[int] = None) -> 
     says so explicitly.
     """
     stat: StatId = ("udr", "pk", "des")
-    _gate(m, n, _resolve_limit(limit, DEFAULT_REDUCED_LIMIT), "conjecture sweep")
+    _gate(m, n, _resolve_limit(limit, default_limit(stat)), "conjecture sweep")
     start = time.perf_counter()
     witness, cases = _reduced_scans(stat, m, n, ["pi", "sigma"])
     return Report(

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -123,7 +124,7 @@ def test_verify_reduced_mode_refuses_inv(capsys):
 
 
 def test_verify_limit_refusal_exits_2(capsys):
-    code, _, err = run_cli(capsys, "verify", "des", "--m", "5", "--n", "5")
+    code, _, err = run_cli(capsys, "verify", "des", "--m", "5", "--n", "6")
     assert code == 2
     assert "exceeds the bound" in err
     assert "--limit" in err and "SHUFBIJ_MAX_TOTAL" in err
@@ -132,15 +133,42 @@ def test_verify_limit_refusal_exits_2(capsys):
 def test_limit_help_names_the_default_bounds(capsys, monkeypatch):
     """Each --limit help is built from the bound it falls back to, so it
     follows a raised default."""
-    for name, value in (("REDUCED", 11), ("FULL", 9), ("IDENTITY", 12), ("COUNTEREXAMPLE", 13)):
+    for name, value in (("CLASS", 11), ("ENUM", 7)):
         monkeypatch.setattr(cli, f"DEFAULT_{name}_LIMIT", value)
-    assert [" ".join(run_cli(capsys, command, "--help")[1].split()).rpartition("--limit LIMIT ")[2]
-            for command in ("verify", "identity", "conjecture", "counterexample")] == [
-        "override the size bound (default 11 reduced / 9 full)",
-        "override the size bound (default 12)",
-        "override the size bound (default 11)",
-        "override the size bound (default 13, or 9 with inv)",
-    ]
+    helps = [" ".join(run_cli(capsys, command, "--help")[1].split())
+             for command in ("verify", "identity", "conjecture", "counterexample")]
+    assert [re.search(r"--limit LIMIT (.*?\))", text)[1] for text in helps] == [
+        "override the size bound (default 11, or 7 with inv)"
+    ] * 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "maj", "--mode", "reduced_pi"),
+        ("verify", "maj", "--mode", "reduced_sigma"),
+        ("verify", "maj", "--mode", "full"),
+        ("identity", "maj"),
+        ("identity", "maj_des"),
+        ("identity", "word_base"),
+        ("conjecture", "udr-pk-des"),
+    ],
+    ids=lambda a: f"{a[0]}_{a[-1]}",
+)
+def test_descent_scans_accept_m_plus_n_10_and_refuse_11(capsys, monkeypatch, argv):
+    monkeypatch.delenv("SHUFBIJ_MAX_TOTAL", raising=False)
+    code, out, _ = run_cli(capsys, *argv, "--m", "1", "--n", "9")
+    assert code == 0 and "outcome: PASS" in out
+    code, out, err = run_cli(capsys, *argv, "--m", "1", "--n", "10")
+    assert (code, out) == (2, "")
+    assert "m+n=11 exceeds the bound 10;" in err
+
+
+def test_maj_pk_fails_at_1_plus_7_by_default(capsys, monkeypatch):
+    monkeypatch.delenv("SHUFBIJ_MAX_TOTAL", raising=False)
+    code, out, _ = run_cli(capsys, "verify", "(maj,Pk)", "--m", "1", "--n", "7",
+                           "--mode", "reduced_sigma")
+    assert code == 1 and "outcome: FAIL" in out
 
 
 @pytest.mark.parametrize(

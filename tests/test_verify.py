@@ -62,10 +62,62 @@ def test_reduced_modes_refuse_non_descent_statistics():
 
 def test_compatibility_resource_gate():
     with pytest.raises(ResourceLimitError):
-        check_compatibility("des", 5, 5, mode="reduced_pi")
+        check_compatibility("des", 5, 6, mode="reduced_pi")
     with pytest.raises(ResourceLimitError):
-        check_compatibility("des", 4, 3, mode="full")
-    assert check_compatibility("des", 4, 3, mode="full", limit=7).passed
+        check_compatibility("des", 5, 6, mode="full")
+    assert check_compatibility("des", 5, 6, mode="full", limit=11).passed
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda m, n: check_compatibility("maj", m, n, "reduced_pi"),
+        lambda m, n: check_compatibility("maj", m, n, "reduced_sigma"),
+        lambda m, n: check_compatibility("maj", m, n, "full"),
+        lambda m, n: check_identity("maj", m, n),
+        lambda m, n: check_identity("maj_des", m, n),
+        lambda m, n: check_identity("word_base", m, n),
+        lambda m, n: check_conjecture_udr_pk_des(m, n),
+        lambda m, n: find_counterexample("maj", m + n),
+    ],
+    ids=["reduced_pi", "reduced_sigma", "full", "maj", "maj_des", "word_base", "conjecture",
+         "counterexample"],
+)
+def test_descent_scans_default_to_m_plus_n_10(scan, monkeypatch):
+    """Every scan of a descent statistic reads class-pair tables, and one
+    default bound covers them all."""
+    monkeypatch.delenv("SHUFBIJ_MAX_TOTAL", raising=False)
+    assert scan(1, 9).passed
+    with pytest.raises(ResourceLimitError, match="m\\+n=11 exceeds the bound 10;"):
+        scan(1, 10)
+
+
+def test_scans_over_inv_default_to_m_plus_n_6(monkeypatch):
+    """A scan over inv enumerates shuffle sets, in full mode as in the
+    search; the search's refusal at 7 is pinned by
+    test_find_counterexample_is_gated_before_scanning."""
+    monkeypatch.delenv("SHUFBIJ_MAX_TOTAL", raising=False)
+    for report in (check_compatibility("inv", 3, 3, "full"), find_counterexample("inv", 6)):
+        assert not report.passed and report.witness.recheck()
+    with pytest.raises(ResourceLimitError, match="m\\+n=7 exceeds the bound 6;"):
+        check_compatibility("inv", 3, 4, "full")
+
+
+@pytest.mark.parametrize("mode, m, n", [("reduced_sigma", 1, 7), ("full", 1, 7),
+                                        ("reduced_pi", 7, 1)])
+def test_maj_pk_fails_at_m_plus_n_8_within_the_default_bound(mode, m, n, monkeypatch):
+    """(maj,Pk) first fails at |pi| = 1, |sigma| = 7, or its mirror; the
+    default bound reaches it."""
+    monkeypatch.delenv("SHUFBIJ_MAX_TOTAL", raising=False)
+    report = check_compatibility(("maj", "Pk"), m, n, mode)
+    assert not report.passed
+    assert report.witness.recheck()
+
+
+def test_a_reduced_mode_at_one_shape_is_not_full_compatibility():
+    """With one pi class, reduced_pi compares nothing, so it passes the
+    shape at which reduced_sigma and full fail (above)."""
+    assert check_compatibility(("maj", "Pk"), 1, 7, "reduced_pi").passed
 
 
 def test_compatibility_env_override(monkeypatch):
@@ -161,7 +213,7 @@ def test_identity_reports():
     with pytest.raises(ValueError):
         check_identity("nope", 1, 1)
     with pytest.raises(ResourceLimitError):
-        check_identity("maj", 6, 4)
+        check_identity("maj", 6, 5)
 
 
 @pytest.mark.parametrize(
