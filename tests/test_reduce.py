@@ -381,6 +381,50 @@ def test_a_plan_that_does_not_fit_the_pair_raises(monkeypatch):
         canonicalize("des", (1,), (4, 2, 3))
 
 
+def _shifted_plan(stat, m, n, mask, target=None, index=None):
+    """The cached plan of one class with its first step's target side or
+    index parameter replaced."""
+    start, plan = reduce._class_plan(stat, m, n, mask)
+    kind, params, side, after = plan[0]
+    if index is not None:
+        params = tuple((k, v + index if isinstance(v, int) else v) for k, v in params)
+    return start, ((kind, params, target or side, after),) + plan[1:]
+
+
+@pytest.mark.parametrize(
+    "stat, pi, sigma, mask, change",
+    [
+        # theta_des at 3 in (4, 5, 7, 6); the target must have descent set {2}.
+        ("des", (1, 2, 3), (4, 5, 7, 6), 0b1000, {"target": (4, 5, 6, 7)}),
+        ("des", (1, 2, 3), (4, 5, 7, 6), 0b1000, {"target": (4, 7, 6, 5)}),
+        ("des", (1, 2, 3), (4, 5, 7, 6), 0b1000, {"index": -1}),
+        ("des", (1, 2, 3), (4, 5, 7, 6), 0b1000, {"index": 1}),
+        # theta_maj_first on (3, 2); the target must have no descent.
+        ("maj", (1,), (3, 2), 0b10, {"target": (3, 2)}),
+        # theta_pk at 3 in (1, 2, 4, 3); the target must have its peak at 2.
+        ("pk", (1, 2, 4, 3), (5,), 0b1000, {"target": (1, 2, 4, 3)}),
+        ("pk", (1, 2, 4, 3), (5,), 0b1000, {"index": -1}),
+        # theta_lpk on (1, 3, 2); the target must have its left peak at 1.
+        ("lpk", (1, 3, 2), (4,), 0b100, {"target": (1, 3, 2)}),
+        # theta_rpk_inverse at 2 in (1, 3, 2); the target's right peak is at 3.
+        ("rpk", (1, 3, 2), (4,), 0b100, {"target": (3, 2, 1)}),
+        ("rpk", (1, 3, 2), (4,), 0b100, {"index": 1}),
+        # theta_pk on the appended frame for epk; the peak must be at the end.
+        ("epk", (1, 2, 3), (4,), 0, {"target": (1, 2, 3)}),
+        ("epk", (1, 2, 3), (4,), 0, {"index": -1}),
+    ],
+)
+def test_every_planned_step_runs_its_kinds_check(stat, pi, sigma, mask, change, monkeypatch):
+    """A cached plan whose first step has a wrong target or index is refused
+    when canonicalize builds that step against the caller's pair."""
+    _, plan = reduce._class_plan(stat, len(pi), len(sigma), mask)
+    assert canonicalize(stat, pi, sigma)[1].steps[0].kind == plan[0][0]
+    wrong = _shifted_plan(stat, len(pi), len(sigma), mask, **change)
+    monkeypatch.setattr(reduce, "_class_plan", lambda *key: wrong)
+    with pytest.raises(ValueError):
+        canonicalize(stat, pi, sigma)
+
+
 def test_maj_trace_length_equals_major_index():
     for pi, sigma in _normalized_pairs(5):
         _, trace = canonicalize("maj", pi, sigma)

@@ -58,6 +58,45 @@ def test_shuffles_match_recursive_oracle(pair):
     assert words == sorted(words)
 
 
+def _near_misses(tau, pi):
+    """Sequences one edit away from ``tau``: an entry repeated, dropped or
+    replaced by a foreign value, the length changed, two entries of pi
+    swapped."""
+    foreign = max(tau, default=0) + 1
+    for p in range(len(tau)):
+        yield tau[:p] + tau[p + 1:]
+        yield tau[:p] + (foreign,) + tau[p + 1:]
+        yield tau[:p + 1] + tau[p:]
+        for q in range(len(tau)):
+            if q != p:
+                yield tau[:p] + (tau[q],) + tau[p + 1:]
+    yield tau + (foreign,)
+    yield tau + tau[-1:]
+    at = [p for p, v in enumerate(tau) if v in pi]
+    for p, q in combinations(at, 2):
+        swapped = list(tau)
+        swapped[p], swapped[q] = swapped[q], swapped[p]
+        yield tuple(swapped)
+
+
+@pytest.mark.parametrize("ground", [(1, 2, 3, 4, 5), (1, 3, 5, 7, 9)], ids=str)
+def test_is_shuffle_matches_oracle(ground):
+    """Every disjoint pair over the ground set: each permutation of the
+    union, and each near miss of a member, is a shuffle exactly when the
+    recursive oracle lists it."""
+    for m in range(len(ground) + 1):
+        for dom in combinations(ground, m):
+            rest = tuple(v for v in ground if v not in dom)
+            for pi in permutations(dom):
+                for sigma in permutations(rest):
+                    members = shuffle_set_oracle(pi, sigma)
+                    for tau in permutations(ground):
+                        assert is_shuffle(tau, pi, sigma) == (tau in members)
+                    for tau in members:
+                        for miss in _near_misses(tau, pi):
+                            assert is_shuffle(miss, pi, sigma) == (miss in members)
+
+
 def _per_position_shuffles(pi, sigma):
     """The enumeration the word tables replaced: each interleaving built
     position by position from the a positions of its word."""

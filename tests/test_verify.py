@@ -233,6 +233,28 @@ def test_negative_sizes_refused(check, m, n):
         check(m, n)
 
 
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 1), (0, 3)])
+@pytest.mark.parametrize("at", ["first", "last"])
+def test_refined_identity_reads_every_k(at, m, n, monkeypatch):
+    """A closed-form table wrong only at k = 0, or only at k = m+n, fails
+    the maj_des identity."""
+    right = verify.stanley_refined_table
+
+    def wrong_at_one_k(pi, sigma):
+        table = list(right(pi, sigma))
+        k = 0 if at == "first" else len(table) - 1
+        assert len(table) == m + n + 1
+        table[k] = table[k] + (1,)
+        return tuple(table)
+
+    assert check_identity("maj_des", m, n).passed
+    monkeypatch.setattr(verify, "stanley_refined_table", wrong_at_one_k)
+    report = check_identity("maj_des", m, n)
+    assert not report.passed
+    k = 0 if at == "first" else m + n
+    assert report.subject == f"identity maj_des: refined identity fails at k={k}"
+
+
 def test_identity_counts_pairs():
     report = check_identity("maj", 4, 2)
     assert report.passed
@@ -294,11 +316,32 @@ def test_conjecture_sweep():
     assert check_conjecture_udr_pk_des(1, 1).passed
 
 
+def test_conjecture_counts_both_reduced_modes():
+    # 2!·3! pairs in reduced_pi, and as many again in reduced_sigma.
+    report = check_conjecture_udr_pk_des(2, 3)
+    assert report.passed
+    assert report.cases_checked == 24
+    assert report.cases_checked == sum(
+        check_compatibility(("udr", "pk", "des"), 2, 3, mode=mode).cases_checked
+        for mode in ("reduced_pi", "reduced_sigma")
+    )
+
+
 def test_witness_recheck_detects_stale_data():
     report = check_compatibility("inv", 2, 1, mode="full")
     w = report.witness
     w.dist_left = Counter({99: 1})
     assert not w.recheck()
+
+
+def test_witness_with_differently_labeled_operands_does_not_recheck():
+    # The distributions do differ, but the two pi sides have des 0 and 1,
+    # so the pair is no evidence against compatibility.
+    pi, pi_prime, sigma = (1, 2), (2, 1), (3, 4, 5)
+    left, right = (distribution("des", shuffles(p, sigma)) for p in (pi, pi_prime))
+    assert left != right
+    assert not Witness(pi, pi_prime, sigma, sigma, "des", left, right).recheck()
+    assert not Witness(sigma, sigma, pi, pi_prime, "des", left, right).recheck()
 
 
 def test_report_serialization():
