@@ -58,7 +58,7 @@ def parse_perm(text: str) -> Perm:
 
 
 def format_perm(pi: Sequence[int]) -> str:
-    return ",".join(str(v) for v in pi)
+    return ",".join(map(str, pi))
 
 
 def _check_disjoint(pi: Perm, sigma: Perm) -> None:

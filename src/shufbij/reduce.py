@@ -25,17 +25,19 @@ final ascent of pi; ``epk`` adds the move of a peak at the last position
 on the appended framing.  Each step is recorded in a trace that
 ``apply_trace`` replays on any interleaving of the starting pair as a
 statistic-preserving bijection.  A :class:`ReductionStep` checks its pairs
-once, when it is built; ``apply_step`` replays each kind through one
-check-free function.  The public ``theta_*`` functions build the step,
+once, when it is built; :func:`step_replay` reads its kind and constants
+once into a check-free function of one interleaving, the one replay path
+of the kind, which ``apply_step`` calls once and the pipeline audit maps
+over a shuffle set.  The public ``theta_*`` functions build the step,
 check that ``tau`` is a shuffle of the pair, and replay it.
 
 A move, its target and the measure read the rewritten side only by its
 descent set, so ``canonicalize`` plans once per statistic, sizes and
 bitmask of that side (:func:`_class_plan`, a bounded cache) and builds and
 checks each step against the caller's pair (``BENCH_class_plan.json``).
-``canonicalize`` and ``shuffle.normalize_pair`` both run their loop and
-record their trace through one driver, ``traces.run_reduction``; a side
-step maps the whole pair to the next one.
+The plan runs the moves through ``traces.run_reduction``, the driver that
+also records ``shuffle.normalize_pair``; a side step maps the whole pair
+to the next one.
 """
 
 from __future__ import annotations
@@ -75,34 +77,28 @@ _FRONT, _BACK = object(), object()
 # descent-side moves
 
 
-def _des_move(tau: Perm, sigma: Perm, i: int, sigma_new: Perm) -> Perm:
-    """Replay of :func:`theta_des` on one interleaving.
+def _des_move(sigma: Perm, i: int, sigma_new: Perm):
+    """Replay of :func:`theta_des`, as a function of one interleaving.
 
     The entry sigma_i is the only sigma entry strictly between sigma_{i-1}
-    and sigma_{i+1} in ``tau``; it is removed from the block of pi entries
-    around it and reinserted one labeled space lower (cyclically), after
-    which the sigma entries are renamed to ``sigma_new``.
+    and sigma_{i+1} in an interleaving; it is removed from the block of pi
+    entries around it and reinserted one labeled space lower (cyclically),
+    after which the sigma entries are renamed to ``sigma_new``.
     """
-    prev_v, peak_v, next_v = sigma[i - 2], sigma[i - 1], sigma[i]
-    pa = tau.index(prev_v)
-    pc = tau.index(next_v)
-    block = tau[pa + 1 : pc]
-    r = block.index(peak_v)
-    delta = block[:r] + block[r + 1 :]
-    if delta:
-        labels = space_labels(delta)
-        x_new = (labels[r] - 1) % (len(delta) + 1)
-        r_new = labels.index(x_new)
-        new_block = delta[:r_new] + (peak_v,) + delta[r_new:]
-    else:
-        new_block = (peak_v,)
-    return _rename(tau[: pa + 1] + new_block + tau[pc:], sigma, sigma_new)
+    prev_v, peak_v, next_v, old = sigma[i - 2], sigma[i - 1], sigma[i], frozenset(sigma)
 
+    def move(tau: Perm) -> Perm:
+        pa, pc = tau.index(prev_v), tau.index(next_v)
+        block = tau[pa + 1 : pc]
+        r = block.index(peak_v)
+        delta = block[:r] + block[r + 1 :]
+        if delta:
+            labels = space_labels(delta)
+            r_new = labels.index((labels[r] - 1) % (len(delta) + 1))
+            block = delta[:r_new] + (peak_v,) + delta[r_new:]
+        return _rename(tau[: pa + 1] + block + tau[pc:], old, sigma_new)
 
-def _maj_first_move(tau: Perm, sigma: Perm, sigma_new: Perm) -> Perm:
-    """A new maximum prepended to the sigma side turns its front descent
-    into an interior peak at position 2; move that, then strip it."""
-    return _des_move((_FRONT,) + tau, (_FRONT,) + sigma, 2, (_FRONT,) + sigma_new)[1:]
+    return move
 
 
 def theta_des(tau: Perm, pi: Perm, sigma: Perm, i: int, sigma_new: Perm) -> Perm:
@@ -135,50 +131,47 @@ def theta_maj_first(tau: Perm, pi: Perm, sigma: Perm, sigma_new: Perm) -> Perm:
 # peak-side moves
 
 
-def _pk_core(tau: Perm, a_src: Perm, a_tgt: Perm, j: int) -> Perm:
-    """Rewrite one interleaving for the move of the interior peak of
-    ``a_src`` at position j (1-based, >= 3) to j-1, realized by ``a_tgt``.
+def _pk_core(a_src: Perm, a_tgt: Perm, j: int):
+    """The move of the interior peak of ``a_src`` at position j (1-based,
+    >= 3) to j-1, realized by ``a_tgt``, as a function of one interleaving.
 
     Entries outside ``a_src`` pass through and must all exceed every
-    ``a_src`` entry.  The factor of ``tau`` strictly between a_{j-2} and
-    a_{j+1} splits as sa, a_{j-1}, sb, a_j, sc on the foreign entries;
-    when exactly one outer foreign block is present it is carried across
-    the two a-entries, otherwise only the a-entries are renamed in place.
-    Swapping ``a_src`` and ``a_tgt`` gives the inverse move.
+    ``a_src`` entry.  The factor of an interleaving strictly between
+    a_{j-2} and a_{j+1} splits as sa, a_{j-1}, sb, a_j, sc on the foreign
+    entries; when exactly one outer foreign block is present it is carried
+    across the two a-entries, otherwise only the a-entries are renamed in
+    place.  Swapping ``a_src`` and ``a_tgt`` gives the inverse move.
     """
-    s = tau.index(a_src[j - 3])
-    t = tau.index(a_src[j])
-    block = tau[s + 1 : t]
-    i1 = block.index(a_src[j - 2])
-    i2 = block.index(a_src[j - 1])
-    sa, sb, sc = block[:i1], block[i1 + 1 : i2], block[i2 + 1 :]
-    pair = (a_src[j - 2], a_src[j - 1])
-    if sa and not sb and not sc:
-        tau = tau[: s + 1] + pair + sa + tau[t:]
-    elif sc and not sa and not sb:
-        tau = tau[: s + 1] + sc + pair + tau[t:]
-    return _rename(tau, a_src, a_tgt)
+    low, high, pair, old = a_src[j - 3], a_src[j], a_src[j - 2 : j], frozenset(a_src)
+
+    def move(tau: Perm) -> Perm:
+        s, t = tau.index(low), tau.index(high)
+        block = tau[s + 1 : t]
+        i1, i2 = block.index(pair[0]), block.index(pair[1])
+        sa, sb, sc = block[:i1], block[i1 + 1 : i2], block[i2 + 1 :]
+        if sa and not sb and not sc:
+            tau = tau[: s + 1] + pair + sa + tau[t:]
+        elif sc and not sa and not sb:
+            tau = tau[: s + 1] + sc + pair + tau[t:]
+        return _rename(tau, old, a_tgt)
+
+    return move
 
 
-def _peak_move(tau: Perm, src: Perm, tgt: Perm, j: int, append: bool = False) -> Perm:
-    """Apply :func:`_pk_core` at position j from ``src`` to ``tgt`` on one
-    interleaving, under a sentinel framing.
+def _peak_move(src: Perm, tgt: Perm, j: int, append: bool = False):
+    """:func:`_pk_core` at position j from ``src`` to ``tgt``, under a
+    sentinel framing, as a function of one interleaving.
 
     With ``append`` a low entry is appended to all three sequences, so a
     peak at the last position counts; a move at position 2 gets a low
     entry in front, so the core sees position 3.
     """
-    if append:
-        tau, src, tgt = tau + (_BACK,), src + (_BACK,), tgt + (_BACK,)
-    front = j == 2
-    if front:
-        tau, src, tgt, j = (_FRONT,) + tau, (_FRONT,) + src, (_FRONT,) + tgt, 3
-    out = _pk_core(tau, src, tgt, j)
-    if front:
-        out = out[1:]
-    if append:
-        out = out[:-1]
-    return out
+    front, back = (_FRONT,) * (j == 2), (_BACK,) * append
+    if not (front or back):
+        return _pk_core(src, tgt, j)
+    core = _pk_core(front + src + back, front + tgt + back, j + len(front))
+    strip = slice(len(front), -1 if append else None)
+    return lambda tau: core(front + tau + back)[strip]
 
 
 def theta_pk(tau: Perm, pi: Perm, pi_new: Perm, sigma: Perm, j: int) -> Perm:
@@ -321,13 +314,12 @@ def canonicalize(stat: StatId, pi: Perm, sigma: Perm):
 
     on_sigma = stat in SIGMA_SIDE_STATS
     start, plan = _class_plan(stat, m, n, descent_mask(sigma if on_sigma else pi))
-    # The plan's moves from the caller's pair, each with params of its own.
-    moves = iter([(kind, dict(params), *((pi, side) if on_sigma else (side, sigma)))
-                  for kind, params, side, _ in plan])
-    measures = iter((start, *(after for *_, after in plan)))
-    trace = run_reduction(stat, pi, sigma, lambda p, s: next(measures),
-                          lambda p, s: next(moves, None))
-    return (trace.final_sigma if on_sigma else trace.final_pi), trace
+    steps, pair = [], (pi, sigma)
+    for kind, params, side, after in plan:  # each step is checked as it is built
+        nxt = (pi, side) if on_sigma else (side, sigma)
+        steps.append(ReductionStep(kind, dict(params), *pair, *nxt, after))
+        pair = nxt
+    return pair[on_sigma], ReductionTrace(stat, tuple(steps), pi, sigma, *pair, start)
 
 
 def maj_decrement(trace: ReductionTrace) -> int:
@@ -335,40 +327,48 @@ def maj_decrement(trace: ReductionTrace) -> int:
     return sum(1 for s in trace.steps if s.kind in ("theta_des", "theta_maj_first"))
 
 
-def apply_step(step: ReductionStep, tau: Perm) -> Perm:
-    """Replay one recorded rewrite on a single interleaving.
-
-    The step checked its pairs when it was built, so nothing is checked
-    here: ``tau`` must be a shuffle of the step's source pair.
-    """
-    kind = step.kind
+def step_replay(step: ReductionStep):
+    """The replay of one recorded rewrite as a function of one interleaving,
+    a shuffle of the step's source pair, with the kind and its constants
+    read once.  The step checked its pairs when it was built, so the
+    function checks nothing."""
+    kind, params = step.kind, step.params
     if kind == "t_swap":
-        return t_swap(tau, step.params["i"])
+        i = params["i"]
+        return lambda tau: t_swap(tau, i)
     if kind == "phi":
-        return _rename(tau, step.source_pi, step.target_pi)
+        old, new = frozenset(step.source_pi), step.target_pi
+        return lambda tau: _rename(tau, old, new)
     if kind == "phi_tilde":
-        return _rename(tau, step.source_sigma, step.target_sigma)
+        old, new = frozenset(step.source_sigma), step.target_sigma
+        return lambda tau: _rename(tau, old, new)
     if kind == "theta_des":
-        return _des_move(tau, step.source_sigma, step.params["i"], step.target_sigma)
+        return _des_move(step.source_sigma, params["i"], step.target_sigma)
     if kind == "theta_maj_first":
-        return _maj_first_move(tau, step.source_sigma, step.target_sigma)
+        # A new maximum in front of sigma turns its front descent into an
+        # interior peak at position 2: move that, then strip it.
+        move = _des_move((_FRONT,) + step.source_sigma, 2, (_FRONT,) + step.target_sigma)
+        return lambda tau: move((_FRONT,) + tau)[1:]
     pi_s, pi_t = step.source_pi, step.target_pi
     if kind == "theta_lpk":
-        return _peak_move(tau, pi_s, pi_t, 2)
+        return _peak_move(pi_s, pi_t, 2)
     if kind == "theta_rpk_inverse":
         # The right peak moves from j to j+1 by the inverse of the move
         # j+1 -> j from target to source: the core with its operands swapped.
-        return _peak_move(tau, pi_s, pi_t, step.params["j"] + 1, append=True)
+        return _peak_move(pi_s, pi_t, params["j"] + 1, append=True)
     # theta_pk; on the appended frame an exterior peak at the last
     # position moves one step left.
-    append = step.params.get("frame") == "append"
-    return _peak_move(tau, pi_s, pi_t, step.params["j"], append=append)
+    return _peak_move(pi_s, pi_t, params["j"], append=params.get("frame") == "append")
+
+
+def apply_step(step: ReductionStep, tau: Perm) -> Perm:
+    """Replay one recorded rewrite on one interleaving, by :func:`step_replay`."""
+    return step_replay(step)(tau)
 
 
 def apply_trace(trace: ReductionTrace, tau: Perm) -> Perm:
     """Replay every step of a trace on one interleaving of its start pair."""
     _require_shuffle(tau, trace.start_pi, trace.start_sigma)
-    cur = tau
     for step in trace.steps:
-        cur = apply_step(step, cur)
-    return cur
+        tau = apply_step(step, tau)
+    return tau

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, filterfalse
 from math import comb
 from operator import itemgetter
 
@@ -219,13 +219,11 @@ def shuffles_with_k_descents(pi: Perm, sigma: Perm, k: int) -> tuple[Perm, ...]:
 
 
 def is_shuffle(tau: Perm, pi: Perm, sigma: Perm) -> bool:
+    """Whether the entries of ``tau`` in ``pi`` read ``pi``, and the rest ``sigma``."""
     _check_disjoint(pi, sigma)
-    if set(tau) != set(pi) | set(sigma) or len(tau) != len(pi) + len(sigma):
-        return False
-    pset = set(pi)
-    left = tuple(v for v in tau if v in pset)
-    right = tuple(v for v in tau if v not in pset)
-    return left == pi and right == sigma
+    in_pi = set(pi).__contains__
+    return (len(tau) == len(pi) + len(sigma) and tuple(filter(in_pi, tau)) == pi
+            and tuple(filterfalse(in_pi, tau)) == sigma)
 
 
 def _require_shuffle(tau: Perm, pi: Perm, sigma: Perm) -> None:
@@ -254,12 +252,11 @@ def from_word(pi: Perm, sigma: Perm, word: ShuffleWord) -> Perm:
     return tuple(next(a) if ch == "a" else next(b) for ch in word)
 
 
-def _rename(tau: Perm, old: Perm, new: Perm) -> Perm:
-    """Replace the entries of ``old`` in ``tau``, in order of occurrence, by
-    the entries of ``new``; the replay of ``phi`` and ``phi_tilde``."""
-    oset = set(old)
-    rep = iter(new)
-    return tuple(next(rep) if v in oset else v for v in tau)
+def _rename(tau: Perm, old, new: Perm) -> Perm:
+    """Replace the entries of ``tau`` in the set ``old``, in order, by the
+    entries of ``new``; the replay of ``phi`` and ``phi_tilde``."""
+    rep = iter(new).__next__
+    return tuple([rep() if v in old else v for v in tau])
 
 
 def phi(tau: Perm, pi: Perm, pi_new: Perm, sigma: Perm) -> Perm:
@@ -268,14 +265,14 @@ def phi(tau: Perm, pi: Perm, pi_new: Perm, sigma: Perm) -> Perm:
     same word."""
     ReductionStep("phi", {}, pi, sigma, pi_new, sigma)  # checks the pair
     _require_shuffle(tau, pi, sigma)
-    return _rename(tau, pi, pi_new)
+    return _rename(tau, set(pi), pi_new)
 
 
 def phi_tilde(tau: Perm, pi: Perm, sigma: Perm, sigma_new: Perm) -> Perm:
     """Mirror of :func:`phi`, replacing the ``sigma`` side."""
     ReductionStep("phi_tilde", {}, pi, sigma, pi, sigma_new)  # checks the pair
     _require_shuffle(tau, pi, sigma)
-    return _rename(tau, sigma, sigma_new)
+    return _rename(tau, set(sigma), sigma_new)
 
 
 def t_swap(tau: Perm, i: int) -> Perm:

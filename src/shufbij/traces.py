@@ -6,17 +6,17 @@ interleaving of the source pair: the step kind, its indices, the full
 (source, target) pairs, and the termination measure after the step.
 
 A step checks its (source, target) pairs once, when it is built, with the
-checks of its kind below; replay (``reduce.apply_step``) then runs none.
-Every reduction (``reduce.canonicalize``, ``shuffle.normalize_pair``)
-records its trace through one driver, :func:`run_reduction`.
+checks of its kind below; replay (``reduce.step_replay``) then runs none.
+``shuffle.normalize_pair`` and the plans of ``reduce.canonicalize`` run
+their moves through one driver, :func:`run_reduction`.
 """
 
 from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from .perm import Perm, _check_disjoint, format_perm
-from .stats import des_set, format_stat, peak_family
+from .perm import Perm, _check_disjoint, format_perm, mask_positions
+from .stats import descent_mask, format_stat, peak_family
 
 STEP_KINDS = (
     "t_swap",
@@ -52,10 +52,10 @@ def _check_theta_des(step: ReductionStep) -> None:
         raise ValueError(f"index {i} has no neighbors on both sides")
     if not (sigma[i - 2] < sigma[i - 1] > sigma[i]):
         raise ValueError(f"{i} is not an interior peak of {sigma}")
-    want = (des_set(sigma) - {i}) | {i - 1}
-    if des_set(sigma_new) != want or len(sigma_new) != n:
+    want = descent_mask(sigma) ^ (3 << i - 1)  # the descent at i moves to i-1
+    if descent_mask(sigma_new) != want or len(sigma_new) != n:
         raise ValueError(
-            f"replacement must have descent set {sorted(want)}, got {sigma_new}"
+            f"replacement must have descent set {sorted(mask_positions(want))}, got {sigma_new}"
         )
 
 
@@ -66,10 +66,10 @@ def _check_theta_maj_first(step: ReductionStep) -> None:
         raise ValueError("operands must live on the standard separated domains")
     if n < 2 or not sigma[0] > sigma[1]:
         raise ValueError(f"{sigma} has no descent at position 1")
-    want = des_set(sigma) - {1}
-    if des_set(sigma_new) != want or set(sigma_new) != set(sigma):
+    want = descent_mask(sigma) ^ 2  # the descent at 1 goes
+    if descent_mask(sigma_new) != want or set(sigma_new) != set(sigma):
         raise ValueError(
-            f"replacement must have descent set {sorted(want)}, got {sigma_new}"
+            f"replacement must have descent set {sorted(mask_positions(want))}, got {sigma_new}"
         )
 
 

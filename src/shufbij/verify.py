@@ -25,8 +25,8 @@ walks each permutation as its own class.  Cases and witnesses are those
 a lexicographic pair-by-pair scan would report, read off the ranks of
 the failing pair's members and the class sizes.  The pipeline audit and
 :meth:`Witness.recheck` enumerate shuffle sets; the audit replays its
-trace on its own enumeration unchecked.  A report fails exactly when it
-has a witness.
+trace unchecked, one function per step, and reads the statistic's rule
+once.  A report fails exactly when it has a witness.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import time
 from itertools import combinations, permutations, product
 from math import factorial
+from operator import le
 from typing import NamedTuple, Optional
 
 from .errors import DEFAULT_CLASS_LIMIT, DEFAULT_ENUM_LIMIT, DEFAULT_SHUFFLE_LIMIT, ENV_LIMIT_VAR
@@ -41,11 +42,12 @@ from .errors import _gate, _resolve_limit
 from .perm import Perm, count_before, descent_classes, format_perm, lex_rank
 from .perm import least_with_descent_set, mask_positions
 from .qpoly import QPoly, distribution_poly, stanley_refined_table, stanley_rhs
-from .reduce import apply_step, canonicalize, maj_decrement
+from .reduce import canonicalize, maj_decrement, step_replay
 from .shuffle import class_pair_distributions, shuffles
 from .stats import (
     Distribution,
     StatId,
+    descent_mask,
     descent_rule,
     distribution,
     distribution_entries,
@@ -329,17 +331,17 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
 
     problems = []
     ms = (trace.start_measure,) + trace.measure_values
-    if any(ms[i] <= ms[i + 1] for i in range(len(ms) - 1)):
+    if any(map(le, ms, ms[1:])):
         problems.append(f"measures not strictly decreasing: {ms}")
 
     source = shuffles(pi, sigma)
     images = source
     for step in trace.steps:
-        images = [apply_step(step, t) for t in images]
+        images = list(map(step_replay(step), images))
     if set(images) != set(shuffles(trace.final_pi, trace.final_sigma)):
         problems.append("replay is not a bijection onto the canonical shuffle set")
 
-    drop = maj_decrement(trace)
+    rule, k, drop = descent_rule(stat), len(pi) + len(sigma), maj_decrement(trace)
 
     def lowered(value):  # a source's value, its maj component lowered by drop
         if isinstance(stat, tuple):
@@ -347,7 +349,7 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
         return value - drop if stat == "maj" else value
 
     for t, img in zip(source, images):
-        if evaluate(stat, img) != lowered(evaluate(stat, t)):
+        if rule(descent_mask(img), k) != lowered(rule(descent_mask(t), k)):
             problems.append(f"statistic not preserved on {t} -> {img}")
             break
 

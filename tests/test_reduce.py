@@ -136,8 +136,8 @@ def test_pk_core_inverse_roundtrip():
     a_src, a_tgt = (2, 1, 4, 3, 0), (3, 4, 1, 2, 0)
     for tau in shuffles((2, 1, 4, 3), (6, 5)):
         framed = tau + (0,)
-        out = _pk_core(framed, a_src, a_tgt, 3)
-        assert _pk_core(out, a_tgt, a_src, 3) == framed
+        out = _pk_core(a_src, a_tgt, 3)(framed)
+        assert _pk_core(a_tgt, a_src, 3)(out) == framed
 
 
 @pytest.mark.parametrize(

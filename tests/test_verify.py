@@ -151,7 +151,7 @@ def test_bijection_pipeline_reports_a_move_that_keeps_maj(monkeypatch):
     # A descent move that only renames sigma, without moving its entry,
     # does not lower maj by one on every interleaving.
     monkeypatch.setattr(
-        reduce, "_des_move", lambda tau, sigma, i, sigma_new: _rename(tau, sigma, sigma_new)
+        reduce, "_des_move", lambda sigma, i, sigma_new: lambda tau: _rename(tau, sigma, sigma_new)
     )
     report = check_bijection_pipeline("maj", (1,), (2, 4, 3))
     assert report.outcome == "fail"
@@ -168,7 +168,7 @@ def test_bijection_pipeline_lowers_only_the_maj_component(monkeypatch):
     # rename-only move as above keeps neither on every interleaving.
     assert check_bijection_pipeline(("maj", "des"), (1,), (2, 4, 3)).passed
     monkeypatch.setattr(
-        reduce, "_des_move", lambda tau, sigma, i, sigma_new: _rename(tau, sigma, sigma_new)
+        reduce, "_des_move", lambda sigma, i, sigma_new: lambda tau: _rename(tau, sigma, sigma_new)
     )
     report = check_bijection_pipeline(("maj", "des"), (1,), (2, 4, 3))
     assert report.outcome == "fail"
@@ -179,7 +179,7 @@ def test_bijection_pipeline_reports_colliding_images(monkeypatch):
     # A peak move that sends every interleaving to the same one.
     monkeypatch.setattr(
         reduce, "_peak_move",
-        lambda tau, src, tgt, j, append=False: tgt + tuple(v for v in tau if v not in src),
+        lambda src, tgt, j, append=False: lambda tau: tgt + tuple(v for v in tau if v not in src),
     )
     report = check_bijection_pipeline("pk", (2, 1, 4, 3), (5,))
     assert report.outcome == "fail"
