@@ -336,11 +336,10 @@ def step_replay(step: ReductionStep):
     if kind == "t_swap":
         i = params["i"]
         return lambda tau: t_swap(tau, i)
-    if kind == "phi":
-        old, new = frozenset(step.source_pi), step.target_pi
-        return lambda tau: _rename(tau, old, new)
-    if kind == "phi_tilde":
-        old, new = frozenset(step.source_sigma), step.target_sigma
+    if kind in ("phi", "phi_tilde"):
+        old, new = ((step.source_pi, step.target_pi) if kind == "phi"
+                    else (step.source_sigma, step.target_sigma))
+        old = frozenset(old)
         return lambda tau: _rename(tau, old, new)
     if kind == "theta_des":
         return _des_move(step.source_sigma, params["i"], step.target_sigma)

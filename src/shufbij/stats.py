@@ -43,10 +43,12 @@ RISE, FALL, NONE = "rise", "fall", "none"
 
 def descent_mask(pi: Perm) -> int:
     """The descent set of ``pi`` as a bitmask: bit i set when pi_i > pi_{i+1}."""
-    mask = 0
-    for i in range(1, len(pi)):
-        if pi[i - 1] > pi[i]:
-            mask |= 1 << i
+    mask, bit, rest = 0, 2, iter(pi)
+    for prev in rest:  # the first entry; the inner loop walks the others
+        for v in rest:
+            if prev > v:
+                mask |= bit
+            prev, bit = v, bit << 1
     return mask
 
 
