@@ -11,19 +11,20 @@ witness returned for a failing claim is deterministic.
 For a descent statistic the distribution over a shuffle set depends only
 on the descent classes of the operands (it is read off the product of
 their fundamental quasisymmetric functions).  The sweeps in every mode,
-the counterexample search and the identities therefore put sigma above
-pi, walk the operands by class (:func:`~shufbij.perm.descent_classes`),
-and read each class pair's distribution off one table per shape from one
-transfer-matrix DP (:func:`~shufbij.shuffle.class_pair_distributions`):
-every class pair for full mode and the identities; for a reduced sweep
-(both of them at once in the conjecture) the mover classes in value
-groups of two or more, and no table when there are none.  A reduced
-sweep labels a class by the statistic's rule on its bitmask and builds
-least members for a witness only; full mode and the identities walk each
-class with its least member, and full mode over any other statistic
-walks each permutation as its own class.  Cases and witnesses are those
-a lexicographic pair-by-pair scan would report, read off the ranks of
-the failing pair's members and the class sizes.  The pipeline audit and
+the conjecture, the counterexample search and the identities therefore
+put sigma above pi and walk class pairs by descent bitmask
+(:func:`~shufbij.perm.descent_classes`) in one walk, reading each pair's
+distribution off one table per shape from one transfer-matrix DP
+(:func:`~shufbij.shuffle.class_pair_distributions`).  A compatibility
+scan labels each class by the statistic's rule on its bitmask, compares
+each class pair with the first pair of its key (labels on the sides that
+vary, classes on the others), and tables only the classes that share
+their label with another class: none for ``Des``, which builds no table.  Least members are built for a witness
+only, and by the identities, whose closed forms read them, once per
+class.  Full mode over any other statistic walks every pair of
+permutations.  Cases and witnesses are those a lexicographic
+pair-by-pair scan would report, read off the ranks of the failing
+pair's members and the class sizes.  The pipeline audit and
 :meth:`Witness.recheck` enumerate shuffle sets; the audit replays its
 trace unchecked, one function per step, and reads the statistic's rule
 once.  A report fails exactly when it has a witness.
@@ -147,133 +148,116 @@ class Report(NamedTuple):
         return out
 
 
-def _singletons(ground) -> list:
-    """Every permutation of ``ground`` as its own class, keyed by itself."""
-    return [(p, p) for p in permutations(ground)]
-
-
 def _least_member(ground, mask: int) -> Perm:
     return least_with_descent_set(ground, mask_positions(mask))
 
 
-def _least_members(ground) -> list:
-    """Every descent class of ``ground``, as (bitmask, least member)."""
-    return [(mask, _least_member(ground, mask)) for mask, _ in descent_classes(len(ground))]
+def _label_groups(stat: StatId, k: int) -> list:
+    """The descent classes of length ``k``, as ``(bitmask, size)`` in rank
+    order, grouped by the statistic's rule on the bitmask; the groups come
+    in order of first occurrence."""
+    rule, groups = descent_rule(stat), {}
+    for mask, size in descent_classes(k):
+        groups.setdefault(rule(mask, k), []).append((mask, size))
+    return list(groups.values())
 
 
-def _first_failure(m: int, n: int, fails, lows, classes):
-    """Walk the ``(key, member)`` pairs of ``classes`` for each splitting
-    (pi on a ground in ``lows``) in the order a lexicographic pair-by-pair
-    scan first meets them, pi first.  Returns ``(found, cases)`` at the
-    first pair that ``fails``, the cases of such a scan read off the ranks
-    of the members; None on a pass."""
-    n_count = factorial(n)
-    for split, low in enumerate(lows):
-        high = [v for v in range(1, m + n + 1) if v not in low]
-        for (key_pi, pi), (key_sigma, sigma) in product(classes(low), classes(high)):
-            found = fails(key_pi, pi, key_sigma, sigma)
-            if found:  # each earlier splitting holds m!·n! pairs
-                return found, (split * factorial(m) + lex_rank(pi)) * n_count + lex_rank(sigma) + 1
+def _first_failure(m: int, n: int, inner: str, groups, table: dict, fails):
+    """Walk the class pairs of ``table`` (pi on [m], sigma on [n]+m): the
+    outer side's classes in rank order, and for each the ``inner`` side's
+    classes group by group in ``groups`` (lists of ``(bitmask, size)``).
+    Returns ``(found, cases)`` at the first pair whose distribution
+    ``fails``, None on a pass.  The cases are those of a pair-by-pair scan
+    in that order: the rank of the outer least member times inner!, the
+    members of the earlier groups, and the members of the group's earlier
+    classes before the inner least member (:func:`count_before`), plus
+    one; with the inner side as one group, the last two are its rank."""
+    grounds = {"pi": range(1, m + 1), "sigma": range(m + 1, m + n + 1)}
+    outer = "sigma" if inner == "pi" else "pi"
+    for outer_mask, _ in descent_classes(len(grounds[outer])):
+        done = 0  # inner members in the groups already passed
+        for members in groups:
+            for index, (mask, _) in enumerate(members):
+                pair = (mask, outer_mask) if inner == "pi" else (outer_mask, mask)
+                dist = table.get(pair)
+                if dist is not None and (found := fails(*pair, dist)):
+                    x = _least_member(grounds[inner], mask)
+                    done += sum(count_before(grounds[inner], k, x) for k, _ in members[:index])
+                    rank = lex_rank(_least_member(grounds[outer], outer_mask))
+                    return found, rank * factorial(len(grounds[inner])) + done + 1
+            done += sum(size for _, size in members)
     return None
 
 
-def _reduced_scans(stat: StatId, m: int, n: int, sides):
-    """The one-sided sweeps of ``sides`` in turn, up to the first witness:
-    ``(witness, cases)``.  All read one :func:`class_pair_distributions`
-    table over the least product of class sets that pairs every mover class
-    in a value group of two or more with every partner; none if no group."""
-    rule, groups = descent_rule(stat), {}
-    for side in sides:  # mover classes by value, as (descent bitmask, size)
-        k = m if side == "pi" else n
-        groups[side] = by_value = {}
-        for mask, size in descent_classes(k):
-            by_value.setdefault(rule(mask, k), []).append((mask, size))
-    pis, sigmas = ({mask for members in groups.get(side, {}).values() if len(members) > 1
-                    for mask, _ in members} for side in ("pi", "sigma"))
+def _class_scans(stat: StatId, m: int, n: int, scans):
+    """The scans of a descent statistic in ``scans``, each named by the
+    sides that vary, in turn up to the first witness: ``(witness, cases)``.
+
+    Two class pairs must agree when their keys agree.  Per side, the key
+    is the class's value group (:func:`_label_groups`) if that side varies
+    and the class itself if not, and each pair is compared with the first
+    pair of its key that the walk (:func:`_first_failure`) meets: the first
+    classes of its groups, as the groups keep rank order.  A one-sided
+    scan walks the varying side inner, group by group; full mode walks pi
+    outer and sigma inner as one group.  Every scan reads one
+    :func:`class_pair_distributions` table over the least product of class
+    sets that holds every varying class in a group of two or more, and
+    none is built if there is none: a pair outside it has a key of its
+    own.  A pass counts m!·n! pairs, or (m+n)! in full mode, whose other
+    splittings repeat the first's distributions (by the descent-preserving
+    :func:`~shufbij.shuffle.normalize_pair`).  Least members are built for
+    the witness alone.
+    """
+    low, high, lengths = range(1, m + 1), range(m + 1, m + n + 1), {"pi": m, "sigma": n}
+    groups = {side: _label_groups(stat, lengths[side]) for scan in scans for side in scan}
+    pis, sigmas = ({mask for members in groups.get(side, ()) if len(members) > 1
+                    for mask, _ in members} for side in lengths)
     table = class_pair_distributions(stat, m, n, None if sigmas else pis,
                                      None if pis else sigmas) if pis or sigmas else {}
     cases = 0
-    for side in sides:
-        witness, scanned = _reduced_scan(stat, m, n, side, groups[side], table)
-        cases += scanned
-        if witness:
-            break
-    return witness, cases
+    for scan in scans:
+        first_pi, first_sigma = ({mask: members[0][0] for members in groups[side]
+                                  for mask, _ in members} if side in scan else {} for side in lengths)
 
+        def fails(mask_pi, mask_sigma, dist):
+            ref_pi, ref_sigma = first_pi.get(mask_pi, mask_pi), first_sigma.get(mask_sigma, mask_sigma)
+            ref = table[ref_pi, ref_sigma]
+            if ref is dist or ref == dist:
+                return None
+            return Witness(_least_member(low, ref_pi), _least_member(low, mask_pi),
+                           _least_member(high, ref_sigma), _least_member(high, mask_sigma),
+                           stat, ref, dist)
 
-def _reduced_scan(stat: StatId, m: int, n: int, side: str, groups: dict, table: dict):
-    """One-sided sweep: group the varying side by statistic value and
-    require equal distributions within each group, for every fixed partner.
-
-    A distribution depends only on the descent classes of the pair, so it
-    is read off ``table`` (:func:`_reduced_scans`), and both sides are
-    walked by descent bitmask (:func:`descent_classes`), never by
-    permutation; ``groups`` holds the mover classes, labeled by the
-    statistic's rule on the bitmask.  Cases and the first failing witness
-    are those of a scan pair by pair in lexicographic order: the mover
-    classes, grouped by value in rank order, meet the groups and their
-    classes in first-occurrence order, and a failure's offset within its
-    group is counted by :func:`count_before`.  Least members are built
-    for the witness alone.
-    """
-    low, high = range(1, m + 1), range(m + 1, m + n + 1)
-    mover_ground, partner_ground = (low, high) if side == "pi" else (high, low)
-    mover_count = factorial(len(mover_ground))
-
-    def dist_of(mover, partner):
-        return table[mover, partner] if side == "pi" else table[partner, mover]
-
-    for partner_mask, _ in descent_classes(len(partner_ground)):
-        done = 0  # movers in the groups already passed for this partner
-        for members in groups.values():
-            if len(members) > 1:  # one class alone cannot disagree
-                ref_mask = members[0][0]
-                ref_dist = dist_of(ref_mask, partner_mask)
-                for index, (mover_mask, _) in enumerate(members[1:], start=1):
-                    dist = dist_of(mover_mask, partner_mask)
-                    if dist != ref_dist:
-                        ref = _least_member(mover_ground, ref_mask)
-                        mover = _least_member(mover_ground, mover_mask)
-                        partner = _least_member(partner_ground, partner_mask)
-                        if side == "pi":
-                            witness = Witness(ref, mover, partner, partner, stat, ref_dist, dist)
-                        else:
-                            witness = Witness(partner, partner, ref, mover, stat, ref_dist, dist)
-                        offset = sum(
-                            count_before(mover_ground, k, mover) for k, _ in members[:index]
-                        )
-                        return witness, lex_rank(partner) * mover_count + done + offset + 1
-            done += sum(size for _, size in members)
-    return None, mover_count * factorial(len(partner_ground))
+        full = len(scan) == 2
+        inner, walk = ("sigma", [descent_classes(n)]) if full else (scan[0], groups[scan[0]])
+        found = table and _first_failure(m, n, inner, walk, table, fails)
+        if found:
+            return found[0], cases + found[1]
+        cases += factorial(m + n) if full else factorial(m) * factorial(n)
+    return None, cases
 
 
 def _full_scan(stat: StatId, m: int, n: int):
-    """All splittings of [m+n]: distributions must agree across every pair
-    of instances whose statistic labels agree.
-
-    For a descent statistic the other splittings repeat the class pair
-    distributions of the first (by the descent-preserving
-    :func:`~shufbij.shuffle.normalize_pair`), so only the first is walked,
-    by descent class with its least member, and a pass counts all (m+n)!
-    pairs.  Any other statistic walks every splitting with each
-    permutation as its own class.
-    """
-
-    def dist_of(pair):
-        return distribution(stat, shuffles(*pair))
-
-    lows, classes = combinations(range(1, m + n + 1), m), _singletons
+    """Full mode at one shape: ``(witness, cases)``.  A descent statistic
+    takes its class scan (:func:`_class_scans`); any other statistic walks
+    every pair of every splitting of [m+n] in lexicographic order, labeling
+    each permutation once, and compares each pair with the first pair of
+    its labels."""
     if is_descent_statistic(stat):
-        lows, classes = [range(1, m + 1)], _least_members
-        dist_of = class_pair_distributions(stat, m, n).__getitem__
-    seen: dict = {}
+        return _class_scans(stat, m, n, [("pi", "sigma")])
+    total, seen = range(1, m + n + 1), {}
 
-    def fails(key_pi, pi, key_sigma, sigma):
-        dist = dist_of((key_pi, key_sigma))
-        prev = seen.setdefault((evaluate(stat, pi), evaluate(stat, sigma)), (dist, pi, sigma))
-        return None if prev[0] == dist else Witness(prev[1], pi, prev[2], sigma, stat, prev[0], dist)
+    def labeled(ground):
+        return [(p, evaluate(stat, p)) for p in permutations(ground)]
 
-    return _first_failure(m, n, fails, lows, classes) or (None, factorial(m + n))
+    pairs = (pair for low in combinations(total, m)
+             for pair in product(labeled(low), labeled([v for v in total if v not in low])))
+    for cases, ((pi, label_pi), (sigma, label_sigma)) in enumerate(pairs, start=1):
+        dist = distribution(stat, shuffles(pi, sigma))
+        prev = seen.setdefault((label_pi, label_sigma), (dist, pi, sigma))
+        if prev[0] != dist:
+            return Witness(prev[1], pi, prev[2], sigma, stat, prev[0], dist), cases
+    return None, factorial(m + n)
 
 
 def check_compatibility(
@@ -285,7 +269,7 @@ def check_compatibility(
     ``reduced_pi`` varies the low side over [m] against every partner on
     [n]+m; ``reduced_sigma`` is the mirror; ``full`` covers all domain
     splittings of [m+n], walking the class pairs of the first alone for a
-    descent statistic (:func:`_full_scan`).  For descent statistics each
+    descent statistic (:func:`_class_scans`).  For descent statistics each
     reduced mode, taken over all shapes, is equivalent to full
     compatibility, but not at one shape: ``(maj,Pk)`` at 1+7 passes
     ``reduced_pi`` (pi has one class, so nothing is compared) and fails
@@ -305,7 +289,7 @@ def check_compatibility(
     if mode == "full":
         witness, cases = _full_scan(stat, m, n)
     else:
-        witness, cases = _reduced_scans(stat, m, n, [mode.removeprefix("reduced_")])
+        witness, cases = _class_scans(stat, m, n, [(mode.removeprefix("reduced_"),)])
     return Report(
         subject=f"shuffle compatibility of {format_stat(stat)} ({mode})",
         scope=f"|pi|={m}, |sigma|={n}",
@@ -382,7 +366,7 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
     shifted q-binomial closed form, which depends only on maj(pi)+maj(sigma).
     ``maj_des``: the same refined by descent count.  ``word_base``: the
     increasing/increasing pair gives the bare q-binomial.  Each class pair
-    is checked once, on its least members.
+    is checked once, on its least members, built once per class.
     """
     if which not in ("maj", "maj_des", "word_base"):
         raise ValueError(f"unknown identity {which!r}")
@@ -390,14 +374,16 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
     _gate(m, n, _resolve_limit(limit, default_limit(stat)), f"identity check ({which})")
     start = time.perf_counter()
 
-    def classes(ground):  # word_base: the increasing class alone, bitmask 0
-        return [(0, tuple(ground))] if which == "word_base" else _least_members(ground)
-
     masks = {0} if which == "word_base" else None  # maj_des splits (des, maj) by des
     table = class_pair_distributions(stat, m, n, masks, masks)
 
-    def fails(mask_pi, pi, mask_sigma, sigma):
-        dist = table[mask_pi, mask_sigma]
+    def least_members(ground):  # bitmask -> least member, once per class
+        return {mask: _least_member(ground, mask) for mask, _ in descent_classes(len(ground))}
+
+    pis, sigmas = least_members(range(1, m + 1)), least_members(range(m + 1, m + n + 1))
+
+    def fails(mask_pi, mask_sigma, dist):
+        pi, sigma = pis[mask_pi], sigmas[mask_sigma]
         if which == "maj_des":
             by_des: dict = {}
             for (des, maj), count in dist.items():
@@ -416,7 +402,7 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
         return None
 
     passed = (None, 1 if which == "word_base" else factorial(m) * factorial(n))
-    found, cases = _first_failure(m, n, fails, [range(1, m + 1)], classes) or passed
+    found, cases = _first_failure(m, n, "sigma", [descent_classes(n)], table, fails) or passed
     problem, witness = found or (None, None)
     if which == "word_base":
         pi, sigma = format_perm(range(1, m + 1)), format_perm(range(m + 1, m + n + 1))
@@ -471,7 +457,7 @@ def check_conjecture_udr_pk_des(m: int, n: int, limit: Optional[int] = None) -> 
     stat: StatId = ("udr", "pk", "des")
     _gate(m, n, _resolve_limit(limit, default_limit(stat)), "conjecture sweep")
     start = time.perf_counter()
-    witness, cases = _reduced_scans(stat, m, n, ["pi", "sigma"])
+    witness, cases = _class_scans(stat, m, n, [("pi",), ("sigma",)])
     return Report(
         subject=(
             "conjectured shuffle compatibility of (udr,pk,des) -- "

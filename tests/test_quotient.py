@@ -388,13 +388,14 @@ SWEEP_STATS = ["Des", "Pk", "Epk", "maj", "udr", ("maj", "des"), ("udr", "pk")]
 
 
 def test_reduced_passes_build_no_least_member(monkeypatch):
-    """A passing reduced scan reads every class by its descent bitmask
-    alone: with each least-member construction refused, both reduced modes
-    and the conjecture still pass at every split of m+n = 7.  A failing
-    scan builds its witness from least members, and it re-verifies."""
+    """A passing scan reads every class by its descent bitmask alone: with
+    each least-member construction refused, both reduced modes, full mode
+    and the conjecture still pass at every split of m+n = 7, and so does
+    the counterexample search over maj.  A failing scan builds its witness
+    from least members, and it re-verifies."""
 
     def refuse(ground, descents):
-        raise AssertionError("a passing reduced scan needs no least member")
+        raise AssertionError("a passing scan needs no least member")
 
     modes = ("reduced_pi", "reduced_sigma")
     with monkeypatch.context() as patch:
@@ -402,9 +403,10 @@ def test_reduced_passes_build_no_least_member(monkeypatch):
         patch.setattr(verify, "least_with_descent_set", refuse)
         for m in range(8):
             for stat in SWEEP_STATS:
-                for mode in modes:
+                for mode in modes + ("full",):
                     assert check_compatibility(stat, m, 7 - m, mode=mode).passed, (stat, m, mode)
             assert check_conjecture_udr_pk_des(m, 7 - m).passed, m
+        assert find_counterexample("maj", 7).passed
         with pytest.raises(AssertionError, match="least member"):
             check_compatibility("biruns", 3, 4)
     failures = [
@@ -413,6 +415,22 @@ def test_reduced_passes_build_no_least_member(monkeypatch):
     ]
     assert any(failures)
     assert all(w.recheck() for w in failures if w)
+
+
+def test_scans_without_shared_labels_build_no_table(monkeypatch):
+    """Every class of Des or Asc is alone in its value group, so full mode
+    and the counterexample search compare nothing and build no class pair
+    table: with the table refused they still pass, and full mode counts
+    all (m+n)! pairs."""
+
+    def refuse(*args):
+        raise AssertionError("a scan with no shared label built a table")
+
+    monkeypatch.setattr(verify, "class_pair_distributions", refuse)
+    for stat in ("Des", "Asc"):
+        report = check_compatibility(stat, 5, 5, "full")
+        assert report.passed and report.cases_checked == 3628800, stat
+    assert find_counterexample("Asc", 10).passed
 
 
 @pytest.mark.parametrize("which", ["maj", "maj_des"])
