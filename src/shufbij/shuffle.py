@@ -12,15 +12,18 @@ its first letter, a before b, down to tabled rests.
 Des is shuffle compatible, so the distribution of a descent statistic over
 a shuffle set depends only on the operands' descent bitmasks (bit d set
 for a descent at d, :func:`~shufbij.stats.descent_mask`) and lengths.
-:func:`class_pair_distributions` computes it for every class pair of a
-product of two bitmask sets by one transfer-matrix DP over (a's placed,
-last letter, the operands' bits decided so far), without listing a word;
-pairs with a common prefix share states.  Each state counts packed keys
-that carry every component's partial value, moved by the step deltas of
+:func:`class_pair_counts` computes it for every class pair of a product
+of two bitmask sets by one transfer-matrix DP over (a's placed, last
+letter, the operands' bits decided so far), without listing a word; pairs
+with a common prefix share states.  Each state counts packed keys that
+carry every component's partial value, moved by the step deltas of
 :func:`~shufbij.stats.value_dp` as each step is decided: a handful of keys
-for ``pk`` or ``maj``, the whole descent bitmask for ``Des``.
-:func:`des_histogram` and :func:`shuffle_distribution` read one pair, the
-latter by enumeration for a statistic that is not a descent statistic.
+for ``pk`` or ``maj``, the whole descent bitmask for ``Des``.  A final key
+is its value alone, so two pairs' key tables are equal exactly when their
+distributions are, and a scan compares the tables as they are;
+:func:`class_pair_distributions` decodes them.  :func:`des_histogram` and
+:func:`shuffle_distribution` read one pair, the latter by enumeration for
+a statistic that is not a descent statistic.
 
 The bijections here are the building blocks for statistic-preserving
 reductions: positional replacement of one side (``phi`` / ``phi_tilde``),
@@ -119,7 +122,8 @@ def _class_pair_counts(dp, m: int, n: int, masks_pi=None, masks_sigma=None) -> d
     key.  The (i+1)-th a, i >= 1, decides pi's bit i on every path, read or
     not, keeping the bits that some mask of ``masks_pi`` starts with; b's
     decide sigma's bits alike.  An empty operand leaves one word, the
-    other's, keyed as by its rule (:func:`~shufbij.stats.walk`).
+    other's, keyed as by its rule (:func:`~shufbij.stats.walk`).  A final
+    key is its value alone, so no two keys of a pair decode alike.
     """
     # keep[c]: bits 1..c of some member of the set, bit 0 never being a
     # descent; keep[-1] holds the members ([0] for an empty operand).
@@ -178,22 +182,26 @@ def des_histogram(mask_pi: int, mask_sigma: int, m: int, n: int) -> dict[int, in
     return _class_pair_counts(dp, m, n, {mask_pi}, {mask_sigma})[mask_pi, mask_sigma]
 
 
-def class_pair_distributions(stat: StatId, m: int, n: int, masks_pi=None, masks_sigma=None):
-    """``{(mask_pi, mask_sigma): distribution}`` of a descent statistic over
-    the shuffle set of each class pair of ``masks_pi`` times ``masks_sigma``
-    (None: every bitmask of the length), pi on [m] and sigma on [n]+m.  One
-    DP (:func:`_class_pair_counts`) carries each component's partial value
-    in a packed key, with the step deltas and the decode that the
-    statistic's rule walks over one word.  Each final key is decoded once
-    per call; the decode also keeps its last 1024 across calls."""
+def class_pair_counts(stat: StatId, m: int, n: int, masks_pi=None, masks_sigma=None):
+    """``(table, decode)``: ``table`` is ``{(mask_pi, mask_sigma): {key:
+    count}}`` of a descent statistic over the shuffle set of each class pair
+    of ``masks_pi`` times ``masks_sigma`` (None: every bitmask of the
+    length), pi on [m] and sigma on [n]+m, by one DP
+    (:func:`_class_pair_counts`) over the packed keys of the statistic's
+    :func:`~shufbij.stats.value_dp`; ``decode`` reads a key as its value.
+    A key is its value alone, so two pairs' key dicts are equal exactly
+    when their distributions are."""
     dp = value_dp(mark_tables(stat), m + n)
-    table = _class_pair_counts(dp, m, n, masks_pi, masks_sigma)
-    values = {key: dp[2](key) for counts in table.values() for key in counts}
-    for pair, counts in table.items():
-        table[pair] = dist = Counter()
-        for key, count in counts.items():
-            dist[values[key]] += count
-    return table
+    return _class_pair_counts(dp, m, n, masks_pi, masks_sigma), dp[2]
+
+
+def class_pair_distributions(stat: StatId, m: int, n: int, masks_pi=None, masks_sigma=None):
+    """``{(mask_pi, mask_sigma): distribution}``: the key table of
+    :func:`class_pair_counts`, each key decoded to its value.  The decode
+    keeps its last 1024 values across calls."""
+    table, decode = class_pair_counts(stat, m, n, masks_pi, masks_sigma)
+    return {pair: Counter({decode(key): count for key, count in counts.items()})
+            for pair, counts in table.items()}
 
 
 def shuffle_distribution(stat: StatId, pi: Perm, sigma: Perm) -> Distribution:

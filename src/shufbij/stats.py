@@ -86,11 +86,13 @@ def value_dp(tables: Union[MarkTable, tuple[MarkTable, ...]], length: int):
 
     A key packs each component's partial value in a field of its own: a
     mark at position i adds 1 << i to a set field, 1 to a count and i to a
-    sum.  Bit 0 holds whether the last step fell, when some interior mark
-    reads the step before it.  ``steps[t]`` is the pair of key deltas of a
-    rising and of a falling step t, each indexed by that bit: step t marks
-    position t, and the last step the last position too.  ``start`` is the
-    key before any step, and ``decode`` reads a final key as the value.
+    sum.  Bit 0 holds whether the step before fell, when some interior mark
+    reads it; the last step clears it, so a final key is its value alone,
+    and two final keys are equal exactly when their values are.
+    ``steps[t]`` is the pair of key deltas of a rising and of a falling
+    step t, each indexed by that bit: step t marks position t, and the last
+    step the last position too.  ``start`` is the key before any step, and
+    ``decode`` reads a final key as the value.
     This is the one reader of a table's fields; built once per tables and
     length, and kept.
     """
@@ -101,8 +103,10 @@ def value_dp(tables: Union[MarkTable, tuple[MarkTable, ...]], length: int):
         for table in tables for s in (RISE, FALL)
     )
     fields, offset = [], int(reads_prev)  # (table, offset, width mask)
-    # steps[t][step][prev]: the previous-step bit's delta, then the marks add on
-    steps = [[[0, -reads_prev], [reads_prev, 0]] for _ in range(length)]
+    # steps[t][step][prev]: the previous-step bit's delta, then the marks add on;
+    # a fall sets the bit, but the last step clears it
+    steps = [[[0, -reads_prev], [reads_prev, 0] if t < length - 1 else [0, -reads_prev]]
+             for t in range(length)]
     start = 0
     for table in tables:
         top = {"set": 1 << length, "count": length, "sum": length * (length + 1) // 2}

@@ -13,15 +13,19 @@ on the descent classes of the operands (it is read off the product of
 their fundamental quasisymmetric functions).  The sweeps in every mode,
 the conjecture, the counterexample search and the identities therefore
 put sigma above pi and walk class pairs by descent bitmask
-(:func:`~shufbij.perm.descent_classes`) in one walk, reading each pair's
-distribution off one table per shape from one transfer-matrix DP
-(:func:`~shufbij.shuffle.class_pair_distributions`).  A compatibility
+(:func:`~shufbij.perm.descent_classes`) in one walk, reading each pair
+off one table per shape from one transfer-matrix DP.  A compatibility
 scan labels each class by the statistic's rule on its bitmask, compares
 each class pair with the first pair of its key (labels on the sides that
 vary, classes on the others), and tables only the classes that share
-their label with another class: none for ``Des``, which builds no table.  Least members are built for a witness
-only, and by the identities, whose closed forms read them, once per
-class.  Full mode over any other statistic walks every pair of
+their label with another class: none for ``Des``, which builds no table.
+It compares the DP's key tables as they are
+(:func:`~shufbij.shuffle.class_pair_counts`), a final key being its value
+alone, and decodes the two distributions of a witness only; the
+identities read decoded ones
+(:func:`~shufbij.shuffle.class_pair_distributions`).  Least members are
+built for a witness only, and by the identities, whose closed forms read
+them, once per class.  Full mode over any other statistic walks every pair of
 permutations.  Cases and witnesses are those a lexicographic
 pair-by-pair scan would report, read off the ranks of the failing
 pair's members and the class sizes.  The pipeline audit and
@@ -44,7 +48,7 @@ from .perm import Perm, count_before, descent_classes, format_perm, lex_rank
 from .perm import least_with_descent_set, mask_positions
 from .qpoly import QPoly, distribution_poly, stanley_refined_table, stanley_rhs
 from .reduce import canonicalize, maj_decrement, step_replay
-from .shuffle import class_pair_distributions, shuffles
+from .shuffle import class_pair_counts, class_pair_distributions, shuffles
 from .stats import (
     Distribution,
     StatId,
@@ -200,11 +204,14 @@ def _class_scans(stat: StatId, m: int, n: int, scans):
     classes of its groups, as the groups keep rank order.  A one-sided
     scan walks the varying side inner, group by group; full mode walks pi
     outer and sigma inner as one group.  Every scan reads one
-    :func:`class_pair_distributions` table over the least product of class
-    sets that holds every varying class in a group of two or more, and
-    none is built if there is none: a pair outside it has a key of its
-    own.  A pass counts m!·n! pairs, or (m+n)! in full mode, whose other
-    splittings repeat the first's distributions (by the descent-preserving
+    :func:`~shufbij.shuffle.class_pair_counts` key table over the least
+    product of class sets that holds every varying class in a group of two
+    or more, and none is built if there is none: a pair outside it has a
+    key of its own.  Two pairs' key dicts are equal exactly when their
+    distributions are, so the scan compares them as dicts and decodes the
+    two distributions of the witness alone.  A pass counts m!·n! pairs, or
+    (m+n)! in full mode, whose other splittings repeat the first's
+    distributions (by the descent-preserving
     :func:`~shufbij.shuffle.normalize_pair`).  Least members are built for
     the witness alone.
     """
@@ -212,21 +219,23 @@ def _class_scans(stat: StatId, m: int, n: int, scans):
     groups = {side: _label_groups(stat, lengths[side]) for scan in scans for side in scan}
     pis, sigmas = ({mask for members in groups.get(side, ()) if len(members) > 1
                     for mask, _ in members} for side in lengths)
-    table = class_pair_distributions(stat, m, n, None if sigmas else pis,
-                                     None if pis else sigmas) if pis or sigmas else {}
+    table, decode = class_pair_counts(stat, m, n, None if sigmas else pis,
+                                      None if pis else sigmas) if pis or sigmas else ({}, None)
     cases = 0
     for scan in scans:
         first_pi, first_sigma = ({mask: members[0][0] for members in groups[side]
                                   for mask, _ in members} if side in scan else {} for side in lengths)
 
-        def fails(mask_pi, mask_sigma, dist):
+        def fails(mask_pi, mask_sigma, counts):
             ref_pi, ref_sigma = first_pi.get(mask_pi, mask_pi), first_sigma.get(mask_sigma, mask_sigma)
             ref = table[ref_pi, ref_sigma]
-            if ref is dist or ref == dist:
+            if ref is counts or ref == counts:
                 return None
+            left, right = (Distribution({decode(key): count for key, count in keys.items()})
+                           for keys in (ref, counts))
             return Witness(_least_member(low, ref_pi), _least_member(low, mask_pi),
                            _least_member(high, ref_sigma), _least_member(high, mask_sigma),
-                           stat, ref, dist)
+                           stat, left, right)
 
         full = len(scan) == 2
         inner, walk = ("sigma", [descent_classes(n)]) if full else (scan[0], groups[scan[0]])

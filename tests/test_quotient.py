@@ -9,7 +9,8 @@ read off the histogram up to m+n = 8, and against itself with the
 operands' roles swapped up to m+n = 8; its tables over four shapes of
 bitmask sets (all x all, a subset x all, all x a subset, singletons)
 against the oracle's shuffle sets up to m+n = 7 and against each other
-at m+n = 8; the class tables (bitmasks, sizes
+at m+n = 8; its key tables, decoded, against its distributions, and
+their equality against the distributions' up to m+n = 6; the class tables (bitmasks, sizes
 and rank order, the least member built from each bitmask,
 ``count_before``) against the permutations they count, and the
 reduced-mode sweeps and the maj identities against pair-by-pair
@@ -35,7 +36,7 @@ from shufbij.perm import (
     mask_positions,
 )
 from shufbij.qpoly import gen_poly, shift, stanley_refined_rhs, stanley_rhs
-from shufbij.shuffle import class_pair_distributions, des_histogram, shuffles
+from shufbij.shuffle import class_pair_counts, class_pair_distributions, des_histogram, shuffles
 from shufbij.stats import (
     CATALOG_TUPLES,
     DESCENT_NAMES,
@@ -352,6 +353,23 @@ def test_mask_set_tables_match_brute_force(stat, least_member_oracle_sets):
             assert all(dist == whole[pair] for pair, dist in table.items()), (shape, m)
 
 
+@pytest.mark.parametrize("stat", DESCENT_STATS, ids=format_stat)
+def test_key_tables_compare_as_their_distributions(stat):
+    """The scans compare key tables undecoded: on every split with m+n <= 6,
+    the key table of :func:`class_pair_counts`, decoded, is the table of
+    :func:`class_pair_distributions`, and two class pairs' key dicts are
+    equal exactly when their distributions are."""
+    for total in range(7):
+        for m in range(total + 1):
+            table, decode = class_pair_counts(stat, m, total - m)
+            dists = class_pair_distributions(stat, m, total - m)
+            decoded = {pair: Counter({decode(key): count for key, count in counts.items()})
+                       for pair, counts in table.items()}
+            assert decoded == dists, (m, total - m)
+            for one, other in combinations(table, 2):
+                assert (table[one] == table[other]) == (dists[one] == dists[other]), (one, other)
+
+
 def test_class_pair_distributions_refuse_other_statistics():
     """Refused before any table is built or cached, whatever the id."""
     for stat, message in ((["maj"], "must be a name or tuple"), ("nope", "unknown statistic"),
@@ -426,7 +444,7 @@ def test_scans_without_shared_labels_build_no_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("a scan with no shared label built a table")
 
-    monkeypatch.setattr(verify, "class_pair_distributions", refuse)
+    monkeypatch.setattr(verify, "class_pair_counts", refuse)
     for stat in ("Des", "Asc"):
         report = check_compatibility(stat, 5, 5, "full")
         assert report.passed and report.cases_checked == 3628800, stat

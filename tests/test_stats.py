@@ -328,22 +328,28 @@ def test_every_mark_table_compiles_to_its_marks():
     every pair of end steps and every output), walked over one word, reads
     exactly the positions whose (step i-1, step i) is in the table, as their
     set, count or sum, off the step word built position by position, on
-    every descent bitmask of length 0-5."""
+    every descent bitmask of length 0-5.  Its final key is its value alone:
+    on one table and length two bitmasks give equal keys exactly when they
+    give equal values, and bit 0, which holds the step before while some
+    mark reads it, is clear."""
     steps = (RISE, FALL, NONE)
     pairs = [(p, s) for p in steps for s in steps]
     outputs = {"set": frozenset, "count": len, "sum": sum}
     for bits in range(1 << len(pairs)):
         marks = frozenset(pair for k, pair in enumerate(pairs) if bits >> k & 1)
+        reads_prev = any(((RISE, s) in marks) != ((FALL, s) in marks) for s in (RISE, FALL))
         for left in steps:
             for right in steps:
                 for length in range(6):
                     dps = {output: value_dp(MarkTable(marks, output, left, right), length)
                            for output in outputs}
+                    keys = {output: {} for output in outputs}  # value -> its one key
                     for mask in range(0, 1 << length, 2):
                         word = [left, *(FALL if mask >> d & 1 else RISE for d in range(1, length)),
                                 right]
                         marked = {i for i in range(1, length + 1) if (word[i - 1], word[i]) in marks}
                         for output, read in outputs.items():
-                            dp = dps[output]
-                            assert dp[2](walk(dp, mask)) == read(marked), (
-                                marks, output, left, right, mask, length)
+                            dp, key, value = dps[output], walk(dps[output], mask), read(marked)
+                            where = (marks, output, left, right, mask, length)
+                            assert dp[2](key) == value and not (reads_prev and key & 1), where
+                            assert keys[output].setdefault(value, key) == key, where
