@@ -166,9 +166,9 @@ def _peak_move(src: Perm, tgt: Perm, j: int, append: bool = False):
     peak at the last position counts; a move at position 2 gets a low
     entry in front, so the core sees position 3.
     """
-    front, back = (_FRONT,) * (j == 2), (_BACK,) * append
-    if not (front or back):
+    if j > 2 and not append:
         return _pk_core(src, tgt, j)
+    front, back = (_FRONT,) * (j == 2), (_BACK,) * append
     core = _pk_core(front + src + back, front + tgt + back, j + len(front))
     strip = slice(len(front), -1 if append else None)
     return lambda tau: core(front + tau + back)[strip]
@@ -327,37 +327,46 @@ def maj_decrement(trace: ReductionTrace) -> int:
     return sum(1 for s in trace.steps if s.kind in ("theta_des", "theta_maj_first"))
 
 
+def _theta_maj_first_replay(step: ReductionStep):
+    # A new maximum in front of sigma turns its front descent into an
+    # interior peak at position 2: move that, then strip it.
+    move = _des_move((_FRONT,) + step.source_sigma, 2, (_FRONT,) + step.target_sigma)
+    return lambda tau: move((_FRONT,) + tau)[1:]
+
+
+def _rename_replay(old: Perm, new: Perm):
+    old = frozenset(old)
+    return lambda tau: _rename(tau, old, new)
+
+
+def _t_swap_replay(step: ReductionStep):
+    i = step.params["i"]
+    return lambda tau: t_swap(tau, i)
+
+
+# The replay of each step kind, built from the step.  The right peak moves
+# from j to j+1 by the inverse of the move j+1 -> j from target to source:
+# the core with its operands swapped, on the appended frame.  On that frame
+# a theta_pk step moves an exterior peak at the last position one step left.
+_REPLAYS = {
+    "t_swap": _t_swap_replay,
+    "phi": lambda s: _rename_replay(s.source_pi, s.target_pi),
+    "phi_tilde": lambda s: _rename_replay(s.source_sigma, s.target_sigma),
+    "theta_des": lambda s: _des_move(s.source_sigma, s.params["i"], s.target_sigma),
+    "theta_maj_first": _theta_maj_first_replay,
+    "theta_pk": lambda s: _peak_move(s.source_pi, s.target_pi, s.params["j"],
+                                     s.params.get("frame") == "append"),
+    "theta_lpk": lambda s: _peak_move(s.source_pi, s.target_pi, 2),
+    "theta_rpk_inverse": lambda s: _peak_move(s.source_pi, s.target_pi, s.params["j"] + 1, True),
+}
+
+
 def step_replay(step: ReductionStep):
     """The replay of one recorded rewrite as a function of one interleaving,
     a shuffle of the step's source pair, with the kind and its constants
     read once.  The step checked its pairs when it was built, so the
     function checks nothing."""
-    kind, params = step.kind, step.params
-    if kind == "t_swap":
-        i = params["i"]
-        return lambda tau: t_swap(tau, i)
-    if kind in ("phi", "phi_tilde"):
-        old, new = ((step.source_pi, step.target_pi) if kind == "phi"
-                    else (step.source_sigma, step.target_sigma))
-        old = frozenset(old)
-        return lambda tau: _rename(tau, old, new)
-    if kind == "theta_des":
-        return _des_move(step.source_sigma, params["i"], step.target_sigma)
-    if kind == "theta_maj_first":
-        # A new maximum in front of sigma turns its front descent into an
-        # interior peak at position 2: move that, then strip it.
-        move = _des_move((_FRONT,) + step.source_sigma, 2, (_FRONT,) + step.target_sigma)
-        return lambda tau: move((_FRONT,) + tau)[1:]
-    pi_s, pi_t = step.source_pi, step.target_pi
-    if kind == "theta_lpk":
-        return _peak_move(pi_s, pi_t, 2)
-    if kind == "theta_rpk_inverse":
-        # The right peak moves from j to j+1 by the inverse of the move
-        # j+1 -> j from target to source: the core with its operands swapped.
-        return _peak_move(pi_s, pi_t, params["j"] + 1, append=True)
-    # theta_pk; on the appended frame an exterior peak at the last
-    # position moves one step left.
-    return _peak_move(pi_s, pi_t, params["j"], append=params.get("frame") == "append")
+    return _REPLAYS[step.kind](step)
 
 
 def apply_step(step: ReductionStep, tau: Perm) -> Perm:

@@ -228,8 +228,10 @@ def shuffles_with_k_descents(pi: Perm, sigma: Perm, k: int) -> tuple[Perm, ...]:
 
 def is_shuffle(tau: Perm, pi: Perm, sigma: Perm) -> bool:
     """Whether the entries of ``tau`` in ``pi`` read ``pi``, and the rest ``sigma``."""
-    _check_disjoint(pi, sigma)
-    in_pi = set(pi).__contains__
+    pset = set(pi)
+    if not pset.isdisjoint(sigma):
+        _check_disjoint(pi, sigma)  # raises, naming the shared entries
+    in_pi = pset.__contains__
     return (len(tau) == len(pi) + len(sigma) and tuple(filter(in_pi, tau)) == pi
             and tuple(filterfalse(in_pi, tau)) == sigma)
 

@@ -97,6 +97,11 @@ def test_is_shuffle_matches_oracle(ground):
                             assert is_shuffle(miss, pi, sigma) == (miss in members)
 
 
+def test_is_shuffle_refuses_overlapping_domains():
+    with pytest.raises(DomainOverlapError, match=r"^domains share \[2, 3\]$"):
+        is_shuffle((1, 2, 3), (3, 1, 2), (2, 3))
+
+
 def _per_position_shuffles(pi, sigma):
     """The enumeration the word tables replaced: each interleaving built
     position by position from the a positions of its word."""

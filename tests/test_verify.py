@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -8,6 +9,7 @@ from shufbij import reduce, verify
 from shufbij.errors import ResourceLimitError
 from shufbij.shuffle import _rename, shuffles
 from shufbij.stats import distribution
+from shufbij.traces import ReductionTrace
 from shufbij.verify import (
     check_bijection_pipeline,
     check_compatibility,
@@ -186,6 +188,50 @@ def test_bijection_pipeline_reports_colliding_images(monkeypatch):
     assert "not a bijection onto the canonical shuffle set" in report.subject
     assert report.witness is not None
     assert report.to_json()["outcome"] == "fail"
+
+
+def _forge_traces(monkeypatch, forge):
+    """Make the audit read each real trace with the fields ``forge(trace)``
+    returns replaced.  (``_replace`` reads ``len``, which counts steps.)"""
+    real = verify.canonicalize
+
+    def forged(stat, pi, sigma):
+        side, trace = real(stat, pi, sigma)
+        return side, ReductionTrace(**{**trace._asdict(), **forge(trace)})
+
+    monkeypatch.setattr(verify, "canonicalize", forged)
+
+
+def test_bijection_pipeline_audits_an_empty_trace_off_the_start_pair(monkeypatch):
+    # No step ran, yet the trace claims another final pair: its shuffle set
+    # is the target, not the start pair's.
+    _forge_traces(monkeypatch, lambda trace: {"steps": ()})
+    report = check_bijection_pipeline("des", (2, 1), (3, 5, 4))
+    assert not report.passed
+    assert report.subject == (
+        "reduction pipeline for des: replay is not a bijection onto the canonical shuffle set"
+    )
+    assert report.cases_checked == 10
+
+
+def test_bijection_pipeline_passes_an_empty_trace_on_the_start_pair(monkeypatch):
+    _forge_traces(monkeypatch, lambda trace: {
+        "steps": (), "final_pi": trace.start_pi, "final_sigma": trace.start_sigma})
+    for stat, pi, sigma in [("des", (2, 1), (3, 5, 4)), ("pk", (2, 1, 4, 3), (5, 6))]:
+        report = check_bijection_pipeline(stat, pi, sigma)
+        assert report.passed, report.subject
+        assert report.cases_checked == comb(len(pi) + len(sigma), len(pi))
+        assert "steps=0" in report.scope
+
+
+def test_bijection_pipeline_reports_a_measure_that_does_not_drop(monkeypatch):
+    _forge_traces(monkeypatch, lambda trace: {
+        "start_measure": trace.measure_values[0]})
+    report = check_bijection_pipeline("maj", (1,), (2, 4, 3))
+    assert not report.passed
+    assert "measures not strictly decreasing" in report.subject
+    assert "not a bijection" not in report.subject
+    assert "statistic not preserved" not in report.subject
 
 
 def test_bijection_pipeline_size_bound(monkeypatch):
