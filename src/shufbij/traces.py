@@ -172,7 +172,7 @@ class ReductionStep(_Step):
         return self
 
 
-class ReductionTrace(NamedTuple):
+class _Trace(NamedTuple):
     statistic: Any
     steps: tuple[ReductionStep, ...]
     start_pi: Perm
@@ -180,6 +180,12 @@ class ReductionTrace(NamedTuple):
     final_pi: Perm
     final_sigma: Perm
     start_measure: int
+
+
+class ReductionTrace(_Trace):
+    """A reduction: its steps and the pairs and measure it starts and ends at."""
+
+    __slots__ = ()
 
     @property
     def measure_values(self) -> tuple[int, ...]:
@@ -190,6 +196,12 @@ class ReductionTrace(NamedTuple):
     def __len__(self) -> int:
         """The number of steps, not of fields: a trace without steps is falsy."""
         return len(self.steps)
+
+    @classmethod
+    def _make(cls, iterable) -> ReductionTrace:
+        """Build through the fields, as ``_replace`` does through this: the
+        inherited check compares ``len``, which counts steps, with 7."""
+        return cls(*iterable)
 
     def to_json(self) -> dict:
         return {

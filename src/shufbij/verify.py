@@ -19,13 +19,12 @@ scan labels each class by the statistic's rule on its bitmask, compares
 each class pair with the first pair of its key (labels on the sides that
 vary, classes on the others), and tables only the classes that share
 their label with another class: none for ``Des``, which builds no table.
-It compares the DP's key tables as they are
-(:func:`~shufbij.shuffle.class_pair_counts`), a final key being its value
-alone, and decodes the two distributions of a witness only; the
-identities read decoded ones
-(:func:`~shufbij.shuffle.class_pair_distributions`).  Least members are
-built for a witness only, and by the identities, whose closed forms read
-them, once per class.  Full mode over any other statistic walks every pair of
+Scans read the DP's key tables (:func:`~shufbij.shuffle.class_pair_counts`),
+a final key being its value alone: a compatibility scan compares them as
+they are and decodes the two distributions of a witness only, and an
+identity decodes each pair and compares it with the closed form of the
+pair's label, built once per label.  Least members are built for a
+witness only.  Full mode over any other statistic walks every pair of
 permutations.  Cases and witnesses are those a lexicographic
 pair-by-pair scan would report, read off the ranks of the failing
 pair's members and the class sizes.  The pipeline audit and
@@ -48,9 +47,9 @@ from .errors import DEFAULT_CLASS_LIMIT, DEFAULT_ENUM_LIMIT, DEFAULT_SHUFFLE_LIM
 from .errors import _gate, _resolve_limit
 from .perm import Perm, count_before, descent_classes, format_perm, lex_rank
 from .perm import least_with_descent_set, mask_positions
-from .qpoly import QPoly, distribution_poly, stanley_refined_table, stanley_rhs
+from .qpoly import _refined_forms, q_binomial
 from .reduce import canonicalize, maj_decrement, step_replay
-from .shuffle import class_pair_counts, class_pair_distributions, shuffles
+from .shuffle import class_pair_counts, shuffles
 from .stats import (
     Distribution,
     StatId,
@@ -376,8 +375,13 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
     )
 
 
-def _poly_as_counter(p: QPoly) -> Distribution:
-    return Distribution({e: c for e, c in enumerate(p) if c})
+def _closed_form(which: str, m: int, n: int, des_pi: int, des_sigma: int, maj_sum: int) -> dict:
+    """Identity ``which``'s claim for operands of lengths m, n with these descent
+    counts and maj sum: ``{maj: count}``, or ``{(des, maj): count}`` for maj_des."""
+    if which == "maj_des":
+        forms = enumerate(_refined_forms(m, n, des_pi, des_sigma))
+        return {(k, maj_sum + e): c for k, form in forms for e, c in enumerate(form) if c}
+    return {maj_sum + e: c for e, c in enumerate(q_binomial(m + n, m)) if c}
 
 
 def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> Report:
@@ -386,8 +390,9 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
     ``maj``: the maj generating polynomial over the shuffle set equals the
     shifted q-binomial closed form, which depends only on maj(pi)+maj(sigma).
     ``maj_des``: the same refined by descent count.  ``word_base``: the
-    increasing/increasing pair gives the bare q-binomial.  Each class pair
-    is checked once, on its least members, built once per class.
+    increasing/increasing pair gives the bare q-binomial.  A class pair's
+    decoded keys are compared with the closed form of its label, (des pi,
+    des sigma, maj pi + maj sigma), built once per label in this call.
     """
     if which not in ("maj", "maj_des", "word_base"):
         raise ValueError(f"unknown identity {which!r}")
@@ -395,41 +400,36 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
     _gate(m, n, _resolve_limit(limit, default_limit(stat)), f"identity check ({which})")
     start = time.perf_counter()
 
-    masks = {0} if which == "word_base" else None  # maj_des splits (des, maj) by des
-    table = class_pair_distributions(stat, m, n, masks, masks)
+    low, high = range(1, m + 1), range(m + 1, m + n + 1)
+    masks = {0} if which == "word_base" else None
+    table, decode = class_pair_counts(stat, m, n, masks, masks)
+    rule, forms = descent_rule(("des", "maj")), {}  # forms: label -> closed form, in this call
+    labels_pi, labels_sigma = ({mask: rule(mask, k) for mask, _ in descent_classes(k)}
+                               for k in (m, n))
 
-    def least_members(ground):  # bitmask -> least member, once per class
-        return {mask: _least_member(ground, mask) for mask, _ in descent_classes(len(ground))}
-
-    pis, sigmas = least_members(range(1, m + 1)), least_members(range(m + 1, m + n + 1))
-
-    def fails(mask_pi, mask_sigma, dist):
-        pi, sigma = pis[mask_pi], sigmas[mask_sigma]
+    def fails(mask_pi, mask_sigma, keys):
+        (des_pi, maj_pi), (des_sigma, maj_sigma) = labels_pi[mask_pi], labels_sigma[mask_sigma]
+        label = (des_pi, des_sigma, maj_pi + maj_sigma)
+        form = forms.get(label) or forms.setdefault(label, _closed_form(which, m, n, *label))
+        dist = {decode(key): count for key, count in keys.items()}
+        if dist == form:
+            return None
         if which == "maj_des":
-            by_des: dict = {}
-            for (des, maj), count in dist.items():
-                by_des.setdefault(des, {})[maj] = count
-            checks = (
-                (f"refined identity fails at k={k}", distribution_poly(by_des.get(k, {})), rhs)
-                for k, rhs in enumerate(stanley_refined_table(pi, sigma))
-            )
+            checks = ((f"refined identity fails at k={k}", *(Distribution(
+                {maj: c for (des, maj), c in d.items() if des == k}) for d in (dist, form)))
+                for k in range(m + n + 1))
         else:
             problem = "closed form mismatch" if which == "maj" else "increasing-pair identity fails"
-            checks = [(problem, distribution_poly(dist), stanley_rhs(pi, sigma))]
-        for problem, lhs, rhs in checks:
-            if lhs != rhs:
-                return problem, Witness(pi, pi, sigma, sigma, "maj",
-                                        _poly_as_counter(lhs), _poly_as_counter(rhs))
-        return None
+            checks = [(problem, Distribution(dist), Distribution(form))]
+        pi, sigma = _least_member(low, mask_pi), _least_member(high, mask_sigma)
+        return next((problem, Witness(pi, pi, sigma, sigma, "maj", lhs, rhs))
+                    for problem, lhs, rhs in checks if lhs != rhs)
 
-    passed = (None, 1 if which == "word_base" else factorial(m) * factorial(n))
-    found, cases = _first_failure(m, n, "sigma", [descent_classes(n)], table, fails) or passed
-    problem, witness = found or (None, None)
-    if which == "word_base":
-        pi, sigma = format_perm(range(1, m + 1)), format_perm(range(m + 1, m + n + 1))
-        scope = f"increasing pair pi={pi}, sigma={sigma}"
-    else:
-        scope = f"all pi on [{m}], sigma on [{n}]+{m}"
+    passed = (None, None), 1 if which == "word_base" else factorial(m) * factorial(n)
+    (problem, witness), cases = _first_failure(
+        m, n, "sigma", [descent_classes(n)], table, fails) or passed
+    scope = (f"increasing pair pi={format_perm(low)}, sigma={format_perm(high)}"
+             if which == "word_base" else f"all pi on [{m}], sigma on [{n}]+{m}")
     return Report(
         subject=f"identity {which}" + (f": {problem}" if problem else ""),
         scope=scope,

@@ -31,6 +31,7 @@ import shufbij.perm as perm
 from shufbij.perm import (
     count_before,
     descent_classes,
+    format_perm,
     least_with_descent_set,
     lex_rank,
     mask_positions,
@@ -42,6 +43,7 @@ from shufbij.stats import (
     DESCENT_NAMES,
     STATISTICS,
     des_set,
+    descent_mask,
     descent_rule,
     distribution,
     evaluate,
@@ -474,27 +476,86 @@ def test_maj_identities_match_brute_force(which, shuffle_sets):
 def test_identity_failure_matches_pair_by_pair_scan(
     which, m, n, broken, shuffle_sets, monkeypatch
 ):
-    """Break the closed form on chosen class pairs: the class-pair scan
-    must stop where a pair-by-pair scan stops, with the same witness."""
-    bad = {(frozenset(a), frozenset(b)) for a, b in broken}
+    """Break the closed form of the labels (des pi, des sigma, maj pi + maj
+    sigma) of chosen class pairs, so every pair with one of those labels
+    is wrong: the class-pair scan must stop where a pair-by-pair scan stops,
+    with the same witness."""
+    bad = {(len(a), len(b), sum(a) + sum(b)) for a, b in broken}
+
+    def label(pi, sigma):
+        return len(des_set(pi)), len(des_set(sigma)), sum(des_set(pi)) + sum(des_set(sigma))
 
     def maj_rhs(pi, sigma):
         rhs = stanley_rhs(pi, sigma)
-        return shift(rhs, 1) if (des_set(pi), des_set(sigma)) in bad else rhs
+        return shift(rhs, 1) if label(pi, sigma) in bad else rhs
 
     def refined_rhs(pi, sigma, k):
         rhs = stanley_refined_rhs(pi, sigma, k)
-        des_pair = (des_set(pi), des_set(sigma))
-        return shift(rhs, 1) if des_pair in bad and k == sum(map(len, des_pair)) else rhs
+        des_pi, des_sigma, _ = label(pi, sigma)
+        return shift(rhs, 1) if label(pi, sigma) in bad and k == des_pi + des_sigma else rhs
 
-    def refined_table(pi, sigma):
-        return tuple(refined_rhs(pi, sigma, k) for k in range(len(pi) + len(sigma) + 1))
+    right = verify._closed_form
 
-    monkeypatch.setattr(verify, "stanley_rhs", maj_rhs)
-    monkeypatch.setattr(verify, "stanley_refined_table", refined_table)
+    def closed_form(which, m, n, des_pi, des_sigma, maj_sum):
+        form = right(which, m, n, des_pi, des_sigma, maj_sum)
+        if (des_pi, des_sigma, maj_sum) not in bad:
+            return form
+        if which == "maj":
+            return {maj + 1: count for maj, count in form.items()}
+        return {(k, maj + (k == des_pi + des_sigma)): count for (k, maj), count in form.items()}
+
+    monkeypatch.setattr(verify, "_closed_form", closed_form)
     expected = _reference_identity(which, m, n, shuffle_sets, maj_rhs, refined_rhs)
     assert expected[0] == "fail"
     assert _outcome(check_identity(which, m, n)) == expected
+
+
+@pytest.mark.parametrize("which", ["maj", "maj_des"])
+@pytest.mark.parametrize("m, n", [(3, 3), (1, 5), (5, 1), (3, 4)])
+def test_identity_checks_every_pair_of_a_label(which, m, n, shuffle_sets, monkeypatch):
+    """One class pair's key counts are wrong in the table the identity
+    reads: the last pair in walk order (pi outer, sigma inner, by rank)
+    that is not the first of its label.  The scan must stop at that pair
+    with the cases and witness of a pair-by-pair scan over shuffle sets
+    wrong alike, so a scan that checks one pair per label fails here."""
+    stat = ("des", "maj") if which == "maj_des" else "maj"
+    low, high = range(1, m + 1), range(m + 1, m + n + 1)
+    seen, repeats = set(), []
+    for mask_pi, _ in descent_classes(m):
+        for mask_sigma, _ in descent_classes(n):
+            a, b = mask_positions(mask_pi), mask_positions(mask_sigma)
+            label = (len(a), len(b), sum(a) + sum(b))
+            if label in seen:
+                repeats.append((mask_pi, mask_sigma))
+            seen.add(label)
+    target = repeats[-1]
+    real, bumped = verify.class_pair_counts, []
+
+    def wrong_at_target(*args):
+        table, decode = real(*args)
+        keys = dict(table[target])
+        key = next(iter(keys))
+        keys[key] += 1
+        bumped.append(decode(key))
+        return {**table, target: keys}, decode
+
+    monkeypatch.setattr(verify, "class_pair_counts", wrong_at_target)
+    report = check_identity(which, m, n)
+    assert len(bumped) == 1
+
+    # Each shuffle set of the target's classes gains one more interleaving
+    # with the bumped value.
+    sets = dict(shuffle_sets)
+    for pi, sigma in sets:
+        if (len(pi), len(sigma)) == (m, n) and (descent_mask(pi), descent_mask(sigma)) == target:
+            tau_set = sets[pi, sigma]
+            sets[pi, sigma] = tau_set + (next(t for t in tau_set if evaluate(stat, t) == bumped[0]),)
+    expected = _reference_identity(which, m, n, sets)
+    assert expected[0] == "fail"
+    pi, sigma = (least_with_descent_set(ground, mask_positions(mask))
+                 for ground, mask in zip((low, high), target))
+    assert (expected[2]["pi"], expected[2]["sigma"]) == (format_perm(pi), format_perm(sigma))
+    assert _outcome(report) == expected
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,17 @@
 import json
 import tracemalloc
 from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
 
 from shufbij import reduce, verify
 from shufbij.errors import ResourceLimitError
+from shufbij.perm import descent_classes, least_with_descent_set, mask_positions
+from shufbij.qpoly import stanley_refined_table, stanley_rhs
 from shufbij.shuffle import _rename, shuffles
-from shufbij.stats import distribution
+from shufbij.stats import descent_rule, distribution
 from shufbij.traces import ReductionTrace
 from shufbij.verify import (
     check_bijection_pipeline,
@@ -192,14 +195,32 @@ def test_bijection_pipeline_reports_colliding_images(monkeypatch):
 
 def _forge_traces(monkeypatch, forge):
     """Make the audit read each real trace with the fields ``forge(trace)``
-    returns replaced.  (``_replace`` reads ``len``, which counts steps.)"""
+    returns replaced."""
     real = verify.canonicalize
 
     def forged(stat, pi, sigma):
         side, trace = real(stat, pi, sigma)
-        return side, ReductionTrace(**{**trace._asdict(), **forge(trace)})
+        return side, trace._replace(**forge(trace))
 
     monkeypatch.setattr(verify, "canonicalize", forged)
+
+
+def test_trace_replace_and_make_build_through_the_fields():
+    """``len`` of a trace counts its steps, yet ``_replace`` and ``_make``
+    build a trace of any number of steps."""
+    _, trace = reduce.canonicalize("maj", (1,), (2, 4, 3))
+    assert len(trace) == 2 and len(trace._fields) == 7
+    empty = trace._replace(steps=())
+    assert len(empty) == 0 and not empty
+    assert type(empty) is ReductionTrace
+    assert empty[2:] == trace[2:] and empty.statistic == "maj"
+    assert trace._replace(start_measure=9) == (*trace[:6], 9)
+    assert ReductionTrace._make(tuple(trace)) == trace
+    assert len(ReductionTrace._make(trace)) == 2
+    with pytest.raises(TypeError):
+        ReductionTrace._make(tuple(trace)[:6])
+    with pytest.raises(ValueError, match="unexpected field names"):
+        trace._replace(steps=(), stepz=())
 
 
 def test_bijection_pipeline_audits_an_empty_trace_off_the_start_pair(monkeypatch):
@@ -282,23 +303,47 @@ def test_negative_sizes_refused(check, m, n):
 @pytest.mark.parametrize("m, n", [(2, 2), (3, 1), (0, 3)])
 @pytest.mark.parametrize("at", ["first", "last"])
 def test_refined_identity_reads_every_k(at, m, n, monkeypatch):
-    """A closed-form table wrong only at k = 0, or only at k = m+n, fails
-    the maj_des identity."""
-    right = verify.stanley_refined_table
+    """A closed form wrong only at k = 0, or only at k = m+n, fails the
+    maj_des identity: one count more at k descents, one above the largest
+    maj there (at maj 0 when there is none)."""
+    right = verify._closed_form
+    k = 0 if at == "first" else m + n
 
-    def wrong_at_one_k(pi, sigma):
-        table = list(right(pi, sigma))
-        k = 0 if at == "first" else len(table) - 1
-        assert len(table) == m + n + 1
-        table[k] = table[k] + (1,)
-        return tuple(table)
+    def wrong_at_one_k(which, *shape_and_label):
+        assert (which, *shape_and_label[:2]) == ("maj_des", m, n)
+        form = right(which, *shape_and_label)
+        top = max((maj + 1 for des, maj in form if des == k), default=0)
+        return {**form, (k, top): 1}
 
     assert check_identity("maj_des", m, n).passed
-    monkeypatch.setattr(verify, "stanley_refined_table", wrong_at_one_k)
+    monkeypatch.setattr(verify, "_closed_form", wrong_at_one_k)
     report = check_identity("maj_des", m, n)
     assert not report.passed
-    k = 0 if at == "first" else m + n
     assert report.subject == f"identity maj_des: refined identity fails at k={k}"
+
+
+def test_closed_forms_of_labels_match_least_members():
+    """For every class pair with m+n <= 8, the closed form of the label read
+    off the two bitmasks (des, maj by the rule ``check_identity`` reads)
+    equals the closed forms of the pair's least members."""
+    rule, pairs = descent_rule(("des", "maj")), 0
+    for total in range(9):
+        for m in range(total + 1):
+            n = total - m
+            for (mask_pi, _), (mask_sigma, _) in product(descent_classes(m), descent_classes(n)):
+                pi = least_with_descent_set(range(1, m + 1), mask_positions(mask_pi))
+                sigma = least_with_descent_set(range(m + 1, total + 1), mask_positions(mask_sigma))
+                (des_pi, maj_pi), (des_sigma, maj_sigma) = rule(mask_pi, m), rule(mask_sigma, n)
+                label = (des_pi, des_sigma, maj_pi + maj_sigma)
+                maj_form = {e: c for e, c in enumerate(stanley_rhs(pi, sigma)) if c}
+                refined = {(k, e): c for k, poly in enumerate(stanley_refined_table(pi, sigma))
+                           for e, c in enumerate(poly) if c}
+                assert verify._closed_form("maj", m, n, *label) == maj_form, (pi, sigma)
+                assert verify._closed_form("word_base", m, n, *label) == maj_form, (pi, sigma)
+                assert verify._closed_form("maj_des", m, n, *label) == refined, (pi, sigma)
+                pairs += 1
+    assert pairs == sum(2 ** max(m - 1, 0) * 2 ** max(t - m - 1, 0)
+                        for t in range(9) for m in range(t + 1))
 
 
 def test_identity_counts_pairs():
