@@ -7,14 +7,14 @@ codes: 0 success, 1 a verification reported failure, 2 usage error or a
 size bound refusal.  The verification commands share one ``--limit``,
 whose default is m+n <= 10 for a descent statistic and 6 with inv;
 SHUFBIJ_MAX_TOTAL overrides it for all of them but counterexample, and
-the bound of m+n <= 20 on shuffles, dist and genpoly.  A command imports ``verify``,
-``reduce`` or ``qpoly`` in its handler, only when it runs them.
+the bound of m+n <= 20 on shuffles, dist and genpoly.  A command imports
+``verify``, ``reduce``, ``qpoly`` or ``json`` only when it runs them; a scan
+loads no ``reduce`` or ``traces``, which ``verify`` and ``shuffle`` bind lazily.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import (
@@ -73,11 +73,16 @@ def _trace_lines(trace) -> list[str]:
     return lines
 
 
+def _print_json(value, indent=None) -> None:
+    import json
+    print(json.dumps(value, indent=indent))
+
+
 def _emit_report(report, fmt: str) -> int:
     from .verify import format_report
 
     if fmt == "json":
-        print(json.dumps(report.to_json(), indent=2))
+        _print_json(report.to_json(), indent=2)
     else:
         print(format_report(report))
     return 0 if report.passed else VERIFY_FAIL
@@ -88,11 +93,11 @@ def _cmd_stat(args) -> int:
     pi = parse_perm(args.perm)
     value = evaluate(stat, pi)
     if args.format == "json":
-        print(json.dumps({
+        _print_json({
             "statistic": format_stat(stat),
             "perm": format_perm(pi),
             "value": format_stat_value(value),
-        }))
+        })
     else:
         print(format_stat_value(value))
     return 0
@@ -101,11 +106,11 @@ def _cmd_stat(args) -> int:
 def _cmd_shuffles(args) -> int:
     pi, sigma = _bounded_pair(args)
     if args.format == "json":
-        print(json.dumps({
+        _print_json({
             "pi": format_perm(pi),
             "sigma": format_perm(sigma),
             "shuffles": [format_perm(t) for t in iter_shuffles(pi, sigma)],
-        }))
+        })
     else:
         for tau in iter_shuffles(pi, sigma):
             print(format_perm(tau))
@@ -117,12 +122,12 @@ def _cmd_dist(args) -> int:
     pi, sigma = _bounded_pair(args)
     dist = shuffle_distribution(stat, pi, sigma)
     if args.format == "json":
-        print(json.dumps({
+        _print_json({
             "statistic": format_stat(stat),
             "pi": format_perm(pi),
             "sigma": format_perm(sigma),
             "distribution": distribution_to_json(dist),
-        }))
+        })
     else:
         body = ", ".join(f"{v}:{c}" for v, c in distribution_entries(dist))
         print("{" + body + "}")
@@ -137,7 +142,7 @@ def _cmd_genpoly(args) -> int:
     check_integer_stat(stat)
     poly = distribution_poly(shuffle_distribution(stat, pi, sigma))
     if args.format == "json":
-        print(json.dumps({"coefficients": list(poly)}))
+        _print_json({"coefficients": list(poly)})
     else:
         print(format_pretty(poly), " ", format_coeffs(poly))
     return 0
@@ -154,14 +159,14 @@ def _cmd_reduce(args) -> int:
     norm_pi, norm_sigma, norm_trace = normalize_pair(pi, sigma, "pi_low")
     _, trace = canonicalize(stat, norm_pi, norm_sigma)
     if args.format == "json":
-        print(json.dumps({
+        _print_json({
             "normalize_trace": norm_trace.to_json(),
             "reduction_trace": trace.to_json(),
             "canonical": {
                 "pi": format_perm(trace.final_pi),
                 "sigma": format_perm(trace.final_sigma),
             },
-        }, indent=2))
+        }, indent=2)
     else:
         print("normalization:")
         for line in _trace_lines(norm_trace):

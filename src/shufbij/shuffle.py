@@ -30,7 +30,8 @@ reductions: positional replacement of one side (``phi`` / ``phi_tilde``),
 the value swap ``t_swap`` exchanging i and i-1 when they are not adjacent,
 and ``normalize_pair``, which rewrites any disjoint pair onto the standard
 separated domains while recording a replayable descent-preserving trace
-through the same driver as ``reduce.canonicalize``.
+through the same driver as ``reduce.canonicalize``; ``traces`` is bound
+on their first use, so shuffle sets and distributions never load it.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ from .stats import (
     value_dp,
     walk,
 )
-from .traces import ReductionStep, ReductionTrace, run_reduction
 
 ShuffleWord = str
+_traces = None  # the module, bound by the first normalize_pair, phi or phi_tilde
 
 
 _TABLE_CUT = 1 << 12  # most entries (words times m+n) of a tabled shape
@@ -273,14 +274,20 @@ def phi(tau: Perm, pi: Perm, pi_new: Perm, sigma: Perm) -> Perm:
     """Replace the ``pi``-entries of ``tau`` by the entries of ``pi_new``,
     preserving positions; the unique member of the new shuffle set with the
     same word."""
-    ReductionStep("phi", {}, pi, sigma, pi_new, sigma)  # checks the pair
+    global _traces
+    if _traces is None:
+        from . import traces as _traces
+    _traces.ReductionStep("phi", {}, pi, sigma, pi_new, sigma)  # checks the pair
     _require_shuffle(tau, pi, sigma)
     return _rename(tau, set(pi), pi_new)
 
 
 def phi_tilde(tau: Perm, pi: Perm, sigma: Perm, sigma_new: Perm) -> Perm:
     """Mirror of :func:`phi`, replacing the ``sigma`` side."""
-    ReductionStep("phi_tilde", {}, pi, sigma, pi, sigma_new)  # checks the pair
+    global _traces
+    if _traces is None:
+        from . import traces as _traces
+    _traces.ReductionStep("phi_tilde", {}, pi, sigma, pi, sigma_new)  # checks the pair
     _require_shuffle(tau, pi, sigma)
     return _rename(tau, set(sigma), sigma_new)
 
@@ -324,12 +331,12 @@ def _relabel_steps(pi, sigma, pi1, sgm1, measure):
     steps, cur = [], (pi, sigma)
     for nxt in path:
         kind = "phi" if nxt[1] == cur[1] else "phi_tilde"
-        steps.append(ReductionStep(kind, {}, *cur, *nxt, measure))
+        steps.append(_traces.ReductionStep(kind, {}, *cur, *nxt, measure))
         cur = nxt
     return steps
 
 
-def normalize_pair(pi: Perm, sigma: Perm, mode: str) -> tuple[Perm, Perm, ReductionTrace]:
+def normalize_pair(pi: Perm, sigma: Perm, mode: str) -> tuple[Perm, Perm, _traces.ReductionTrace]:
     """Rewrite a disjoint pair onto separated standard domains.
 
     ``pi_low`` produces (std to [m], std to [n]+m); ``sigma_low`` the
@@ -341,9 +348,12 @@ def normalize_pair(pi: Perm, sigma: Perm, mode: str) -> tuple[Perm, Perm, Reduct
     recorded by the reduction driver (``traces.run_reduction``); the mode
     only picks which side must end low.
     """
+    global _traces
     if mode not in ("pi_low", "sigma_low"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_disjoint(pi, sigma)
+    if _traces is None:
+        from . import traces as _traces
 
     union = sorted(set(pi) | set(sigma))
     relabel = {v: r + 1 for r, v in enumerate(union)}
@@ -370,5 +380,5 @@ def normalize_pair(pi: Perm, sigma: Perm, mode: str) -> tuple[Perm, Perm, Reduct
     steps = []
     if (pi1, sgm1) != (pi, sigma):
         steps = _relabel_steps(pi, sigma, pi1, sgm1, measure(pi1, sgm1))
-    trace = run_reduction("Des", pi, sigma, measure, swap_move, steps)
+    trace = _traces.run_reduction("Des", pi, sigma, measure, swap_move, steps)
     return trace.final_pi, trace.final_sigma, trace

@@ -23,23 +23,25 @@ Scans read the DP's key tables (:func:`~shufbij.shuffle.class_pair_counts`),
 a final key being its value alone: a compatibility scan compares them as
 they are and decodes the two distributions of a witness only, and an
 identity decodes each pair and compares it with the closed form of the
-pair's label, built once per label.  Least members are built for a
-witness only.  Full mode over any other statistic walks every pair of
-permutations.  Cases and witnesses are those a lexicographic
-pair-by-pair scan would report, read off the ranks of the failing
-pair's members and the class sizes.  The pipeline audit and
-:meth:`Witness.recheck` enumerate shuffle sets; the audit replays its
-trace unchecked, one function per step, reads the statistic's rule once
-and the statistic once per interleaving on each side, and takes a trace
-that ends on its start pair as its own target.  A report fails exactly
-when it has a witness.
+pair's label, built once per label (per maj sum for ``maj`` and
+``word_base``).  Least members are built for a witness only.  Full mode
+over any other statistic walks every pair of permutations.  Cases and
+witnesses are those a lexicographic pair-by-pair scan would report, read
+off the ranks of the failing pair's members and the class sizes.  The
+pipeline audit and :meth:`Witness.recheck` enumerate shuffle sets; the
+audit replays its trace unchecked, one function per step, reads the
+statistic's rule once and the statistic once per interleaving on each
+side, takes a trace that ends on its start pair as its own target, and
+lists no set for a canonical pair (no step, ending where it starts).  A
+report fails exactly when it has a witness.  ``reduce`` is bound on the
+first audit and ``qpoly`` on the first closed form: a scan loads neither.
 """
 
 from __future__ import annotations
 
 import time
 from itertools import combinations, permutations, product
-from math import factorial
+from math import comb, factorial
 from operator import le
 from typing import NamedTuple, Optional
 
@@ -47,8 +49,6 @@ from .errors import DEFAULT_CLASS_LIMIT, DEFAULT_ENUM_LIMIT, DEFAULT_SHUFFLE_LIM
 from .errors import _gate, _resolve_limit
 from .perm import Perm, count_before, descent_classes, format_perm, lex_rank
 from .perm import least_with_descent_set, mask_positions
-from .qpoly import _refined_forms, q_binomial
-from .reduce import canonicalize, maj_decrement, step_replay
 from .shuffle import class_pair_counts, shuffles
 from .stats import (
     Distribution,
@@ -66,6 +66,7 @@ from .stats import (
 )
 
 MODES = ("reduced_pi", "reduced_sigma", "full")
+_reduce = _qpoly = None  # the modules, bound by the first audit and the first closed form
 
 
 def default_limit(stat: StatId) -> int:
@@ -318,36 +319,40 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
     bijection), and the statistic is preserved pointwise (major-index
     components drop by exactly the number of descent-side steps).
 
-    Each comparison runs once.  When the trace's final pair is the start
-    pair, the start pair's shuffle set is the target, not a second copy;
-    when no step ran the images are that set itself, so both comparisons
-    hold by identity and the statistic is not read.  Otherwise the
-    statistic is read once per interleaving on each side, as two lists
-    compared whole; the first mismatch is located on a failure only.
+    Each comparison runs once.  A trace with no step that ends on its
+    start pair passes with binomial(m+n, m) cases and lists no set; one
+    that ends there after some steps takes the start pair's set as its
+    target.  When a step ran, the statistic is read once per interleaving
+    on each side, as two lists compared whole; the first mismatch is
+    located on a failure only.
     """
+    global _reduce
     limit = _resolve_limit(None, DEFAULT_SHUFFLE_LIMIT)
     _gate(len(pi), len(sigma), limit, "bijection audit", how=f"set {ENV_LIMIT_VAR}")
+    if _reduce is None:
+        from . import reduce as _reduce
     start = time.perf_counter()
-    _, trace = canonicalize(stat, pi, sigma)
+    _, trace = _reduce.canonicalize(stat, pi, sigma)
 
     problems = []
     ms = (trace.start_measure,) + trace.measure_values
     if any(map(le, ms, ms[1:])):
         problems.append(f"measures not strictly decreasing: {ms}")
 
-    source = images = shuffles(pi, sigma)
-    for step in trace.steps:
-        images = list(map(step_replay(step), images))
     final = (trace.final_pi, trace.final_sigma)
-    target = source if final == (pi, sigma) else shuffles(*final)
-    if not (images is target or set(images) == set(target)):
-        problems.append("replay is not a bijection onto the canonical shuffle set")
+    if trace.steps or final != (pi, sigma):  # else the identity on the start pair's set
+        source = images = shuffles(pi, sigma)
+        for step in trace.steps:
+            images = list(map(_reduce.step_replay(step), images))
+        target = source if final == (pi, sigma) else shuffles(*final)
+        if not (images is target or set(images) == set(target)):
+            problems.append("replay is not a bijection onto the canonical shuffle set")
 
-    if images is not source:  # no step ran otherwise: nothing drops, both lists are one
+    if trace.steps:
         rule, k = descent_rule(stat), len(pi) + len(sigma)
         want = [rule(descent_mask(t), k) for t in source]
         got = [rule(descent_mask(img), k) for img in images]
-        drop = maj_decrement(trace)
+        drop = _reduce.maj_decrement(trace)
         if drop and stat == "maj":
             want = [v - drop for v in want]
         elif drop and isinstance(stat, tuple) and "maj" in stat:
@@ -370,7 +375,7 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
         ),
         scope=f"pi={format_perm(pi)}, sigma={format_perm(sigma)}, steps={len(trace)}",
         witness=witness,
-        cases_checked=len(source),
+        cases_checked=comb(len(pi) + len(sigma), len(pi)),
         elapsed=time.perf_counter() - start,
     )
 
@@ -378,10 +383,13 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
 def _closed_form(which: str, m: int, n: int, des_pi: int, des_sigma: int, maj_sum: int) -> dict:
     """Identity ``which``'s claim for operands of lengths m, n with these descent
     counts and maj sum: ``{maj: count}``, or ``{(des, maj): count}`` for maj_des."""
+    global _qpoly
+    if _qpoly is None:
+        from . import qpoly as _qpoly
     if which == "maj_des":
-        forms = enumerate(_refined_forms(m, n, des_pi, des_sigma))
+        forms = enumerate(_qpoly._refined_forms(m, n, des_pi, des_sigma))
         return {(k, maj_sum + e): c for k, form in forms for e, c in enumerate(form) if c}
-    return {maj_sum + e: c for e, c in enumerate(q_binomial(m + n, m)) if c}
+    return {maj_sum + e: c for e, c in enumerate(_qpoly.q_binomial(m + n, m)) if c}
 
 
 def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> Report:
@@ -392,7 +400,8 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
     ``maj_des``: the same refined by descent count.  ``word_base``: the
     increasing/increasing pair gives the bare q-binomial.  A class pair's
     decoded keys are compared with the closed form of its label, (des pi,
-    des sigma, maj pi + maj sigma), built once per label in this call.
+    des sigma, maj pi + maj sigma), built once per label in this call (per
+    maj sum for ``maj`` and ``word_base``, whose form depends on no more).
     """
     if which not in ("maj", "maj_des", "word_base"):
         raise ValueError(f"unknown identity {which!r}")
@@ -403,14 +412,15 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
     low, high = range(1, m + 1), range(m + 1, m + n + 1)
     masks = {0} if which == "word_base" else None
     table, decode = class_pair_counts(stat, m, n, masks, masks)
-    rule, forms = descent_rule(("des", "maj")), {}  # forms: label -> closed form, in this call
+    rule, forms = descent_rule(("des", "maj")), {}  # forms: label or maj sum -> closed form
     labels_pi, labels_sigma = ({mask: rule(mask, k) for mask, _ in descent_classes(k)}
                                for k in (m, n))
 
     def fails(mask_pi, mask_sigma, keys):
         (des_pi, maj_pi), (des_sigma, maj_sigma) = labels_pi[mask_pi], labels_sigma[mask_sigma]
         label = (des_pi, des_sigma, maj_pi + maj_sigma)
-        form = forms.get(label) or forms.setdefault(label, _closed_form(which, m, n, *label))
+        by = label if which == "maj_des" else label[2]
+        form = forms.get(by) or forms.setdefault(by, _closed_form(which, m, n, *label))
         dist = {decode(key): count for key, count in keys.items()}
         if dist == form:
             return None

@@ -366,17 +366,24 @@ _COMMAND_ARGV = {
     "counterexample": ["counterexample", "maj", "--max", "3"],
     "conjecture": ["conjecture", "udr-pk-des", "--m", "2", "--n", "1"],
 }
+# The probe takes its snapshot before it imports anything else, and prints
+# the modules one a line, so it loads no json of its own.
 _PROBE = """
-import contextlib, io, json, sys
+import sys
 before = set(sys.modules)
 {body}
-print(json.dumps(sorted(set(sys.modules) - before)))
+print(*sorted(set(sys.modules) - before), sep="\\n")
 """
 _RUN_COMMAND = """
+import contextlib, io
 from shufbij import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(json.loads(sys.argv[1])) == 0
+    assert cli.main(sys.argv[1:]) == 0
 """
+# What a scan command loads of the package: no reduce or traces, and no
+# qpoly but for identity.
+_SCAN_MODULES = {"shufbij", "shufbij.cli", "shufbij.errors", "shufbij.perm", "shufbij.stats",
+                 "shufbij.shuffle", "shufbij.verify"}
 
 
 def _modules_loaded(body, *args):
@@ -389,16 +396,33 @@ def _modules_loaded(body, *args):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout))
+    return set(proc.stdout.split())
 
 
 @pytest.mark.parametrize("command", list(_COMMAND_ARGV))
 def test_each_command_imports_only_the_modules_it_runs(command):
-    loaded = _modules_loaded(_RUN_COMMAND, json.dumps(_COMMAND_ARGV[command]))
+    loaded = _modules_loaded(_RUN_COMMAND, *_COMMAND_ARGV[command])
     assert "shufbij.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "json"}
+    package = {m for m in loaded if m.split(".")[0] == "shufbij"}
+    if command in ("verify", "identity", "counterexample", "conjecture"):
+        assert package == _SCAN_MODULES | ({"shufbij.qpoly"} if command == "identity" else set())
+    if command in ("stat", "shuffles", "dist", "genpoly"):
+        assert "shufbij.traces" not in loaded
     if command in ("stat", "shuffles", "dist"):
         assert not loaded & {"shufbij.verify", "shufbij.reduce", "shufbij.qpoly"}
+
+
+def test_json_is_imported_to_print_json():
+    loaded = _modules_loaded(_RUN_COMMAND, *_COMMAND_ARGV["verify"], "--format", "json")
+    assert "json" in loaded
+
+
+@pytest.mark.parametrize("module", ["shufbij.verify", "shufbij.shuffle"])
+def test_verdict_modules_load_no_bijection_replay_code(module):
+    loaded = _modules_loaded(f"import {module}")
+    assert module in loaded
+    assert not loaded & {"shufbij.reduce", "shufbij.traces", "shufbij.qpoly"}
 
 
 def test_bare_package_import_loads_no_submodule():

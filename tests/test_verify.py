@@ -1,7 +1,7 @@
 import json
 import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -195,14 +195,15 @@ def test_bijection_pipeline_reports_colliding_images(monkeypatch):
 
 def _forge_traces(monkeypatch, forge):
     """Make the audit read each real trace with the fields ``forge(trace)``
-    returns replaced."""
-    real = verify.canonicalize
+    returns replaced.  The audit calls ``reduce.canonicalize`` through the
+    module, which it binds on first use."""
+    real = reduce.canonicalize
 
     def forged(stat, pi, sigma):
         side, trace = real(stat, pi, sigma)
         return side, trace._replace(**forge(trace))
 
-    monkeypatch.setattr(verify, "canonicalize", forged)
+    monkeypatch.setattr(reduce, "canonicalize", forged)
 
 
 def test_trace_replace_and_make_build_through_the_fields():
@@ -245,6 +246,32 @@ def test_bijection_pipeline_passes_an_empty_trace_on_the_start_pair(monkeypatch)
         assert "steps=0" in report.scope
 
 
+def test_bijection_pipeline_lists_no_shuffle_set_for_a_canonical_pair(monkeypatch):
+    """A canonical pair's trace has no step and ends on its start pair: the
+    audit passes it without listing a shuffle set, with the report of an
+    audit that lists them."""
+    canonical = set()
+    for stat in reduce.SUPPORTED_STATS:
+        for m in range(6):
+            for pi, sigma in product(permutations(range(1, m + 1)), permutations(range(m + 1, 6))):
+                _, trace = reduce.canonicalize(stat, pi, sigma)
+                canonical.add((stat, trace.final_pi, trace.final_sigma))
+    assert {stat for stat, _, _ in canonical} == set(reduce.SUPPORTED_STATS)
+    assert {len(pi) for _, pi, _ in canonical} == set(range(6))  # m = 0 and n = 0 among them
+    for stat, pi, sigma in canonical:
+        trace = reduce.canonicalize(stat, pi, sigma)[1]
+        assert not trace.steps and (trace.final_pi, trace.final_sigma) == (pi, sigma)
+    listed = {pair: check_bijection_pipeline(*pair).to_json() for pair in canonical}
+
+    def no_shuffles(*args):
+        raise AssertionError("the audit of a canonical pair listed a shuffle set")
+
+    monkeypatch.setattr(verify, "shuffles", no_shuffles)
+    for pair in canonical:
+        assert check_bijection_pipeline(*pair).to_json() == listed[pair], pair
+        assert listed[pair]["outcome"] == "pass"
+
+
 def test_bijection_pipeline_reports_a_measure_that_does_not_drop(monkeypatch):
     _forge_traces(monkeypatch, lambda trace: {
         "start_measure": trace.measure_values[0]})
@@ -259,7 +286,7 @@ def test_bijection_pipeline_size_bound(monkeypatch):
     def no_canonicalize(*args):
         raise AssertionError("canonicalize ran before the size bound")
 
-    monkeypatch.setattr(verify, "canonicalize", no_canonicalize)
+    monkeypatch.setattr(reduce, "canonicalize", no_canonicalize)
     monkeypatch.setenv("SHUFBIJ_MAX_TOTAL", "3")
     with pytest.raises(ResourceLimitError, match="set SHUFBIJ_MAX_TOTAL to allow it$"):
         check_bijection_pipeline("des", (1, 2), (3, 4))
@@ -320,6 +347,21 @@ def test_refined_identity_reads_every_k(at, m, n, monkeypatch):
     report = check_identity("maj_des", m, n)
     assert not report.passed
     assert report.subject == f"identity maj_des: refined identity fails at k={k}"
+
+
+@pytest.mark.parametrize("which, builds", [("maj", 21), ("maj_des", 125), ("word_base", 1)])
+def test_identity_builds_each_closed_form_once(which, builds, monkeypatch):
+    """At 5+5 the 256 class pairs have 125 labels and 21 maj sums: the maj
+    form is built once per maj sum, the refined one once per label."""
+    right, built = verify._closed_form, []
+
+    def counted(*args):
+        built.append(args)
+        return right(*args)
+
+    monkeypatch.setattr(verify, "_closed_form", counted)
+    assert check_identity(which, 5, 5).passed
+    assert len(built) == len(set(built)) == builds
 
 
 def test_closed_forms_of_labels_match_least_members():
