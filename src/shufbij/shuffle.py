@@ -15,15 +15,20 @@ for a descent at d, :func:`~shufbij.stats.descent_mask`) and lengths.
 :func:`class_pair_counts` computes it for every class pair of a product
 of two bitmask sets by one transfer-matrix DP over (a's placed, last
 letter, the operands' bits decided so far), without listing a word; pairs
-with a common prefix share states.  Each state counts packed keys that
-carry every component's partial value, moved by the step deltas of
-:func:`~shufbij.stats.value_dp` as each step is decided: a handful of keys
-for ``pk`` or ``maj``, the whole descent bitmask for ``Des``.  A final key
-is its value alone, so two pairs' key tables are equal exactly when their
-distributions are, and a scan compares the tables as they are;
-:func:`class_pair_distributions` decodes them.  :func:`des_histogram` and
-:func:`shuffle_distribution` read one pair, the latter by enumeration for
-a statistic that is not a descent statistic.
+with a common prefix share states.  Each state holds a row, a count per
+packed key that carries every component's partial value, moved by the
+step deltas of :func:`~shufbij.stats.value_dp` as each step is decided: a
+handful of keys for ``pk`` or ``maj``, the whole descent bitmask for
+``Des``.  A row is packed, one integer with key k's count in slot k
+(:func:`_packed_rows`), where a move is a shift or two and a merge one
+``+``; or sparse, a ``{key: count}`` dict (:data:`_DICT_ROWS`), where each
+key moves alone.  The type is picked once per statistic and shape
+(:func:`_plan`), packed while a row is short against the keys a state
+can hold.  A final key is its value alone, so two pairs' rows are equal
+exactly when their distributions are, and a scan compares the rows as
+they are; :func:`class_pair_distributions` decodes them.
+:func:`des_histogram` and :func:`shuffle_distribution` read one pair, the
+latter by enumeration for a statistic that is not a descent statistic.
 
 The bijections here are the building blocks for statistic-preserving
 reductions: positional replacement of one side (``phi`` / ``phi_tilde``),
@@ -108,101 +113,208 @@ def shuffles(pi: Perm, sigma: Perm) -> tuple[Perm, ...]:
     return tuple(iter_shuffles(pi, sigma))
 
 
-def _class_pair_counts(dp, m: int, n: int, masks_pi=None, masks_sigma=None) -> dict:
-    """``{(mask_pi, mask_sigma): key counts}`` over ``masks_pi`` times
+class Rows:
+    """A row type: how the DP of :func:`_class_pair_counts` holds a state's
+    count per key.  One DP loop serves every type; a type gives
+    ``move(layer, state, row, key deltas)``, which moves the row's keys and
+    merges it into ``layer[state]``, ``shift(row, delta)``, which moves
+    every key by delta, ``unit(key)``, the row of one count at that key,
+    ``pack({key: count})``, and ``read(row)``, its ``{key: count}``."""
+
+    __slots__ = ("move", "shift", "unit", "pack", "read")
+
+    def __init__(self, move, shift, unit, pack, read):
+        self.move, self.shift, self.unit, self.pack, self.read = move, shift, unit, pack, read
+
+
+def _dict_move(layer: dict, state, counts: dict, deltas: tuple) -> None:
+    step, step_after_fall = deltas
+    if step != step_after_fall:
+        into = layer.setdefault(state, {})
+        for key, count in counts.items():
+            key += step_after_fall if key & 1 else step
+            into[key] = into.get(key, 0) + count
+    elif state not in layer:  # no mark reads the step before: keys move as one
+        layer[state] = {key + step: count for key, count in counts.items()}
+    else:
+        into = layer[state]
+        for key, count in counts.items():
+            key += step
+            into[key] = into.get(key, 0) + count
+
+
+# A sparse row: {key: count}, its keys moved one by one.
+_DICT_ROWS = Rows(_dict_move, lambda row, delta: {key + delta: c for key, c in row.items()},
+                  lambda key: {key: 1}, dict, dict)
+
+
+def _odd_slots(width: int, size: int) -> int:
+    """Every bit of the slots of the odd keys below ``size``, each slot
+    ``width`` bits wide."""
+    pairs = (size + 1) // 2
+    return ((1 << 2 * width * pairs) - 1) // ((1 << 2 * width) - 1) * ((1 << width) - 1 << width)
+
+
+@lru_cache(maxsize=64)
+def _packed_rows(width: int, size: int) -> Rows:
+    """A dense row of ``size`` slots of ``width`` bits: ``sum(count <<
+    width * key)``, each move one or two shifts and one ``+``.  A slot
+    holds a count of words with a common prefix, at most the number of
+    words of the shape, so ``width`` bits of that number's bit length
+    (plus one to spare) never carry into the next slot."""
+    ones, odd = (1 << width) - 1, _odd_slots(width, size)
+
+    def move(layer: dict, state, row: int, deltas: tuple) -> None:
+        step, step_after_fall = deltas
+        if step != step_after_fall:  # split odd keys off; only theirs can move down
+            high = row & odd
+            row ^= high
+            row <<= width * step
+            row += (high << width * step_after_fall if step_after_fall >= 0
+                    else high >> width * -step_after_fall)
+        else:
+            row <<= width * step
+        layer[state] = layer.get(state, 0) + row
+
+    def read_into(counts: dict, row: int, key: int) -> dict:  # row's slot 0 holds key
+        slots = -(-row.bit_length() // width)
+        if slots > 32:  # halve a long row, so each part is read once
+            half = slots // 2
+            low, high = row & (1 << width * half) - 1, row >> width * half
+            for part, at in ((low, key), (high, key + half)):
+                if part:
+                    read_into(counts, part, at)
+            return counts
+        for key in range(key, key + slots):
+            if count := row & ones:
+                counts[key] = count
+            row >>= width
+        return counts
+
+    return Rows(move, lambda row, delta: row << width * delta, lambda key: 1 << width * key,
+                lambda counts: sum([count << width * key for key, count in counts.items()]),
+                lambda row: read_into({}, row, 0))
+
+
+def _key_space(dp) -> tuple[int, int]:
+    """``(size, values)`` of the DP ``dp`` over every step word of its
+    length: one more than the largest key a prefix reaches, and the number
+    of final keys.  The keys move as the bits of one integer, a packed row
+    of one-bit slots whose merge is ``|``."""
+    keys = seen = 1 << dp[0]
+    for step in dp[1][1:]:
+        high = keys & _odd_slots(1, keys.bit_length())
+        low, keys = keys ^ high, 0
+        for even, odd in step:
+            keys |= low << even | (high << odd if odd >= 0 else high >> -odd)
+        seen |= keys
+    return seen.bit_length(), keys.bit_count()
+
+
+# Packed rows while a row has at most this many bits per key a state can
+# hold (at most the number of final keys, and of words of the shape);
+# sparse rows above it.  The crossover of BENCH_packed_rows.json.
+_PACKED_BITS_PER_KEY = 448
+
+
+@lru_cache(maxsize=256)
+def _plan(tables, m: int, n: int):
+    """``(dp, rows)`` of a shape: the statistic's :func:`~shufbij.stats.value_dp`
+    at length m+n, and packed rows when a row of its key space is short
+    against the keys a state can hold, sparse ones otherwise."""
+    dp, words = value_dp(tables, m + n), comb(m + n, m)
+    width, (size, values) = words.bit_length() + 1, _key_space(dp)
+    if size * width <= _PACKED_BITS_PER_KEY * min(values, words):
+        return dp, _packed_rows(width, size)
+    return dp, _DICT_ROWS
+
+
+def _class_pair_counts(dp, m: int, n: int, masks_pi=None, masks_sigma=None,
+                       rows: Rows = _DICT_ROWS) -> dict:
+    """``{(mask_pi, mask_sigma): row}`` over ``masks_pi`` times
     ``masks_sigma`` (None: every bitmask of the length): the packed keys of
-    the DP ``dp`` (:func:`~shufbij.stats.value_dp`), with their counts, over
-    the shuffle set of any pi on [m] and sigma on [n]+m with those bitmasks.
+    the DP ``dp`` (:func:`~shufbij.stats.value_dp`) with their counts, as a
+    row of type ``rows``, over the shuffle set of any pi on [m] and sigma
+    on [n]+m with those bitmasks.
 
     Every sigma entry exceeds every pi entry, so each step of an
     interleaving is fixed by its word and the operands' bits: adjacent
     letters b, a fall, a, b rise, and a, a or b, b copy the step of the
     operand they come from.  The transfer-matrix DP runs over the words
     letter by letter; its state is the number of a's placed, the last
-    letter and the bits decided so far, and each state keeps a count per
-    key.  The (i+1)-th a, i >= 1, decides pi's bit i on every path, read or
-    not, keeping the bits that some mask of ``masks_pi`` starts with; b's
-    decide sigma's bits alike.  An empty operand leaves one word, the
-    other's, keyed as by its rule (:func:`~shufbij.stats.walk`).  A final
-    key is its value alone, so no two keys of a pair decode alike.
+    letter and the bits decided so far, and each state keeps a row of
+    counts per key.  The (i+1)-th a, i >= 1, decides pi's bit i on every
+    path, read or not, keeping the bits that some mask of ``masks_pi``
+    starts with; b's decide sigma's bits alike.  An empty operand leaves
+    one word, the other's, keyed as by its rule
+    (:func:`~shufbij.stats.walk`).  A final key is its value alone, so no
+    two keys of a pair decode alike.
     """
     # keep[c]: bits 1..c of some member of the set, bit 0 never being a
     # descent; keep[-1] holds the members ([0] for an empty operand).
     keep_pi, keep_sigma = (
         [range(0, 2 << c, 2) if masks is None else {x & (2 << c) - 1 for x in masks}
          for c in range(max(k, 1))] for masks, k in ((masks_pi, m), (masks_sigma, n)))
+    unit, move = rows.unit, rows.move
     if not (m and n and keep_pi[-1] and keep_sigma[-1]):  # an empty operand, or no pair
-        return {(p, s): {walk(dp, p | s): 1} for p in keep_pi[-1] for s in keep_sigma[-1]}
-    start, steps, _ = dp
-    # ends_a / ends_b: (a's placed, pi's bits, sigma's bits) -> counts, of the
+        return {(p, s): unit(walk(dp, p | s)) for p in keep_pi[-1] for s in keep_sigma[-1]}
+    start, steps, _, _ = dp
+    # ends_a / ends_b: (a's placed, pi's bits, sigma's bits) -> row, of the
     # words so far that end in a / in b.  Each state feeds the states of the
-    # next layer that fit in (m, n), and is dropped once read.
-    ends_a, ends_b = {(1, 0, 0): {start: 1}}, {(0, 0, 0): {start: 1}}
+    # next layer that fit in (m, n), and a layer is dropped once read.
+    first = unit(start)  # read, never written
+    ends_a, ends_b = {(1, 0, 0): first}, {(0, 0, 0): first}
     for t in range(1, m + n):  # t letters placed; the next step is step t
-        rise, fall = steps[t]
-        moves = []  # (counts, next layer: 1 for a, next state, key deltas)
+        rise, fall = steps[t]  # each a pair of key deltas
+        # The last layer is one: a word's last letter matters no more.
+        into_a, into_b = ({}, {}) if t < m + n - 1 else ({},) * 2
         for after_a, layer in ((1, ends_a), (0, ends_b)):
-            for (i, bits_pi, bits_sigma), counts in layer.items():
+            for (i, bits_pi, bits_sigma), row in layer.items():
                 for d in (0, 1):  # a after a copies pi's bit i; a after b falls
                     if i < m and (bits := bits_pi | d << i) in keep_pi[i]:
-                        moves.append((counts, 1, (i + 1, bits, bits_sigma),
-                                      fall if d or not after_a else rise))
+                        move(into_a, (i + 1, bits, bits_sigma), row,
+                             fall if d or not after_a else rise)
                     # b after b copies sigma's bit t-i; b after a rises
                     if t - i < n and (bits := bits_sigma | d << t - i) in keep_sigma[t - i]:
-                        moves.append((counts, 0, (i, bits_pi, bits),
-                                      fall if d and not after_a else rise))
-        # The last layer is one: a word's last letter matters no more.
-        ends_b, ends_a = layers = ({}, {}) if t < m + n - 1 else ({},) * 2
-        while moves:  # each state's counts are dropped once its last move is made
-            counts, ends_with_a, state, (step, step_after_fall) = moves.pop()
-            layer = layers[ends_with_a]
-            if step != step_after_fall:
-                into = layer.setdefault(state, {})
-                for key, count in counts.items():
-                    key += step_after_fall if key & 1 else step
-                    into[key] = into.get(key, 0) + count
-            elif state not in layer:  # no mark reads the step before: keys move as one
-                layer[state] = {key + step: count for key, count in counts.items()}
-            else:
-                into = layer[state]
-                for key, count in counts.items():
-                    key += step
-                    into[key] = into.get(key, 0) + count
-    return {(bits_pi, bits_sigma): counts for (_, bits_pi, bits_sigma), counts in ends_a.items()}
+                        move(into_b, (i, bits_pi, bits), row, fall if d and not after_a else rise)
+        ends_a, ends_b = into_a, into_b
+    return {(bits_pi, bits_sigma): row for (_, bits_pi, bits_sigma), row in ends_a.items()}
 
 
 def des_histogram(mask_pi: int, mask_sigma: int, m: int, n: int) -> dict[int, int]:
     """Descent sets, as bitmasks with bit d set for a descent at position d,
     over the shuffle set of any pi on [m] with descent bitmask ``mask_pi``
-    and sigma on [n]+m with descent bitmask ``mask_sigma``: the DP of
-    :func:`_class_pair_counts` for ``Des`` on that one pair, whose packed
-    key is the bitmask.  Equals ``Counter(descent_mask(t) for t in
-    shuffles(pi, sigma))`` without listing a word.
+    and sigma on [n]+m with descent bitmask ``mask_sigma``: the row of that
+    one pair in :func:`class_pair_counts` for ``Des``, whose packed key is
+    the bitmask.  Equals ``Counter(descent_mask(t) for t in shuffles(pi,
+    sigma))`` without listing a word.
     """
-    dp = value_dp(mark_tables("Des"), m + n)
-    return _class_pair_counts(dp, m, n, {mask_pi}, {mask_sigma})[mask_pi, mask_sigma]
+    table, _, rows = class_pair_counts("Des", m, n, {mask_pi}, {mask_sigma})
+    return rows.read(table[mask_pi, mask_sigma])
 
 
 def class_pair_counts(stat: StatId, m: int, n: int, masks_pi=None, masks_sigma=None):
-    """``(table, decode)``: ``table`` is ``{(mask_pi, mask_sigma): {key:
-    count}}`` of a descent statistic over the shuffle set of each class pair
+    """``(table, decode, rows)``: ``table`` is ``{(mask_pi, mask_sigma):
+    row}`` of a descent statistic over the shuffle set of each class pair
     of ``masks_pi`` times ``masks_sigma`` (None: every bitmask of the
     length), pi on [m] and sigma on [n]+m, by one DP
     (:func:`_class_pair_counts`) over the packed keys of the statistic's
-    :func:`~shufbij.stats.value_dp`; ``decode`` reads a key as its value.
-    A key is its value alone, so two pairs' key dicts are equal exactly
-    when their distributions are."""
-    dp = value_dp(mark_tables(stat), m + n)
-    return _class_pair_counts(dp, m, n, masks_pi, masks_sigma), dp[2]
+    :func:`~shufbij.stats.value_dp`.  ``rows`` (:class:`Rows`) is the row
+    type, picked once per statistic and shape, and ``rows.read`` reads a
+    row as ``{key: count}``; ``decode`` reads a key as its value.  A key is
+    its value alone, and a row holds each key in one way, so two pairs'
+    rows are equal exactly when their distributions are."""
+    dp, rows = _plan(mark_tables(stat), m, n)
+    return _class_pair_counts(dp, m, n, masks_pi, masks_sigma, rows), dp[2], rows
 
 
 def class_pair_distributions(stat: StatId, m: int, n: int, masks_pi=None, masks_sigma=None):
-    """``{(mask_pi, mask_sigma): distribution}``: the key table of
-    :func:`class_pair_counts`, each key decoded to its value.  The decode
-    keeps its last 1024 values across calls."""
-    table, decode = class_pair_counts(stat, m, n, masks_pi, masks_sigma)
-    return {pair: Counter({decode(key): count for key, count in counts.items()})
-            for pair, counts in table.items()}
+    """``{(mask_pi, mask_sigma): distribution}``: the rows of
+    :func:`class_pair_counts`, each read and its keys decoded to their
+    values.  The decode keeps its last 1024 values across calls."""
+    table, decode, rows = class_pair_counts(stat, m, n, masks_pi, masks_sigma)
+    return {pair: Counter({decode(key): count for key, count in rows.read(row).items()})
+            for pair, row in table.items()}
 
 
 def shuffle_distribution(stat: StatId, pi: Perm, sigma: Perm) -> Distribution:

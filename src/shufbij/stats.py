@@ -82,7 +82,7 @@ def value_dp(tables: Union[MarkTable, tuple[MarkTable, ...]], length: int):
     """The packed-key DP of the statistic with mark tables ``tables`` (one
     value for a :class:`MarkTable`, a tuple of values for a tuple of them)
     over step words of a permutation of ``length``: ``(start, steps,
-    decode)``.
+    decode, encode)``.
 
     A key packs each component's partial value in a field of its own: a
     mark at position i adds 1 << i to a set field, 1 to a count and i to a
@@ -91,10 +91,17 @@ def value_dp(tables: Union[MarkTable, tuple[MarkTable, ...]], length: int):
     and two final keys are equal exactly when their values are.
     ``steps[t]`` is the pair of key deltas of a rising and of a falling
     step t, each indexed by that bit: step t marks position t, and the last
-    step the last position too.  ``start`` is the key before any step, and
-    ``decode`` reads a final key as the value.
-    This is the one reader of a table's fields; built once per tables and
-    length, and kept.
+    step the last position too.  Every key is nonnegative, and only the
+    last step's delta of a key with bit 0 set can be negative, -1 at most:
+    so a row of counts indexed by key (``shuffle`` packs one into an
+    integer, key k's count in slot k) moves by whole slots, odd keys apart
+    from even ones, and never below slot 0.  ``start`` is the key before
+    any step; ``decode`` reads a final key as the value, and ``encode``,
+    its inverse, writes a value as its final key.  A field is wide enough
+    for every value of its component, so ``encode`` adds: the key of a
+    tuple value is the sum of its components' keys, each alone in its
+    field.  This is the one reader of a table's fields; built once per
+    tables and length, and kept.
     """
     single = isinstance(tables, MarkTable)
     tables = (tables,) if single else tables
@@ -130,15 +137,23 @@ def value_dp(tables: Union[MarkTable, tuple[MarkTable, ...]], length: int):
             return lambda key: mask_positions(key >> offset & width)
         return lambda key: key >> offset & width
 
+    def writer(table, offset, width):
+        if table.output == "set":
+            return lambda value: sum(1 << i for i in value) << offset
+        return lambda value: value << offset
+
     readers = [reader(*field) for field in fields]
+    writers = [writer(*field) for field in fields]
     decode = readers[0] if single else lambda key: tuple([read(key) for read in readers])
-    return start, steps, lru_cache(maxsize=1 << 10)(decode)
+    encode = writers[0] if single else lambda value: sum([
+        write(part) for write, part in zip(writers, value)])
+    return start, steps, lru_cache(maxsize=1 << 10)(decode), lru_cache(maxsize=1 << 10)(encode)
 
 
 def walk(dp, mask: int) -> int:
     """The final key of the DP ``dp`` (:func:`value_dp`) over the one word
     of a permutation with descent bitmask ``mask``, of the DP's length."""
-    key, steps, _ = dp
+    key, steps, _, _ = dp
     for step in steps[1:]:  # step t reads bit t
         mask >>= 1
         key += step[mask & 1][key & 1]

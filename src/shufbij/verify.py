@@ -19,12 +19,14 @@ scan labels each class by the statistic's rule on its bitmask, compares
 each class pair with the first pair of its key (labels on the sides that
 vary, classes on the others), and tables only the classes that share
 their label with another class: none for ``Des``, which builds no table.
-Scans read the DP's key tables (:func:`~shufbij.shuffle.class_pair_counts`),
-a final key being its value alone: a compatibility scan compares them as
-they are and decodes the two distributions of a witness only, and an
-identity decodes each pair and compares it with the closed form of the
-pair's label, built once per label (per maj sum for ``maj`` and
-``word_base``).  Least members are built for a witness only.  Full mode
+Scans read the DP's rows of key counts
+(:func:`~shufbij.shuffle.class_pair_counts`), a final key being its value
+alone: a compatibility scan compares rows as they are and decodes the two
+distributions of a witness only, and an identity compares each pair's
+row with the row of its label's closed form, a base form built once per
+(des pi, des sigma) (once per call for ``maj`` and ``word_base``) and
+shifted by the key of the label's maj sum, and decodes a failing pair
+only.  Least members are built for a witness only.  Full mode
 over any other statistic walks every pair of permutations.  Cases and
 witnesses are those a lexicographic pair-by-pair scan would report, read
 off the ranks of the failing pair's members and the class sizes.  The
@@ -62,7 +64,9 @@ from .stats import (
     format_stat,
     format_stat_value,
     is_descent_statistic,
+    mark_tables,
     validate_stat,
+    value_dp,
 )
 
 MODES = ("reduced_pi", "reduced_sigma", "full")
@@ -206,12 +210,12 @@ def _class_scans(stat: StatId, m: int, n: int, scans):
     classes of its groups, as the groups keep rank order.  A one-sided
     scan walks the varying side inner, group by group; full mode walks pi
     outer and sigma inner as one group.  Every scan reads one
-    :func:`~shufbij.shuffle.class_pair_counts` key table over the least
+    :func:`~shufbij.shuffle.class_pair_counts` table over the least
     product of class sets that holds every varying class in a group of two
     or more, and none is built if there is none: a pair outside it has a
-    key of its own.  Two pairs' key dicts are equal exactly when their
-    distributions are, so the scan compares them as dicts and decodes the
-    two distributions of the witness alone.  A pass counts m!·n! pairs, or
+    key of its own.  Two pairs' rows are equal exactly when their
+    distributions are, so the scan compares rows as they are and decodes
+    the two distributions of the witness alone.  A pass counts m!·n! pairs, or
     (m+n)! in full mode, whose other splittings repeat the first's
     distributions (by the descent-preserving
     :func:`~shufbij.shuffle.normalize_pair`).  Least members are built for
@@ -221,20 +225,20 @@ def _class_scans(stat: StatId, m: int, n: int, scans):
     groups = {side: _label_groups(stat, lengths[side]) for scan in scans for side in scan}
     pis, sigmas = ({mask for members in groups.get(side, ()) if len(members) > 1
                     for mask, _ in members} for side in lengths)
-    table, decode = class_pair_counts(stat, m, n, None if sigmas else pis,
-                                      None if pis else sigmas) if pis or sigmas else ({}, None)
+    table, decode, rows = class_pair_counts(stat, m, n, None if sigmas else pis,
+                                            None if pis else sigmas) if pis or sigmas else ({},) * 3
     cases = 0
     for scan in scans:
         first_pi, first_sigma = ({mask: members[0][0] for members in groups[side]
                                   for mask, _ in members} if side in scan else {} for side in lengths)
 
-        def fails(mask_pi, mask_sigma, counts):
+        def fails(mask_pi, mask_sigma, row):
             ref_pi, ref_sigma = first_pi.get(mask_pi, mask_pi), first_sigma.get(mask_sigma, mask_sigma)
             ref = table[ref_pi, ref_sigma]
-            if ref is counts or ref == counts:
+            if ref is row or ref == row:
                 return None
-            left, right = (Distribution({decode(key): count for key, count in keys.items()})
-                           for keys in (ref, counts))
+            left, right = (Distribution({decode(key): count for key, count in rows.read(r).items()})
+                           for r in (ref, row))
             return Witness(_least_member(low, ref_pi), _least_member(low, mask_pi),
                            _least_member(high, ref_sigma), _least_member(high, mask_sigma),
                            stat, left, right)
@@ -392,6 +396,14 @@ def _closed_form(which: str, m: int, n: int, des_pi: int, des_sigma: int, maj_su
     return {maj_sum + e: c for e, c in enumerate(_qpoly.q_binomial(m + n, m)) if c}
 
 
+def _base_form(which: str, m: int, n: int, des_pi: int, des_sigma: int, encode, rows):
+    """The :func:`_closed_form` of these descent counts at maj sum 0, each
+    value written as its key (``encode``), as a row of type ``rows``.  The
+    form at maj sum s is this row shifted by the key of s alone."""
+    form = _closed_form(which, m, n, des_pi, des_sigma, 0)
+    return rows.pack({encode(value): count for value, count in form.items()})
+
+
 def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> Report:
     """Exact polynomial identity checks over all normalized pairs.
 
@@ -399,9 +411,12 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
     shifted q-binomial closed form, which depends only on maj(pi)+maj(sigma).
     ``maj_des``: the same refined by descent count.  ``word_base``: the
     increasing/increasing pair gives the bare q-binomial.  A class pair's
-    decoded keys are compared with the closed form of its label, (des pi,
-    des sigma, maj pi + maj sigma), built once per label in this call (per
-    maj sum for ``maj`` and ``word_base``, whose form depends on no more).
+    row of key counts is compared, with one ``==``, with the row of the
+    closed form of its label, (des pi, des sigma, maj pi + maj sigma): the
+    form at maj sum 0 (:func:`_base_form`), built once per (des pi, des
+    sigma) for ``maj_des`` and once per call for ``maj`` and
+    ``word_base``, shifted by the key of the label's maj sum.  A pair that
+    differs is decoded and reported.
     """
     if which not in ("maj", "maj_des", "word_base"):
         raise ValueError(f"unknown identity {which!r}")
@@ -411,19 +426,25 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
 
     low, high = range(1, m + 1), range(m + 1, m + n + 1)
     masks = {0} if which == "word_base" else None
-    table, decode = class_pair_counts(stat, m, n, masks, masks)
-    rule, forms = descent_rule(("des", "maj")), {}  # forms: label or maj sum -> closed form
-    labels_pi, labels_sigma = ({mask: rule(mask, k) for mask, _ in descent_classes(k)}
-                               for k in (m, n))
+    table, decode, rows = class_pair_counts(stat, m, n, masks, masks)
+    encode, shift, read = value_dp(mark_tables(stat), m + n)[3], rows.shift, rows.read
+    maj_unit = encode((0, 1) if which == "maj_des" else 1)  # the key of maj 1 alone
+    rule, bases = descent_rule(("des", "maj")), {}  # (des pi, des sigma), or None: base form
+    # Per class: its descent count, and the key of its maj alone.
+    keys_pi, keys_sigma = ({mask: (des, maj * maj_unit) for mask, _ in descent_classes(k)
+                            for des, maj in [rule(mask, k)]} for k in (m, n))
 
-    def fails(mask_pi, mask_sigma, keys):
-        (des_pi, maj_pi), (des_sigma, maj_sigma) = labels_pi[mask_pi], labels_sigma[mask_sigma]
-        label = (des_pi, des_sigma, maj_pi + maj_sigma)
-        by = label if which == "maj_des" else label[2]
-        form = forms.get(by) or forms.setdefault(by, _closed_form(which, m, n, *label))
-        dist = {decode(key): count for key, count in keys.items()}
-        if dist == form:
+    def claim(mask_pi, mask_sigma):  # the row of the pair's closed form
+        (des_pi, key_pi), (des_sigma, key_sigma) = keys_pi[mask_pi], keys_sigma[mask_sigma]
+        by = (des_pi, des_sigma) if which == "maj_des" else None
+        if (base := bases.get(by)) is None:
+            base = bases[by] = _base_form(which, m, n, des_pi, des_sigma, encode, rows)
+        return shift(base, key_pi + key_sigma)
+
+    def fails(mask_pi, mask_sigma, row):
+        if row == (want := claim(mask_pi, mask_sigma)):
             return None
+        dist, form = ({decode(key): count for key, count in read(r).items()} for r in (row, want))
         if which == "maj_des":
             checks = ((f"refined identity fails at k={k}", *(Distribution(
                 {maj: c for (des, maj), c in d.items() if des == k}) for d in (dist, form)))
@@ -436,8 +457,11 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
                     for problem, lhs, rhs in checks if lhs != rhs)
 
     passed = (None, None), 1 if which == "word_base" else factorial(m) * factorial(n)
-    (problem, witness), cases = _first_failure(
-        m, n, "sigma", [descent_classes(n)], table, fails) or passed
+    if all(row == claim(*pair) for pair, row in table.items()):
+        (problem, witness), cases = passed
+    else:  # the walk finds the first failing pair, its cases and witness
+        (problem, witness), cases = _first_failure(
+            m, n, "sigma", [descent_classes(n)], table, fails)
     scope = (f"increasing pair pi={format_perm(low)}, sigma={format_perm(high)}"
              if which == "word_base" else f"all pi on [{m}], sigma on [{n}]+{m}")
     return Report(

@@ -36,13 +36,12 @@ from shufbij.perm import (
     lex_rank,
     mask_positions,
 )
-from shufbij.qpoly import gen_poly, shift, stanley_refined_rhs, stanley_rhs
+from shufbij.qpoly import gen_poly, stanley_refined_rhs, stanley_rhs
 from shufbij.shuffle import class_pair_counts, class_pair_distributions, des_histogram, shuffles
 from shufbij.stats import (
     CATALOG_TUPLES,
     DESCENT_NAMES,
     STATISTICS,
-    des_set,
     descent_mask,
     descent_rule,
     distribution,
@@ -115,8 +114,7 @@ def _poly_counter(p):
     return Counter({e: c for e, c in enumerate(p) if c})
 
 
-def _reference_identity(which, m, n, shuffle_sets, maj_rhs=stanley_rhs,
-                        refined_rhs=stanley_refined_rhs):
+def _reference_identity(which, m, n, shuffle_sets):
     """The maj / maj_des identity check pair by pair, every polynomial
     enumerated; returns the outcome, the cases and the witness."""
     cases = 0
@@ -126,10 +124,11 @@ def _reference_identity(which, m, n, shuffle_sets, maj_rhs=stanley_rhs,
             cases += 1
             tau_set = shuffle_sets[pi, sigma]
             if which == "maj":
-                checks = [(tau_set, maj_rhs(pi, sigma))]
+                checks = [(tau_set, stanley_rhs(pi, sigma))]
             else:
                 checks = [
-                    ([t for t in tau_set if evaluate("des", t) == k], refined_rhs(pi, sigma, k))
+                    ([t for t in tau_set if evaluate("des", t) == k],
+                     stanley_refined_rhs(pi, sigma, k))
                     for k in range(m + n + 1)
                 ]
             for subset, rhs in checks:
@@ -358,15 +357,15 @@ def test_mask_set_tables_match_brute_force(stat, least_member_oracle_sets):
 @pytest.mark.parametrize("stat", DESCENT_STATS, ids=format_stat)
 def test_key_tables_compare_as_their_distributions(stat):
     """The scans compare key tables undecoded: on every split with m+n <= 6,
-    the key table of :func:`class_pair_counts`, decoded, is the table of
-    :func:`class_pair_distributions`, and two class pairs' key dicts are
-    equal exactly when their distributions are."""
+    the key table of :func:`class_pair_counts`, its rows read and decoded,
+    is the table of :func:`class_pair_distributions`, and two class pairs'
+    rows are equal exactly when their distributions are."""
     for total in range(7):
         for m in range(total + 1):
-            table, decode = class_pair_counts(stat, m, total - m)
+            table, decode, rows = class_pair_counts(stat, m, total - m)
             dists = class_pair_distributions(stat, m, total - m)
-            decoded = {pair: Counter({decode(key): count for key, count in counts.items()})
-                       for pair, counts in table.items()}
+            decoded = {pair: Counter({decode(key): count for key, count in rows.read(row).items()})
+                       for pair, row in table.items()}
             assert decoded == dists, (m, total - m)
             for one, other in combinations(table, 2):
                 assert (table[one] == table[other]) == (dists[one] == dists[other]), (one, other)
@@ -460,6 +459,39 @@ def test_maj_identities_match_brute_force(which, shuffle_sets):
         assert _outcome(check_identity(which, m, n)) == expected, (m, n)
 
 
+def _bump_rows(picked, bumped):
+    """A stand-in for :func:`class_pair_counts` whose table has one more
+    count of the first key of each picked pair's row, merged into a copy
+    by the row type's own move; ``bumped`` maps each pair to that key's
+    value."""
+    real = verify.class_pair_counts
+
+    def bumped_table(*args):
+        table, decode, rows = real(*args)
+        wrong = {}
+        for pair in filter(picked, table):
+            key = next(iter(rows.read(table[pair])))
+            bumped[pair] = decode(key)
+            wrong[pair] = rows.pack(rows.read(table[pair]))
+            rows.move(wrong, pair, rows.pack({key: 1}), (0, 0))
+        return {**table, **wrong}, decode, rows
+
+    return bumped_table
+
+
+def _bumped_sets(which, m, n, shuffle_sets, bumped):
+    """The shuffle sets, each set of a bumped class pair with one more
+    interleaving of the bumped value."""
+    stat = ("des", "maj") if which == "maj_des" else "maj"
+    sets = dict(shuffle_sets)
+    for (pi, sigma), tau_set in shuffle_sets.items():
+        pair = descent_mask(pi), descent_mask(sigma)
+        if (len(pi), len(sigma)) == (m, n) and pair in bumped:
+            again = next(t for t in tau_set if evaluate(stat, t) == bumped[pair])
+            sets[pi, sigma] = tau_set + (again,)
+    return sets
+
+
 @pytest.mark.parametrize("which", ["maj", "maj_des"])
 @pytest.mark.parametrize(
     "m, n, broken",
@@ -476,54 +508,40 @@ def test_maj_identities_match_brute_force(which, shuffle_sets):
 def test_identity_failure_matches_pair_by_pair_scan(
     which, m, n, broken, shuffle_sets, monkeypatch
 ):
-    """Break the closed form of chosen class pairs, so every pair that
-    shares it is wrong: for ``maj_des`` every pair with the same label (des
-    pi, des sigma, maj pi + maj sigma), for ``maj``, whose form is built
-    once per maj sum, every pair with the same maj sum.  The class-pair
-    scan must stop where a pair-by-pair scan stops, with the same witness."""
+    """Break the rows of chosen class pairs, so every pair that shares
+    their closed form is wrong: for ``maj_des`` every pair with the same
+    label (des pi, des sigma, maj pi + maj sigma), for ``maj``, whose form
+    depends on no more, every pair with the same maj sum.  Each such pair's
+    row gains one count of its first key, and each shuffle set of its
+    classes one interleaving of that value.  The class-pair scan must stop
+    where a pair-by-pair scan over those sets stops, with the same witness."""
 
     def form_of(des_pi, des_sigma, maj_sum):
         return (des_pi, des_sigma, maj_sum) if which == "maj_des" else maj_sum
 
-    bad = {form_of(len(a), len(b), sum(a) + sum(b)) for a, b in broken}
+    def form_of_sets(a, b):
+        return form_of(len(a), len(b), sum(a) + sum(b))
 
-    def label(pi, sigma):
-        return len(des_set(pi)), len(des_set(sigma)), sum(des_set(pi)) + sum(des_set(sigma))
+    bad, bumped = {form_of_sets(a, b) for a, b in broken}, {}
 
-    def maj_rhs(pi, sigma):
-        rhs = stanley_rhs(pi, sigma)
-        return shift(rhs, 1) if form_of(*label(pi, sigma)) in bad else rhs
+    def picked(pair):
+        return form_of_sets(*map(mask_positions, pair)) in bad
 
-    def refined_rhs(pi, sigma, k):
-        rhs = stanley_refined_rhs(pi, sigma, k)
-        des_pi, des_sigma, _ = label(pi, sigma)
-        return shift(rhs, 1) if form_of(*label(pi, sigma)) in bad and k == des_pi + des_sigma else rhs
-
-    right = verify._closed_form
-
-    def closed_form(which, m, n, des_pi, des_sigma, maj_sum):
-        form = right(which, m, n, des_pi, des_sigma, maj_sum)
-        if form_of(des_pi, des_sigma, maj_sum) not in bad:
-            return form
-        if which == "maj":
-            return {maj + 1: count for maj, count in form.items()}
-        return {(k, maj + (k == des_pi + des_sigma)): count for (k, maj), count in form.items()}
-
-    monkeypatch.setattr(verify, "_closed_form", closed_form)
-    expected = _reference_identity(which, m, n, shuffle_sets, maj_rhs, refined_rhs)
+    monkeypatch.setattr(verify, "class_pair_counts", _bump_rows(picked, bumped))
+    report = check_identity(which, m, n)
+    expected = _reference_identity(which, m, n, _bumped_sets(which, m, n, shuffle_sets, bumped))
     assert expected[0] == "fail"
-    assert _outcome(check_identity(which, m, n)) == expected
+    assert _outcome(report) == expected
 
 
 @pytest.mark.parametrize("which", ["maj", "maj_des"])
 @pytest.mark.parametrize("m, n", [(3, 3), (1, 5), (5, 1), (3, 4)])
 def test_identity_checks_every_pair_of_a_label(which, m, n, shuffle_sets, monkeypatch):
-    """One class pair's key counts are wrong in the table the identity
+    """One class pair's row of key counts is wrong in the table the identity
     reads: the last pair in walk order (pi outer, sigma inner, by rank)
     that is not the first of its label.  The scan must stop at that pair
     with the cases and witness of a pair-by-pair scan over shuffle sets
     wrong alike, so a scan that checks one pair per label fails here."""
-    stat = ("des", "maj") if which == "maj_des" else "maj"
     low, high = range(1, m + 1), range(m + 1, m + n + 1)
     seen, repeats = set(), []
     for mask_pi, _ in descent_classes(m):
@@ -533,29 +551,11 @@ def test_identity_checks_every_pair_of_a_label(which, m, n, shuffle_sets, monkey
             if label in seen:
                 repeats.append((mask_pi, mask_sigma))
             seen.add(label)
-    target = repeats[-1]
-    real, bumped = verify.class_pair_counts, []
-
-    def wrong_at_target(*args):
-        table, decode = real(*args)
-        keys = dict(table[target])
-        key = next(iter(keys))
-        keys[key] += 1
-        bumped.append(decode(key))
-        return {**table, target: keys}, decode
-
-    monkeypatch.setattr(verify, "class_pair_counts", wrong_at_target)
+    target, bumped = repeats[-1], {}
+    monkeypatch.setattr(verify, "class_pair_counts", _bump_rows(target.__eq__, bumped))
     report = check_identity(which, m, n)
-    assert len(bumped) == 1
-
-    # Each shuffle set of the target's classes gains one more interleaving
-    # with the bumped value.
-    sets = dict(shuffle_sets)
-    for pi, sigma in sets:
-        if (len(pi), len(sigma)) == (m, n) and (descent_mask(pi), descent_mask(sigma)) == target:
-            tau_set = sets[pi, sigma]
-            sets[pi, sigma] = tau_set + (next(t for t in tau_set if evaluate(stat, t) == bumped[0]),)
-    expected = _reference_identity(which, m, n, sets)
+    assert list(bumped) == [target]
+    expected = _reference_identity(which, m, n, _bumped_sets(which, m, n, shuffle_sets, bumped))
     assert expected[0] == "fail"
     pi, sigma = (least_with_descent_set(ground, mask_positions(mask))
                  for ground, mask in zip((low, high), target))

@@ -349,17 +349,18 @@ def test_refined_identity_reads_every_k(at, m, n, monkeypatch):
     assert report.subject == f"identity maj_des: refined identity fails at k={k}"
 
 
-@pytest.mark.parametrize("which, builds", [("maj", 21), ("maj_des", 125), ("word_base", 1)])
+@pytest.mark.parametrize("which, builds", [("maj", 1), ("maj_des", 25), ("word_base", 1)])
 def test_identity_builds_each_closed_form_once(which, builds, monkeypatch):
-    """At 5+5 the 256 class pairs have 125 labels and 21 maj sums: the maj
-    form is built once per maj sum, the refined one once per label."""
-    right, built = verify._closed_form, []
+    """At 5+5 the 256 class pairs have 25 pairs of descent counts: the maj
+    base form is built once per call, the refined one once per (des pi,
+    des sigma), and each pair shifts it by its maj sum."""
+    right, built = verify._base_form, []
 
     def counted(*args):
-        built.append(args)
+        built.append(args[:5])
         return right(*args)
 
-    monkeypatch.setattr(verify, "_closed_form", counted)
+    monkeypatch.setattr(verify, "_base_form", counted)
     assert check_identity(which, 5, 5).passed
     assert len(built) == len(set(built)) == builds
 
