@@ -120,7 +120,8 @@ def theta_maj_first(tau: Perm, pi: Perm, sigma: Perm, sigma_new: Perm) -> Perm:
     Prepends a new maximum to the sigma side, which turns the front
     descent into an interior peak at position 2, applies the
     :func:`theta_des` move there, and strips the prepended entry.
-    Requires the standard separated domains [m] and [n]+m.
+    Requires sigma and ``sigma_new`` above pi, and ``sigma_new`` on
+    sigma's values; the move compares no values, so any such domains do.
     """
     step = ReductionStep("theta_maj_first", {}, pi, sigma, pi, sigma_new)
     _require_shuffle(tau, pi, sigma)

@@ -250,14 +250,17 @@ def _class_pair_counts(dp, m: int, n: int, masks_pi=None, masks_sigma=None,
     (:func:`~shufbij.stats.walk`).  A final key is its value alone, so no
     two keys of a pair decode alike.
     """
-    # keep[c]: bits 1..c of some member of the set, bit 0 never being a
-    # descent; keep[-1] holds the members ([0] for an empty operand).
-    keep_pi, keep_sigma = (
-        [range(0, 2 << c, 2) if masks is None else {x & (2 << c) - 1 for x in masks}
-         for c in range(max(k, 1))] for masks, k in ((masks_pi, m), (masks_sigma, n)))
+    def prefixes(masks, c):  # bits 1..c of some member, bit 0 never being a descent
+        return range(0, 2 << c, 2) if masks is None else {x & (2 << c) - 1 for x in masks}
+
+    # The members ([0] for an empty operand); the prefix sets only if both are nonempty.
+    last_pi, last_sigma = prefixes(masks_pi, max(m, 1) - 1), prefixes(masks_sigma, max(n, 1) - 1)
     unit, move = rows.unit, rows.move
-    if not (m and n and keep_pi[-1] and keep_sigma[-1]):  # an empty operand, or no pair
-        return {(p, s): unit(walk(dp, p | s)) for p in keep_pi[-1] for s in keep_sigma[-1]}
+    if not (m and n and last_pi and last_sigma):  # an empty operand, or no pair
+        return {(p, s): unit(walk(dp, p | s)) for p in last_pi for s in last_sigma}
+    # keep[c]: the prefixes of bits 1..c; keep[-1] holds the members.
+    keep_pi, keep_sigma = ([prefixes(masks, c) for c in range(k - 1)] + [last]
+                           for masks, k, last in ((masks_pi, m, last_pi), (masks_sigma, n, last_sigma)))
     start, steps, _, _ = dp
     # ends_a / ends_b: (a's placed, pi's bits, sigma's bits) -> row, of the
     # words so far that end in a / in b.  Each state feeds the states of the

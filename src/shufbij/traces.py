@@ -61,10 +61,9 @@ def _check_theta_des(step: ReductionStep) -> None:
 
 def _check_theta_maj_first(step: ReductionStep) -> None:
     pi, sigma, sigma_new = step.source_pi, step.source_sigma, step.target_sigma
-    m, n = len(pi), len(sigma)
-    if set(pi) != set(range(1, m + 1)) or set(sigma) != set(range(m + 1, m + n + 1)):
-        raise ValueError("operands must live on the standard separated domains")
-    if n < 2 or not sigma[0] > sigma[1]:
+    _require_separated(pi, sigma)
+    _require_separated(pi, sigma_new)
+    if len(sigma) < 2 or not sigma[0] > sigma[1]:
         raise ValueError(f"{sigma} has no descent at position 1")
     want = descent_mask(sigma) ^ 2  # the descent at 1 goes
     if descent_mask(sigma_new) != want or set(sigma_new) != set(sigma):

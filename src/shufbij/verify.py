@@ -12,13 +12,17 @@ For a descent statistic the distribution over a shuffle set depends only
 on the descent classes of the operands (it is read off the product of
 their fundamental quasisymmetric functions).  The sweeps in every mode,
 the conjecture, the counterexample search and the identities therefore
-put sigma above pi and walk class pairs by descent bitmask
-(:func:`~shufbij.perm.descent_classes`) in one walk, reading each pair
-off one table per shape from one transfer-matrix DP.  A compatibility
-scan labels each class by the statistic's rule on its bitmask, compares
-each class pair with the first pair of its key (labels on the sides that
-vary, classes on the others), and tables only the classes that share
-their label with another class: none for ``Des``, which builds no table.
+put sigma above pi and read class pairs by descent bitmask
+(:func:`~shufbij.perm.descent_classes`) off one table per shape from one
+transfer-matrix DP.  Each passes on one comparison of the whole table,
+and only a failure walks the class pairs in order
+(:func:`_first_failure`), to locate the first failing pair, its cases
+and its witness.  A compatibility scan labels each class by the
+statistic's rule on its bitmask (once per statistic and length),
+compares each class pair with the first pair of its key (labels on the
+sides that vary, classes on the others), and tables only the classes
+that share their label with another class: none for ``Des``, which
+builds no table.
 Scans read the DP's rows of key counts
 (:func:`~shufbij.shuffle.class_pair_counts`), a final key being its value
 alone: a compatibility scan compares rows as they are and decodes the two
@@ -42,6 +46,7 @@ first audit and ``qpoly`` on the first closed form: a scan loads neither.
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
 from operator import le
@@ -162,26 +167,34 @@ def _least_member(ground, mask: int) -> Perm:
     return least_with_descent_set(ground, mask_positions(mask))
 
 
-def _label_groups(stat: StatId, k: int) -> list:
-    """The descent classes of length ``k``, as ``(bitmask, size)`` in rank
-    order, grouped by the statistic's rule on the bitmask; the groups come
-    in order of first occurrence."""
+@lru_cache(maxsize=128)  # eleven statistics at every length to 10; groups hold at most 512 classes
+def _label_groups(stat: StatId, k: int) -> tuple:
+    """``(groups, first)`` of the descent classes of length ``k``:
+    ``groups`` holds them as ``(bitmask, size)`` in rank order, grouped by
+    the statistic's rule on the bitmask, the groups in order of first
+    occurrence; ``first`` maps each class of a group of two or more to the
+    first class of its group.  Cached per statistic and length, as scans
+    revisit both; the caller reads the result and never writes it."""
     rule, groups = descent_rule(stat), {}
     for mask, size in descent_classes(k):
         groups.setdefault(rule(mask, k), []).append((mask, size))
-    return list(groups.values())
+    groups = tuple(tuple(members) for members in groups.values())
+    first = {mask: members[0][0] for members in groups if len(members) > 1 for mask, _ in members}
+    return groups, first
 
 
 def _first_failure(m: int, n: int, inner: str, groups, table: dict, fails):
-    """Walk the class pairs of ``table`` (pi on [m], sigma on [n]+m): the
-    outer side's classes in rank order, and for each the ``inner`` side's
-    classes group by group in ``groups`` (lists of ``(bitmask, size)``).
-    Returns ``(found, cases)`` at the first pair whose distribution
-    ``fails``, None on a pass.  The cases are those of a pair-by-pair scan
-    in that order: the rank of the outer least member times inner!, the
-    members of the earlier groups, and the members of the group's earlier
-    classes before the inner least member (:func:`count_before`), plus
-    one; with the inner side as one group, the last two are its rank."""
+    """Locate the first failing class pair of ``table`` (pi on [m], sigma
+    on [n]+m), once a whole-table comparison has found that one fails: walk
+    the outer side's classes in rank order, and for each the ``inner``
+    side's classes group by group in ``groups`` (sequences of ``(bitmask,
+    size)``).  Returns ``(found, cases)`` at the first pair whose
+    distribution ``fails``, None if none does.  The cases are those of a
+    pair-by-pair scan in that order: the rank of the outer least member
+    times inner!, the members of the earlier groups, and the members of
+    the group's earlier classes before the inner least member
+    (:func:`count_before`), plus one; with the inner side as one group, the
+    last two are its rank."""
     grounds = {"pi": range(1, m + 1), "sigma": range(m + 1, m + n + 1)}
     outer = "sigma" if inner == "pi" else "pi"
     for outer_mask, _ in descent_classes(len(grounds[outer])):
@@ -205,49 +218,48 @@ def _class_scans(stat: StatId, m: int, n: int, scans):
 
     Two class pairs must agree when their keys agree.  Per side, the key
     is the class's value group (:func:`_label_groups`) if that side varies
-    and the class itself if not, and each pair is compared with the first
-    pair of its key that the walk (:func:`_first_failure`) meets: the first
-    classes of its groups, as the groups keep rank order.  A one-sided
-    scan walks the varying side inner, group by group; full mode walks pi
-    outer and sigma inner as one group.  Every scan reads one
-    :func:`~shufbij.shuffle.class_pair_counts` table over the least
-    product of class sets that holds every varying class in a group of two
-    or more, and none is built if there is none: a pair outside it has a
-    key of its own.  Two pairs' rows are equal exactly when their
-    distributions are, so the scan compares rows as they are and decodes
-    the two distributions of the witness alone.  A pass counts m!·n! pairs, or
-    (m+n)! in full mode, whose other splittings repeat the first's
-    distributions (by the descent-preserving
-    :func:`~shufbij.shuffle.normalize_pair`).  Least members are built for
-    the witness alone.
+    and the class itself if not, and the reference pair of a key is its
+    first classes, the first of each group, as the groups keep rank order.
+    Every scan reads one :func:`~shufbij.shuffle.class_pair_counts` table
+    over the least product of class sets that holds every varying class in
+    a group of two or more, and none is built if there is none: a pair
+    outside it has a key of its own.  Two pairs' rows are equal exactly
+    when their distributions are, so a scan is one pass that compares
+    every row with the row of its key's reference pair, and a pass counts
+    m!·n! pairs, or (m+n)! in full mode, whose other splittings repeat the
+    first's distributions (by the descent-preserving
+    :func:`~shufbij.shuffle.normalize_pair`).  Only a scan that finds a
+    difference walks (:func:`_first_failure`), to locate the first failing
+    pair of a pair-by-pair scan, its cases and its witness: a one-sided
+    scan walks the varying side inner, group by group, and full mode walks
+    pi outer and sigma inner as one group.  The walk decodes the two
+    distributions of the witness and builds its least members alone.
     """
     low, high, lengths = range(1, m + 1), range(m + 1, m + n + 1), {"pi": m, "sigma": n}
-    groups = {side: _label_groups(stat, lengths[side]) for scan in scans for side in scan}
-    pis, sigmas = ({mask for members in groups.get(side, ()) if len(members) > 1
-                    for mask, _ in members} for side in lengths)
+    labels = {side: _label_groups(stat, lengths[side]) for scan in scans for side in scan}
+    pis, sigmas = (labels[side][1].keys() if side in labels else () for side in lengths)
     table, decode, rows = class_pair_counts(stat, m, n, None if sigmas else pis,
                                             None if pis else sigmas) if pis or sigmas else ({},) * 3
     cases = 0
     for scan in scans:
-        first_pi, first_sigma = ({mask: members[0][0] for members in groups[side]
-                                  for mask, _ in members} if side in scan else {} for side in lengths)
-
-        def fails(mask_pi, mask_sigma, row):
-            ref_pi, ref_sigma = first_pi.get(mask_pi, mask_pi), first_sigma.get(mask_sigma, mask_sigma)
-            ref = table[ref_pi, ref_sigma]
-            if ref is row or ref == row:
-                return None
-            left, right = (Distribution({decode(key): count for key, count in rows.read(r).items()})
-                           for r in (ref, row))
-            return Witness(_least_member(low, ref_pi), _least_member(low, mask_pi),
-                           _least_member(high, ref_sigma), _least_member(high, mask_sigma),
-                           stat, left, right)
-
+        first_pi, first_sigma = (labels[side][1] if side in scan else {} for side in lengths)
+        ref_pi, ref_sigma = first_pi.get, first_sigma.get
         full = len(scan) == 2
-        inner, walk = ("sigma", [descent_classes(n)]) if full else (scan[0], groups[scan[0]])
-        found = table and _first_failure(m, n, inner, walk, table, fails)
-        if found:
-            return found[0], cases + found[1]
+        if any(row != table[ref_pi(p, p), ref_sigma(s, s)] for (p, s), row in table.items()):
+
+            def fails(mask_pi, mask_sigma, row):
+                pair = ref_pi(mask_pi, mask_pi), ref_sigma(mask_sigma, mask_sigma)
+                if (ref := table[pair]) == row:
+                    return None
+                left, right = (Distribution({decode(key): count for key, count in rows.read(r).items()})
+                               for r in (ref, row))
+                return Witness(_least_member(low, pair[0]), _least_member(low, mask_pi),
+                               _least_member(high, pair[1]), _least_member(high, mask_sigma),
+                               stat, left, right)
+
+            inner, walk = ("sigma", [descent_classes(n)]) if full else (scan[0], labels[scan[0]][0])
+            found, located = _first_failure(m, n, inner, walk, table, fails)
+            return found, cases + located
         cases += factorial(m + n) if full else factorial(m) * factorial(n)
     return None, cases
 

@@ -110,6 +110,27 @@ def test_theta_maj_first_validation():
         theta_maj_first((1, 3, 2), (1,), (3, 2), (3, 2))
 
 
+def test_theta_maj_first_on_separated_nonstandard_domains():
+    """The move compares no values: pi on {2,5} and sigma above it on
+    {7,9,11} build a step, whose replay maps the shuffle set onto the
+    target's with maj one lower, for each of the 6 such pairs with a front
+    descent.  A pair whose sigma does not lie above pi is still refused."""
+    pairs = [(pi, sigma) for pi in permutations((2, 5)) for sigma in permutations((7, 9, 11))
+             if sigma[0] > sigma[1]]
+    assert len(pairs) == 6
+    for pi, sigma in pairs:
+        sigma_new = perm_with_descent_set(sigma, des_set(sigma) - {1})
+        step = ReductionStep("theta_maj_first", {}, pi, sigma, pi, sigma_new)
+        replay = reduce.step_replay(step)
+        source = shuffles(pi, sigma)
+        images = [replay(tau) for tau in source]
+        assert sorted(images) == sorted(shuffles(pi, sigma_new))
+        assert [maj(image) for image in images] == [maj(tau) - 1 for tau in source]
+    for pi, sigma, sigma_new in [((2, 8), (9, 7, 11), (7, 9, 11)), ((7, 2), (9, 5, 11), (5, 9, 11))]:
+        with pytest.raises(ValueError, match="must exceed"):
+            ReductionStep("theta_maj_first", {}, pi, sigma, pi, sigma_new)
+
+
 def test_theta_pk_worked_instance():
     pi, pi_new, sigma = (2, 1, 4, 3), (3, 4, 1, 2), (5,)
     assert theta_pk((2, 1, 4, 5, 3), pi, pi_new, sigma, 3) == (3, 5, 4, 1, 2)

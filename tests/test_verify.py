@@ -11,7 +11,7 @@ from shufbij.errors import ResourceLimitError
 from shufbij.perm import descent_classes, least_with_descent_set, mask_positions
 from shufbij.qpoly import stanley_refined_table, stanley_rhs
 from shufbij.shuffle import _rename, shuffles
-from shufbij.stats import descent_rule, distribution
+from shufbij.stats import CATALOG_TUPLES, DESCENT_NAMES, descent_rule, distribution
 from shufbij.traces import ReductionTrace
 from shufbij.verify import (
     check_bijection_pipeline,
@@ -459,6 +459,49 @@ def test_conjecture_counts_both_reduced_modes():
         check_compatibility(("udr", "pk", "des"), 2, 3, mode=mode).cases_checked
         for mode in ("reduced_pi", "reduced_sigma")
     )
+
+
+INCOMPATIBLE = ("biruns", ("biruns", "des"))
+COMPATIBLE = [stat for stat in (*DESCENT_NAMES, *CATALOG_TUPLES) if stat not in INCOMPATIBLE]
+
+
+def test_passing_scans_never_walk(monkeypatch):
+    """A scan passes on one comparison of its table: with the locate walk
+    made to raise, every scan of a compatible catalog statistic passes to
+    m+n = 7, in both reduced modes, full mode and the search, and so does
+    the conjecture."""
+    def no_walk(*args):
+        raise AssertionError("a passing scan walked its class pairs")
+
+    monkeypatch.setattr(verify, "_first_failure", no_walk)
+    splits = [(m, total - m) for total in range(8) for m in range(total + 1)]
+    for stat in COMPATIBLE:
+        for (m, n), mode in product(splits, ("reduced_pi", "reduced_sigma", "full")):
+            assert check_compatibility(stat, m, n, mode).passed, (stat, m, n, mode)
+        assert find_counterexample(stat, 7).passed, stat
+    for m, n in splits:
+        assert check_conjecture_udr_pk_des(m, n).passed, (m, n)
+
+
+@pytest.mark.parametrize("scan, cases, witness", [
+    (lambda: find_counterexample("biruns", 7), 83,
+     ((1, 2), (1, 2), (3, 4), (4, 3), "biruns")),
+    (lambda: check_compatibility(("maj", "Pk"), 1, 7, "reduced_sigma"), 43,
+     ((1,), (1,), (2, 3, 4, 5, 8, 7, 6), (5, 4, 3, 2, 7, 6, 8), ("maj", "Pk"))),
+])
+def test_a_failing_scan_walks_once(scan, cases, witness, monkeypatch):
+    """A failing scan walks its class pairs once, to locate the failure,
+    and reports the cases and witness of a pair-by-pair scan; the
+    witness's distributions are its members' (``recheck``)."""
+    walks = []
+    walk = verify._first_failure
+    monkeypatch.setattr(verify, "_first_failure", lambda *args: walks.append(args) or walk(*args))
+    report = scan()
+    w = report.witness
+    assert len(walks) == 1
+    assert report.cases_checked == cases
+    assert (w.pi, w.pi_prime, w.sigma, w.sigma_prime, w.statistic) == witness
+    assert w.recheck()
 
 
 def test_witness_recheck_detects_stale_data():
