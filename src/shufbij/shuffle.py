@@ -26,9 +26,11 @@ key moves alone.  The type is picked once per statistic and shape
 (:func:`_plan`), packed while a row is short against the keys a state
 can hold.  A final key is its value alone, so two pairs' rows are equal
 exactly when their distributions are, and a scan compares the rows as
-they are; :func:`class_pair_distributions` decodes them.
-:func:`des_histogram` and :func:`shuffle_distribution` read one pair, the
-latter by enumeration for a statistic that is not a descent statistic.
+they are.  Keys stay here: the row type a table comes with reads a row
+as its distribution, writes one as a row and shifts a row by a value
+(:meth:`Rows.valued`).  :func:`class_pair_distributions` reads whole
+tables, and :func:`shuffle_distribution` one pair, by enumeration for a
+statistic that is not a descent statistic.
 
 The bijections here are the building blocks for statistic-preserving
 reductions: positional replacement of one side (``phi`` / ``phi_tilde``),
@@ -117,14 +119,27 @@ class Rows:
     """A row type: how the DP of :func:`_class_pair_counts` holds a state's
     count per key.  One DP loop serves every type; a type gives
     ``move(layer, state, row, key deltas)``, which moves the row's keys and
-    merges it into ``layer[state]``, ``shift(row, delta)``, which moves
-    every key by delta, ``unit(key)``, the row of one count at that key,
-    ``pack({key: count})``, and ``read(row)``, its ``{key: count}``."""
+    merges it into ``layer[state]``, ``unit(key)``, the row of one count at
+    that key, ``read(row)``, its ``{key: count}``, ``write({key: count})``,
+    its inverse, and ``shift(row, delta)``, which moves every key by delta.
+    A plan's rows (:meth:`valued`) read, write and shift values instead."""
 
-    __slots__ = ("move", "shift", "unit", "pack", "read")
+    __slots__ = ("move", "unit", "read", "write", "shift")
 
-    def __init__(self, move, shift, unit, pack, read):
-        self.move, self.shift, self.unit, self.pack, self.read = move, shift, unit, pack, read
+    def __init__(self, move, unit, read, write, shift):
+        self.move, self.unit, self.read, self.write, self.shift = move, unit, read, write, shift
+
+    def valued(self, dp) -> Rows:
+        """These rows on the values of the DP ``dp``
+        (:func:`~shufbij.stats.value_dp`): ``read(row)`` is the row's
+        distribution, ``write({value: count})`` the row of a distribution,
+        and ``shift(row, value)`` adds a count or sum value to every value
+        in the row, each value read or written as its final key."""
+        read, write, shift, (_, _, decode, encode) = self.read, self.write, self.shift, dp
+        return Rows(self.move, self.unit,
+                    lambda row: Counter({decode(key): count for key, count in read(row).items()}),
+                    lambda dist: write({encode(value): count for value, count in dist.items()}),
+                    lambda row, value: shift(row, encode(value)))
 
 
 def _dict_move(layer: dict, state, counts: dict, deltas: tuple) -> None:
@@ -144,8 +159,8 @@ def _dict_move(layer: dict, state, counts: dict, deltas: tuple) -> None:
 
 
 # A sparse row: {key: count}, its keys moved one by one.
-_DICT_ROWS = Rows(_dict_move, lambda row, delta: {key + delta: c for key, c in row.items()},
-                  lambda key: {key: 1}, dict, dict)
+_DICT_ROWS = Rows(_dict_move, lambda key: {key: 1}, dict, dict,
+                  lambda row, delta: {key + delta: c for key, c in row.items()})
 
 
 def _odd_slots(width: int, size: int) -> int:
@@ -191,9 +206,9 @@ def _packed_rows(width: int, size: int) -> Rows:
             row >>= width
         return counts
 
-    return Rows(move, lambda row, delta: row << width * delta, lambda key: 1 << width * key,
+    return Rows(move, lambda key: 1 << width * key, lambda row: read_into({}, row, 0),
                 lambda counts: sum([count << width * key for key, count in counts.items()]),
-                lambda row: read_into({}, row, 0))
+                lambda row, delta: row << width * delta)
 
 
 def _key_space(dp) -> tuple[int, int]:
@@ -220,13 +235,13 @@ _PACKED_BITS_PER_KEY = 448
 @lru_cache(maxsize=256)
 def _plan(tables, m: int, n: int):
     """``(dp, rows)`` of a shape: the statistic's :func:`~shufbij.stats.value_dp`
-    at length m+n, and packed rows when a row of its key space is short
-    against the keys a state can hold, sparse ones otherwise."""
+    at length m+n, and its rows on values (:meth:`Rows.valued`), packed when
+    a row of its key space is short against the keys a state can hold,
+    sparse otherwise."""
     dp, words = value_dp(tables, m + n), comb(m + n, m)
     width, (size, values) = words.bit_length() + 1, _key_space(dp)
-    if size * width <= _PACKED_BITS_PER_KEY * min(values, words):
-        return dp, _packed_rows(width, size)
-    return dp, _DICT_ROWS
+    packed = size * width <= _PACKED_BITS_PER_KEY * min(values, words)
+    return dp, (_packed_rows(width, size) if packed else _DICT_ROWS).valued(dp)
 
 
 def _class_pair_counts(dp, m: int, n: int, masks_pi=None, masks_sigma=None,
@@ -284,40 +299,28 @@ def _class_pair_counts(dp, m: int, n: int, masks_pi=None, masks_sigma=None,
     return {(bits_pi, bits_sigma): row for (_, bits_pi, bits_sigma), row in ends_a.items()}
 
 
-def des_histogram(mask_pi: int, mask_sigma: int, m: int, n: int) -> dict[int, int]:
-    """Descent sets, as bitmasks with bit d set for a descent at position d,
-    over the shuffle set of any pi on [m] with descent bitmask ``mask_pi``
-    and sigma on [n]+m with descent bitmask ``mask_sigma``: the row of that
-    one pair in :func:`class_pair_counts` for ``Des``, whose packed key is
-    the bitmask.  Equals ``Counter(descent_mask(t) for t in shuffles(pi,
-    sigma))`` without listing a word.
-    """
-    table, _, rows = class_pair_counts("Des", m, n, {mask_pi}, {mask_sigma})
-    return rows.read(table[mask_pi, mask_sigma])
-
-
 def class_pair_counts(stat: StatId, m: int, n: int, masks_pi=None, masks_sigma=None):
-    """``(table, decode, rows)``: ``table`` is ``{(mask_pi, mask_sigma):
-    row}`` of a descent statistic over the shuffle set of each class pair
-    of ``masks_pi`` times ``masks_sigma`` (None: every bitmask of the
-    length), pi on [m] and sigma on [n]+m, by one DP
-    (:func:`_class_pair_counts`) over the packed keys of the statistic's
+    """``(table, rows)``: ``table`` is ``{(mask_pi, mask_sigma): row}`` of a
+    descent statistic over the shuffle set of each class pair of
+    ``masks_pi`` times ``masks_sigma`` (None: every bitmask of the length),
+    pi on [m] and sigma on [n]+m, by one DP (:func:`_class_pair_counts`)
+    over the packed keys of the statistic's
     :func:`~shufbij.stats.value_dp`.  ``rows`` (:class:`Rows`) is the row
-    type, picked once per statistic and shape, and ``rows.read`` reads a
-    row as ``{key: count}``; ``decode`` reads a key as its value.  A key is
-    its value alone, and a row holds each key in one way, so two pairs'
-    rows are equal exactly when their distributions are."""
+    type, picked once per statistic and shape, on values: ``rows.read``
+    gives a row's distribution, ``rows.write`` the row of one, and
+    ``rows.shift`` adds a value to every value of a row.  A key is its
+    value alone, and a row holds each key in one way, so two pairs' rows
+    are equal exactly when their distributions are."""
     dp, rows = _plan(mark_tables(stat), m, n)
-    return _class_pair_counts(dp, m, n, masks_pi, masks_sigma, rows), dp[2], rows
+    return _class_pair_counts(dp, m, n, masks_pi, masks_sigma, rows), rows
 
 
 def class_pair_distributions(stat: StatId, m: int, n: int, masks_pi=None, masks_sigma=None):
     """``{(mask_pi, mask_sigma): distribution}``: the rows of
-    :func:`class_pair_counts`, each read and its keys decoded to their
-    values.  The decode keeps its last 1024 values across calls."""
-    table, decode, rows = class_pair_counts(stat, m, n, masks_pi, masks_sigma)
-    return {pair: Counter({decode(key): count for key, count in rows.read(row).items()})
-            for pair, row in table.items()}
+    :func:`class_pair_counts`, each read.  The decode keeps its last 1024
+    values across calls."""
+    table, rows = class_pair_counts(stat, m, n, masks_pi, masks_sigma)
+    return {pair: rows.read(row) for pair, row in table.items()}
 
 
 def shuffle_distribution(stat: StatId, pi: Perm, sigma: Perm) -> Distribution:

@@ -14,24 +14,25 @@ their fundamental quasisymmetric functions).  The sweeps in every mode,
 the conjecture, the counterexample search and the identities therefore
 put sigma above pi and read class pairs by descent bitmask
 (:func:`~shufbij.perm.descent_classes`) off one table per shape from one
-transfer-matrix DP.  Each passes on one comparison of the whole table,
-and only a failure walks the class pairs in order
-(:func:`_first_failure`), to locate the first failing pair, its cases
-and its witness.  A compatibility scan labels each class by the
-statistic's rule on its bitmask (once per statistic and length),
-compares each class pair with the first pair of its key (labels on the
-sides that vary, classes on the others), and tables only the classes
-that share their label with another class: none for ``Des``, which
-builds no table.
-Scans read the DP's rows of key counts
-(:func:`~shufbij.shuffle.class_pair_counts`), a final key being its value
-alone: a compatibility scan compares rows as they are and decodes the two
-distributions of a witness only, and an identity compares each pair's
-row with the row of its label's closed form, a base form built once per
-(des pi, des sigma) (once per call for ``maj`` and ``word_base``) and
-shifted by the key of the label's maj sum, and decodes a failing pair
-only.  Least members are built for a witness only.  Full mode
-over any other statistic walks every pair of permutations.  Cases and
+transfer-matrix DP (:func:`~shufbij.shuffle.class_pair_counts`).  Its
+rows are opaque here: two pairs' rows are equal exactly when their
+distributions are, and the table's row type reads, writes and shifts
+them by value.  Every verdict compares each pair's row with the row it
+should equal: a compatibility scan with the row of the first pair of its
+key (labels on the sides that vary, classes on the others), an identity
+with the row of its label's closed form.  Each passes on one comparison
+of the whole table, and only a failure walks the class pairs in order
+(:func:`_first_failure`), comparing alike, to locate the first failing
+pair, its cases and its witness, and reads that pair's distributions
+alone.  A compatibility scan labels each class by the statistic's rule
+on its bitmask (once per statistic and length), and tables only the
+classes that share their label with another class, with both operands
+nonempty: none for ``Des``, which builds no table.  An identity labels
+each class by (des, maj) once per length, writes the closed form at maj
+sum 0 as a row once per (des pi, des sigma) (once per call for ``maj``
+and ``word_base``) and shifts it by each label's maj sum.  Least
+members are built for a witness only.  Full mode over any other
+statistic walks every pair of permutations.  Cases and
 witnesses are those a lexicographic pair-by-pair scan would report, read
 off the ranks of the failing pair's members and the class sizes.  The
 pipeline audit and :meth:`Witness.recheck` enumerate shuffle sets; the
@@ -69,12 +70,10 @@ from .stats import (
     format_stat,
     format_stat_value,
     is_descent_statistic,
-    mark_tables,
-    validate_stat,
-    value_dp,
 )
 
 MODES = ("reduced_pi", "reduced_sigma", "full")
+_LIMITS = (DEFAULT_ENUM_LIMIT, DEFAULT_CLASS_LIMIT)  # by whether the statistic is a descent one
 _reduce = _qpoly = None  # the modules, bound by the first audit and the first closed form
 
 
@@ -82,7 +81,7 @@ def default_limit(stat: StatId) -> int:
     """The default largest m+n of every scan over ``stat``: 10 for a descent
     statistic, whose scans read class-pair tables, and 6 with ``inv``,
     whose scans enumerate shuffle sets."""
-    return DEFAULT_CLASS_LIMIT if is_descent_statistic(stat) else DEFAULT_ENUM_LIMIT
+    return _LIMITS[is_descent_statistic(stat)]
 
 
 class Witness:
@@ -183,18 +182,19 @@ def _label_groups(stat: StatId, k: int) -> tuple:
     return groups, first
 
 
-def _first_failure(m: int, n: int, inner: str, groups, table: dict, fails):
+def _first_failure(m: int, n: int, inner: str, groups, table: dict, want, explain):
     """Locate the first failing class pair of ``table`` (pi on [m], sigma
     on [n]+m), once a whole-table comparison has found that one fails: walk
     the outer side's classes in rank order, and for each the ``inner``
     side's classes group by group in ``groups`` (sequences of ``(bitmask,
-    size)``).  Returns ``(found, cases)`` at the first pair whose
-    distribution ``fails``, None if none does.  The cases are those of a
-    pair-by-pair scan in that order: the rank of the outer least member
-    times inner!, the members of the earlier groups, and the members of
-    the group's earlier classes before the inner least member
-    (:func:`count_before`), plus one; with the inner side as one group, the
-    last two are its rank."""
+    size)``).  A pair fails when its row is not ``want(mask_pi,
+    mask_sigma)``; at the first that does, returns ``(explain(mask_pi,
+    mask_sigma, row, wanted row), cases)``, and None if none does.  The
+    cases are those of a pair-by-pair scan in that order: the rank of the
+    outer least member times inner!, the members of the earlier groups,
+    and the members of the group's earlier classes before the inner least
+    member (:func:`count_before`), plus one; with the inner side as one
+    group, the last two are its rank."""
     grounds = {"pi": range(1, m + 1), "sigma": range(m + 1, m + n + 1)}
     outer = "sigma" if inner == "pi" else "pi"
     for outer_mask, _ in descent_classes(len(grounds[outer])):
@@ -202,12 +202,13 @@ def _first_failure(m: int, n: int, inner: str, groups, table: dict, fails):
         for members in groups:
             for index, (mask, _) in enumerate(members):
                 pair = (mask, outer_mask) if inner == "pi" else (outer_mask, mask)
-                dist = table.get(pair)
-                if dist is not None and (found := fails(*pair, dist)):
+                row = table.get(pair)
+                if row is not None and row != (wanted := want(*pair)):
                     x = _least_member(grounds[inner], mask)
                     done += sum(count_before(grounds[inner], k, x) for k, _ in members[:index])
                     rank = lex_rank(_least_member(grounds[outer], outer_mask))
-                    return found, rank * factorial(len(grounds[inner])) + done + 1
+                    cases = rank * factorial(len(grounds[inner])) + done + 1
+                    return explain(*pair, row, wanted), cases
             done += sum(size for _, size in members)
     return None
 
@@ -222,55 +223,57 @@ def _class_scans(stat: StatId, m: int, n: int, scans):
     first classes, the first of each group, as the groups keep rank order.
     Every scan reads one :func:`~shufbij.shuffle.class_pair_counts` table
     over the least product of class sets that holds every varying class in
-    a group of two or more, and none is built if there is none: a pair
-    outside it has a key of its own.  Two pairs' rows are equal exactly
-    when their distributions are, so a scan is one pass that compares
-    every row with the row of its key's reference pair, and a pass counts
-    m!·n! pairs, or (m+n)! in full mode, whose other splittings repeat the
-    first's distributions (by the descent-preserving
+    a group of two or more, and none is built if there is none, or if an
+    operand is empty, whose shuffle set is the other operand alone, so
+    classes of one label have one distribution: a pair outside it has a
+    key of its own.  Two pairs' rows are equal exactly when their
+    distributions are, so a scan is one pass that compares every row with
+    the row of its key's reference pair, and a pass counts m!·n! pairs, or
+    (m+n)! in full mode, whose other splittings repeat the first's
+    distributions (by the descent-preserving
     :func:`~shufbij.shuffle.normalize_pair`).  Only a scan that finds a
     difference walks (:func:`_first_failure`), to locate the first failing
     pair of a pair-by-pair scan, its cases and its witness: a one-sided
     scan walks the varying side inner, group by group, and full mode walks
-    pi outer and sigma inner as one group.  The walk decodes the two
+    pi outer and sigma inner as one group.  The walk reads the two
     distributions of the witness and builds its least members alone.
     """
     low, high, lengths = range(1, m + 1), range(m + 1, m + n + 1), {"pi": m, "sigma": n}
     labels = {side: _label_groups(stat, lengths[side]) for scan in scans for side in scan}
     pis, sigmas = (labels[side][1].keys() if side in labels else () for side in lengths)
-    table, decode, rows = class_pair_counts(stat, m, n, None if sigmas else pis,
-                                            None if pis else sigmas) if pis or sigmas else ({},) * 3
+    table, rows = (class_pair_counts(stat, m, n, None if sigmas else pis, None if pis else sigmas)
+                   if m and n and (pis or sigmas) else ({}, None))
     cases = 0
     for scan in scans:
         first_pi, first_sigma = (labels[side][1] if side in scan else {} for side in lengths)
         ref_pi, ref_sigma = first_pi.get, first_sigma.get
         full = len(scan) == 2
-        if any(row != table[ref_pi(p, p), ref_sigma(s, s)] for (p, s), row in table.items()):
 
-            def fails(mask_pi, mask_sigma, row):
-                pair = ref_pi(mask_pi, mask_pi), ref_sigma(mask_sigma, mask_sigma)
-                if (ref := table[pair]) == row:
-                    return None
-                left, right = (Distribution({decode(key): count for key, count in rows.read(r).items()})
-                               for r in (ref, row))
-                return Witness(_least_member(low, pair[0]), _least_member(low, mask_pi),
-                               _least_member(high, pair[1]), _least_member(high, mask_sigma),
-                               stat, left, right)
+        def want(mask_pi, mask_sigma):  # the row of the pair's reference pair
+            return table[ref_pi(mask_pi, mask_pi), ref_sigma(mask_sigma, mask_sigma)]
+
+        if any(row != want(*pair) for pair, row in table.items()):
+
+            def explain(mask_pi, mask_sigma, row, ref):
+                p, s = ref_pi(mask_pi, mask_pi), ref_sigma(mask_sigma, mask_sigma)
+                return Witness(_least_member(low, p), _least_member(low, mask_pi),
+                               _least_member(high, s), _least_member(high, mask_sigma),
+                               stat, rows.read(ref), rows.read(row))
 
             inner, walk = ("sigma", [descent_classes(n)]) if full else (scan[0], labels[scan[0]][0])
-            found, located = _first_failure(m, n, inner, walk, table, fails)
+            found, located = _first_failure(m, n, inner, walk, table, want, explain)
             return found, cases + located
         cases += factorial(m + n) if full else factorial(m) * factorial(n)
     return None, cases
 
 
-def _full_scan(stat: StatId, m: int, n: int):
-    """Full mode at one shape: ``(witness, cases)``.  A descent statistic
-    takes its class scan (:func:`_class_scans`); any other statistic walks
-    every pair of every splitting of [m+n] in lexicographic order, labeling
-    each permutation once, and compares each pair with the first pair of
-    its labels."""
-    if is_descent_statistic(stat):
+def _full_scan(stat: StatId, m: int, n: int, descent: bool):
+    """Full mode at one shape: ``(witness, cases)``.  A ``descent``
+    statistic takes its class scan (:func:`_class_scans`); any other
+    statistic walks every pair of every splitting of [m+n] in lexicographic
+    order, labeling each permutation once, and compares each pair with the
+    first pair of its labels."""
+    if descent:
         return _class_scans(stat, m, n, [("pi", "sigma")])
     total, seen = range(1, m + n + 1), {}
 
@@ -303,18 +306,18 @@ def check_compatibility(
     ``reduced_sigma`` and ``full``.  Other statistics are refused there,
     since only ``full`` is meaningful evidence for them.
     """
-    stat = validate_stat(stat)
+    descent = is_descent_statistic(stat)  # validates the id
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode != "full" and not is_descent_statistic(stat):
+    if mode != "full" and not descent:
         raise ValueError(
             f"{format_stat(stat)} is not a descent statistic, so mode {mode!r} "
             "is no evidence for it; use mode 'full' (--mode full)"
         )
-    _gate(m, n, _resolve_limit(limit, default_limit(stat)), f"compatibility sweep ({mode})")
+    _gate(m, n, _resolve_limit(limit, _LIMITS[descent]), f"compatibility sweep ({mode})")
     start = time.perf_counter()
     if mode == "full":
-        witness, cases = _full_scan(stat, m, n)
+        witness, cases = _full_scan(stat, m, n, descent)
     else:
         witness, cases = _class_scans(stat, m, n, [(mode.removeprefix("reduced_"),)])
     return Report(
@@ -408,12 +411,11 @@ def _closed_form(which: str, m: int, n: int, des_pi: int, des_sigma: int, maj_su
     return {maj_sum + e: c for e, c in enumerate(_qpoly.q_binomial(m + n, m)) if c}
 
 
-def _base_form(which: str, m: int, n: int, des_pi: int, des_sigma: int, encode, rows):
-    """The :func:`_closed_form` of these descent counts at maj sum 0, each
-    value written as its key (``encode``), as a row of type ``rows``.  The
-    form at maj sum s is this row shifted by the key of s alone."""
-    form = _closed_form(which, m, n, des_pi, des_sigma, 0)
-    return rows.pack({encode(value): count for value, count in form.items()})
+@lru_cache(maxsize=16)  # identity scans revisit the same few lengths
+def _des_maj_labels(k: int) -> dict:
+    """``{bitmask: (des, maj)}`` of the descent classes of length ``k``, never written."""
+    rule = descent_rule(("des", "maj"))
+    return {mask: rule(mask, k) for mask, _ in descent_classes(k)}
 
 
 def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> Report:
@@ -423,57 +425,50 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
     shifted q-binomial closed form, which depends only on maj(pi)+maj(sigma).
     ``maj_des``: the same refined by descent count.  ``word_base``: the
     increasing/increasing pair gives the bare q-binomial.  A class pair's
-    row of key counts is compared, with one ``==``, with the row of the
-    closed form of its label, (des pi, des sigma, maj pi + maj sigma): the
-    form at maj sum 0 (:func:`_base_form`), built once per (des pi, des
-    sigma) for ``maj_des`` and once per call for ``maj`` and
-    ``word_base``, shifted by the key of the label's maj sum.  A pair that
-    differs is decoded and reported.
+    row is compared, with one ``==``, with the row of the closed form of
+    its label, (des pi, des sigma, maj pi + maj sigma): the form at maj sum
+    0, written as a row once per (des pi, des sigma) for ``maj_des`` and
+    once per call for ``maj`` and ``word_base``, shifted by the label's maj
+    sum.  A pair that differs is read and reported.
     """
     if which not in ("maj", "maj_des", "word_base"):
         raise ValueError(f"unknown identity {which!r}")
-    stat: StatId = ("des", "maj") if which == "maj_des" else "maj"
+    refined = which == "maj_des"
+    stat: StatId = ("des", "maj") if refined else "maj"
     _gate(m, n, _resolve_limit(limit, default_limit(stat)), f"identity check ({which})")
     start = time.perf_counter()
 
     low, high = range(1, m + 1), range(m + 1, m + n + 1)
     masks = {0} if which == "word_base" else None
-    table, decode, rows = class_pair_counts(stat, m, n, masks, masks)
-    encode, shift, read = value_dp(mark_tables(stat), m + n)[3], rows.shift, rows.read
-    maj_unit = encode((0, 1) if which == "maj_des" else 1)  # the key of maj 1 alone
-    rule, bases = descent_rule(("des", "maj")), {}  # (des pi, des sigma), or None: base form
-    # Per class: its descent count, and the key of its maj alone.
-    keys_pi, keys_sigma = ({mask: (des, maj * maj_unit) for mask, _ in descent_classes(k)
-                            for des, maj in [rule(mask, k)]} for k in (m, n))
+    table, rows = class_pair_counts(stat, m, n, masks, masks)
+    forms = {}  # (des pi, des sigma), or None: the form at maj sum 0, as a row
+    labels_pi, labels_sigma = _des_maj_labels(m), _des_maj_labels(n)
 
-    def claim(mask_pi, mask_sigma):  # the row of the pair's closed form
-        (des_pi, key_pi), (des_sigma, key_sigma) = keys_pi[mask_pi], keys_sigma[mask_sigma]
-        by = (des_pi, des_sigma) if which == "maj_des" else None
-        if (base := bases.get(by)) is None:
-            base = bases[by] = _base_form(which, m, n, des_pi, des_sigma, encode, rows)
-        return shift(base, key_pi + key_sigma)
+    def want(mask_pi, mask_sigma):  # the row of the pair's closed form
+        (des_pi, maj_pi), (des_sigma, maj_sigma) = labels_pi[mask_pi], labels_sigma[mask_sigma]
+        by = (des_pi, des_sigma) if refined else None
+        if (form := forms.get(by)) is None:
+            form = forms[by] = rows.write(_closed_form(which, m, n, des_pi, des_sigma, 0))
+        maj = maj_pi + maj_sigma
+        return rows.shift(form, (0, maj) if refined else maj)
 
-    def fails(mask_pi, mask_sigma, row):
-        if row == (want := claim(mask_pi, mask_sigma)):
-            return None
-        dist, form = ({decode(key): count for key, count in read(r).items()} for r in (row, want))
-        if which == "maj_des":
+    def explain(mask_pi, mask_sigma, row, form):
+        dist, form = rows.read(row), rows.read(form)
+        if refined:
             checks = ((f"refined identity fails at k={k}", *(Distribution(
                 {maj: c for (des, maj), c in d.items() if des == k}) for d in (dist, form)))
                 for k in range(m + n + 1))
         else:
             problem = "closed form mismatch" if which == "maj" else "increasing-pair identity fails"
-            checks = [(problem, Distribution(dist), Distribution(form))]
+            checks = [(problem, dist, form)]
         pi, sigma = _least_member(low, mask_pi), _least_member(high, mask_sigma)
         return next((problem, Witness(pi, pi, sigma, sigma, "maj", lhs, rhs))
                     for problem, lhs, rhs in checks if lhs != rhs)
 
-    passed = (None, None), 1 if which == "word_base" else factorial(m) * factorial(n)
-    if all(row == claim(*pair) for pair, row in table.items()):
-        (problem, witness), cases = passed
-    else:  # the walk finds the first failing pair, its cases and witness
-        (problem, witness), cases = _first_failure(
-            m, n, "sigma", [descent_classes(n)], table, fails)
+    located = any(row != want(*pair) for pair, row in table.items()) and _first_failure(
+        m, n, "sigma", [descent_classes(n)], table, want, explain)
+    (problem, witness), cases = located or (
+        (None, None), 1 if which == "word_base" else factorial(m) * factorial(n))
     scope = (f"increasing pair pi={format_perm(low)}, sigma={format_perm(high)}"
              if which == "word_base" else f"all pi on [{m}], sigma on [{n}]+{m}")
     return Report(
@@ -489,19 +484,19 @@ def find_counterexample(stat: StatId, max_total_length: int, limit: Optional[int
     """Search all domain splittings in increasing total length for a pair of
     equally-labeled instances with different distributions; first hit wins.
     Only ``limit`` moves the default bound; ``SHUFBIJ_MAX_TOTAL`` does not."""
-    stat = validate_stat(stat)
+    descent = is_descent_statistic(stat)  # validates the id
     if max_total_length < 0:
         raise ValueError(
             f"the largest m+n to scan must be >= 0, got {max_total_length}"
         )
-    _gate(max_total_length, 0, default_limit(stat) if limit is None else limit,
+    _gate(max_total_length, 0, _LIMITS[descent] if limit is None else limit,
           "counterexample search", how="pass a larger limit (--limit)")
     start = time.perf_counter()
     cases = 0
     scope = f"all splittings with m+n <= {max_total_length}"
     splits = ((m, total - m) for total in range(max_total_length + 1) for m in range(total + 1))
     for m, n in splits:
-        witness, scanned = _full_scan(stat, m, n)
+        witness, scanned = _full_scan(stat, m, n, descent)
         cases += scanned
         if witness:
             scope += f"; witness at |pi|={m}, |sigma|={n}"

@@ -1,7 +1,7 @@
 """Differential tests of the descent-class quotient against brute force.
 
 Exhaustive over every normalized pair with m+n <= 7 (pi on [m], sigma on
-[n]+m).  The descent-bitmask histogram of the transfer-matrix DP is
+[n]+m).  The Des distribution of the transfer-matrix DP is
 checked against enumeration (and, up to m+n = 10, on the least members of
 every class pair); the DP of every descent statistic and catalog tuple
 against brute force on every class pair with m+n <= 7, against its rule
@@ -9,7 +9,7 @@ read off the histogram up to m+n = 8, and against itself with the
 operands' roles swapped up to m+n = 8; its tables over four shapes of
 bitmask sets (all x all, a subset x all, all x a subset, singletons)
 against the oracle's shuffle sets up to m+n = 7 and against each other
-at m+n = 8; its key tables, decoded, against its distributions, and
+at m+n = 8; its key tables, read, against its distributions, and
 their equality against the distributions' up to m+n = 6; the class tables (bitmasks, sizes
 and rank order, the least member built from each bitmask,
 ``count_before``) against the permutations they count, and the
@@ -22,6 +22,7 @@ splitting, m+n <= 6 (5 for statistics built on ``inv``).
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
@@ -37,7 +38,7 @@ from shufbij.perm import (
     mask_positions,
 )
 from shufbij.qpoly import gen_poly, stanley_refined_rhs, stanley_rhs
-from shufbij.shuffle import class_pair_counts, class_pair_distributions, des_histogram, shuffles
+from shufbij.shuffle import class_pair_counts, class_pair_distributions, shuffles
 from shufbij.stats import (
     CATALOG_TUPLES,
     DESCENT_NAMES,
@@ -217,15 +218,20 @@ def test_count_before_matches_enumeration(k):
             assert count_before(ground, mask, x) == bisect_left(ordered, x), (mask, x)
 
 
+def _des_histogram(mask_pi, mask_sigma, m, n):
+    """The Des distribution of one class pair, read off the DP."""
+    return class_pair_distributions("Des", m, n, {mask_pi}, {mask_sigma})[mask_pi, mask_sigma]
+
+
 def test_des_histogram_matches_enumeration():
     for m, n in SPLITS:
         for pi in _low(m):
             for sigma in _high(m, n):
                 brute = Counter(
-                    _mask(des_set_oracle(t)) for t in shuffle_set_oracle(pi, sigma)
+                    frozenset(des_set_oracle(t)) for t in shuffle_set_oracle(pi, sigma)
                 )
                 masks = _mask(des_set_oracle(pi)), _mask(des_set_oracle(sigma))
-                assert des_histogram(*masks, m, n) == brute, (pi, sigma)
+                assert _des_histogram(*masks, m, n) == brute, (pi, sigma)
 
 
 @pytest.mark.parametrize("total", range(11))
@@ -238,8 +244,8 @@ def test_des_histogram_matches_least_members_shuffle_sets(total):
             pi = _least(range(1, m + 1), mask_pi)
             for mask_sigma, _ in descent_classes(total - m):
                 sigma = _least(range(m + 1, total + 1), mask_sigma)
-                brute = Counter(_mask(des_set_oracle(t)) for t in shuffles(pi, sigma))
-                assert des_histogram(mask_pi, mask_sigma, m, n=total - m) == brute, (pi, sigma)
+                brute = Counter(frozenset(des_set_oracle(t)) for t in shuffles(pi, sigma))
+                assert _des_histogram(mask_pi, mask_sigma, m, total - m) == brute, (pi, sigma)
 
 
 def _class_pairs(max_total):
@@ -258,7 +264,7 @@ def class_pair_histograms():
     shuffle set of its least members where m+n <= MAX_TOTAL."""
     out = {}
     for m, n, mask_pi, mask_sigma in _class_pairs(8):
-        histogram = des_histogram(mask_pi, mask_sigma, m, n)
+        histogram = _des_histogram(mask_pi, mask_sigma, m, n)
         members = None
         if m + n <= MAX_TOTAL:
             members = shuffles(_least(range(1, m + 1), mask_pi),
@@ -282,8 +288,8 @@ def test_value_dp_matches_brute_force_and_des_histogram(stat, class_pair_histogr
         if members is not None:
             assert dist == distribution(stat, members), (m, n, mask_pi, mask_sigma)
         by_rule = Counter()
-        for mask, count in histogram.items():
-            by_rule[rule(mask, m + n)] += count
+        for descents, count in histogram.items():
+            by_rule[rule(_mask(descents), m + n)] += count
         assert dist == by_rule, (m, n, mask_pi, mask_sigma)
 
 
@@ -357,15 +363,14 @@ def test_mask_set_tables_match_brute_force(stat, least_member_oracle_sets):
 @pytest.mark.parametrize("stat", DESCENT_STATS, ids=format_stat)
 def test_key_tables_compare_as_their_distributions(stat):
     """The scans compare key tables undecoded: on every split with m+n <= 6,
-    the key table of :func:`class_pair_counts`, its rows read and decoded,
+    the key table of :func:`class_pair_counts`, its rows read,
     is the table of :func:`class_pair_distributions`, and two class pairs'
     rows are equal exactly when their distributions are."""
     for total in range(7):
         for m in range(total + 1):
-            table, decode, rows = class_pair_counts(stat, m, total - m)
+            table, rows = class_pair_counts(stat, m, total - m)
             dists = class_pair_distributions(stat, m, total - m)
-            decoded = {pair: Counter({decode(key): count for key, count in rows.read(row).items()})
-                       for pair, row in table.items()}
+            decoded = {pair: rows.read(row) for pair, row in table.items()}
             assert decoded == dists, (m, total - m)
             for one, other in combinations(table, 2):
                 assert (table[one] == table[other]) == (dists[one] == dists[other]), (one, other)
@@ -452,6 +457,29 @@ def test_scans_without_shared_labels_build_no_table(monkeypatch):
     assert find_counterexample("Asc", 10).passed
 
 
+def test_scans_with_an_empty_operand_build_no_table(monkeypatch):
+    """With an empty operand the shuffle set is the other operand alone,
+    so classes of one label have one distribution and no scan can fail:
+    with the table refused, both reduced modes and full mode, over every
+    descent statistic and catalog tuple, and the conjecture still pass at
+    every shape with m = 0 or n = 0 and m+n <= 10, counting (m+n)! pairs
+    per mode."""
+
+    def refuse(*args):
+        raise AssertionError("a scan with an empty operand built a table")
+
+    monkeypatch.setattr(verify, "class_pair_counts", refuse)
+    shapes = sorted({(0, k) for k in range(11)} | {(k, 0) for k in range(11)})
+    for m, n in shapes:
+        pairs = factorial(m + n)  # m!·n! too, with one side empty
+        for stat in DESCENT_STATS:
+            for mode in ("reduced_pi", "reduced_sigma", "full"):
+                report = check_compatibility(stat, m, n, mode)
+                assert (report.passed, report.cases_checked) == (True, pairs), (stat, m, n, mode)
+        report = check_conjecture_udr_pk_des(m, n)
+        assert (report.passed, report.cases_checked) == (True, 2 * pairs), (m, n)
+
+
 @pytest.mark.parametrize("which", ["maj", "maj_des"])
 def test_maj_identities_match_brute_force(which, shuffle_sets):
     for m, n in SPLITS:
@@ -461,20 +489,19 @@ def test_maj_identities_match_brute_force(which, shuffle_sets):
 
 def _bump_rows(picked, bumped):
     """A stand-in for :func:`class_pair_counts` whose table has one more
-    count of the first key of each picked pair's row, merged into a copy
-    by the row type's own move; ``bumped`` maps each pair to that key's
+    count of the first value of each picked pair's row, written as a new
+    row by the row type's own write; ``bumped`` maps each pair to that
     value."""
     real = verify.class_pair_counts
 
     def bumped_table(*args):
-        table, decode, rows = real(*args)
+        table, rows = real(*args)
         wrong = {}
         for pair in filter(picked, table):
-            key = next(iter(rows.read(table[pair])))
-            bumped[pair] = decode(key)
-            wrong[pair] = rows.pack(rows.read(table[pair]))
-            rows.move(wrong, pair, rows.pack({key: 1}), (0, 0))
-        return {**table, **wrong}, decode, rows
+            dist = rows.read(table[pair])
+            value = bumped[pair] = next(iter(dist))
+            wrong[pair] = rows.write({**dist, value: dist[value] + 1})
+        return {**table, **wrong}, rows
 
     return bumped_table
 

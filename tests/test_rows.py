@@ -1,11 +1,13 @@
 """Rows of the class-pair DP: packed rows against sparse ones, the key
-encoding, and the identities' shifted base forms.
+encoding, and rows on values, whose shifted forms are the identities'
+closed forms.
 
 A row holds one state's count per packed key: sparse, as ``{key: count}``
 (``shuffle._DICT_ROWS``), or packed, as one integer with key k's count at
 bit offset width·k (``shuffle._packed_rows``).  ``shuffle.class_pair_counts``
-picks one per statistic and shape; the tests here force each through the
-DP's own argument.
+picks one per statistic and shape, and reads, writes and shifts it by
+value (``Rows.valued``); the tests here force each type through the DP's
+own argument.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from shufbij.perm import descent_classes
 from shufbij.shuffle import (
     _DICT_ROWS,
     _class_pair_counts,
+    _dict_move,
     _key_space,
     _plan,
     class_pair_counts,
@@ -64,13 +67,13 @@ def test_packed_rows_move_odd_keys_apart():
     """A move whose two deltas differ shifts the keys with bit 0 set by the
     second delta, down as well as up, and merges into the state's row."""
     rows = _packed_rows(4, 8)
-    layer = {"s": rows.pack({0: 1})}
-    rows.move(layer, "s", rows.pack({2: 3, 3: 5, 5: 6}), (2, -1))
+    layer = {"s": rows.write({0: 1})}
+    rows.move(layer, "s", rows.write({2: 3, 3: 5, 5: 6}), (2, -1))
     assert rows.read(layer["s"]) == {0: 1, 2: 5, 4: 9}
     layer = {}
-    rows.move(layer, "s", rows.pack({1: 2, 4: 1}), (1, 1))
+    rows.move(layer, "s", rows.write({1: 2, 4: 1}), (1, 1))
     assert rows.read(layer["s"]) == {2: 2, 5: 1}
-    assert rows.read(rows.shift(rows.pack({1: 2, 4: 1}), 3)) == {4: 2, 7: 1}
+    assert rows.read(rows.shift(rows.write({1: 2, 4: 1}), 3)) == {4: 2, 7: 1}
     assert _DICT_ROWS.shift({1: 2, 4: 1}, 3) == {4: 2, 7: 1}
 
 
@@ -108,29 +111,28 @@ def test_row_type_follows_the_cut():
               ("Pk", 9, 9), (("udr", "pk", "des"), 10, 10)]
     for stat, m, n in packed + sparse:
         rows = _plan(mark_tables(stat), m, n)[1]
-        assert (rows is _DICT_ROWS) == ((stat, m, n) in sparse), (stat, m, n)
+        assert (rows.move is _dict_move) == ((stat, m, n) in sparse), (stat, m, n)
 
 
 @pytest.mark.parametrize("which", ["maj", "maj_des", "word_base"])
 def test_shifted_base_forms_are_the_closed_forms(which):
-    """For every label with m+n <= 8, the base form of its descent counts
-    (:func:`verify._base_form`), shifted by the key of its maj sum alone,
-    is the row of the label's :func:`verify._closed_form`, on packed and
-    on dict rows."""
+    """For every label with m+n <= 8, the row of the closed form of its
+    descent counts at maj sum 0 (:func:`verify._closed_form`), shifted by
+    its maj sum, is the row of the label's closed form, on the picked,
+    dict and packed rows on values."""
     stat = ("des", "maj") if which == "maj_des" else "maj"
     rule = descent_rule(("des", "maj"))
     for total in range(9):
         for m in range(total + 1):
             n = total - m
             dp = value_dp(mark_tables(stat), total)
-            encode = dp[3]
-            maj_key = (lambda maj: encode((0, maj))) if which == "maj_des" else encode
-            for rows in (class_pair_counts(stat, m, n, set(), set())[2], _DICT_ROWS,
-                         _packed(dp, m, n)):
+            for rows in (class_pair_counts(stat, m, n, set(), set())[1], _DICT_ROWS.valued(dp),
+                         _packed(dp, m, n).valued(dp)):
                 labels = {(rule(p, m)[0], rule(s, n)[0], rule(p, m)[1] + rule(s, n)[1])
                           for (p, _), (s, _) in product(descent_classes(m), descent_classes(n))}
                 for des_pi, des_sigma, maj_sum in sorted(labels):
-                    base = verify._base_form(which, m, n, des_pi, des_sigma, encode, rows)
+                    base = rows.write(verify._closed_form(which, m, n, des_pi, des_sigma, 0))
                     form = verify._closed_form(which, m, n, des_pi, des_sigma, maj_sum)
-                    want = rows.pack({encode(value): count for value, count in form.items()})
-                    assert rows.shift(base, maj_key(maj_sum)) == want, (m, n, des_pi, des_sigma)
+                    shift = (0, maj_sum) if which == "maj_des" else maj_sum
+                    assert rows.shift(base, shift) == rows.write(form), (m, n, des_pi, des_sigma)
+                    assert rows.read(rows.write(form)) == form, (m, n, des_pi, des_sigma)

@@ -8,7 +8,11 @@ Each digest is a sha256 over every report's sorted ``to_json()`` and its
 ``check_compatibility`` for every descent statistic and catalog tuple at
 every split with m+n <= 7, the (udr,pk,des) conjecture at m+n <= 7, full
 mode at m+n <= 6 and ``find_counterexample(stat, 6)`` over the same
-statistics and ``(maj,inv)``, which takes m+n <= 5.
+statistics and ``(maj,inv)``, which takes m+n <= 5, and the three
+identities at every split with m+n <= 8, first as they are and then under
+a forged closed form that moves one count one maj higher at one label
+(:func:`_forged_closed_form`), at m+n >= 1, since the one shuffle at
+0+0 has no maj but 0.
 """
 
 import hashlib
@@ -16,10 +20,12 @@ import json
 
 import pytest
 
+import shufbij.verify as verify
 from shufbij.stats import CATALOG_TUPLES, DESCENT_NAMES
 from shufbij.verify import (
     check_compatibility,
     check_conjecture_udr_pk_des,
+    check_identity,
     find_counterexample,
     format_report,
 )
@@ -32,6 +38,31 @@ def _splits(top):
     return [(m, total - m) for total in range(top + 1) for m in range(total + 1)]
 
 
+IDENTITIES = ("maj", "maj_des", "word_base")
+_closed_form = verify._closed_form
+
+
+def _forged_closed_form(which, m, n, des_pi, des_sigma, maj_sum):
+    """The closed form with one count of its least value moved one maj
+    higher: in every form of ``maj`` and ``word_base``, which no descent
+    count changes, and at des pi = 1, des sigma = 0 alone for ``maj_des``."""
+    form = _closed_form(which, m, n, des_pi, des_sigma, maj_sum)
+    if which == "maj_des" and (des_pi, des_sigma) != (1, 0):
+        return form
+    low = min(form)
+    up = (low[0], low[1] + 1) if which == "maj_des" else low + 1
+    form = {**form, low: form[low] - 1, up: form.get(up, 0) + 1}
+    return {value: count for value, count in form.items() if count}
+
+
+def _identity_reports():
+    reports = [check_identity(which, m, n) for which in IDENTITIES for m, n in _splits(8)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_closed_form", _forged_closed_form)
+        reports += [check_identity(which, m, n) for which in IDENTITIES for m, n in _splits(8)[1:]]
+    return reports
+
+
 def _reports(family):
     if family in ("reduced_pi", "reduced_sigma"):
         return [check_compatibility(stat, m, n, family)
@@ -41,6 +72,8 @@ def _reports(family):
     if family == "full":
         return [check_compatibility(stat, m, n, "full")
                 for stat in CATALOG + ENUMERATED for m, n in _splits(6 if stat in CATALOG else 5)]
+    if family == "identity":
+        return _identity_reports()
     return [find_counterexample(stat, 6 if stat in CATALOG else 5) for stat in CATALOG + ENUMERATED]
 
 
@@ -56,6 +89,8 @@ SCAN_DIGESTS = {
              "dd398271a22d09fa44aed5ea24bd7d5f5fb1757ecaeec6ba67160c51fd288a06"),
     "counterexample": (30, 3,
                        "2342ecff7c7b6138137de3154db387e4f796bf044db621de3b142b580e5cf76e"),
+    "identity": (267, 116,
+                 "40f25a858fe20b217a7f40ef5d3ebca7c2ffda23cc1882efc6aadd004bb683f6"),
 }
 
 

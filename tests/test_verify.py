@@ -352,15 +352,15 @@ def test_refined_identity_reads_every_k(at, m, n, monkeypatch):
 @pytest.mark.parametrize("which, builds", [("maj", 1), ("maj_des", 25), ("word_base", 1)])
 def test_identity_builds_each_closed_form_once(which, builds, monkeypatch):
     """At 5+5 the 256 class pairs have 25 pairs of descent counts: the maj
-    base form is built once per call, the refined one once per (des pi,
-    des sigma), and each pair shifts it by its maj sum."""
-    right, built = verify._base_form, []
+    form at maj sum 0 is built once per call, the refined one once per
+    (des pi, des sigma), and each pair shifts it by its maj sum."""
+    right, built = verify._closed_form, []
 
     def counted(*args):
         built.append(args[:5])
         return right(*args)
 
-    monkeypatch.setattr(verify, "_base_form", counted)
+    monkeypatch.setattr(verify, "_closed_form", counted)
     assert check_identity(which, 5, 5).passed
     assert len(built) == len(set(built)) == builds
 
@@ -502,6 +502,26 @@ def test_a_failing_scan_walks_once(scan, cases, witness, monkeypatch):
     assert report.cases_checked == cases
     assert (w.pi, w.pi_prime, w.sigma, w.sigma_prime, w.statistic) == witness
     assert w.recheck()
+
+
+def test_each_entry_point_decides_descent_ness_once(monkeypatch):
+    """``verify`` asks whether the statistic is a descent statistic at most
+    once per entry-point call: not again for the default bound, the mode
+    check or each split of a search."""
+    real, calls = verify.is_descent_statistic, []
+    monkeypatch.setattr(verify, "is_descent_statistic",
+                        lambda stat: calls.append(stat) or real(stat))
+    for run in (lambda: check_compatibility("maj", 3, 4),
+                lambda: check_compatibility("maj", 3, 4, "full"),
+                lambda: check_compatibility(("maj", "inv"), 2, 2, "full"),
+                lambda: find_counterexample("maj", 7),
+                lambda: find_counterexample("biruns", 7),
+                lambda: find_counterexample("inv", 4),
+                lambda: check_identity("maj_des", 3, 3),
+                lambda: check_conjecture_udr_pk_des(3, 3)):
+        calls.clear()
+        run()
+        assert len(calls) <= 1, calls
 
 
 def test_witness_recheck_detects_stale_data():
