@@ -24,7 +24,10 @@ handful of keys for ``pk`` or ``maj``, the whole descent bitmask for
 ``+``; or sparse, a ``{key: count}`` dict (:data:`_DICT_ROWS`), where each
 key moves alone.  The type is picked once per statistic and shape
 (:func:`_plan`), packed while a row is short against the keys a state
-can hold.  A final key is its value alone, so two pairs' rows are equal
+can hold.  A side branches, each bit it decides splitting the state, or
+is carried by packed rows of short blocks: one row holds a block per
+class of the side, and the bit moves the row by its class's block
+instead.  A final key is its value alone, so two pairs' rows are equal
 exactly when their distributions are, and a scan compares the rows as
 they are.  Keys stay here: the row type a table comes with reads a row
 as its distribution, writes one as a row and shifts a row by a value
@@ -122,12 +125,16 @@ class Rows:
     merges it into ``layer[state]``, ``unit(key)``, the row of one count at
     that key, ``read(row)``, its ``{key: count}``, ``write({key: count})``,
     its inverse, and ``shift(row, delta)``, which moves every key by delta.
+    ``carry`` is None, or ``(block, carrying)``: class 2s of a carried side
+    holds slots ``block * s`` on, and ``carrying(count)`` is ``(move, split)``
+    for rows of ``count`` classes, ``split(row)`` listing their rows.
     A plan's rows (:meth:`valued`) read, write and shift values instead."""
 
-    __slots__ = ("move", "unit", "read", "write", "shift")
+    __slots__ = ("move", "unit", "read", "write", "shift", "carry")
 
-    def __init__(self, move, unit, read, write, shift):
+    def __init__(self, move, unit, read, write, shift, carry=None):
         self.move, self.unit, self.read, self.write, self.shift = move, unit, read, write, shift
+        self.carry = carry
 
     def valued(self, dp) -> Rows:
         """These rows on the values of the DP ``dp``
@@ -139,7 +146,7 @@ class Rows:
         return Rows(self.move, self.unit,
                     lambda row: Counter({decode(key): count for key, count in read(row).items()}),
                     lambda dist: write({encode(value): count for value, count in dist.items()}),
-                    lambda row, value: shift(row, encode(value)))
+                    lambda row, value: shift(row, encode(value)), self.carry)
 
 
 def _dict_move(layer: dict, state, counts: dict, deltas: tuple) -> None:
@@ -171,12 +178,13 @@ def _odd_slots(width: int, size: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _packed_rows(width: int, size: int) -> Rows:
+def _packed_rows(width: int, size: int, block: int = 0) -> Rows:
     """A dense row of ``size`` slots of ``width`` bits: ``sum(count <<
     width * key)``, each move one or two shifts and one ``+``.  A slot
     holds a count of words with a common prefix, at most the number of
     words of the shape, so ``width`` bits of that number's bit length
-    (plus one to spare) never carry into the next slot."""
+    (plus one to spare) never carry into the next slot.  With ``block``,
+    a multiple of 8, the rows carry classes of that many slots."""
     ones, odd = (1 << width) - 1, _odd_slots(width, size)
 
     def move(layer: dict, state, row: int, deltas: tuple) -> None:
@@ -206,9 +214,17 @@ def _packed_rows(width: int, size: int) -> Rows:
             row >>= width
         return counts
 
+    def carrying(count: int) -> tuple:
+        def split(row: int) -> list:  # a block is whole bytes
+            data = row.to_bytes(count * stride, "little")
+            return [int.from_bytes(data[at:at + stride], "little") for at in range(0, len(data), stride)]
+
+        stride = width * block // 8
+        return _packed_rows(width, block * count).move, split
+
     return Rows(move, lambda key: 1 << width * key, lambda row: read_into({}, row, 0),
                 lambda counts: sum([count << width * key for key, count in counts.items()]),
-                lambda row, delta: row << width * delta)
+                lambda row, delta: row << width * delta, (block, carrying) if block else None)
 
 
 def _key_space(dp) -> tuple[int, int]:
@@ -230,6 +246,10 @@ def _key_space(dp) -> tuple[int, int]:
 # hold (at most the number of final keys, and of words of the shape);
 # sparse rows above it.  The crossover of BENCH_packed_rows.json.
 _PACKED_BITS_PER_KEY = 448
+# Packed rows carry a side (:func:`_class_pair_counts`) while a block, the
+# key space in whole bytes, has at most this many bits; branch above.  The
+# crossover of BENCH_carried_rows.json.
+_CARRY_BITS = 4096
 
 
 @lru_cache(maxsize=256)
@@ -237,11 +257,13 @@ def _plan(tables, m: int, n: int):
     """``(dp, rows)`` of a shape: the statistic's :func:`~shufbij.stats.value_dp`
     at length m+n, and its rows on values (:meth:`Rows.valued`), packed when
     a row of its key space is short against the keys a state can hold,
-    sparse otherwise."""
+    sparse otherwise; packed rows carry while a block fits ``_CARRY_BITS``."""
     dp, words = value_dp(tables, m + n), comb(m + n, m)
     width, (size, values) = words.bit_length() + 1, _key_space(dp)
-    packed = size * width <= _PACKED_BITS_PER_KEY * min(values, words)
-    return dp, (_packed_rows(width, size) if packed else _DICT_ROWS).valued(dp)
+    if size * width > _PACKED_BITS_PER_KEY * min(values, words):
+        return dp, _DICT_ROWS.valued(dp)
+    block = -(-size // 8) * 8
+    return dp, _packed_rows(width, size, block if block * width <= _CARRY_BITS else 0).valued(dp)
 
 
 def _class_pair_counts(dp, m: int, n: int, masks_pi=None, masks_sigma=None,
@@ -259,11 +281,14 @@ def _class_pair_counts(dp, m: int, n: int, masks_pi=None, masks_sigma=None,
     letter by letter; its state is the number of a's placed, the last
     letter and the bits decided so far, and each state keeps a row of
     counts per key.  The (i+1)-th a, i >= 1, decides pi's bit i on every
-    path, read or not, keeping the bits that some mask of ``masks_pi``
-    starts with; b's decide sigma's bits alike.  An empty operand leaves
-    one word, the other's, keyed as by its rule
-    (:func:`~shufbij.stats.walk`).  A final key is its value alone, so no
-    two keys of a pair decode alike.
+    path, read or not, keeping in the state the bits that some mask of
+    ``masks_pi`` starts with; b's decide sigma's bits alike.  Rows that
+    carry (:attr:`Rows.carry`) carry all classes of the longer side that
+    wants at least half of them instead: its bit c moves the row by
+    ``block << c - 1`` slots, so class 2s ends in block s, split out at
+    the end.  An empty operand leaves one word, the other's, keyed as by
+    its rule (:func:`~shufbij.stats.walk`).  A final key is its value
+    alone, so no two keys of a pair decode alike.
     """
     def prefixes(masks, c):  # bits 1..c of some member, bit 0 never being a descent
         return range(0, 2 << c, 2) if masks is None else {x & (2 << c) - 1 for x in masks}
@@ -273,9 +298,24 @@ def _class_pair_counts(dp, m: int, n: int, masks_pi=None, masks_sigma=None,
     unit, move = rows.unit, rows.move
     if not (m and n and last_pi and last_sigma):  # an empty operand, or no pair
         return {(p, s): unit(walk(dp, p | s)) for p in last_pi for s in last_sigma}
-    # keep[c]: the prefixes of bits 1..c; keep[-1] holds the members.
-    keep_pi, keep_sigma = ([prefixes(masks, c) for c in range(k - 1)] + [last]
-                           for masks, k, last in ((masks_pi, m, last_pi), (masks_sigma, n, last_sigma)))
+    block, carrying = rows.carry or (0, None)
+    # Rows that carry take the longer side that wants at least half of its classes.
+    carry_pi = block and m > 1 and 2 * len(last_pi) >= 1 << m - 1
+    carry_sigma = block and n > 1 and 2 * len(last_sigma) >= 1 << n - 1 and (n >= m or not carry_pi)
+    carry_pi = carry_pi and not carry_sigma
+    # keep[c]: the prefixes of bits 1..c that a side keeps, all of them if it
+    # is carried; keep[-1] holds its members, or every class.
+    keep_pi, keep_sigma = ([prefixes(None if carry else masks, c) for c in range(k - 1)]
+                           + [prefixes(None, k - 1) if carry else last]
+                           for masks, k, last, carry in ((masks_pi, m, last_pi, carry_pi),
+                                                         (masks_sigma, n, last_sigma, carry_sigma)))
+    # A descent at bit c adds 1 << c & branch to the state (bit 0 alone, never
+    # kept, if carried), and moves a carried side's row by at[c - 1] slots.
+    branch_pi, branch_sigma = 1 if carry_pi else -1, 1 if carry_sigma else -1
+    if carry_pi or carry_sigma:
+        classes, last = (keep_pi[-1], last_pi) if carry_pi else (keep_sigma[-1], last_sigma)
+        at = [block << c for c in range(len(classes).bit_length() - 1)]
+        move, split = carrying(len(classes))
     start, steps, _, _ = dp
     # ends_a / ends_b: (a's placed, pi's bits, sigma's bits) -> row, of the
     # words so far that end in a / in b.  Each state feeds the states of the
@@ -284,19 +324,38 @@ def _class_pair_counts(dp, m: int, n: int, masks_pi=None, masks_sigma=None,
     ends_a, ends_b = {(1, 0, 0): first}, {(0, 0, 0): first}
     for t in range(1, m + n):  # t letters placed; the next step is step t
         rise, fall = steps[t]  # each a pair of key deltas
+        # Per bit, the deltas of a descent: a's fall, b's fall after b and rise after a.
+        fall_pi, fall_sigma, rise_sigma = [fall] * m, [fall] * n, [rise] * n
+        if carry_pi:
+            fall_pi[1:] = [(fall[0] + o, fall[1] + o) for o in at]
+        elif carry_sigma:
+            fall_sigma[1:] = [(fall[0] + o, fall[1] + o) for o in at]
+            rise_sigma[1:] = [(rise[0] + o, rise[1] + o) for o in at]
         # The last layer is one: a word's last letter matters no more.
         into_a, into_b = ({}, {}) if t < m + n - 1 else ({},) * 2
-        for after_a, layer in ((1, ends_a), (0, ends_b)):
+        for layer, step_a, descent_b in ((ends_a, rise, rise_sigma), (ends_b, fall, fall_sigma)):
             for (i, bits_pi, bits_sigma), row in layer.items():
-                for d in (0, 1):  # a after a copies pi's bit i; a after b falls
-                    if i < m and (bits := bits_pi | d << i) in keep_pi[i]:
-                        move(into_a, (i + 1, bits, bits_sigma), row,
-                             fall if d or not after_a else rise)
-                    # b after b copies sigma's bit t-i; b after a rises
-                    if t - i < n and (bits := bits_sigma | d << t - i) in keep_sigma[t - i]:
-                        move(into_b, (i, bits_pi, bits), row, fall if d and not after_a else rise)
+                if i < m:  # a after a copies pi's bit i; a after b falls
+                    keep = keep_pi[i]
+                    if bits_pi in keep:
+                        move(into_a, (i + 1, bits_pi, bits_sigma), row, step_a)
+                    if (bits := bits_pi | 1 << i & branch_pi) in keep:
+                        move(into_a, (i + 1, bits, bits_sigma), row, fall_pi[i])
+                if (j := t - i) < n:  # b after b copies sigma's bit j; b after a rises
+                    keep = keep_sigma[j]
+                    if bits_sigma in keep:
+                        move(into_b, (i, bits_pi, bits_sigma), row, rise)
+                    if (bits := bits_sigma | 1 << j & branch_sigma) in keep:
+                        move(into_b, (i, bits_pi, bits), row, descent_b[j])
         ends_a, ends_b = into_a, into_b
-    return {(bits_pi, bits_sigma): row for (_, bits_pi, bits_sigma), row in ends_a.items()}
+    if not (carry_pi or carry_sigma):
+        return {(bits_pi, bits_sigma): row for (_, bits_pi, bits_sigma), row in ends_a.items()}
+    table = {}  # class 2s of the carried side is block s; keep the members
+    for (_, bits_pi, bits_sigma), row in ends_a.items():
+        for mask, part in zip(classes, split(row)):
+            if mask in last:
+                table[(mask, bits_sigma) if carry_pi else (bits_pi, mask)] = part
+    return table
 
 
 def class_pair_counts(stat: StatId, m: int, n: int, masks_pi=None, masks_sigma=None):

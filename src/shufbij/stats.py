@@ -311,10 +311,9 @@ def evaluate(stat: StatId, pi: Perm) -> StatValue:
 
 def mark_tables(stat: StatId) -> Union[MarkTable, tuple[MarkTable, ...]]:
     """The mark table of a descent statistic's name; the tuple of its
-    components' tables, in order, for a tuple id."""
-    if not is_descent_statistic(stat):
-        raise ValueError(f"{format_stat(stat)} is not a descent statistic")
-    return STATISTICS[stat] if isinstance(stat, str) else tuple(STATISTICS[name] for name in stat)
+    components' tables, in order, for a tuple id: its rule's
+    (:func:`descent_rule`), so an id is validated once."""
+    return descent_rule(stat).tables
 
 
 _RULES: dict = {}  # validated statistic id -> its rule, for at most 256 ids
@@ -324,18 +323,21 @@ def descent_rule(stat: StatId) -> Callable[[int, int], StatValue]:
     """The rule ``(mask, length) -> value`` of a descent statistic: the
     :func:`value_dp` of its :func:`mark_tables` walked over one word and
     decoded, all components of a tuple id off one packed key.  Built once
-    per validated id, it keeps its last 1024 values."""
+    per validated id, it keeps its last 1024 values, and its ``tables``."""
     try:
         return _RULES[stat]
     except (KeyError, TypeError):  # not built yet, or unhashable: refused below
         pass
-    tables = mark_tables(stat)  # refuses what is not a descent statistic
+    if not is_descent_statistic(stat):
+        raise ValueError(f"{format_stat(stat)} is not a descent statistic")
+    tables = STATISTICS[stat] if isinstance(stat, str) else tuple(STATISTICS[name] for name in stat)
 
     @lru_cache(maxsize=1 << 10)
     def rule(mask: int, length: int) -> StatValue:
         dp = value_dp(tables, length)
         return dp[2](walk(dp, mask))
 
+    rule.tables = tables
     if len(_RULES) == 256:
         _RULES.clear()
     _RULES[stat] = rule

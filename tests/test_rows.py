@@ -7,7 +7,9 @@ A row holds one state's count per packed key: sparse, as ``{key: count}``
 bit offset width·k (``shuffle._packed_rows``).  ``shuffle.class_pair_counts``
 picks one per statistic and shape, and reads, writes and shifts it by
 value (``Rows.valued``); the tests here force each type through the DP's
-own argument.
+own argument.  Packed rows may also carry a side's classes, a block of
+slots each, instead of branching on its bits; the carried and branching
+layouts give the same table.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import pytest
 import shufbij.verify as verify
 from shufbij.perm import descent_classes
 from shufbij.shuffle import (
+    _CARRY_BITS,
     _DICT_ROWS,
+    Rows,
     _class_pair_counts,
     _dict_move,
     _key_space,
@@ -47,6 +51,26 @@ def _packed(dp, m, n):
     return _packed_rows(comb(m + n, m).bit_length() + 1, _key_space(dp)[0])
 
 
+def _carrying(dp, m, n, splits):
+    """Packed rows that carry, whatever the budget, as :func:`_plan` builds
+    them, which append the class count of each carried row to ``splits``."""
+    width, size = comb(m + n, m).bit_length() + 1, _key_space(dp)[0]
+    rows = _packed_rows(width, size, -(-size // 8) * 8)
+    block, carrying = rows.carry
+    return Rows(rows.move, rows.unit, rows.read, rows.write, rows.shift,
+                (block, lambda count: splits.append(count) or carrying(count)))
+
+
+def _mask_shapes(m, n):
+    """``(masks_pi, masks_sigma)`` of every kind a table is asked for: a
+    free side (None), a subset of its classes (more than half, which a
+    carrying row carries, or fewer, which it branches on), and no class."""
+    def subsets(k):
+        every = range(0, 1 << max(k, 1), 2)
+        return [None, {x for x in every if x % 6 != 2}, {x for x in every if x % 6 == 2}, set()]
+    return [(p, s) for p in subsets(m) for s in subsets(n)]
+
+
 @pytest.mark.parametrize("stat", STATS, ids=format_stat)
 def test_packed_rows_match_dict_rows(stat):
     """On every split with m+n <= 8, the DP run on packed rows and on dict
@@ -61,6 +85,49 @@ def test_packed_rows_match_dict_rows(stat):
             assert {pair: packed.read(row) for pair, row in dense.items()} == sparse, (m, n)
             assert {pair: Counter({dp[2](key): count for key, count in keys.items()})
                     for pair, keys in sparse.items()} == class_pair_distributions(stat, m, n)
+
+
+@pytest.mark.parametrize("stat", STATS, ids=format_stat)
+def test_carried_rows_match_branching_rows(stat):
+    """On every split with m+n <= 8 and every kind of mask set per side,
+    the DP on packed rows that carry a side gives the same table, with the
+    same row integers, as on packed rows that branch on both sides; and it
+    carries, splitting each last row into the carried side's classes,
+    exactly when some side of length 2 or more wants at least half of its
+    classes."""
+    for total in range(9):
+        dp = value_dp(mark_tables(stat), total)
+        for m in range(total + 1):
+            n = total - m
+            branching = _packed(dp, m, n)
+            for masks_pi, masks_sigma in _mask_shapes(m, n):
+                splits = []
+                carried = _class_pair_counts(dp, m, n, masks_pi, masks_sigma,
+                                             _carrying(dp, m, n, splits))
+                assert carried == _class_pair_counts(dp, m, n, masks_pi, masks_sigma, branching), (
+                    m, n, masks_pi, masks_sigma)
+                dense = [1 << k - 1 for k, masks in ((m, masks_pi), (n, masks_sigma))
+                         if k > 1 and (masks is None or 2 * len(masks) >= 1 << k - 1)]
+                assert bool(splits) == bool(m and n and dense and carried), (m, n, masks_pi, masks_sigma)
+                assert set(splits) <= {max(dense, default=0)}
+
+
+def test_carrying_follows_the_budget():
+    """Packed rows carry a side while one class's block, the key space
+    rounded up to whole bytes of slots, has at most ``_CARRY_BITS`` bits:
+    count statistics and maj at every size here, set statistics at m+n = 7;
+    set statistics at balanced splits from m+n = 10, and (des,maj) there,
+    branch; sparse rows never carry."""
+    carry = [("maj", 5, 5), ("maj", 6, 6), ("des", 5, 5), (("udr", "pk"), 6, 6), ("Pk", 3, 4),
+             (("des", "maj"), 3, 4), (("des", "maj"), 1, 9)]
+    branch = [("Pk", 5, 5), ("Des", 5, 5), ("Lval", 6, 6), ("Epk", 5, 5), (("des", "maj"), 5, 5)]
+    sparse = [(("udr", "pk", "des"), 5, 5), (("udr", "pk", "des"), 6, 6), ("Pk", 1, 9),
+              ("Pk", 9, 9), (("udr", "pk", "des"), 10, 10)]
+    assert _CARRY_BITS == 4096
+    for stat, m, n in carry + branch + sparse:
+        rows = _plan(mark_tables(stat), m, n)[1]
+        assert (rows.move is _dict_move) == ((stat, m, n) in sparse), (stat, m, n)
+        assert (rows.carry is not None) == ((stat, m, n) in carry), (stat, m, n)
 
 
 def test_packed_rows_move_odd_keys_apart():

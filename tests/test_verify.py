@@ -6,11 +6,11 @@ from math import comb
 
 import pytest
 
-from shufbij import reduce, verify
+from shufbij import reduce, stats, verify
 from shufbij.errors import ResourceLimitError
 from shufbij.perm import descent_classes, least_with_descent_set, mask_positions
 from shufbij.qpoly import stanley_refined_table, stanley_rhs
-from shufbij.shuffle import _rename, shuffles
+from shufbij.shuffle import _rename, class_pair_counts, shuffles
 from shufbij.stats import CATALOG_TUPLES, DESCENT_NAMES, descent_rule, distribution
 from shufbij.traces import ReductionTrace
 from shufbij.verify import (
@@ -522,6 +522,30 @@ def test_each_entry_point_decides_descent_ness_once(monkeypatch):
         calls.clear()
         run()
         assert len(calls) <= 1, calls
+
+
+def test_mark_tables_validate_each_id_once(monkeypatch):
+    """A search validates its id in ``verify`` once, and its tables' DP
+    (``stats.mark_tables``, called once per table) once more, on the id's
+    first use; an id it refused is refused again."""
+    real, calls = stats.is_descent_statistic, []
+
+    def count(stat):
+        calls.append(stat)
+        return real(stat)
+
+    monkeypatch.setattr(stats, "_RULES", {})
+    for module in (stats, verify):
+        monkeypatch.setattr(module, "is_descent_statistic", count)
+    find_counterexample("maj", 7)
+    assert calls == ["maj", "maj"]
+    calls.clear()
+    find_counterexample("maj", 7)
+    assert calls == ["maj"]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a descent statistic"):
+            class_pair_counts(("maj", "inv"), 2, 2)
+    assert calls == ["maj", ("maj", "inv"), ("maj", "inv")]
 
 
 def test_witness_recheck_detects_stale_data():
