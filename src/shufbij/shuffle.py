@@ -40,8 +40,10 @@ reductions: positional replacement of one side (``phi`` / ``phi_tilde``),
 the value swap ``t_swap`` exchanging i and i-1 when they are not adjacent,
 and ``normalize_pair``, which rewrites any disjoint pair onto the standard
 separated domains while recording a replayable descent-preserving trace
-through the same driver as ``reduce.canonicalize``; ``traces`` is bound
-on their first use, so shuffle sets and distributions never load it.
+through the same driver as ``reduce.canonicalize``.  Each is a reduction
+step kind, defined in ``traces`` with its check and its replay, and
+``phi`` and ``phi_tilde`` replay through that; ``traces`` is bound on
+their first use, so shuffle sets and distributions never load it.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .stats import (
 )
 
 ShuffleWord = str
-_traces = None  # the module, bound by the first normalize_pair, phi or phi_tilde
+_traces = None  # the module, bound by _bind_traces
 
 
 _TABLE_CUT = 1 << 12  # most entries (words times m+n) of a tabled shape
@@ -406,6 +408,7 @@ def shuffles_with_k_descents(pi: Perm, sigma: Perm, k: int) -> tuple[Perm, ...]:
 
 def is_shuffle(tau: Perm, pi: Perm, sigma: Perm) -> bool:
     """Whether the entries of ``tau`` in ``pi`` read ``pi``, and the rest ``sigma``."""
+    pi, sigma = tuple(pi), tuple(sigma)
     pset = set(pi)
     if not pset.isdisjoint(sigma):
         _check_disjoint(pi, sigma)  # raises, naming the shared entries
@@ -440,33 +443,24 @@ def from_word(pi: Perm, sigma: Perm, word: ShuffleWord) -> Perm:
     return tuple(next(a) if ch == "a" else next(b) for ch in word)
 
 
-def _rename(tau: Perm, old, new: Perm) -> Perm:
-    """Replace the entries of ``tau`` in the set ``old``, in order, by the
-    entries of ``new``; the replay of ``phi`` and ``phi_tilde``."""
-    rep = iter(new).__next__
-    return tuple([rep() if v in old else v for v in tau])
+def _bind_traces():
+    """The ``traces`` module, imported on first use."""
+    global _traces
+    if _traces is None:
+        from . import traces as _traces
+    return _traces
 
 
 def phi(tau: Perm, pi: Perm, pi_new: Perm, sigma: Perm) -> Perm:
     """Replace the ``pi``-entries of ``tau`` by the entries of ``pi_new``,
     preserving positions; the unique member of the new shuffle set with the
     same word."""
-    global _traces
-    if _traces is None:
-        from . import traces as _traces
-    _traces.ReductionStep("phi", {}, pi, sigma, pi_new, sigma)  # checks the pair
-    _require_shuffle(tau, pi, sigma)
-    return _rename(tau, set(pi), pi_new)
+    return _bind_traces()._replay_move(tau, "phi", {}, pi, sigma, pi_new, sigma)
 
 
 def phi_tilde(tau: Perm, pi: Perm, sigma: Perm, sigma_new: Perm) -> Perm:
     """Mirror of :func:`phi`, replacing the ``sigma`` side."""
-    global _traces
-    if _traces is None:
-        from . import traces as _traces
-    _traces.ReductionStep("phi_tilde", {}, pi, sigma, pi, sigma_new)  # checks the pair
-    _require_shuffle(tau, pi, sigma)
-    return _rename(tau, set(sigma), sigma_new)
+    return _bind_traces()._replay_move(tau, "phi_tilde", {}, pi, sigma, pi, sigma_new)
 
 
 def t_swap(tau: Perm, i: int) -> Perm:
@@ -525,12 +519,11 @@ def normalize_pair(pi: Perm, sigma: Perm, mode: str) -> tuple[Perm, Perm, _trace
     recorded by the reduction driver (``traces.run_reduction``); the mode
     only picks which side must end low.
     """
-    global _traces
     if mode not in ("pi_low", "sigma_low"):
         raise ValueError(f"unknown mode {mode!r}")
+    pi, sigma = tuple(pi), tuple(sigma)
     _check_disjoint(pi, sigma)
-    if _traces is None:
-        from . import traces as _traces
+    _bind_traces()
 
     union = sorted(set(pi) | set(sigma))
     relabel = {v: r + 1 for r, v in enumerate(union)}

@@ -1,33 +1,45 @@
-"""Replayable bijection traces.
+"""Reduction steps, their kinds, and replayable bijection traces.
 
 A step rewrites one side of a pair of disjoint permutations and carries
 everything needed to replay the corresponding bijection on any single
 interleaving of the source pair: the step kind, its indices, the full
 (source, target) pairs, and the termination measure after the step.
 
-A step checks its (source, target) pairs once, when it is built, with the
-checks of its kind below; replay (``reduce.step_replay``) then runs none.
-``shuffle.normalize_pair`` and the plans of ``reduce.canonicalize`` run
-their moves through one driver, :func:`run_reduction`.
+Each step kind is defined once, in :data:`_KINDS`: the integer parameter
+it replays at, the check of its (source, target) pairs, and the builder
+of its replay.  The kinds are the paper's elementary bijections:
+
+* ``phi`` and ``phi_tilde`` replace the pi or the sigma side in place;
+* ``t_swap`` exchanges the values i and i-1 unless they are adjacent;
+* ``theta_des`` moves a descent of the sigma side one position left,
+  preserving the descent count and lowering the major index by one;
+* ``theta_maj_first`` kills a descent at position 1 of the sigma side by
+  conjugating the ``theta_des`` move with a prepended new maximum;
+* ``theta_pk`` moves an interior peak of the pi side one position left,
+  preserving the peak count of every interleaving;
+* ``theta_lpk`` and the right- and exterior-peak moves are the same
+  interior move under a sentinel framing (:func:`_peak_move`): a low entry
+  prepended for a peak at position 2, a low entry appended for the right
+  end, where ``theta_rpk_inverse`` moves a right peak right by the inverse
+  move (see :data:`_KINDS`).
+
+A step runs its kind's check once, when it is built; :func:`step_replay`
+then reads its kind and constants once into a check-free function of one
+interleaving, the one replay path of the kind.  ``reduce.apply_trace``,
+the pipeline audit and the public moves (``shuffle.phi`` and
+``phi_tilde``, ``reduce.theta_*``, each one call of :func:`_replay_move`)
+all replay through it.  ``shuffle.normalize_pair`` and the plans of
+``reduce.canonicalize`` run their moves through one driver,
+:func:`run_reduction`.
 """
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Optional
 
-from .perm import Perm, _check_disjoint, format_perm, mask_positions
+from .perm import Perm, _check_disjoint, format_perm, mask_positions, space_labels
+from .shuffle import _require_shuffle, t_swap
 from .stats import descent_mask, format_stat, peak_family
-
-STEP_KINDS = (
-    "t_swap",
-    "phi",
-    "phi_tilde",
-    "theta_des",
-    "theta_maj_first",
-    "theta_pk",
-    "theta_lpk",
-    "theta_rpk_inverse",
-)
 
 
 def _require_separated(pi: Perm, sigma: Perm) -> None:
@@ -115,19 +127,139 @@ def _check_theta_rpk_inverse(step: ReductionStep) -> None:
     _check_peak_shift(step, "right", step.params["j"], by=1)
 
 
-# Pair checks per step kind; ``t_swap`` has none.
-_PAIR_CHECKS = {
-    "phi": lambda s: _check_rename(s.source_pi, s.target_pi, s.source_sigma),
-    "phi_tilde": lambda s: _check_rename(s.source_sigma, s.target_sigma, s.source_pi),
-    "theta_des": _check_theta_des,
-    "theta_maj_first": _check_theta_maj_first,
-    "theta_pk": _check_theta_pk,
-    "theta_lpk": _check_theta_lpk,
-    "theta_rpk_inverse": _check_theta_rpk_inverse,
-}
+# ---------------------------------------------------------------------------
+# replays, each a function of one interleaving of its step's source pair
 
-# The index parameter each kind replays at.
-_INDEX_PARAMS = {"t_swap": "i", "theta_des": "i", "theta_pk": "j", "theta_rpk_inverse": "j"}
+# Framing entries.  The moves only locate them and test membership, never
+# compare them, so any fresh objects can stand for a new maximum or for a
+# value below everything.
+_FRONT, _BACK = object(), object()
+
+
+def _rename(tau: Perm, old, new: Perm) -> Perm:
+    """Replace the entries of ``tau`` in the set ``old``, in order, by the
+    entries of ``new``."""
+    rep = iter(new).__next__
+    return tuple([rep() if v in old else v for v in tau])
+
+
+def _rename_replay(old: Perm, new: Perm):
+    """The replay of ``phi`` and ``phi_tilde``: ``old`` replaced by ``new``."""
+    old = frozenset(old)
+    return lambda tau: _rename(tau, old, new)
+
+
+def _t_swap_replay(step: ReductionStep):
+    i = step.params["i"]
+    return lambda tau: t_swap(tau, i)
+
+
+def _des_move(sigma: Perm, i: int, sigma_new: Perm):
+    """Replay of ``theta_des``.
+
+    The entry sigma_i is the only sigma entry strictly between sigma_{i-1}
+    and sigma_{i+1} in an interleaving; it is removed from the block of pi
+    entries around it and reinserted one labeled space lower (cyclically),
+    after which the sigma entries are renamed to ``sigma_new``.
+    """
+    prev_v, peak_v, next_v, old = sigma[i - 2], sigma[i - 1], sigma[i], frozenset(sigma)
+
+    def move(tau: Perm) -> Perm:
+        pa, pc = tau.index(prev_v), tau.index(next_v)
+        block = tau[pa + 1 : pc]
+        r = block.index(peak_v)
+        delta = block[:r] + block[r + 1 :]
+        if delta:
+            labels = space_labels(delta)
+            r_new = labels.index((labels[r] - 1) % (len(delta) + 1))
+            block = delta[:r_new] + (peak_v,) + delta[r_new:]
+        return _rename(tau[: pa + 1] + block + tau[pc:], old, sigma_new)
+
+    return move
+
+
+def _theta_maj_first_replay(step: ReductionStep):
+    # A new maximum in front of sigma turns its front descent into an
+    # interior peak at position 2: move that, then strip it.
+    move = _des_move((_FRONT,) + step.source_sigma, 2, (_FRONT,) + step.target_sigma)
+    return lambda tau: move((_FRONT,) + tau)[1:]
+
+
+def _pk_core(a_src: Perm, a_tgt: Perm, j: int):
+    """The move of the interior peak of ``a_src`` at position j (1-based,
+    >= 3) to j-1, realized by ``a_tgt``.
+
+    Entries outside ``a_src`` pass through and must all exceed every
+    ``a_src`` entry.  The factor of an interleaving strictly between
+    a_{j-2} and a_{j+1} splits as sa, a_{j-1}, sb, a_j, sc on the foreign
+    entries; when exactly one outer foreign block is present it is carried
+    across the two a-entries, otherwise only the a-entries are renamed in
+    place.  Swapping ``a_src`` and ``a_tgt`` gives the inverse move.
+    """
+    low, high, pair, old = a_src[j - 3], a_src[j], a_src[j - 2 : j], frozenset(a_src)
+
+    def move(tau: Perm) -> Perm:
+        s, t = tau.index(low), tau.index(high)
+        block = tau[s + 1 : t]
+        i1, i2 = block.index(pair[0]), block.index(pair[1])
+        sa, sb, sc = block[:i1], block[i1 + 1 : i2], block[i2 + 1 :]
+        if sa and not sb and not sc:
+            tau = tau[: s + 1] + pair + sa + tau[t:]
+        elif sc and not sa and not sb:
+            tau = tau[: s + 1] + sc + pair + tau[t:]
+        return _rename(tau, old, a_tgt)
+
+    return move
+
+
+def _peak_move(src: Perm, tgt: Perm, j: int, append: bool = False):
+    """:func:`_pk_core` at position j from ``src`` to ``tgt``, under a
+    sentinel framing.
+
+    With ``append`` a low entry is appended to all three sequences, so a
+    peak at the last position counts; a move at position 2 gets a low
+    entry in front, so the core sees position 3.
+    """
+    if j > 2 and not append:
+        return _pk_core(src, tgt, j)
+    front, back = (_FRONT,) * (j == 2), (_BACK,) * append
+    core = _pk_core(front + src + back, front + tgt + back, j + len(front))
+    strip = slice(len(front), -1 if append else None)
+    return lambda tau: core(front + tau + back)[strip]
+
+
+# ---------------------------------------------------------------------------
+# the kinds
+
+
+class _Kind(NamedTuple):
+    index: Optional[str]  # the integer parameter the replay reads, if any
+    check: Any  # step -> None, raising on a bad pair; None: no check
+    replay: Any  # step -> its replay (step_replay)
+    maj_drop: int = 0  # how far the replay lowers the major index of every interleaving
+
+
+# Every step kind.  The right peak moves from j to j+1 by the inverse of the
+# move j+1 -> j from target to source: the core with its operands swapped,
+# on the appended frame.  On that frame a theta_pk step moves an exterior
+# peak at the last position one step left.
+_KINDS = {
+    "t_swap": _Kind("i", None, _t_swap_replay),
+    "phi": _Kind(None, lambda s: _check_rename(s.source_pi, s.target_pi, s.source_sigma),
+                 lambda s: _rename_replay(s.source_pi, s.target_pi)),
+    "phi_tilde": _Kind(None, lambda s: _check_rename(s.source_sigma, s.target_sigma, s.source_pi),
+                       lambda s: _rename_replay(s.source_sigma, s.target_sigma)),
+    "theta_des": _Kind("i", _check_theta_des,
+                       lambda s: _des_move(s.source_sigma, s.params["i"], s.target_sigma), 1),
+    "theta_maj_first": _Kind(None, _check_theta_maj_first, _theta_maj_first_replay, 1),
+    "theta_pk": _Kind("j", _check_theta_pk,
+                      lambda s: _peak_move(s.source_pi, s.target_pi, s.params["j"],
+                                           s.params.get("frame") == "append")),
+    "theta_lpk": _Kind(None, _check_theta_lpk, lambda s: _peak_move(s.source_pi, s.target_pi, 2)),
+    "theta_rpk_inverse": _Kind("j", _check_theta_rpk_inverse, lambda s: _peak_move(
+        s.source_pi, s.target_pi, s.params["j"] + 1, True)),
+}
+STEP_KINDS = tuple(_KINDS)
 
 
 class _Step(NamedTuple):
@@ -150,25 +282,43 @@ class _Step(NamedTuple):
 
 
 class ReductionStep(_Step):
-    """One step of a trace: an immutable tuple of its fields, checked
-    against its kind when it is built."""
+    """One step of a trace: an immutable tuple of its fields, the pairs
+    frozen to tuples, checked against its kind when it is built."""
 
     __slots__ = ()
 
     def __new__(cls, kind: str, params=None, source_pi: Perm = (), source_sigma: Perm = (),
                 target_pi: Perm = (), target_sigma: Perm = (), measure_after: int = 0):
         params = {} if params is None else params
-        self = tuple.__new__(cls, (kind, params, source_pi, source_sigma,
-                                   target_pi, target_sigma, measure_after))
-        if kind not in STEP_KINDS:
+        self = tuple.__new__(cls, (kind, params, tuple(source_pi), tuple(source_sigma),
+                                   tuple(target_pi), tuple(target_sigma), measure_after))
+        if kind not in _KINDS:
             raise ValueError(f"unknown step kind {kind!r}")
-        index = _INDEX_PARAMS.get(kind)
-        if index is not None and not isinstance(params.get(index), int):
+        index, check, _, _ = _KINDS[kind]
+        value = params.get(index)
+        if index is not None and (not isinstance(value, int) or isinstance(value, bool)):
             raise ValueError(f"a {kind} step needs an integer parameter {index!r}")
-        check = _PAIR_CHECKS.get(kind)
         if check is not None:
             check(self)
         return self
+
+
+def step_replay(step: ReductionStep):
+    """The replay of one recorded rewrite as a function of one interleaving,
+    a shuffle of the step's source pair, with the kind and its constants
+    read once.  The step checked its pairs when it was built, so the
+    function checks nothing."""
+    return _KINDS[step.kind].replay(step)
+
+
+def _replay_move(tau: Perm, kind: str, params, pi: Perm, sigma: Perm,
+                 pi_new: Perm, sigma_new: Perm) -> Perm:
+    """A public move: build its step from (pi, sigma) to (pi_new,
+    sigma_new), which checks the pairs, check that ``tau`` is a shuffle of
+    the source pair, and replay the step on it."""
+    step = ReductionStep(kind, params, pi, sigma, pi_new, sigma_new)
+    _require_shuffle(tau, step.source_pi, step.source_sigma)
+    return step_replay(step)(tau)
 
 
 class _Trace(NamedTuple):

@@ -18,9 +18,10 @@ from itertools import combinations, permutations
 
 import pytest
 
-from shufbij import reduce
+from shufbij import traces
 from shufbij.reduce import SUPPORTED_STATS, apply_trace, canonicalize
-from shufbij.shuffle import _rename, normalize_pair, shuffles
+from shufbij.shuffle import normalize_pair, shuffles
+from shufbij.traces import _rename
 from shufbij.verify import check_bijection_pipeline, format_report
 
 PIPELINE_DIGEST = "8afe6c78f57a558bc4ec0c1666e6e8fb43bc862f871708b8e3a9a4243953e2b5"
@@ -86,7 +87,7 @@ def _normalized_pairs(top):
 def test_pipeline_audit_report_digest(broken, monkeypatch):
     patch, top, want_audits, want_failing, want_digest = AUDIT_DIGESTS[broken]
     if patch:
-        monkeypatch.setattr(reduce, *patch)
+        monkeypatch.setattr(traces, *patch)
     digest = hashlib.sha256()
     audits = failing = 0
     for stat in SUPPORTED_STATS:

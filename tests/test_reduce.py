@@ -11,7 +11,6 @@ from shufbij.perm import perm_with_descent_set
 from shufbij.reduce import (
     PI_SIDE_STATS,
     SIGMA_SIDE_STATS,
-    _pk_core,
     apply_trace,
     canonicalize,
     maj_decrement,
@@ -21,7 +20,7 @@ from shufbij.reduce import (
     theta_pk,
 )
 from shufbij.shuffle import shuffles
-from shufbij.traces import ReductionStep, ReductionTrace, run_reduction
+from shufbij.traces import STEP_KINDS, ReductionStep, ReductionTrace, _pk_core, run_reduction
 from shufbij.stats import des_set, distribution, evaluate, maj, peak_family
 
 ALL_PIPELINE_STATS = SIGMA_SIDE_STATS + PI_SIDE_STATS
@@ -206,8 +205,30 @@ def test_invalid_step_rejected_when_built(kind, params, pairs):
     ],
 )
 def test_step_missing_its_index_names_it(kind, index, pairs):
-    with pytest.raises(ValueError, match=f"parameter '{index}'"):
-        ReductionStep(kind, {}, *pairs)
+    # A bool is an int to isinstance, but no index: it is refused as missing.
+    for params in ({}, {index: True}):
+        with pytest.raises(ValueError, match=f"parameter '{index}'"):
+            ReductionStep(kind, params, *pairs)
+
+
+def test_list_operands_replay_as_tuples():
+    """A step freezes its pairs and canonicalize its operands, so a pipeline
+    or a move given lists gives the tuples' trace and images."""
+    for stat in ALL_PIPELINE_STATS:
+        for pi, sigma in [((2, 1, 3), (6, 4, 5)), ((1, 3, 2), (4,))]:
+            canonical, trace = canonicalize(stat, list(pi), list(sigma))
+            assert (canonical, trace) == canonicalize(stat, pi, sigma)
+            images = [apply_trace(trace, tau) for tau in shuffles(pi, sigma)]
+            assert sorted(images) == sorted(shuffles(trace.final_pi, trace.final_sigma))
+    tau = (1, 3, 2)
+    assert theta_maj_first(tau, [1], [3, 2], [2, 3]) == theta_maj_first(tau, (1,), (3, 2), (2, 3))
+    tau = (1, 3, 2, 4)
+    assert theta_lpk(tau, [1, 3, 2], [4], [2, 1, 3]) == theta_lpk(tau, (1, 3, 2), (4,), (2, 1, 3))
+
+
+def test_step_kinds_in_order():
+    assert STEP_KINDS == ("t_swap", "phi", "phi_tilde", "theta_des", "theta_maj_first",
+                          "theta_pk", "theta_lpk", "theta_rpk_inverse")
 
 
 def test_theta_lpk_step_on_empty_pi_names_the_missing_peak():

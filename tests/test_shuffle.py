@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import shuffle_set_oracle
+from shufbij import traces
 from shufbij.errors import DomainOverlapError, NotAShuffleError
 from shufbij.reduce import apply_trace
 from shufbij.shuffle import (
@@ -81,9 +82,9 @@ def _near_misses(tau, pi):
 
 @pytest.mark.parametrize("ground", [(1, 2, 3, 4, 5), (1, 3, 5, 7, 9)], ids=str)
 def test_is_shuffle_matches_oracle(ground):
-    """Every disjoint pair over the ground set: each permutation of the
-    union, and each near miss of a member, is a shuffle exactly when the
-    recursive oracle lists it."""
+    """Every disjoint pair over the ground set, given as tuples or as lists:
+    each permutation of the union, and each near miss of a member, is a
+    shuffle exactly when the recursive oracle lists it."""
     for m in range(len(ground) + 1):
         for dom in combinations(ground, m):
             rest = tuple(v for v in ground if v not in dom)
@@ -92,6 +93,7 @@ def test_is_shuffle_matches_oracle(ground):
                     members = shuffle_set_oracle(pi, sigma)
                     for tau in permutations(ground):
                         assert is_shuffle(tau, pi, sigma) == (tau in members)
+                        assert is_shuffle(tau, list(pi), list(sigma)) == (tau in members)
                     for tau in members:
                         for miss in _near_misses(tau, pi):
                             assert is_shuffle(miss, pi, sigma) == (miss in members)
@@ -242,6 +244,15 @@ def test_phi_validation():
         phi((2, 1, 3), (1, 2), (8, 9), (3,))
 
 
+def test_phi_and_phi_tilde_replay_through_the_kind_table(monkeypatch):
+    """Each builds its step and replays it by ``traces.step_replay``, which
+    reads the rename replay off the kinds' table."""
+    monkeypatch.setattr(traces, "_rename_replay", lambda old, new: lambda tau: ("replayed", tau))
+    tau = (1, 3, 2, 4)
+    assert phi(tau, (1, 2), (2, 1), (3, 4)) == ("replayed", tau)
+    assert phi_tilde(tau, (1, 2), (3, 4), (4, 3)) == ("replayed", tau)
+
+
 def test_phi_preserves_descent_and_peak_families_pointwise():
     # Replacing the low side by an equal-profile permutation fixes each
     # descent/peak family at every position of every interleaving.
@@ -308,6 +319,17 @@ def test_normalize_pair_already_normalized():
     npi, nsg, trace = normalize_pair((2, 1, 3), (5, 4), "pi_low")
     assert (npi, nsg) == ((2, 1, 3), (5, 4))
     assert len(trace.steps) == 0
+
+
+@pytest.mark.parametrize("mode", ["pi_low", "sigma_low"])
+def test_normalize_pair_freezes_list_operands(mode):
+    """A pair of lists gives the tuple pair's trace, which replays on the
+    pair's whole shuffle set onto the normalized one."""
+    for pi, sigma in [((1, 2), (3, 4)), ((2, 4, 1), (7, 3)), ((2, 9), (4, 3))]:
+        npi, nsg, trace = normalize_pair(list(pi), list(sigma), mode)
+        assert (npi, nsg, trace) == normalize_pair(pi, sigma, mode)
+        images = [apply_trace(trace, tau) for tau in shuffles(pi, sigma)]
+        assert sorted(images) == sorted(shuffles(npi, nsg))
 
 
 def test_normalize_pair_sigma_low_mode():

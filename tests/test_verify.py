@@ -6,13 +6,13 @@ from math import comb
 
 import pytest
 
-from shufbij import reduce, stats, verify
+from shufbij import reduce, stats, traces, verify
 from shufbij.errors import ResourceLimitError
 from shufbij.perm import descent_classes, least_with_descent_set, mask_positions
 from shufbij.qpoly import stanley_refined_table, stanley_rhs
-from shufbij.shuffle import _rename, class_pair_counts, shuffles
+from shufbij.shuffle import class_pair_counts, shuffles
 from shufbij.stats import CATALOG_TUPLES, DESCENT_NAMES, descent_rule, distribution
-from shufbij.traces import ReductionTrace
+from shufbij.traces import ReductionTrace, _rename
 from shufbij.verify import (
     check_bijection_pipeline,
     check_compatibility,
@@ -156,7 +156,7 @@ def test_bijection_pipeline_reports_a_move_that_keeps_maj(monkeypatch):
     # A descent move that only renames sigma, without moving its entry,
     # does not lower maj by one on every interleaving.
     monkeypatch.setattr(
-        reduce, "_des_move", lambda sigma, i, sigma_new: lambda tau: _rename(tau, sigma, sigma_new)
+        traces, "_des_move", lambda sigma, i, sigma_new: lambda tau: _rename(tau, sigma, sigma_new)
     )
     report = check_bijection_pipeline("maj", (1,), (2, 4, 3))
     assert report.outcome == "fail"
@@ -173,7 +173,7 @@ def test_bijection_pipeline_lowers_only_the_maj_component(monkeypatch):
     # rename-only move as above keeps neither on every interleaving.
     assert check_bijection_pipeline(("maj", "des"), (1,), (2, 4, 3)).passed
     monkeypatch.setattr(
-        reduce, "_des_move", lambda sigma, i, sigma_new: lambda tau: _rename(tau, sigma, sigma_new)
+        traces, "_des_move", lambda sigma, i, sigma_new: lambda tau: _rename(tau, sigma, sigma_new)
     )
     report = check_bijection_pipeline(("maj", "des"), (1,), (2, 4, 3))
     assert report.outcome == "fail"
@@ -183,7 +183,7 @@ def test_bijection_pipeline_lowers_only_the_maj_component(monkeypatch):
 def test_bijection_pipeline_reports_colliding_images(monkeypatch):
     # A peak move that sends every interleaving to the same one.
     monkeypatch.setattr(
-        reduce, "_peak_move",
+        traces, "_peak_move",
         lambda src, tgt, j, append=False: lambda tau: tgt + tuple(v for v in tau if v not in src),
     )
     report = check_bijection_pipeline("pk", (2, 1, 4, 3), (5,))
