@@ -186,6 +186,12 @@ def _class_plan(stat: StatId, m: int, n: int, mask: int):
          s.measure_after) for s in trace.steps)
 
 
+@lru_cache(maxsize=512)  # every split up to the shuffle-set bound of 20
+def _ground_sets(m: int, n: int) -> tuple[frozenset, frozenset]:
+    """The value sets [m] and [n]+m of a normalized pair's sides."""
+    return frozenset(range(1, m + 1)), frozenset(range(m + 1, m + n + 1))
+
+
 def canonicalize(stat: StatId, pi: Perm, sigma: Perm):
     """Reduce a separated pair to its canonical profile.
 
@@ -197,12 +203,13 @@ def canonicalize(stat: StatId, pi: Perm, sigma: Perm):
     number of descent-side steps.  The termination measure decreases
     strictly at every step.
     """
-    stat = validate_stat(stat)
     if stat not in SUPPORTED_STATS:
+        validate_stat(stat)  # names what is wrong with an id that is no statistic
         raise ValueError(f"no reduction pipeline for statistic {stat!r}")
     pi, sigma = tuple(pi), tuple(sigma)
     m, n = len(pi), len(sigma)
-    if set(pi) != set(range(1, m + 1)) or set(sigma) != set(range(m + 1, m + n + 1)):
+    ground_pi, ground_sigma = _ground_sets(m, n)
+    if set(pi) != ground_pi or set(sigma) != ground_sigma:
         raise ValueError("operands must be normalized to [m] and [n]+m (see normalize_pair)")
 
     on_sigma = stat in SIGMA_SIDE_STATS

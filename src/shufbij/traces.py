@@ -23,6 +23,19 @@ of its replay.  The kinds are the paper's elementary bijections:
   end, where ``theta_rpk_inverse`` moves a right peak right by the inverse
   move (see :data:`_KINDS`).
 
+Every move but ``t_swap`` renames one side by the map from its old to
+its new values.  That equals renaming by position exactly when the move
+keeps the side in order, as each does on a shuffle of its source pair:
+``phi`` and ``phi_tilde`` move nothing, the descent move moves sigma_i
+only between sigma_{i-1} and sigma_{i+1}, and the peak move carries
+foreign entries across its pair a_{j-1}, a_j.  The descent move puts
+sigma_i into the gap one space label lower (``perm.space_labels``,
+cyclically).  Labels fall by one from gap 0 through the descent gaps to
+the final gap, and rise through the other gaps, left to right; so
+:func:`_gap_below` takes, from gap 0 or a descent gap, the next descent
+gap to the right or else the final gap, and from any other gap the
+nearest non-descent gap to its left.
+
 A step runs its kind's check once, when it is built; :func:`step_replay`
 then reads its kind and constants once into a check-free function of one
 interleaving, the one replay path of the kind.  ``reduce.apply_trace``,
@@ -37,7 +50,7 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple, Optional
 
-from .perm import Perm, _check_disjoint, format_perm, mask_positions, space_labels
+from .perm import Perm, _check_disjoint, format_perm, mask_positions
 from .shuffle import _require_shuffle, t_swap
 from .stats import descent_mask, format_stat, peak_family
 
@@ -130,23 +143,16 @@ def _check_theta_rpk_inverse(step: ReductionStep) -> None:
 # ---------------------------------------------------------------------------
 # replays, each a function of one interleaving of its step's source pair
 
-# Framing entries.  The moves only locate them and test membership, never
-# compare them, so any fresh objects can stand for a new maximum or for a
-# value below everything.
+# Framing entries.  The moves only locate them and rename them to
+# themselves, never compare them, so any fresh objects can stand for a new
+# maximum or for a value below everything.
 _FRONT, _BACK = object(), object()
-
-
-def _rename(tau: Perm, old, new: Perm) -> Perm:
-    """Replace the entries of ``tau`` in the set ``old``, in order, by the
-    entries of ``new``."""
-    rep = iter(new).__next__
-    return tuple([rep() if v in old else v for v in tau])
 
 
 def _rename_replay(old: Perm, new: Perm):
     """The replay of ``phi`` and ``phi_tilde``: ``old`` replaced by ``new``."""
-    old = frozenset(old)
-    return lambda tau: _rename(tau, old, new)
+    get = dict(zip(old, new)).get
+    return lambda tau: tuple(map(get, tau, tau))
 
 
 def _t_swap_replay(step: ReductionStep):
@@ -154,15 +160,32 @@ def _t_swap_replay(step: ReductionStep):
     return lambda tau: t_swap(tau, i)
 
 
+def _gap_below(delta: Perm, r: int) -> int:
+    """The gap of ``delta`` one space label below gap r, read off its
+    descents by the rule in the module docstring."""
+    n = len(delta)
+    if r == 0 or (r < n and delta[r - 1] > delta[r]):
+        r += 1
+        while r < n and delta[r - 1] < delta[r]:
+            r += 1
+        return r
+    r -= 1
+    while r and delta[r - 1] > delta[r]:
+        r -= 1
+    return r
+
+
 def _des_move(sigma: Perm, i: int, sigma_new: Perm):
     """Replay of ``theta_des``.
 
     The entry sigma_i is the only sigma entry strictly between sigma_{i-1}
     and sigma_{i+1} in an interleaving; it is removed from the block of pi
-    entries around it and reinserted one labeled space lower (cyclically),
-    after which the sigma entries are renamed to ``sigma_new``.
+    entries around it and reinserted one labeled space lower (cyclically,
+    :func:`_gap_below`), after which the sigma entries are renamed to
+    ``sigma_new``.
     """
-    prev_v, peak_v, next_v, old = sigma[i - 2], sigma[i - 1], sigma[i], frozenset(sigma)
+    prev_v, peak_v, next_v = sigma[i - 2], sigma[i - 1], sigma[i]
+    get = dict(zip(sigma, sigma_new)).get
 
     def move(tau: Perm) -> Perm:
         pa, pc = tau.index(prev_v), tau.index(next_v)
@@ -170,10 +193,10 @@ def _des_move(sigma: Perm, i: int, sigma_new: Perm):
         r = block.index(peak_v)
         delta = block[:r] + block[r + 1 :]
         if delta:
-            labels = space_labels(delta)
-            r_new = labels.index((labels[r] - 1) % (len(delta) + 1))
+            r_new = _gap_below(delta, r)
             block = delta[:r_new] + (peak_v,) + delta[r_new:]
-        return _rename(tau[: pa + 1] + block + tau[pc:], old, sigma_new)
+        tau = tau[: pa + 1] + block + tau[pc:]
+        return tuple(map(get, tau, tau))
 
     return move
 
@@ -196,7 +219,8 @@ def _pk_core(a_src: Perm, a_tgt: Perm, j: int):
     across the two a-entries, otherwise only the a-entries are renamed in
     place.  Swapping ``a_src`` and ``a_tgt`` gives the inverse move.
     """
-    low, high, pair, old = a_src[j - 3], a_src[j], a_src[j - 2 : j], frozenset(a_src)
+    low, high, pair = a_src[j - 3], a_src[j], a_src[j - 2 : j]
+    get = dict(zip(a_src, a_tgt)).get
 
     def move(tau: Perm) -> Perm:
         s, t = tau.index(low), tau.index(high)
@@ -207,7 +231,7 @@ def _pk_core(a_src: Perm, a_tgt: Perm, j: int):
             tau = tau[: s + 1] + pair + sa + tau[t:]
         elif sc and not sa and not sb:
             tau = tau[: s + 1] + sc + pair + tau[t:]
-        return _rename(tau, old, a_tgt)
+        return tuple(map(get, tau, tau))
 
     return move
 

@@ -35,13 +35,17 @@ members are built for a witness only.  Full mode over any other
 statistic walks every pair of permutations.  Cases and
 witnesses are those a lexicographic pair-by-pair scan would report, read
 off the ranks of the failing pair's members and the class sizes.  The
-pipeline audit and :meth:`Witness.recheck` enumerate shuffle sets; the
-audit replays its trace unchecked, one function per step, reads the
-statistic's rule once and the statistic once per interleaving on each
-side, takes a trace that ends on its start pair as its own target, and
-lists no set for a canonical pair (no step, ending where it starts).  A
-report fails exactly when it has a witness.  ``reduce`` is bound on the
-first audit and ``qpoly`` on the first closed form: a scan loads neither.
+pipeline audit and :meth:`Witness.recheck` enumerate shuffle sets.  The
+audit does each piece of its work once per call: it replays its trace
+unchecked, one function per step, checks the measures in one pass over
+the steps (none without a step), reads the statistic's rule once and the
+statistic once per interleaving on each side, and counts the ``maj`` drop
+only for an id with a ``maj`` component.  It compares the final pair
+with the trace's own (tuple) start pair, takes a trace that ends there as
+its own target, and lists no set for a canonical pair (no step, ending
+where it starts).  A report fails exactly when it has a witness.
+``reduce`` is bound on the first audit and ``qpoly`` on the first closed
+form: a scan loads neither.
 """
 
 from __future__ import annotations
@@ -339,11 +343,11 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
     components drop by exactly the number of descent-side steps).
 
     Each comparison runs once.  A trace with no step that ends on its
-    start pair passes with binomial(m+n, m) cases and lists no set; one
-    that ends there after some steps takes the start pair's set as its
-    target.  When a step ran, the statistic is read once per interleaving
-    on each side, as two lists compared whole; the first mismatch is
-    located on a failure only.
+    start pair (the operands as tuples) passes with binomial(m+n, m)
+    cases and lists no set; one that ends there after some steps takes
+    the start pair's set as its target.  When a step ran, the statistic
+    is read once per interleaving on each side, as two lists compared
+    whole; the first mismatch is located on a failure only.
     """
     global _reduce
     limit = _resolve_limit(None, DEFAULT_SHUFFLE_LIMIT)
@@ -352,30 +356,32 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
         from . import reduce as _reduce
     start = time.perf_counter()
     _, trace = _reduce.canonicalize(stat, pi, sigma)
+    steps, final = trace.steps, (trace.final_pi, trace.final_sigma)
+    start_pair = (trace.start_pi, trace.start_sigma)
 
     problems = []
-    ms = (trace.start_measure,) + trace.measure_values
-    if any(map(le, ms, ms[1:])):
-        problems.append(f"measures not strictly decreasing: {ms}")
+    if steps:
+        ms = (trace.start_measure, *[s.measure_after for s in steps])
+        if any(map(le, ms, ms[1:])):
+            problems.append(f"measures not strictly decreasing: {ms}")
 
-    final = (trace.final_pi, trace.final_sigma)
-    if trace.steps or final != (pi, sigma):  # else the identity on the start pair's set
-        source = images = shuffles(pi, sigma)
-        for step in trace.steps:
+    if steps or final != start_pair:  # else the identity on the start pair's set
+        source = images = shuffles(*start_pair)
+        for step in steps:
             images = list(map(_reduce.step_replay(step), images))
-        target = source if final == (pi, sigma) else shuffles(*final)
+        target = source if final == start_pair else shuffles(*final)
         if not (images is target or set(images) == set(target)):
             problems.append("replay is not a bijection onto the canonical shuffle set")
 
-    if trace.steps:
+    if steps:
         rule, k = descent_rule(stat), len(pi) + len(sigma)
         want = [rule(descent_mask(t), k) for t in source]
         got = [rule(descent_mask(img), k) for img in images]
-        drop = _reduce.maj_decrement(trace)
-        if drop and stat == "maj":
+        if stat == "maj":
+            drop = _reduce.maj_decrement(trace)
             want = [v - drop for v in want]
-        elif drop and isinstance(stat, tuple) and "maj" in stat:
-            at = stat.index("maj")
+        elif isinstance(stat, tuple) and "maj" in stat:
+            drop, at = _reduce.maj_decrement(trace), stat.index("maj")
             want = [v[:at] + (v[at] - drop,) + v[at + 1:] for v in want]
         if want != got:
             t, img = next((t, img) for t, img, w, g in zip(source, images, want, got) if w != g)
@@ -388,14 +394,10 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
             distribution(stat, source), distribution(stat, images),
         )
     return Report(
-        subject=(
-            f"reduction pipeline for {format_stat(stat)}"
-            + (f": {'; '.join(problems)}" if problems else "")
-        ),
-        scope=f"pi={format_perm(pi)}, sigma={format_perm(sigma)}, steps={len(trace)}",
-        witness=witness,
-        cases_checked=comb(len(pi) + len(sigma), len(pi)),
-        elapsed=time.perf_counter() - start,
+        f"reduction pipeline for {format_stat(stat)}"
+        + (f": {'; '.join(problems)}" if problems else ""),
+        f"pi={format_perm(pi)}, sigma={format_perm(sigma)}, steps={len(steps)}",
+        witness, comb(len(pi) + len(sigma), len(pi)), time.perf_counter() - start,
     )
 
 

@@ -140,3 +140,10 @@ def all_perms_of(values):
     from itertools import permutations
 
     return [tuple(p) for p in permutations(sorted(values))]
+
+
+def rename_in_order(tau, old, new):
+    """Replace the entries of ``tau`` that lie in ``old``, in the order they
+    occur, by the entries of ``new``: a side renamed by position."""
+    rep = iter(new).__next__
+    return tuple([rep() if v in old else v for v in tau])

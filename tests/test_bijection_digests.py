@@ -18,10 +18,10 @@ from itertools import combinations, permutations
 
 import pytest
 
+from oracles import rename_in_order
 from shufbij import traces
 from shufbij.reduce import SUPPORTED_STATS, apply_trace, canonicalize
 from shufbij.shuffle import normalize_pair, shuffles
-from shufbij.traces import _rename
 from shufbij.verify import check_bijection_pipeline, format_report
 
 PIPELINE_DIGEST = "8afe6c78f57a558bc4ec0c1666e6e8fb43bc862f871708b8e3a9a4243953e2b5"
@@ -36,7 +36,7 @@ AUDIT_DIGESTS = {
     "as_is": (None, 6, 19908, 0,
               "9355196a3cd5c10764d4c90c3668d49c3643d4d559b852b9aec1ad8c7765a15e"),
     "rename_only_des": (("_des_move", lambda sigma, i, sigma_new:
-                         lambda tau: _rename(tau, sigma, sigma_new)), 5, 3600, 91,
+                         lambda tau: rename_in_order(tau, sigma, sigma_new)), 5, 3600, 91,
                         "ece1c694bb427e481f5c721b3cf1255bb07bbd353a389955e297e3fc761571b1"),
     "colliding_peak": (("_peak_move", lambda src, tgt, j, append=False:
                         lambda tau: tgt + tuple(v for v in tau if v not in src)), 5, 3600, 98,

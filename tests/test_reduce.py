@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import rename_in_order
 from shufbij import reduce
 from shufbij.errors import DomainOverlapError, NotAShuffleError
-from shufbij.perm import perm_with_descent_set
+from shufbij.perm import perm_with_descent_set, space_labels
 from shufbij.reduce import (
     PI_SIDE_STATS,
     SIGMA_SIDE_STATS,
@@ -20,7 +21,15 @@ from shufbij.reduce import (
     theta_pk,
 )
 from shufbij.shuffle import shuffles
-from shufbij.traces import STEP_KINDS, ReductionStep, ReductionTrace, _pk_core, run_reduction
+from shufbij.traces import (
+    STEP_KINDS,
+    ReductionStep,
+    ReductionTrace,
+    _gap_below,
+    _pk_core,
+    run_reduction,
+    step_replay,
+)
 from shufbij.stats import des_set, distribution, evaluate, maj, peak_family
 
 ALL_PIPELINE_STATS = SIGMA_SIDE_STATS + PI_SIDE_STATS
@@ -158,6 +167,44 @@ def test_pk_core_inverse_roundtrip():
         framed = tau + (0,)
         out = _pk_core(a_src, a_tgt, 3)(framed)
         assert _pk_core(a_tgt, a_src, 3)(out) == framed
+
+
+def test_gap_below_is_one_space_label_lower():
+    """The descent move's gap rule, read off the block's descents, finds the
+    gap whose ``space_labels`` label is one lower, cyclically."""
+    for length in range(1, 8):
+        for delta in permutations(range(1, length + 1)):
+            labels = space_labels(delta)
+            for r in range(length + 1):
+                assert _gap_below(delta, r) == labels.index((labels[r] - 1) % (length + 1))
+
+
+# The side each renaming kernel renames.
+RENAMED_SIDE = {"phi": "pi", "phi_tilde": "sigma", "theta_des": "sigma",
+                "theta_maj_first": "sigma", "theta_pk": "pi", "theta_lpk": "pi",
+                "theta_rpk_inverse": "pi"}
+
+
+def test_renaming_kernels_rename_by_position():
+    """Each kernel renames its side through a value map.  That is the
+    renaming by position exactly when the kernel keeps the side in order:
+    on every shuffle of each step's source pair, the image with the value
+    map undone, renamed by position, is the image again."""
+    steps = [step for stat in ALL_PIPELINE_STATS for pi, sigma in _normalized_pairs(6)
+             for step in canonicalize(stat, pi, sigma)[1].steps]
+    for pi, sigma in _normalized_pairs(6):
+        lifted = tuple(v + len(pi) + len(sigma) for v in pi)
+        steps += [ReductionStep("phi", {}, pi, sigma, pi[::-1], sigma),
+                  ReductionStep("phi", {}, pi, sigma, lifted, sigma),
+                  ReductionStep("phi_tilde", {}, pi, sigma, pi, sigma[::-1])]
+    for step in steps:
+        side = RENAMED_SIDE[step.kind]
+        old, new = getattr(step, "source_" + side), getattr(step, "target_" + side)
+        undo, replay = dict(zip(new, old)), step_replay(step)
+        for tau in shuffles(step.source_pi, step.source_sigma):
+            image = replay(tau)
+            assert rename_in_order(tuple(undo.get(v, v) for v in image), set(old), new) == image
+    assert {step.kind for step in steps} == set(RENAMED_SIDE)
 
 
 @pytest.mark.parametrize(
@@ -299,6 +346,36 @@ def test_canonicalize_rejects_bad_input():
         canonicalize("inv", (1, 2), (3,))
     with pytest.raises(ValueError):
         canonicalize("des", (1, 3), (2,))
+
+
+NOT_NORMALIZED = "operands must be normalized to [m] and [n]+m (see normalize_pair)"
+
+
+@pytest.mark.parametrize("stat, pi, sigma, message", [
+    # ids that are not statistics
+    (["des"], (1,), (2,), "statistic must be a name or tuple of names, got ['des']"),
+    (None, (1,), (2,), "statistic must be a name or tuple of names, got None"),
+    ("nope", (1,), (2,), "unknown statistic 'nope'"),
+    (("maj", "nope"), (1,), (2,), "unknown statistic component 'nope'"),
+    (("maj", 3), (1,), (2,), "unknown statistic component 3"),
+    ((), (1,), (2,), "empty tuple statistic"),
+    # statistics with no pipeline
+    ("Pk", (1,), (2,), "no reduction pipeline for statistic 'Pk'"),
+    ("inv", (1,), (2,), "no reduction pipeline for statistic 'inv'"),
+    (("maj", "inv"), (1,), (2,), "no reduction pipeline for statistic ('maj', 'inv')"),
+    (("des", "maj"), (1,), (2,), "no reduction pipeline for statistic ('des', 'maj')"),
+    # operands off [m] and [n]+m
+    ("des", (2,), (1,), NOT_NORMALIZED),
+    ("des", (1, 3), (2,), NOT_NORMALIZED),
+    ("pk", (0, 1), (2,), NOT_NORMALIZED),
+    ("maj", [1, 1], [3], NOT_NORMALIZED),
+    ("maj", (1,), (2, 3, 5), NOT_NORMALIZED),
+    (("udr", "pk"), (), (2,), NOT_NORMALIZED),
+])
+def test_canonicalize_refusals(stat, pi, sigma, message):
+    with pytest.raises(ValueError) as info:
+        canonicalize(stat, pi, sigma)
+    assert str(info.value) == message
 
 
 CANONICAL_CHECKS = {

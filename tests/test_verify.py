@@ -6,13 +6,14 @@ from math import comb
 
 import pytest
 
+from oracles import rename_in_order
 from shufbij import reduce, stats, traces, verify
 from shufbij.errors import ResourceLimitError
 from shufbij.perm import descent_classes, least_with_descent_set, mask_positions
 from shufbij.qpoly import stanley_refined_table, stanley_rhs
 from shufbij.shuffle import class_pair_counts, shuffles
 from shufbij.stats import CATALOG_TUPLES, DESCENT_NAMES, descent_rule, distribution
-from shufbij.traces import ReductionTrace, _rename
+from shufbij.traces import ReductionTrace
 from shufbij.verify import (
     check_bijection_pipeline,
     check_compatibility,
@@ -155,9 +156,8 @@ def test_bijection_pipeline_rejects_unsupported():
 def test_bijection_pipeline_reports_a_move_that_keeps_maj(monkeypatch):
     # A descent move that only renames sigma, without moving its entry,
     # does not lower maj by one on every interleaving.
-    monkeypatch.setattr(
-        traces, "_des_move", lambda sigma, i, sigma_new: lambda tau: _rename(tau, sigma, sigma_new)
-    )
+    monkeypatch.setattr(traces, "_des_move", lambda sigma, i, sigma_new:
+                        lambda tau: rename_in_order(tau, sigma, sigma_new))
     report = check_bijection_pipeline("maj", (1,), (2, 4, 3))
     assert report.outcome == "fail"
     assert not report.passed
@@ -172,9 +172,8 @@ def test_bijection_pipeline_lowers_only_the_maj_component(monkeypatch):
     # (maj,des) keeps des and lowers maj by one per descent move; the same
     # rename-only move as above keeps neither on every interleaving.
     assert check_bijection_pipeline(("maj", "des"), (1,), (2, 4, 3)).passed
-    monkeypatch.setattr(
-        traces, "_des_move", lambda sigma, i, sigma_new: lambda tau: _rename(tau, sigma, sigma_new)
-    )
+    monkeypatch.setattr(traces, "_des_move", lambda sigma, i, sigma_new:
+                        lambda tau: rename_in_order(tau, sigma, sigma_new))
     report = check_bijection_pipeline(("maj", "des"), (1,), (2, 4, 3))
     assert report.outcome == "fail"
     assert "statistic not preserved" in report.subject
@@ -270,6 +269,20 @@ def test_bijection_pipeline_lists_no_shuffle_set_for_a_canonical_pair(monkeypatc
     for pair in canonical:
         assert check_bijection_pipeline(*pair).to_json() == listed[pair], pair
         assert listed[pair]["outcome"] == "pass"
+
+
+def test_bijection_pipeline_treats_list_operands_as_their_tuples(monkeypatch):
+    """The audit compares the trace's final pair with the trace's own start
+    pair, so list operands list no shuffle set for a canonical pair either,
+    and get the report of the tuple call."""
+    real, calls = verify.shuffles, []
+    monkeypatch.setattr(verify, "shuffles", lambda *args: calls.append(args) or real(*args))
+    as_lists = check_bijection_pipeline("des", [1, 2], [4, 3, 5])
+    as_tuples = check_bijection_pipeline("des", (1, 2), (4, 3, 5))
+    assert calls == []
+    assert as_lists.to_json() == as_tuples.to_json()
+    assert format_report(as_lists) == format_report(as_tuples)
+    assert as_lists.passed and as_lists.cases_checked == 10
 
 
 def test_bijection_pipeline_reports_a_measure_that_does_not_drop(monkeypatch):
