@@ -19,8 +19,11 @@ The file holds each side's environment, each side's end-to-end metrics run
 by run, and per metric the medians of both sides, the relative change, the
 pairs of runs (the n-th run of each side) in which the change is better,
 and the parent's interquartile range; then the per-layer metrics of both
-traced runs, compared alike.  It does not copy the result files: the
-commands it lists regenerate them.
+traced runs, compared alike.  Runs and comparisons are keyed first by the
+workload the command ran (``replay``, ``all``, ...), then by the workload
+of the result, so a ``--workload all`` run never pools with runs of its
+workloads alone.  It does not copy the result files: the commands it
+lists regenerate them.
 """
 
 from __future__ import annotations
@@ -37,14 +40,15 @@ def result(root: Path, workload: str, seed: int, trace: int) -> dict:
 
 
 def side(root: Path, runs: list, traced: str) -> dict:
-    """One checkout's environment, its metric values per workload as lists
-    over the runs, and its traced run's metrics."""
+    """One checkout's environment, its metric values per command workload
+    and result workload as lists over the runs, and its traced run's metrics."""
     env, values = None, {}
     for workload, seed in runs:
         data = result(root, workload, seed, 0)
         env = env or {k: v for k, v in data["environment"].items() if k != "seed"}
         for res in data["results"]:
-            per_metric = values.setdefault(res["workload"], {"correct": []})
+            per_metric = values.setdefault(workload, {}).setdefault(
+                res["workload"], {"correct": []})
             per_metric["correct"].append(res["correct"])
             for k, v in res["metrics"].items():
                 per_metric.setdefault(k, []).append(v["value"])
@@ -114,7 +118,8 @@ def main() -> None:
         ],
         "environment": {"parent": parent["environment"], "change": change["environment"]},
         "runs": {"parent": parent["runs"], "change": change["runs"]},
-        "end_to_end": compare_runs(parent["runs"], change["runs"], better),
+        "end_to_end": {group: compare_runs(runs, change["runs"][group], better)
+                       for group, runs in parent["runs"].items()},
         "per_layer": compare(parent["per_layer"], change["per_layer"]),
     }, indent=1) + "\n")
     print(f"wrote {out}")

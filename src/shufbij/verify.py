@@ -41,11 +41,11 @@ unchecked, one function per step, checks the measures in one pass over
 the steps (none without a step), reads the statistic's rule once and the
 statistic once per interleaving on each side, and counts the ``maj`` drop
 only for an id with a ``maj`` component.  It compares the final pair
-with the trace's own (tuple) start pair, takes a trace that ends there as
-its own target, and lists no set for a canonical pair (no step, ending
-where it starts).  A report fails exactly when it has a witness.
-``reduce`` is bound on the first audit and ``qpoly`` on the first closed
-form: a scan loads neither.
+with the operands as tuples, never with the start pair the trace claims,
+takes a trace that ends there as its own target, and lists no set for a
+canonical pair (no step, ending where it starts).  A report fails
+exactly when it has a witness.  ``reduce`` is bound on the first audit
+and ``qpoly`` on the first closed form: a scan loads neither.
 """
 
 from __future__ import annotations
@@ -343,9 +343,10 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
     components drop by exactly the number of descent-side steps).
 
     Each comparison runs once.  A trace with no step that ends on its
-    start pair (the operands as tuples) passes with binomial(m+n, m)
-    cases and lists no set; one that ends there after some steps takes
-    the start pair's set as its target.  When a step ran, the statistic
+    start pair (the operands as tuples, whatever start the trace
+    records) passes with binomial(m+n, m) cases and lists no set; one
+    that ends there after some steps takes the start pair's set as its
+    target.  When a step ran, the statistic
     is read once per interleaving on each side, as two lists compared
     whole; the first mismatch is located on a failure only.
     """
@@ -357,7 +358,7 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
     start = time.perf_counter()
     _, trace = _reduce.canonicalize(stat, pi, sigma)
     steps, final = trace.steps, (trace.final_pi, trace.final_sigma)
-    start_pair = (trace.start_pi, trace.start_sigma)
+    start_pair = (tuple(pi), tuple(sigma))  # the operands, not the trace's claim
 
     problems = []
     if steps:

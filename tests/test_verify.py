@@ -235,6 +235,20 @@ def test_bijection_pipeline_audits_an_empty_trace_off_the_start_pair(monkeypatch
     assert report.cases_checked == 10
 
 
+def test_bijection_pipeline_anchors_on_the_operands_not_the_traced_start(monkeypatch):
+    """An empty trace that claims to start where it ends, at a pair other
+    than the operands, still fails: the audit replays the operands' shuffle
+    set, whatever start pair the trace records."""
+    _forge_traces(monkeypatch, lambda trace: {
+        "steps": (), "start_pi": trace.final_pi, "start_sigma": trace.final_sigma})
+    for stat, pi, sigma in [("des", (2, 1), (3, 5, 4)), ("pk", (2, 1, 4, 3), (5, 6))]:
+        report = check_bijection_pipeline(stat, list(pi), sigma)
+        assert not report.passed
+        assert report.subject == (f"reduction pipeline for {stat}: "
+                                  "replay is not a bijection onto the canonical shuffle set")
+        assert "steps=0" in report.scope
+
+
 def test_bijection_pipeline_passes_an_empty_trace_on_the_start_pair(monkeypatch):
     _forge_traces(monkeypatch, lambda trace: {
         "steps": (), "final_pi": trace.start_pi, "final_sigma": trace.start_sigma})
@@ -272,9 +286,9 @@ def test_bijection_pipeline_lists_no_shuffle_set_for_a_canonical_pair(monkeypatc
 
 
 def test_bijection_pipeline_treats_list_operands_as_their_tuples(monkeypatch):
-    """The audit compares the trace's final pair with the trace's own start
-    pair, so list operands list no shuffle set for a canonical pair either,
-    and get the report of the tuple call."""
+    """The audit compares the trace's final pair with the operands as
+    tuples, so list operands list no shuffle set for a canonical pair
+    either, and get the report of the tuple call."""
     real, calls = verify.shuffles, []
     monkeypatch.setattr(verify, "shuffles", lambda *args: calls.append(args) or real(*args))
     as_lists = check_bijection_pipeline("des", [1, 2], [4, 3, 5])
