@@ -17,11 +17,11 @@ _EXPORTS = {
             " perm_with_left_peak_profile space_labels standardize standardize_unit",
     "qpoly": "QPoly gen_poly q_binomial q_factorial q_int stanley_refined_rhs stanley_rhs",
     "reduce": "apply_step apply_trace canonicalize theta_des theta_lpk theta_maj_first theta_pk",
-    "shuffle": "from_word is_shuffle iter_shuffles normalize_pair phi phi_tilde"
-               " shuffle_distribution shuffles shuffles_with_k_descents t_swap word_of",
+    "shuffle": "from_word is_shuffle iter_shuffles shuffle_distribution shuffles"
+               " shuffles_with_k_descents word_of",
     "stats": "Distribution StatValue asc_set biruns chi_minus chi_plus des_set distribution"
              " evaluate inv maj parse_stat peak_family udr valley_family",
-    "traces": "ReductionStep ReductionTrace",
+    "traces": "ReductionStep ReductionTrace normalize_pair phi phi_tilde t_swap",
     "verify": "Report Witness check_bijection_pipeline check_compatibility"
               " check_conjecture_udr_pk_des check_identity find_counterexample",
 }

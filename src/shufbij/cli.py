@@ -8,8 +8,8 @@ size bound refusal.  The verification commands share one ``--limit``,
 whose default is m+n <= 10 for a descent statistic and 6 with inv;
 SHUFBIJ_MAX_TOTAL overrides it for all of them but counterexample, and
 the bound of m+n <= 20 on shuffles, dist and genpoly.  A command imports
-``verify``, ``reduce``, ``qpoly`` or ``json`` only when it runs them; a scan
-loads no ``reduce`` or ``traces``, which ``verify`` and ``shuffle`` bind lazily.
+``verify``, ``reduce``, ``traces``, ``qpoly`` or ``json`` only when it runs
+them; a scan loads no ``reduce`` or ``traces``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     _resolve_limit,
 )
 from .perm import format_perm, parse_perm
-from .shuffle import iter_shuffles, normalize_pair, shuffle_distribution
+from .shuffle import iter_shuffles, shuffle_distribution
 from .stats import (
     distribution_entries,
     distribution_to_json,
@@ -150,6 +150,7 @@ def _cmd_genpoly(args) -> int:
 
 def _cmd_reduce(args) -> int:
     from .reduce import SUPPORTED_STATS, canonicalize
+    from .traces import normalize_pair
 
     stat = parse_stat(args.statistic)
     if stat not in SUPPORTED_STATS:

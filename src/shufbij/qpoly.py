@@ -81,12 +81,14 @@ def q_factorial(n: int) -> QPoly:
 
 @lru_cache(maxsize=None)
 def q_binomial(n: int, k: int) -> QPoly:
-    """Gaussian binomial coefficient, by the Pascal recurrence."""
+    """Gaussian binomial coefficient, by the Pascal recurrence, row by row."""
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"invalid q-binomial indices ({n}, {k})")
-    if k == 0 or k == n:
-        return ONE
-    return add(q_binomial(n - 1, k - 1), shift(q_binomial(n - 1, k), k))
+    row = [ONE]  # [i, j] for j = 0..min(i, k)
+    for i in range(1, n + 1):
+        row = [ONE] + [add(row[j - 1], shift(row[j], j)) if j < i else ONE
+                       for j in range(1, min(i, k) + 1)]
+    return row[k]
 
 
 def _q_binomial_or_zero(n: int, k: int) -> QPoly:

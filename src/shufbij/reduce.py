@@ -21,7 +21,7 @@ descent set, so ``canonicalize`` plans once per statistic, sizes and
 bitmask of that side (:func:`_class_plan`, a bounded cache) and builds and
 checks each step against the caller's pair (``BENCH_class_plan.json``).
 The plan runs the moves through ``traces.run_reduction``, the driver that
-also records ``shuffle.normalize_pair``; a side step maps the whole pair
+also records ``traces.normalize_pair``; a side step maps the whole pair
 to the next one.
 """
 

@@ -1,12 +1,11 @@
-"""Shuffle sets, their word encoding, distributions over them, and
-elementary shuffle bijections.
+"""Shuffle sets, their word encoding, and distributions over them.
 
 An interleaving of two domain-disjoint permutations is encoded by a word
 over {a, b} marking which side each position came from; enumeration is in
 lexicographic word order with a < b, which makes every listing stable.
 Where each entry goes depends only on (m, n) and the word: a shape of at
 most ``_TABLE_CUT`` entries (words times m+n) is a cached table of one
-``operator.itemgetter`` per word, and a larger one streams, recursing on
+``operator.itemgetter`` per word, and a larger one streams, splitting on
 its first letter, a before b, down to tabled rests.
 
 Des is shuffle compatible, so the distribution of a descent statistic over
@@ -35,15 +34,10 @@ as its distribution, writes one as a row and shifts a row by a value
 tables, and :func:`shuffle_distribution` one pair, by enumeration for a
 statistic that is not a descent statistic.
 
-The bijections here are the building blocks for statistic-preserving
-reductions: positional replacement of one side (``phi`` / ``phi_tilde``),
-the value swap ``t_swap`` exchanging i and i-1 when they are not adjacent,
-and ``normalize_pair``, which rewrites any disjoint pair onto the standard
-separated domains while recording a replayable descent-preserving trace
-through the same driver as ``reduce.canonicalize``.  Each is a reduction
-step kind, defined in ``traces`` with its check and its replay, and
-``phi`` and ``phi_tilde`` replay through that; ``traces`` is bound on
-their first use, so shuffle sets and distributions never load it.
+The elementary bijections ``normalize_pair``, ``phi``, ``phi_tilde`` and
+``t_swap`` live in ``traces``, beside their step kinds; reading one here
+imports it from there (:func:`__getattr__`), so shuffle sets and
+distributions never load ``traces``.
 """
 
 from __future__ import annotations
@@ -69,7 +63,6 @@ from .stats import (
 )
 
 ShuffleWord = str
-_traces = None  # the module, bound by _bind_traces
 
 
 _TABLE_CUT = 1 << 12  # most entries (words times m+n) of a tabled shape
@@ -90,19 +83,23 @@ def _word_getters(m: int, n: int):
     return tuple(getters)
 
 
-def _blocks(prefix: Perm, pi: Perm, sigma: Perm):
-    """``(prefix, pi + sigma, getters)`` per tabled rest, in word order."""
-    if getters := _word_getters(len(pi), len(sigma)):
-        yield prefix, pi + sigma, getters
-    else:
-        yield from _blocks(prefix + pi[:1], pi[1:], sigma)
-        yield from _blocks(prefix + sigma[:1], pi, sigma[1:])
+def _blocks(pi: Perm, sigma: Perm):
+    """``(prefix, pi + sigma, getters)`` per tabled rest, in word order: a
+    shape above the cut splits on its first letter, the a-branch first."""
+    stack = [((), pi, sigma)]
+    while stack:
+        prefix, pi, sigma = stack.pop()
+        if getters := _word_getters(len(pi), len(sigma)):
+            yield prefix, pi + sigma, getters
+        else:
+            stack.append((prefix + sigma[:1], pi, sigma[1:]))
+            stack.append((prefix + pi[:1], pi[1:], sigma))
 
 
 def iter_shuffles(pi: Perm, sigma: Perm):
     """Yield all interleavings in lexicographic word order (a < b), by :func:`_blocks`."""
     _check_disjoint(pi, sigma)
-    for prefix, rest, getters in _blocks((), tuple(pi), tuple(sigma)):
+    for prefix, rest, getters in _blocks(tuple(pi), tuple(sigma)):
         for get in getters:
             yield prefix + get(rest)
 
@@ -443,112 +440,11 @@ def from_word(pi: Perm, sigma: Perm, word: ShuffleWord) -> Perm:
     return tuple(next(a) if ch == "a" else next(b) for ch in word)
 
 
-def _bind_traces():
-    """The ``traces`` module, imported on first use."""
-    global _traces
-    if _traces is None:
-        from . import traces as _traces
-    return _traces
-
-
-def phi(tau: Perm, pi: Perm, pi_new: Perm, sigma: Perm) -> Perm:
-    """Replace the ``pi``-entries of ``tau`` by the entries of ``pi_new``,
-    preserving positions; the unique member of the new shuffle set with the
-    same word."""
-    return _bind_traces()._replay_move(tau, "phi", {}, pi, sigma, pi_new, sigma)
-
-
-def phi_tilde(tau: Perm, pi: Perm, sigma: Perm, sigma_new: Perm) -> Perm:
-    """Mirror of :func:`phi`, replacing the ``sigma`` side."""
-    return _bind_traces()._replay_move(tau, "phi_tilde", {}, pi, sigma, pi, sigma_new)
-
-
-def t_swap(tau: Perm, i: int) -> Perm:
-    """Exchange the values i and i-1 unless they are adjacent in ``tau``.
-
-    An involution that never changes the descent set.
-    """
-    try:
-        p = tau.index(i)
-        q = tau.index(i - 1)
-    except ValueError:
-        raise ValueError(f"both {i} and {i - 1} must occur in {tau}") from None
-    if abs(p - q) == 1:
-        return tau
-    out = list(tau)
-    out[p], out[q] = out[q], out[p]
-    return tuple(out)
-
-
-def _relabel_steps(pi, sigma, pi1, sgm1, measure):
-    """Steps rewriting (pi, sigma) to the jointly standardized (pi1, sgm1).
-
-    Tries to replace one side at a time; when either order would collide,
-    detours the pi side through values above everything.  Each step
-    replaces one side: ``phi`` when sigma is kept, ``phi_tilde`` otherwise.
-    """
-    if sgm1 == sigma:
-        path = [(pi1, sigma)]
-    elif pi1 == pi:
-        path = [(pi, sgm1)]
-    elif not set(pi) & set(sgm1):
-        path = [(pi, sgm1), (pi1, sgm1)]
-    elif not set(pi1) & set(sigma):
-        path = [(pi1, sigma), (pi1, sgm1)]
-    else:
-        lift = max(max(pi), max(sigma))
-        pi_hi = tuple(v + lift for v in pi1)
-        path = [(pi_hi, sigma), (pi_hi, sgm1), (pi1, sgm1)]
-    steps, cur = [], (pi, sigma)
-    for nxt in path:
-        kind = "phi" if nxt[1] == cur[1] else "phi_tilde"
-        steps.append(_traces.ReductionStep(kind, {}, *cur, *nxt, measure))
-        cur = nxt
-    return steps
-
-
-def normalize_pair(pi: Perm, sigma: Perm, mode: str) -> tuple[Perm, Perm, _traces.ReductionTrace]:
-    """Rewrite a disjoint pair onto separated standard domains.
-
-    ``pi_low`` produces (std to [m], std to [n]+m); ``sigma_low`` the
-    mirror.  The returned trace replays on any interleaving of the original
-    pair as a bijection onto the normalized shuffle set that preserves the
-    descent set, hence every descent statistic.  After joint relabeling the
-    value swap with the smallest applicable index is applied until the two
-    domains are separated.  The relabeling steps and the swaps are
-    recorded by the reduction driver (``traces.run_reduction``); the mode
-    only picks which side must end low.
-    """
-    if mode not in ("pi_low", "sigma_low"):
-        raise ValueError(f"unknown mode {mode!r}")
-    pi, sigma = tuple(pi), tuple(sigma)
-    _check_disjoint(pi, sigma)
-    _bind_traces()
-
-    union = sorted(set(pi) | set(sigma))
-    relabel = {v: r + 1 for r, v in enumerate(union)}
-    pi1 = tuple(relabel[v] for v in pi)
-    sgm1 = tuple(relabel[v] for v in sigma)
-
-    def low_high(p, s):
-        return (p, s) if mode == "pi_low" else (s, p)
-
-    def measure(p, s):
-        low, high = low_high(p, s)
-        return sum(1 for a in low for b in high if a > b)
-
-    def swap_move(p, s):
-        low, high = low_high(p, s)
-        partner = set(high)
-        i = min((v for v in low if v - 1 in partner), default=None)
-        if i is None:
-            return None
-        swap = {i: i - 1, i - 1: i}
-        p, s = [tuple([swap.get(v, v) for v in w]) for w in (p, s)]
-        return "t_swap", {"i": i}, p, s
-
-    steps = []
-    if (pi1, sgm1) != (pi, sigma):
-        steps = _relabel_steps(pi, sigma, pi1, sgm1, measure(pi1, sgm1))
-    trace = _traces.run_reduction("Des", pi, sigma, measure, swap_move, steps)
-    return trace.final_pi, trace.final_sigma, trace
+def __getattr__(name):
+    """``normalize_pair``, ``phi``, ``phi_tilde`` and ``t_swap``, defined in
+    ``traces``, read from there on first use."""
+    if name not in ("normalize_pair", "phi", "phi_tilde", "t_swap"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import traces
+    value = globals()[name] = getattr(traces, name)
+    return value

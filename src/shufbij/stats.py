@@ -27,6 +27,7 @@ on a permutation.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import Counter
 from collections.abc import Iterable
 from functools import lru_cache
@@ -53,9 +54,12 @@ def descent_mask(pi: Perm) -> int:
 
 
 def inv(pi: Perm) -> int:
-    """Number of out-of-order pairs.  Not a descent statistic."""
-    m = len(pi)
-    return sum(1 for i in range(m) for j in range(i + 1, m) if pi[i] > pi[j])
+    """Number of out-of-order pairs, counted into a sorted list.  Not a descent statistic."""
+    after, count = [], 0
+    for v in reversed(pi):
+        count += bisect_left(after, v)
+        insort(after, v)
+    return count
 
 
 class MarkTable(NamedTuple):

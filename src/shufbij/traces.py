@@ -1,4 +1,4 @@
-"""Reduction steps, their kinds, and replayable bijection traces.
+"""Reduction steps, their kinds, the elementary bijections, and traces.
 
 A step rewrites one side of a pair of disjoint permutations and carries
 everything needed to replay the corresponding bijection on any single
@@ -39,11 +39,11 @@ nearest non-descent gap to its left.
 A step runs its kind's check once, when it is built; :func:`step_replay`
 then reads its kind and constants once into a check-free function of one
 interleaving, the one replay path of the kind.  ``reduce.apply_trace``,
-the pipeline audit and the public moves (``shuffle.phi`` and
-``phi_tilde``, ``reduce.theta_*``, each one call of :func:`_replay_move`)
-all replay through it.  ``shuffle.normalize_pair`` and the plans of
-``reduce.canonicalize`` run their moves through one driver,
-:func:`run_reduction`.
+the pipeline audit and the public moves (:func:`phi`, :func:`phi_tilde`
+and ``reduce.theta_*``, each one call of :func:`_replay_move`) all replay
+through it.  :func:`normalize_pair`, which rewrites any disjoint pair onto
+the standard separated domains, and the plans of ``reduce.canonicalize``
+run their moves through one driver, :func:`run_reduction`.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from __future__ import annotations
 from typing import Any, NamedTuple, Optional
 
 from .perm import Perm, _check_disjoint, format_perm, mask_positions
-from .shuffle import _require_shuffle, t_swap
+from .shuffle import _require_shuffle
 from .stats import descent_mask, format_stat, peak_family
 
 
@@ -153,6 +153,23 @@ def _rename_replay(old: Perm, new: Perm):
     """The replay of ``phi`` and ``phi_tilde``: ``old`` replaced by ``new``."""
     get = dict(zip(old, new)).get
     return lambda tau: tuple(map(get, tau, tau))
+
+
+def t_swap(tau: Perm, i: int) -> Perm:
+    """Exchange the values i and i-1 unless they are adjacent in ``tau``.
+
+    An involution that never changes the descent set.
+    """
+    try:
+        p = tau.index(i)
+        q = tau.index(i - 1)
+    except ValueError:
+        raise ValueError(f"both {i} and {i - 1} must occur in {tau}") from None
+    if abs(p - q) == 1:
+        return tau
+    out = list(tau)
+    out[p], out[q] = out[q], out[p]
+    return tuple(out)
 
 
 def _t_swap_replay(step: ReductionStep):
@@ -345,6 +362,18 @@ def _replay_move(tau: Perm, kind: str, params, pi: Perm, sigma: Perm,
     return step_replay(step)(tau)
 
 
+def phi(tau: Perm, pi: Perm, pi_new: Perm, sigma: Perm) -> Perm:
+    """Replace the ``pi``-entries of ``tau`` by the entries of ``pi_new``,
+    preserving positions; the unique member of the new shuffle set with the
+    same word."""
+    return _replay_move(tau, "phi", {}, pi, sigma, pi_new, sigma)
+
+
+def phi_tilde(tau: Perm, pi: Perm, sigma: Perm, sigma_new: Perm) -> Perm:
+    """Mirror of :func:`phi`, replacing the ``sigma`` side."""
+    return _replay_move(tau, "phi_tilde", {}, pi, sigma, pi, sigma_new)
+
+
 class _Trace(NamedTuple):
     statistic: Any
     steps: tuple[ReductionStep, ...]
@@ -403,3 +432,76 @@ def run_reduction(statistic, pi: Perm, sigma: Perm, measure, move, steps=()) -> 
         steps.append(ReductionStep(kind, params, *pair, nxt_pi, nxt_sg, measure(nxt_pi, nxt_sg)))
         pair = nxt_pi, nxt_sg
     return ReductionTrace(statistic, tuple(steps), pi, sigma, *pair, start_measure)
+
+
+def _relabel_steps(pi, sigma, pi1, sgm1, measure):
+    """Steps rewriting (pi, sigma) to the jointly standardized (pi1, sgm1).
+
+    Tries to replace one side at a time; when either order would collide,
+    detours the pi side through values above everything.  Each step
+    replaces one side: ``phi`` when sigma is kept, ``phi_tilde`` otherwise.
+    """
+    if sgm1 == sigma:
+        path = [(pi1, sigma)]
+    elif pi1 == pi:
+        path = [(pi, sgm1)]
+    elif not set(pi) & set(sgm1):
+        path = [(pi, sgm1), (pi1, sgm1)]
+    elif not set(pi1) & set(sigma):
+        path = [(pi1, sigma), (pi1, sgm1)]
+    else:
+        lift = max(max(pi), max(sigma))
+        pi_hi = tuple(v + lift for v in pi1)
+        path = [(pi_hi, sigma), (pi_hi, sgm1), (pi1, sgm1)]
+    steps, cur = [], (pi, sigma)
+    for nxt in path:
+        kind = "phi" if nxt[1] == cur[1] else "phi_tilde"
+        steps.append(ReductionStep(kind, {}, *cur, *nxt, measure))
+        cur = nxt
+    return steps
+
+
+def normalize_pair(pi: Perm, sigma: Perm, mode: str) -> tuple[Perm, Perm, ReductionTrace]:
+    """Rewrite a disjoint pair onto separated standard domains.
+
+    ``pi_low`` produces (std to [m], std to [n]+m); ``sigma_low`` the
+    mirror.  The returned trace replays on any interleaving of the original
+    pair as a bijection onto the normalized shuffle set that preserves the
+    descent set, hence every descent statistic.  After joint relabeling the
+    value swap with the smallest applicable index is applied until the two
+    domains are separated.  The relabeling steps and the swaps are
+    recorded by :func:`run_reduction`; the mode only picks which side must
+    end low.
+    """
+    if mode not in ("pi_low", "sigma_low"):
+        raise ValueError(f"unknown mode {mode!r}")
+    pi, sigma = tuple(pi), tuple(sigma)
+    _check_disjoint(pi, sigma)
+
+    union = sorted(set(pi) | set(sigma))
+    relabel = {v: r + 1 for r, v in enumerate(union)}
+    pi1 = tuple(relabel[v] for v in pi)
+    sgm1 = tuple(relabel[v] for v in sigma)
+
+    def low_high(p, s):
+        return (p, s) if mode == "pi_low" else (s, p)
+
+    def measure(p, s):
+        low, high = low_high(p, s)
+        return sum(1 for a in low for b in high if a > b)
+
+    def swap_move(p, s):
+        low, high = low_high(p, s)
+        partner = set(high)
+        i = min((v for v in low if v - 1 in partner), default=None)
+        if i is None:
+            return None
+        swap = {i: i - 1, i - 1: i}
+        p, s = [tuple([swap.get(v, v) for v in w]) for w in (p, s)]
+        return "t_swap", {"i": i}, p, s
+
+    steps = []
+    if (pi1, sgm1) != (pi, sigma):
+        steps = _relabel_steps(pi, sigma, pi1, sgm1, measure(pi1, sgm1))
+    trace = run_reduction("Des", pi, sigma, measure, swap_move, steps)
+    return trace.final_pi, trace.final_sigma, trace

@@ -235,7 +235,7 @@ def _class_scans(stat: StatId, m: int, n: int, scans):
     the row of its key's reference pair, and a pass counts m!·n! pairs, or
     (m+n)! in full mode, whose other splittings repeat the first's
     distributions (by the descent-preserving
-    :func:`~shufbij.shuffle.normalize_pair`).  Only a scan that finds a
+    :func:`~shufbij.traces.normalize_pair`).  Only a scan that finds a
     difference walks (:func:`_first_failure`), to locate the first failing
     pair of a pair-by-pair scan, its cases and its witness: a one-sided
     scan walks the varying side inner, group by group, and full mode walks

@@ -106,6 +106,12 @@ def test_reduce_command(capsys):
     assert payload["reduction_trace"]["steps"][0]["kind"] == "theta_pk"
 
 
+@pytest.mark.parametrize("stat", ["inv", "Des"])
+def test_reduce_refuses_a_statistic_without_a_pipeline(capsys, stat):
+    assert run_cli(capsys, "reduce", stat, "1,2", "3") == (
+        2, "", f"error: no reduction pipeline for {stat}\n")
+
+
 def test_verify_command_pass_and_fail_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "pk", "--m", "2", "--n", "2")
     assert code == 0
@@ -425,6 +431,33 @@ def test_verdict_modules_load_no_bijection_replay_code(module):
     assert not loaded & {"shufbij.reduce", "shufbij.traces", "shufbij.qpoly"}
 
 
+_BASE = ("errors", "perm", "stats")
+# The package modules each module loads when it is imported alone.
+_MODULE_IMPORTS = {
+    "errors": ("errors",),
+    "perm": ("errors", "perm"),
+    "stats": _BASE,
+    "shuffle": (*_BASE, "shuffle"),
+    "traces": (*_BASE, "shuffle", "traces"),
+    "reduce": (*_BASE, "shuffle", "traces", "reduce"),
+    "qpoly": (*_BASE, "qpoly"),
+    "verify": (*_BASE, "shuffle", "verify"),
+    "cli": (*_BASE, "shuffle", "cli"),
+}
+
+
+@pytest.mark.parametrize("module", list(_MODULE_IMPORTS))
+def test_each_module_loads_only_the_modules_it_imports(module):
+    loaded = _modules_loaded(f"import shufbij.{module}")
+    package = {m for m in loaded if m.split(".")[0] == "shufbij"}
+    assert package == {"shufbij", *(f"shufbij.{m}" for m in _MODULE_IMPORTS[module])}
+
+
+def test_reading_a_bijection_off_shuffle_loads_traces():
+    loaded = _modules_loaded("import shufbij.shuffle; shufbij.shuffle.normalize_pair")
+    assert "shufbij.traces" in loaded
+
+
 def test_bare_package_import_loads_no_submodule():
     loaded = _modules_loaded("import shufbij")
     assert "shufbij" in loaded
@@ -442,13 +475,12 @@ _PUBLIC_NAMES = {
               "stanley_rhs"],
     "reduce": ["apply_step", "apply_trace", "canonicalize", "theta_des", "theta_lpk",
                "theta_maj_first", "theta_pk"],
-    "shuffle": ["from_word", "is_shuffle", "iter_shuffles", "normalize_pair", "phi",
-                "phi_tilde", "shuffle_distribution", "shuffles", "shuffles_with_k_descents",
-                "t_swap", "word_of"],
+    "shuffle": ["from_word", "is_shuffle", "iter_shuffles", "shuffle_distribution", "shuffles",
+                "shuffles_with_k_descents", "word_of"],
     "stats": ["Distribution", "StatValue", "asc_set", "biruns", "chi_minus", "chi_plus",
               "des_set", "distribution", "evaluate", "inv", "maj", "parse_stat", "peak_family",
               "udr", "valley_family"],
-    "traces": ["ReductionStep", "ReductionTrace"],
+    "traces": ["ReductionStep", "ReductionTrace", "normalize_pair", "phi", "phi_tilde", "t_swap"],
     "verify": ["Report", "Witness", "check_bijection_pipeline", "check_compatibility",
                "check_conjecture_udr_pk_des", "check_identity", "find_counterexample"],
 }
@@ -460,5 +492,7 @@ def test_package_names_resolve_to_their_home_objects():
     assert set(expected) <= set(dir(shufbij))
     for name, home in expected.items():
         assert getattr(shufbij, name) is getattr(import_module(f"shufbij.{home}"), name), name
+    for name in ("normalize_pair", "phi", "phi_tilde", "t_swap"):  # their old home answers too
+        assert getattr(shuffle, name) is getattr(import_module("shufbij.traces"), name), name
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         shufbij.no_such_name

@@ -15,6 +15,7 @@ from shufbij.perm import (
     as_perm,
     format_perm,
     insert_in_space,
+    least_with_descent_set,
     parse_perm,
     perm_with_descent_set,
     perm_with_left_peak_profile,
@@ -75,6 +76,7 @@ def test_insert_in_space_worked_example():
 def test_insert_in_space_final_space_appends():
     assert insert_in_space((2, 1), 3, 0) == (2, 1, 3)
     assert insert_in_space((2, 1), 3, 1) == (2, 3, 1)
+    assert insert_in_space((), 5, 0) == (5,)
     assert maj_oracle((2, 3, 1)) == maj_oracle((2, 1)) + 1
 
 
@@ -199,3 +201,18 @@ def test_parse_and_format_round_trip():
 @given(perms())
 def test_parse_format_inverse(pi):
     assert parse_perm(format_perm(pi)) == pi
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: as_perm([1, 2.0]), ValueError, "must be integers"),
+    (lambda: as_perm([True]), ValueError, "must be integers"),
+    (lambda: standardize((2, 1), (0, 5)), ValueError, "must be positive integers"),
+    (lambda: insert_in_space((), 0, 0), ValueError, "inserted value must be positive"),
+    (lambda: least_with_descent_set([1, 2, 3], {3}), ValueError, "not within 1..2"),
+    (lambda: perm_with_left_peak_profile(3, set(), 2), ValueError, "chi_plus must be 0 or 1"),
+    (lambda: perm_with_left_peak_profile(-1, set(), 0), ValueError, "must be nonnegative"),
+    (lambda: perm_with_left_peak_profile(3, {5}, 0), InfeasibleProfileError, "not within 1..2"),
+])
+def test_perm_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -50,6 +50,20 @@ def test_q_binomial_against_subset_oracle(n):
         assert eval_at_one(q_binomial(n, k)) == comb(n, k)
 
 
+def test_q_binomial_past_the_recursion_limit():
+    p = q_binomial(600, 3)
+    assert eval_at_one(p) == comb(600, 3)
+    assert p == p[::-1]
+    assert len(p) - 1 == 3 * 597
+
+
+@pytest.mark.parametrize("call", [lambda: shift((1,), -1), lambda: q_int(-1),
+                                  lambda: q_factorial(-1)])
+def test_qpoly_refusals(call):
+    with pytest.raises(ValueError, match="negative"):
+        call()
+
+
 def test_poly_arithmetic_canonical_form():
     assert qp([1, 0, 2, 0, 0]) == (1, 0, 2)
     assert add((1, 2), (0, -2, 3)) == (1, 0, 3)

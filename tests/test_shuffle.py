@@ -19,12 +19,14 @@ from shufbij.shuffle import (
     normalize_pair,
     phi,
     phi_tilde,
+    shuffle_distribution,
     shuffles,
     shuffles_with_k_descents,
     t_swap,
     word_of,
 )
 from shufbij.stats import DESCENT_NAMES, distribution, evaluate
+from shufbij.traces import ReductionStep
 
 
 def test_shuffle_set_worked_example():
@@ -175,6 +177,13 @@ def test_streaming_a_10_10_pair_stays_small():
         tracemalloc.stop()
     assert count == comb(20, 10)
     assert peak < 1 << 20
+
+
+def test_a_long_lopsided_set_streams_without_recursion():
+    listed = shuffles((1,), tuple(range(2, 1102)))
+    assert len(listed) == 1101
+    assert all(tau.index(1) == i for i, tau in enumerate(listed))
+    assert shuffle_distribution("inv", (1,), range(2, 1102)) == dict.fromkeys(range(1101), 1)
 
 
 def test_cardinality_exhaustive_by_sizes():
@@ -383,3 +392,16 @@ def test_normalize_trace_des_preserving_random(pair, mode):
     assert all(a > b for a, b in zip(swap_measures, swap_measures[1:]))
     if swap_measures:
         assert trace.start_measure > swap_measures[0]
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: from_word((1,), (2,), "abc"), "letters outside a/b"),
+    (lambda: normalize_pair((1,), (2,), "middle"), "unknown mode"),
+    (lambda: ReductionStep("theta_pk", {"j": 3}, (1, 3, 2), (7,), (1, 3, 4), (7,)),
+     "must share the domain"),
+    (lambda: ReductionStep("theta_pk", {"j": 4}, (1, 3, 2, 5, 4, 6), (7,), (1, 2, 3, 4, 5, 6), (7,)),
+     "peak at 2 blocks moving the peak at 4"),
+])
+def test_shuffle_and_traces_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

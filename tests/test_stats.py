@@ -1,12 +1,13 @@
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import islice, permutations, product
 
 import pytest
 from conftest import perms
 from hypothesis import given
 
 import oracles
+from shufbij import stats
 from shufbij.perm import least_with_descent_set, perm_with_descent_set, standardize
 from shufbij.stats import (
     CATALOG_TUPLES,
@@ -33,6 +34,7 @@ from shufbij.stats import (
     maj,
     parse_stat,
     peak_family,
+    stat_value_sort_key,
     udr,
     valley_family,
     value_dp,
@@ -353,3 +355,23 @@ def test_every_mark_table_compiles_to_its_marks():
                             where = (marks, output, left, right, mask, length)
                             assert dp[2](key) == value and not (reads_prev and key & 1), where
                             assert keys[output].setdefault(value, key) == key, where
+
+
+@pytest.mark.parametrize("call", [lambda: format_stat_value(True), lambda: format_stat_value(1.5),
+                                  lambda: stat_value_sort_key(1.5)])
+def test_stats_refusals(call):
+    with pytest.raises(TypeError, match="statistic value"):
+        call()
+
+
+def test_descent_rules_evict_at_256_ids(monkeypatch):
+    """The rule cache empties when it holds 256 ids; rules built again agree."""
+    pi = (2, 1, 5, 7, 3, 6, 4)
+    single = {name: evaluate(name, pi) for name in DESCENT_NAMES}
+    monkeypatch.setattr(stats, "_RULES", {})
+    pairs = list(islice(product(DESCENT_NAMES, repeat=2), 300))
+    for cached in (300 - 256, 300 - 212):  # the second pass empties it at pair 213
+        for pair in pairs:
+            assert evaluate(pair, pi) == (single[pair[0]], single[pair[1]]), pair
+            assert len(stats._RULES) <= 256
+        assert len(stats._RULES) == cached

@@ -664,3 +664,9 @@ def test_full_mode_table_memory_stays_bounded():
             tracemalloc.stop()
         assert report.passed, stat
         assert peak < 16 * 2**20, (stat, peak)
+
+
+@pytest.mark.parametrize("call", [lambda: check_compatibility("maj", 2, 2, mode="bogus")])
+def test_verify_refusals(call):
+    with pytest.raises(ValueError, match="unknown mode"):
+        call()
