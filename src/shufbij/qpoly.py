@@ -3,7 +3,8 @@
 A polynomial is a tuple of coefficients in ascending degree with no
 trailing zeros; the zero polynomial is the empty tuple.  Everything is
 exact integer arithmetic; q-binomials are built by the Pascal recurrence,
-never by division or floating point.
+never by division or floating point.  A generating polynomial resolves
+its statistic id once (:func:`check_integer_stat`).
 """
 
 from __future__ import annotations
@@ -12,15 +13,7 @@ from collections.abc import Iterable
 from functools import lru_cache
 
 from .perm import Perm, _check_disjoint
-from .stats import (
-    Distribution,
-    StatId,
-    des_set,
-    distribution,
-    is_integer_valued,
-    maj,
-    validate_stat,
-)
+from .stats import Distribution, StatId, Statistic, des_set, maj, resolve_stat
 
 QPoly = tuple[int, ...]
 
@@ -97,12 +90,13 @@ def _q_binomial_or_zero(n: int, k: int) -> QPoly:
     return q_binomial(n, k)
 
 
-def check_integer_stat(stat: StatId) -> StatId:
-    """Refuse a statistic that has no generating polynomial."""
-    stat = validate_stat(stat)
-    if not is_integer_valued(stat):
+def check_integer_stat(stat: StatId) -> Statistic:
+    """Refuse a statistic that has no generating polynomial; the
+    resolution (:func:`~shufbij.stats.resolve_stat`) of one that has."""
+    statistic = resolve_stat(stat)
+    if not statistic.integer:
         raise ValueError(f"generating polynomial needs an integer statistic, got {stat!r}")
-    return stat
+    return statistic
 
 
 def distribution_poly(dist: Distribution) -> QPoly:
@@ -115,7 +109,7 @@ def distribution_poly(dist: Distribution) -> QPoly:
 
 def gen_poly(stat: StatId, perms: Iterable[Perm]) -> QPoly:
     """Sum of q^stat over a collection of permutations."""
-    return distribution_poly(distribution(check_integer_stat(stat), perms))
+    return distribution_poly(Distribution(map(check_integer_stat(stat).value, perms)))
 
 
 def stanley_rhs(pi: Perm, sigma: Perm) -> QPoly:
@@ -141,20 +135,13 @@ def _refined_forms(m: int, n: int, dp: int, ds: int) -> tuple[QPoly, ...]:
 
 def stanley_refined_rhs(pi: Perm, sigma: Perm, k: int) -> QPoly:
     """Closed form for the maj generating polynomial over interleavings with
-    exactly k descents; zero when no interleaving has k descents."""
-    table = stanley_refined_table(pi, sigma)
-    return table[k] if 0 <= k < len(table) else ZERO
-
-
-@lru_cache(maxsize=32)
-def stanley_refined_table(pi: Perm, sigma: Perm) -> tuple[QPoly, ...]:
-    """:func:`stanley_refined_rhs` for k = 0..m+n, the operands' descent
-    counts and major indices read once.  The last few tables are kept, as
-    :func:`stanley_refined_rhs` reads one entry per call."""
+    exactly k descents; zero when no interleaving has k descents.  The
+    form before the shift is read off :func:`_refined_forms`."""
     _check_disjoint(pi, sigma)
+    if not 0 <= k <= len(pi) + len(sigma):
+        return ZERO
     forms = _refined_forms(len(pi), len(sigma), len(des_set(pi)), len(des_set(sigma)))
-    maj_sum = maj(pi) + maj(sigma)
-    return tuple(shift(form, maj_sum) for form in forms)
+    return shift(forms[k], maj(pi) + maj(sigma))
 
 
 def format_coeffs(p: QPoly) -> str:

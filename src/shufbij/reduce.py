@@ -38,7 +38,7 @@ from .stats import (
     descent_mask,
     maj,
     peak_family,
-    validate_stat,
+    resolve_stat,
 )
 from .traces import _KINDS, ReductionStep, ReductionTrace, _replay_move, run_reduction, step_replay
 
@@ -204,7 +204,7 @@ def canonicalize(stat: StatId, pi: Perm, sigma: Perm):
     strictly at every step.
     """
     if stat not in SUPPORTED_STATS:
-        validate_stat(stat)  # names what is wrong with an id that is no statistic
+        resolve_stat(stat)  # names what is wrong with an id that is no statistic
         raise ValueError(f"no reduction pipeline for statistic {stat!r}")
     pi, sigma = tuple(pi), tuple(sigma)
     m, n = len(pi), len(sigma)

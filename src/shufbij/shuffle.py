@@ -3,10 +3,11 @@
 An interleaving of two domain-disjoint permutations is encoded by a word
 over {a, b} marking which side each position came from; enumeration is in
 lexicographic word order with a < b, which makes every listing stable.
-Where each entry goes depends only on (m, n) and the word: a shape of at
-most ``_TABLE_CUT`` entries (words times m+n) is a cached table of one
-``operator.itemgetter`` per word, and a larger one streams, splitting on
-its first letter, a before b, down to tabled rests.
+Where each entry goes depends only on (m, n) and the word: a shape of two
+nonempty operands and at most ``_TABLE_CUT`` entries (words times m+n) is
+a cached table of one ``operator.itemgetter`` per word, a shape with an
+empty operand has one word, the other operand, and a larger one streams,
+splitting on its first letter, a before b, down to tabled rests.
 
 Des is shuffle compatible, so the distribution of a descent statistic over
 a shuffle set depends only on the operands' descent bitmasks (bit d set
@@ -32,7 +33,9 @@ they are.  Keys stay here: the row type a table comes with reads a row
 as its distribution, writes one as a row and shifts a row by a value
 (:meth:`Rows.valued`).  :func:`class_pair_distributions` reads whole
 tables, and :func:`shuffle_distribution` one pair, by enumeration for a
-statistic that is not a descent statistic.
+statistic that is not a descent statistic.  Each resolves its statistic
+id once (:func:`~shufbij.stats.resolve_stat`); below that, everything is
+keyed by the statistic's mark tables (:func:`_table_counts`).
 
 The elementary bijections ``normalize_pair``, ``phi``, ``phi_tilde`` and
 ``t_swap`` live in ``traces``, beside their step kinds; reading one here
@@ -54,10 +57,7 @@ from .stats import (
     Distribution,
     StatId,
     descent_mask,
-    distribution,
-    is_descent_statistic,
-    mark_tables,
-    validate_stat,
+    resolve_stat,
     value_dp,
     walk,
 )
@@ -68,14 +68,19 @@ ShuffleWord = str
 _TABLE_CUT = 1 << 12  # most entries (words times m+n) of a tabled shape
 
 
-@lru_cache(maxsize=256)  # every shape with m+n <= 20; the tables take about 2 MB
-def _word_getters(m: int, n: int):
-    """One getter per word of m a's and n b's, in lexicographic word order,
-    that reads the word's interleaving off ``pi + sigma``; None above the cut."""
-    if m and n and comb(m + n, m) * (m + n) > _TABLE_CUT:
-        return None
-    if m + n < 2:  # an itemgetter of one index returns the bare entry
+def _tabled(m: int, n: int):
+    """The word getters of a shape (:func:`_word_getters`), None above the
+    cut; an empty operand's one word is the other operand itself."""
+    if not (m and n):
         return (tuple,)
+    return _word_getters(m, n) if comb(m + n, m) * (m + n) <= _TABLE_CUT else None
+
+
+@lru_cache(maxsize=256)  # every tabled shape; the tables take about 2 MB
+def _word_getters(m: int, n: int):
+    """One getter per word of m a's and n b's, m and n positive, in
+    lexicographic word order, that reads the word's interleaving off
+    ``pi + sigma``."""
     getters = []
     for apos in combinations(range(m + n), m):
         slots = apos + tuple(p for p in range(m + n) if p not in apos)  # entry -> slot
@@ -89,7 +94,7 @@ def _blocks(pi: Perm, sigma: Perm):
     stack = [((), pi, sigma)]
     while stack:
         prefix, pi, sigma = stack.pop()
-        if getters := _word_getters(len(pi), len(sigma)):
+        if getters := _tabled(len(pi), len(sigma)):
             yield prefix, pi + sigma, getters
         else:
             stack.append((prefix + sigma[:1], pi, sigma[1:]))
@@ -111,7 +116,7 @@ def shuffles(pi: Perm, sigma: Perm) -> tuple[Perm, ...]:
     them off its word getters; a larger one collects :func:`iter_shuffles`.
     """
     _check_disjoint(pi, sigma)
-    if getters := _word_getters(len(pi), len(sigma)):
+    if getters := _tabled(len(pi), len(sigma)):
         rest = tuple(pi) + tuple(sigma)
         return tuple([get(rest) for get in getters])
     return tuple(iter_shuffles(pi, sigma))
@@ -369,7 +374,12 @@ def class_pair_counts(stat: StatId, m: int, n: int, masks_pi=None, masks_sigma=N
     ``rows.shift`` adds a value to every value of a row.  A key is its
     value alone, and a row holds each key in one way, so two pairs' rows
     are equal exactly when their distributions are."""
-    dp, rows = _plan(mark_tables(stat), m, n)
+    return _table_counts(resolve_stat(stat).descent().tables, m, n, masks_pi, masks_sigma)
+
+
+def _table_counts(tables, m: int, n: int, masks_pi=None, masks_sigma=None):
+    """:func:`class_pair_counts` of the statistic with mark tables ``tables``."""
+    dp, rows = _plan(tables, m, n)
     return _class_pair_counts(dp, m, n, masks_pi, masks_sigma, rows), rows
 
 
@@ -391,12 +401,13 @@ def shuffle_distribution(stat: StatId, pi: Perm, sigma: Perm) -> Distribution:
     building the shuffle set; the operands need not be separated.  A
     statistic involving ``inv`` is evaluated on every interleaving.
     """
-    stat = validate_stat(stat)
+    statistic = resolve_stat(stat)
     _check_disjoint(pi, sigma)
-    if is_descent_statistic(stat):
-        pair = descent_mask(pi), descent_mask(sigma)
-        return class_pair_distributions(stat, len(pi), len(sigma), {pair[0]}, {pair[1]})[pair]
-    return distribution(stat, iter_shuffles(pi, sigma))
+    if statistic.tables is None:
+        return Distribution(map(statistic.value, iter_shuffles(pi, sigma)))
+    pair = descent_mask(pi), descent_mask(sigma)
+    table, rows = _table_counts(statistic.tables, len(pi), len(sigma), {pair[0]}, {pair[1]})
+    return rows.read(table[pair])
 
 
 def shuffles_with_k_descents(pi: Perm, sigma: Perm, k: int) -> tuple[Perm, ...]:

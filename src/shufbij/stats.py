@@ -1,9 +1,9 @@
 """Permutation statistics, tuple statistics, and distributions.
 
-Statistics are addressed by name (``"maj"``, ``"Des"``, ...) or by a tuple
-of names such as ``("maj", "des")``, which evaluates componentwise.  Values
-are plain integers, frozensets of 1-based positions, or tuples of values;
-a distribution is a ``collections.Counter`` over such values.
+A statistic id is a name (``"maj"``, ``"Des"``, ...) or a tuple of names
+such as ``("maj", "des")``, which evaluates componentwise.  Values are
+plain integers, frozensets of 1-based positions, or tuples of values; a
+distribution is a ``collections.Counter`` over such values.
 
 Every statistic in the catalog except ``inv`` is a descent statistic: its
 value is determined by the descent set and the length.  Each one is
@@ -16,13 +16,18 @@ None.  :func:`value_dp` is the one reader of a table's fields: it packs
 every component's partial value into one integer key and gives the key's
 delta at each step.  The shuffle-set engine (:mod:`shufbij.shuffle`)
 runs it over the words of two operands; a permutation is the one-word
-case, so :func:`descent_rule`, the one rule of a statistic id, walks the
-key over the descent bitmask (bit d set when position d is a descent,
-:func:`descent_mask`) and decodes it.  :func:`evaluate` and the named
-functions (:func:`des_set`, :func:`maj`, :func:`peak_family`, ...)
-compute the bitmask of a permutation once and read it through that rule,
-all components of a tuple in one walk.  Only ``inv`` has code of its own
-on a permutation.
+case, its key walked over the descent bitmask (bit d set when position d
+is a descent, :func:`descent_mask`) and decoded.
+
+An id is read in one place, :func:`resolve_stat`, which validates it on
+its first use and keeps its :class:`Statistic` for the last 256 ids: its
+evaluator, its mark tables and rule (None with ``inv``), and whether its
+values are integers.  Every layer resolves an id once per call and reads
+the rest off the resolution; :func:`evaluate`, :func:`distribution` and
+the named functions (:func:`des_set`, :func:`maj`, :func:`peak_family`,
+...) run its evaluator, which reads all components of a tuple of
+descent statistics in one walk.  Only ``inv`` has code of its own on a
+permutation.
 """
 
 from __future__ import annotations
@@ -208,17 +213,17 @@ CATALOG_TUPLES = (("maj", "des"), ("udr", "pk"), ("udr", "pk", "des"), ("biruns"
 
 def des_set(pi: Perm) -> frozenset[int]:
     """Positions i with pi_i > pi_{i+1}."""
-    return descent_rule("Des")(descent_mask(pi), len(pi))
+    return _resolve("Des").value(pi)
 
 
 def asc_set(pi: Perm) -> frozenset[int]:
     """Positions i with pi_i < pi_{i+1}."""
-    return descent_rule("Asc")(descent_mask(pi), len(pi))
+    return _resolve("Asc").value(pi)
 
 
 def maj(pi: Perm) -> int:
     """Sum of the descent positions."""
-    return descent_rule("maj")(descent_mask(pi), len(pi))
+    return _resolve("maj").value(pi)
 
 
 PEAK_VARIANTS = ("interior", "left", "right", "exterior")
@@ -229,7 +234,7 @@ _VALLEY_SETS = dict(zip(PEAK_VARIANTS, ("Val", "Lval", "Rval", "Eval")))
 def _family(names: dict[str, str], pi: Perm, variant: str) -> frozenset[int]:
     if variant not in names:
         raise ValueError(f"unknown peak variant {variant!r}")
-    return descent_rule(names[variant])(descent_mask(pi), len(pi))
+    return _resolve(names[variant]).value(pi)
 
 
 def peak_family(pi: Perm, variant: str) -> frozenset[int]:
@@ -250,12 +255,12 @@ def valley_family(pi: Perm, variant: str) -> frozenset[int]:
 
 def chi_minus(pi: Perm) -> int:
     """1 when position 1 is a descent."""
-    return descent_rule("chi_minus")(descent_mask(pi), len(pi))
+    return _resolve("chi_minus").value(pi)
 
 
 def chi_plus(pi: Perm) -> int:
     """1 when the last position is an ascent."""
-    return descent_rule("chi_plus")(descent_mask(pi), len(pi))
+    return _resolve("chi_plus").value(pi)
 
 
 def biruns(pi: Perm) -> int:
@@ -264,12 +269,12 @@ def biruns(pi: Perm) -> int:
     Adjacent factors share an endpoint; for length >= 2 this equals the
     number of maximal constant runs in the ascent/descent pattern.
     """
-    return descent_rule("biruns")(descent_mask(pi), len(pi))
+    return _resolve("biruns").value(pi)
 
 
 def udr(pi: Perm) -> int:
     """Number of maximal monotone factors after a low value is prepended."""
-    return descent_rule("udr")(descent_mask(pi), len(pi))
+    return _resolve("udr").value(pi)
 
 
 def validate_stat(stat: StatId) -> StatId:
@@ -288,15 +293,60 @@ def validate_stat(stat: StatId) -> StatId:
     raise ValueError(f"statistic must be a name or tuple of names, got {stat!r}")
 
 
-def is_descent_statistic(stat: StatId) -> bool:
-    stat = validate_stat(stat)
-    names = (stat,) if isinstance(stat, str) else stat
-    return all(STATISTICS[name] is not None for name in names)
+class Statistic(NamedTuple):
+    """A statistic id resolved (:func:`resolve_stat`): ``value(pi)``
+    evaluates it; ``tables``, the :class:`MarkTable` of a descent
+    statistic or the tuple of its components', and ``rule``, its
+    ``(mask, length) -> value`` on descent bitmasks, are None with ``inv``;
+    ``integer`` says whether its values are integers."""
+
+    stat: StatId
+    value: Callable[[Perm], StatValue]
+    tables: Union[MarkTable, tuple[MarkTable, ...], None]
+    rule: Optional[Callable[[int, int], StatValue]]
+    integer: bool
+
+    def descent(self) -> Statistic:
+        """This statistic, refused unless it is a descent statistic."""
+        if self.rule is None:
+            raise ValueError(f"{format_stat(self.stat)} is not a descent statistic")
+        return self
 
 
-def is_integer_valued(stat: StatId) -> bool:
+def resolve_stat(stat: StatId) -> Statistic:
+    """The :class:`Statistic` of an id, validated (:func:`validate_stat`)
+    on its first resolution and kept for the last 256 ids; an id that is
+    refused is refused again, with the same message."""
+    try:
+        return _resolve(stat)
+    except TypeError:  # unhashable, so no statistic: refused with the reason
+        validate_stat(stat)
+        raise
+
+
+@lru_cache(maxsize=256)
+def _resolve(stat: StatId) -> Statistic:
     stat = validate_stat(stat)
-    return isinstance(stat, str) and (STATISTICS[stat] is None or STATISTICS[stat].output != "set")
+    if isinstance(stat, str):
+        tables = STATISTICS[stat]
+        if tables is None:
+            return Statistic(stat, inv, None, None, True)
+        integer = tables.output != "set"
+    elif "inv" in stat:  # a tuple with inv reads its components one by one
+        parts = [_resolve(name).value for name in stat]
+        return Statistic(stat, lambda pi: tuple([part(pi) for part in parts]), None, None, False)
+    else:
+        tables, integer = tuple(STATISTICS[name] for name in stat), False
+
+    @lru_cache(maxsize=1 << 10)
+    def rule(mask: int, length: int) -> StatValue:
+        dp = value_dp(tables, length)
+        return dp[2](walk(dp, mask))
+
+    def value(pi: Perm) -> StatValue:
+        return rule(descent_mask(pi), len(pi))
+
+    return Statistic(stat, value, tables, rule, integer)
 
 
 def evaluate(stat: StatId, pi: Perm) -> StatValue:
@@ -304,57 +354,20 @@ def evaluate(stat: StatId, pi: Perm) -> StatValue:
     descent statistic, or a tuple of them, is read off the descent bitmask
     of ``pi`` by its rule, all components in one walk; a tuple containing
     ``inv`` reads its components one by one."""
-    if stat == "inv":
-        return inv(pi)
-    if isinstance(stat, tuple) and "inv" in stat:
-        stat, mask, length = validate_stat(stat), descent_mask(pi), len(pi)
-        return tuple(inv(pi) if name == "inv" else descent_rule(name)(mask, length)
-                     for name in stat)
-    return descent_rule(stat)(descent_mask(pi), len(pi))  # descent_rule validates
-
-
-def mark_tables(stat: StatId) -> Union[MarkTable, tuple[MarkTable, ...]]:
-    """The mark table of a descent statistic's name; the tuple of its
-    components' tables, in order, for a tuple id: its rule's
-    (:func:`descent_rule`), so an id is validated once."""
-    return descent_rule(stat).tables
-
-
-_RULES: dict = {}  # validated statistic id -> its rule, for at most 256 ids
+    return resolve_stat(stat).value(pi)
 
 
 def descent_rule(stat: StatId) -> Callable[[int, int], StatValue]:
     """The rule ``(mask, length) -> value`` of a descent statistic: the
-    :func:`value_dp` of its :func:`mark_tables` walked over one word and
-    decoded, all components of a tuple id off one packed key.  Built once
-    per validated id, it keeps its last 1024 values, and its ``tables``."""
-    try:
-        return _RULES[stat]
-    except (KeyError, TypeError):  # not built yet, or unhashable: refused below
-        pass
-    if not is_descent_statistic(stat):
-        raise ValueError(f"{format_stat(stat)} is not a descent statistic")
-    tables = STATISTICS[stat] if isinstance(stat, str) else tuple(STATISTICS[name] for name in stat)
-
-    @lru_cache(maxsize=1 << 10)
-    def rule(mask: int, length: int) -> StatValue:
-        dp = value_dp(tables, length)
-        return dp[2](walk(dp, mask))
-
-    rule.tables = tables
-    if len(_RULES) == 256:
-        _RULES.clear()
-    _RULES[stat] = rule
-    return rule
+    :func:`value_dp` of its mark tables walked over one word and decoded,
+    all components of a tuple id off one packed key.  Built once per
+    resolution (:func:`resolve_stat`), it keeps its last 1024 values."""
+    return resolve_stat(stat).descent().rule
 
 
 def distribution(stat: StatId, perms: Iterable[Perm]) -> Distribution:
     """Multiset of statistic values over a collection of permutations."""
-    stat = validate_stat(stat)
-    dist: Distribution = Counter()
-    for pi in perms:
-        dist[evaluate(stat, pi)] += 1
-    return dist
+    return Distribution(map(resolve_stat(stat).value, perms))
 
 
 def parse_stat(text: str) -> StatId:
@@ -363,8 +376,8 @@ def parse_stat(text: str) -> StatId:
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
     if "," in s:
-        return validate_stat(tuple(part.strip() for part in s.split(",")))
-    return validate_stat(s)
+        s = tuple(part.strip() for part in s.split(","))
+    return resolve_stat(s).stat
 
 
 def format_stat(stat: StatId) -> str:

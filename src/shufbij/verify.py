@@ -5,8 +5,10 @@ Everything here is exact exhaustive enumeration at desk scale.  Size
 bounds are explicit parameters with one default per engine
 (:func:`default_limit`); a request beyond the bound raises
 :class:`~shufbij.errors.ResourceLimitError` instead of silently
-truncating.  Searches run in a fixed enumeration order, so the
-witness returned for a failing claim is deterministic.
+truncating.  Searches run in a fixed enumeration order, so the witness
+returned for a failing claim is deterministic.  Each entry point resolves
+its statistic id once (:func:`~shufbij.stats.resolve_stat`) and reads
+the rest off the resolution.
 
 For a descent statistic the distribution over a shuffle set depends only
 on the descent classes of the operands (it is read off the product of
@@ -14,35 +16,31 @@ their fundamental quasisymmetric functions).  The sweeps in every mode,
 the conjecture, the counterexample search and the identities therefore
 put sigma above pi and read class pairs by descent bitmask
 (:func:`~shufbij.perm.descent_classes`) off one table per shape from one
-transfer-matrix DP (:func:`~shufbij.shuffle.class_pair_counts`).  Its
+transfer-matrix DP (:func:`~shufbij.shuffle.class_pair_counts`), whose
 rows are opaque here: two pairs' rows are equal exactly when their
 distributions are, and the table's row type reads, writes and shifts
 them by value.  Every verdict compares each pair's row with the row it
 should equal: a compatibility scan with the row of the first pair of its
 key (labels on the sides that vary, classes on the others), an identity
 with the row of its label's closed form.  Each passes on one comparison
-of the whole table, and only a failure walks the class pairs in order
-(:func:`_first_failure`), comparing alike, to locate the first failing
-pair, its cases and its witness, and reads that pair's distributions
-alone.  A compatibility scan labels each class by the statistic's rule
-on its bitmask (once per statistic and length), and tables only the
-classes that share their label with another class, with both operands
-nonempty: none for ``Des``, which builds no table.  An identity labels
-each class by (des, maj) once per length, writes the closed form at maj
-sum 0 as a row once per (des pi, des sigma) (once per call for ``maj``
-and ``word_base``) and shifts it by each label's maj sum.  Least
-members are built for a witness only.  Full mode over any other
-statistic walks every pair of permutations.  Cases and
-witnesses are those a lexicographic pair-by-pair scan would report, read
-off the ranks of the failing pair's members and the class sizes.  The
-pipeline audit and :meth:`Witness.recheck` enumerate shuffle sets.  The
-audit does each piece of its work once per call: it replays its trace
-unchecked, one function per step, checks the measures in one pass over
-the steps (none without a step), reads the statistic's rule once and the
-statistic once per interleaving on each side, and counts the ``maj`` drop
-only for an id with a ``maj`` component.  It compares the final pair
-with the operands as tuples, never with the start pair the trace claims,
-takes a trace that ends there as its own target, and lists no set for a
+of the whole table; only a failure walks the class pairs in order
+(:func:`_first_failure`) to locate the first failing pair, its cases and
+its witness, as a lexicographic pair-by-pair scan would report them, and
+builds least members and reads distributions for that pair alone.  A
+compatibility scan labels classes once per mark tables and length, and
+tables only the classes that share their label with another, with both
+operands nonempty: none for ``Des``.  An identity labels each class by
+(des, maj) and shifts the closed form at maj sum 0, written as a row once
+per (des pi, des sigma), by each label's maj sum.  Full mode over any
+other statistic walks every pair of permutations.
+
+The pipeline audit and :meth:`Witness.recheck` enumerate shuffle sets.
+The audit replays its trace unchecked, one function per step, checks the
+measures in one pass over the steps, reads the statistic by its rule
+once per interleaving on each side, and counts the ``maj`` drop only for
+an id with a ``maj`` component.  It compares the final pair with the
+operands as tuples, never with the start pair the trace claims, takes a
+trace that ends there as its own target, and lists no set for a
 canonical pair (no step, ending where it starts).  A report fails
 exactly when it has a witness.  ``reduce`` is bound on the first audit
 and ``qpoly`` on the first closed form: a scan loads neither.
@@ -61,20 +59,10 @@ from .errors import DEFAULT_CLASS_LIMIT, DEFAULT_ENUM_LIMIT, DEFAULT_SHUFFLE_LIM
 from .errors import _gate, _resolve_limit
 from .perm import Perm, count_before, descent_classes, format_perm, lex_rank
 from .perm import least_with_descent_set, mask_positions
-from .shuffle import class_pair_counts, shuffles
-from .stats import (
-    Distribution,
-    StatId,
-    descent_mask,
-    descent_rule,
-    distribution,
-    distribution_entries,
-    distribution_to_json,
-    evaluate,
-    format_stat,
-    format_stat_value,
-    is_descent_statistic,
-)
+from .shuffle import _table_counts, class_pair_counts, shuffles
+from .stats import Distribution, StatId, Statistic, descent_mask, distribution_entries
+from .stats import distribution_to_json, evaluate, format_stat, format_stat_value, resolve_stat
+from .stats import value_dp, walk
 
 MODES = ("reduced_pi", "reduced_sigma", "full")
 _LIMITS = (DEFAULT_ENUM_LIMIT, DEFAULT_CLASS_LIMIT)  # by whether the statistic is a descent one
@@ -85,7 +73,7 @@ def default_limit(stat: StatId) -> int:
     """The default largest m+n of every scan over ``stat``: 10 for a descent
     statistic, whose scans read class-pair tables, and 6 with ``inv``,
     whose scans enumerate shuffle sets."""
-    return _LIMITS[is_descent_statistic(stat)]
+    return _LIMITS[resolve_stat(stat).tables is not None]
 
 
 class Witness:
@@ -112,19 +100,12 @@ class Witness:
 
     def recheck(self) -> bool:
         """Recompute everything from scratch and confirm the inequality."""
-        same_labels = (
-            evaluate(self.statistic, self.pi) == evaluate(self.statistic, self.pi_prime)
-            and evaluate(self.statistic, self.sigma)
-            == evaluate(self.statistic, self.sigma_prime)
-        )
-        left = distribution(self.statistic, shuffles(self.pi, self.sigma))
-        right = distribution(self.statistic, shuffles(self.pi_prime, self.sigma_prime))
-        return (
-            same_labels
-            and left != right
-            and left == self.dist_left
-            and right == self.dist_right
-        )
+        value = resolve_stat(self.statistic).value
+        left, right = (Distribution(map(value, shuffles(pi, sigma)))
+                       for pi, sigma in ((self.pi, self.sigma), (self.pi_prime, self.sigma_prime)))
+        labels = [value(p) for p in (self.pi, self.pi_prime, self.sigma, self.sigma_prime)]
+        return (labels[0] == labels[1] and labels[2] == labels[3] and left != right
+                and left == self.dist_left and right == self.dist_right)
 
     def to_json(self) -> dict:
         return {
@@ -171,16 +152,17 @@ def _least_member(ground, mask: int) -> Perm:
 
 
 @lru_cache(maxsize=128)  # eleven statistics at every length to 10; groups hold at most 512 classes
-def _label_groups(stat: StatId, k: int) -> tuple:
+def _label_groups(tables, k: int) -> tuple:
     """``(groups, first)`` of the descent classes of length ``k``:
     ``groups`` holds them as ``(bitmask, size)`` in rank order, grouped by
-    the statistic's rule on the bitmask, the groups in order of first
-    occurrence; ``first`` maps each class of a group of two or more to the
-    first class of its group.  Cached per statistic and length, as scans
-    revisit both; the caller reads the result and never writes it."""
-    rule, groups = descent_rule(stat), {}
+    the value on the bitmask of the statistic with mark tables ``tables``,
+    the groups in order of first occurrence; ``first`` maps each class of a
+    group of two or more to the first class of its group.  Cached per
+    tables and length, as scans revisit both; the caller reads the result
+    and never writes it."""
+    dp, groups = value_dp(tables, k), {}
     for mask, size in descent_classes(k):
-        groups.setdefault(rule(mask, k), []).append((mask, size))
+        groups.setdefault(dp[2](walk(dp, mask)), []).append((mask, size))
     groups = tuple(tuple(members) for members in groups.values())
     first = {mask: members[0][0] for members in groups if len(members) > 1 for mask, _ in members}
     return groups, first
@@ -217,7 +199,7 @@ def _first_failure(m: int, n: int, inner: str, groups, table: dict, want, explai
     return None
 
 
-def _class_scans(stat: StatId, m: int, n: int, scans):
+def _class_scans(statistic: Statistic, m: int, n: int, scans):
     """The scans of a descent statistic in ``scans``, each named by the
     sides that vary, in turn up to the first witness: ``(witness, cases)``.
 
@@ -243,9 +225,10 @@ def _class_scans(stat: StatId, m: int, n: int, scans):
     distributions of the witness and builds its least members alone.
     """
     low, high, lengths = range(1, m + 1), range(m + 1, m + n + 1), {"pi": m, "sigma": n}
-    labels = {side: _label_groups(stat, lengths[side]) for scan in scans for side in scan}
+    tables = statistic.tables
+    labels = {side: _label_groups(tables, lengths[side]) for scan in scans for side in scan}
     pis, sigmas = (labels[side][1].keys() if side in labels else () for side in lengths)
-    table, rows = (class_pair_counts(stat, m, n, None if sigmas else pis, None if pis else sigmas)
+    table, rows = (_table_counts(tables, m, n, None if sigmas else pis, None if pis else sigmas)
                    if m and n and (pis or sigmas) else ({}, None))
     cases = 0
     for scan in scans:
@@ -262,35 +245,36 @@ def _class_scans(stat: StatId, m: int, n: int, scans):
                 p, s = ref_pi(mask_pi, mask_pi), ref_sigma(mask_sigma, mask_sigma)
                 return Witness(_least_member(low, p), _least_member(low, mask_pi),
                                _least_member(high, s), _least_member(high, mask_sigma),
-                               stat, rows.read(ref), rows.read(row))
+                               statistic.stat, rows.read(ref), rows.read(row))
 
-            inner, walk = ("sigma", [descent_classes(n)]) if full else (scan[0], labels[scan[0]][0])
-            found, located = _first_failure(m, n, inner, walk, table, want, explain)
+            inner, groups = (("sigma", [descent_classes(n)]) if full
+                             else (scan[0], labels[scan[0]][0]))
+            found, located = _first_failure(m, n, inner, groups, table, want, explain)
             return found, cases + located
         cases += factorial(m + n) if full else factorial(m) * factorial(n)
     return None, cases
 
 
-def _full_scan(stat: StatId, m: int, n: int, descent: bool):
-    """Full mode at one shape: ``(witness, cases)``.  A ``descent``
-    statistic takes its class scan (:func:`_class_scans`); any other
-    statistic walks every pair of every splitting of [m+n] in lexicographic
-    order, labeling each permutation once, and compares each pair with the
-    first pair of its labels."""
-    if descent:
-        return _class_scans(stat, m, n, [("pi", "sigma")])
-    total, seen = range(1, m + n + 1), {}
+def _full_scan(statistic: Statistic, m: int, n: int):
+    """Full mode at one shape: ``(witness, cases)``.  A descent statistic
+    takes its class scan (:func:`_class_scans`); any other statistic walks
+    every pair of every splitting of [m+n] in lexicographic order, labeling
+    each permutation once, and compares each pair with the first pair of
+    its labels."""
+    if statistic.tables is not None:
+        return _class_scans(statistic, m, n, [("pi", "sigma")])
+    total, seen, value = range(1, m + n + 1), {}, statistic.value
 
     def labeled(ground):
-        return [(p, evaluate(stat, p)) for p in permutations(ground)]
+        return [(p, value(p)) for p in permutations(ground)]
 
     pairs = (pair for low in combinations(total, m)
              for pair in product(labeled(low), labeled([v for v in total if v not in low])))
     for cases, ((pi, label_pi), (sigma, label_sigma)) in enumerate(pairs, start=1):
-        dist = distribution(stat, shuffles(pi, sigma))
+        dist = Distribution(map(value, shuffles(pi, sigma)))
         prev = seen.setdefault((label_pi, label_sigma), (dist, pi, sigma))
         if prev[0] != dist:
-            return Witness(prev[1], pi, prev[2], sigma, stat, prev[0], dist), cases
+            return Witness(prev[1], pi, prev[2], sigma, statistic.stat, prev[0], dist), cases
     return None, factorial(m + n)
 
 
@@ -310,7 +294,8 @@ def check_compatibility(
     ``reduced_sigma`` and ``full``.  Other statistics are refused there,
     since only ``full`` is meaningful evidence for them.
     """
-    descent = is_descent_statistic(stat)  # validates the id
+    statistic = resolve_stat(stat)
+    descent = statistic.tables is not None
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode != "full" and not descent:
@@ -321,9 +306,9 @@ def check_compatibility(
     _gate(m, n, _resolve_limit(limit, _LIMITS[descent]), f"compatibility sweep ({mode})")
     start = time.perf_counter()
     if mode == "full":
-        witness, cases = _full_scan(stat, m, n, descent)
+        witness, cases = _full_scan(statistic, m, n)
     else:
-        witness, cases = _class_scans(stat, m, n, [(mode.removeprefix("reduced_"),)])
+        witness, cases = _class_scans(statistic, m, n, [(mode.removeprefix("reduced_"),)])
     return Report(
         subject=f"shuffle compatibility of {format_stat(stat)} ({mode})",
         scope=f"|pi|={m}, |sigma|={n}",
@@ -353,6 +338,7 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
     global _reduce
     limit = _resolve_limit(None, DEFAULT_SHUFFLE_LIMIT)
     _gate(len(pi), len(sigma), limit, "bijection audit", how=f"set {ENV_LIMIT_VAR}")
+    statistic = resolve_stat(stat)
     if _reduce is None:
         from . import reduce as _reduce
     start = time.perf_counter()
@@ -375,7 +361,7 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
             problems.append("replay is not a bijection onto the canonical shuffle set")
 
     if steps:
-        rule, k = descent_rule(stat), len(pi) + len(sigma)
+        rule, k = statistic.rule, len(pi) + len(sigma)
         want = [rule(descent_mask(t), k) for t in source]
         got = [rule(descent_mask(img), k) for img in images]
         if stat == "maj":
@@ -392,7 +378,7 @@ def check_bijection_pipeline(stat: StatId, pi: Perm, sigma: Perm) -> Report:
     if problems:
         witness = Witness(
             pi, trace.final_pi, sigma, trace.final_sigma, stat,
-            distribution(stat, source), distribution(stat, images),
+            Distribution(map(statistic.value, source)), Distribution(map(statistic.value, images)),
         )
     return Report(
         f"reduction pipeline for {format_stat(stat)}"
@@ -417,8 +403,7 @@ def _closed_form(which: str, m: int, n: int, des_pi: int, des_sigma: int, maj_su
 @lru_cache(maxsize=16)  # identity scans revisit the same few lengths
 def _des_maj_labels(k: int) -> dict:
     """``{bitmask: (des, maj)}`` of the descent classes of length ``k``, never written."""
-    rule = descent_rule(("des", "maj"))
-    return {mask: rule(mask, k) for mask, _ in descent_classes(k)}
+    return {mask: (mask.bit_count(), sum(mask_positions(mask))) for mask, _ in descent_classes(k)}
 
 
 def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> Report:
@@ -438,7 +423,7 @@ def check_identity(which: str, m: int, n: int, limit: Optional[int] = None) -> R
         raise ValueError(f"unknown identity {which!r}")
     refined = which == "maj_des"
     stat: StatId = ("des", "maj") if refined else "maj"
-    _gate(m, n, _resolve_limit(limit, default_limit(stat)), f"identity check ({which})")
+    _gate(m, n, _resolve_limit(limit, DEFAULT_CLASS_LIMIT), f"identity check ({which})")
     start = time.perf_counter()
 
     low, high = range(1, m + 1), range(m + 1, m + n + 1)
@@ -487,19 +472,19 @@ def find_counterexample(stat: StatId, max_total_length: int, limit: Optional[int
     """Search all domain splittings in increasing total length for a pair of
     equally-labeled instances with different distributions; first hit wins.
     Only ``limit`` moves the default bound; ``SHUFBIJ_MAX_TOTAL`` does not."""
-    descent = is_descent_statistic(stat)  # validates the id
+    statistic = resolve_stat(stat)
     if max_total_length < 0:
         raise ValueError(
             f"the largest m+n to scan must be >= 0, got {max_total_length}"
         )
-    _gate(max_total_length, 0, _LIMITS[descent] if limit is None else limit,
+    _gate(max_total_length, 0, _LIMITS[statistic.tables is not None] if limit is None else limit,
           "counterexample search", how="pass a larger limit (--limit)")
     start = time.perf_counter()
     cases = 0
     scope = f"all splittings with m+n <= {max_total_length}"
     splits = ((m, total - m) for total in range(max_total_length + 1) for m in range(total + 1))
     for m, n in splits:
-        witness, scanned = _full_scan(stat, m, n, descent)
+        witness, scanned = _full_scan(statistic, m, n)
         cases += scanned
         if witness:
             scope += f"; witness at |pi|={m}, |sigma|={n}"
@@ -520,9 +505,9 @@ def check_conjecture_udr_pk_des(m: int, n: int, limit: Optional[int] = None) -> 
     says so explicitly.
     """
     stat: StatId = ("udr", "pk", "des")
-    _gate(m, n, _resolve_limit(limit, default_limit(stat)), "conjecture sweep")
+    _gate(m, n, _resolve_limit(limit, DEFAULT_CLASS_LIMIT), "conjecture sweep")
     start = time.perf_counter()
-    witness, cases = _class_scans(stat, m, n, [("pi",), ("sigma",)])
+    witness, cases = _class_scans(resolve_stat(stat), m, n, [("pi",), ("sigma",)])
     return Report(
         subject=(
             "conjectured shuffle compatibility of (udr,pk,des) -- "

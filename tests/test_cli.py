@@ -96,6 +96,40 @@ def test_unknown_statistic_rejected_before_compute(capsys):
     assert "bogus" in err
 
 
+# Ids that name no statistic, each with the message that refuses it.
+_REFUSED_IDS = {
+    "(maj,)": "unknown statistic component ''",
+    "maj,": "unknown statistic component ''",
+    "()": "unknown statistic ''",
+    "(maj,(des))": "unknown statistic component '(des)'",
+    "bogus": "unknown statistic 'bogus'",
+}
+# Every command that takes a statistic, with the rest of its arguments.
+_STAT_ARGS = {
+    "stat": ["1,2"],
+    "dist": ["1,2", "3"],
+    "genpoly": ["1,2", "3"],
+    "reduce": ["1,2", "3"],
+    "verify": ["--m", "1", "--n", "1"],
+    "counterexample": ["--max", "2"],
+}
+
+
+@pytest.mark.parametrize("text", list(_REFUSED_IDS))
+def test_ids_naming_no_statistic_are_refused_with_one_message(capsys, text):
+    message = _REFUSED_IDS[text]
+    with pytest.raises(ValueError) as info:
+        parse_stat(text)
+    assert str(info.value) == message
+    for command, args in _STAT_ARGS.items():
+        assert run_cli(capsys, command, text, *args) == (2, "", f"error: {message}\n"), command
+
+
+def test_genpoly_refuses_a_tuple_statistic(capsys):
+    assert run_cli(capsys, "genpoly", "(maj,des)", "1,2", "3") == (
+        2, "", "error: generating polynomial needs an integer statistic, got ('maj', 'des')\n")
+
+
 def test_reduce_command(capsys):
     code, out, _ = run_cli(capsys, "reduce", "maj", "2,4,1", "7,3")
     assert code == 0
@@ -338,7 +372,7 @@ def test_dist_with_inv_still_enumerates(capsys, monkeypatch, stat):
     def refuse(*args):
         raise AssertionError("inv is not read off descent sets")
 
-    monkeypatch.setattr(shuffle, "class_pair_distributions", refuse)
+    monkeypatch.setattr(shuffle, "_table_counts", refuse)
     assert run_cli(capsys, "dist", stat, pi, sigma) == (0, "{" + body + "}\n", "")
 
 

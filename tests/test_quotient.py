@@ -48,7 +48,7 @@ from shufbij.stats import (
     distribution,
     evaluate,
     format_stat,
-    is_descent_statistic,
+    resolve_stat,
 )
 from shufbij.verify import (
     Witness,
@@ -629,7 +629,7 @@ def test_full_mode_and_search_match_pair_by_pair_scan(stat, all_shuffle_sets):
             references[m, n] = _expected_full(*_reference_full(stat, m, n, dist_of))
         return references[m, n]
 
-    max_total = FULL_MAX_TOTAL if is_descent_statistic(stat) else FULL_MAX_TOTAL - 1
+    max_total = FULL_MAX_TOTAL if resolve_stat(stat).tables else FULL_MAX_TOTAL - 1
     for m, n in FULL_SPLITS:
         if m + n <= max_total:
             report = check_compatibility(stat, m, n, mode="full")

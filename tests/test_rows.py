@@ -39,7 +39,7 @@ from shufbij.stats import (
     DESCENT_NAMES,
     descent_rule,
     format_stat,
-    mark_tables,
+    resolve_stat,
     value_dp,
     walk,
 )
@@ -77,7 +77,7 @@ def test_packed_rows_match_dict_rows(stat):
     rows gives the same counts per key for every class pair, and the
     decoded keys are the table of :func:`class_pair_distributions`."""
     for total in range(9):
-        dp = value_dp(mark_tables(stat), total)
+        dp = value_dp(resolve_stat(stat).tables, total)
         for m in range(total + 1):
             n, packed = total - m, _packed(dp, m, total - m)
             sparse = _class_pair_counts(dp, m, n, rows=_DICT_ROWS)
@@ -96,7 +96,7 @@ def test_carried_rows_match_branching_rows(stat):
     exactly when some side of length 2 or more wants at least half of its
     classes."""
     for total in range(9):
-        dp = value_dp(mark_tables(stat), total)
+        dp = value_dp(resolve_stat(stat).tables, total)
         for m in range(total + 1):
             n = total - m
             branching = _packed(dp, m, n)
@@ -125,7 +125,7 @@ def test_carrying_follows_the_budget():
               ("Pk", 9, 9), (("udr", "pk", "des"), 10, 10)]
     assert _CARRY_BITS == 4096
     for stat, m, n in carry + branch + sparse:
-        rows = _plan(mark_tables(stat), m, n)[1]
+        rows = _plan(resolve_stat(stat).tables, m, n)[1]
         assert (rows.move is _dict_move) == ((stat, m, n) in sparse), (stat, m, n)
         assert (rows.carry is not None) == ((stat, m, n) in carry), (stat, m, n)
 
@@ -153,7 +153,7 @@ def test_encode_inverts_decode(stat):
     every final key."""
     rule = descent_rule(stat)
     for length in range(9):
-        dp = value_dp(mark_tables(stat), length)
+        dp = value_dp(resolve_stat(stat).tables, length)
         start, steps, decode, encode = dp
         keys, prefix_keys = set(), {start}
         for mask in range(0, 1 << length, 2):
@@ -177,7 +177,7 @@ def test_row_type_follows_the_cut():
     sparse = [(("udr", "pk", "des"), 5, 5), (("udr", "pk", "des"), 6, 6), ("Pk", 1, 9),
               ("Pk", 9, 9), (("udr", "pk", "des"), 10, 10)]
     for stat, m, n in packed + sparse:
-        rows = _plan(mark_tables(stat), m, n)[1]
+        rows = _plan(resolve_stat(stat).tables, m, n)[1]
         assert (rows.move is _dict_move) == ((stat, m, n) in sparse), (stat, m, n)
 
 
@@ -192,7 +192,7 @@ def test_shifted_base_forms_are_the_closed_forms(which):
     for total in range(9):
         for m in range(total + 1):
             n = total - m
-            dp = value_dp(mark_tables(stat), total)
+            dp = value_dp(resolve_stat(stat).tables, total)
             for rows in (class_pair_counts(stat, m, n, set(), set())[1], _DICT_ROWS.valued(dp),
                          _packed(dp, m, n).valued(dp)):
                 labels = {(rule(p, m)[0], rule(s, n)[0], rule(p, m)[1] + rule(s, n)[1])

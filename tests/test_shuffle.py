@@ -186,6 +186,19 @@ def test_a_long_lopsided_set_streams_without_recursion():
     assert shuffle_distribution("inv", (1,), range(2, 1102)) == dict.fromkeys(range(1101), 1)
 
 
+def test_a_long_lopsided_set_keeps_the_cached_word_tables():
+    """Only tabled shapes with two nonempty operands take cache entries:
+    listing the 1+1100 set between two listings of a 10+10 pair leaves
+    the pair's tables cached, so the second listing misses none."""
+    pi = (3, 17, 1, 9, 12, 20, 6, 14, 8, 11)
+    sigma = (15, 2, 19, 7, 10, 4, 18, 13, 5, 16)
+    first = [tau[0] for tau in iter_shuffles(pi, sigma)]
+    assert sum(1 for _ in iter_shuffles((1,), range(2, 1102))) == 1101
+    misses = _word_getters.cache_info().misses
+    assert [tau[0] for tau in iter_shuffles(pi, sigma)] == first
+    assert _word_getters.cache_info().misses == misses
+
+
 def test_cardinality_exhaustive_by_sizes():
     for total in range(9):
         for m in range(total + 1):

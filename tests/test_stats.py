@@ -29,8 +29,6 @@ from shufbij.stats import (
     format_stat,
     format_stat_value,
     inv,
-    is_descent_statistic,
-    is_integer_valued,
     maj,
     parse_stat,
     peak_family,
@@ -144,15 +142,21 @@ def test_evaluate_and_tuples():
 
 
 def test_descent_statistic_flags():
-    assert not is_descent_statistic("inv")
-    for name in STATISTICS:
-        if name != "inv":
-            assert is_descent_statistic(name)
-    assert is_descent_statistic(("udr", "pk", "des"))
-    assert not is_descent_statistic(("maj", "inv"))
-    assert is_integer_valued("maj")
-    assert not is_integer_valued("Des")
-    assert not is_integer_valued(("maj", "des"))
+    """An id's resolution says whether it is a descent statistic (it has
+    mark tables and a rule) and whether its values are integers."""
+    def flags(stat):
+        statistic = stats.resolve_stat(stat)
+        assert (statistic.tables is None) == (statistic.rule is None), stat
+        return statistic.tables is not None, statistic.integer
+
+    assert flags("inv") == (False, True)
+    for name in DESCENT_NAMES:
+        assert flags(name) == (True, STATISTICS[name].output != "set")
+        assert stats.resolve_stat(name).tables is STATISTICS[name]
+    assert flags(("udr", "pk", "des")) == (True, False)
+    assert stats.resolve_stat(("udr", "pk")).tables == (STATISTICS["udr"], STATISTICS["pk"])
+    assert flags(("maj", "inv")) == (False, False)
+    assert flags(("maj", "des")) == (True, False)
 
 
 @given(perms(min_size=1))
@@ -364,14 +368,15 @@ def test_stats_refusals(call):
         call()
 
 
-def test_descent_rules_evict_at_256_ids(monkeypatch):
-    """The rule cache empties when it holds 256 ids; rules built again agree."""
+def test_descent_rules_evict_at_256_ids():
+    """The resolutions, each with its id's rule, are kept for the last 256
+    ids; rules built again agree."""
     pi = (2, 1, 5, 7, 3, 6, 4)
     single = {name: evaluate(name, pi) for name in DESCENT_NAMES}
-    monkeypatch.setattr(stats, "_RULES", {})
+    stats._resolve.cache_clear()
     pairs = list(islice(product(DESCENT_NAMES, repeat=2), 300))
-    for cached in (300 - 256, 300 - 212):  # the second pass empties it at pair 213
+    for passes in (1, 2):  # the second pass rebuilds every pair, each evicted on the way
         for pair in pairs:
             assert evaluate(pair, pi) == (single[pair[0]], single[pair[1]]), pair
-            assert len(stats._RULES) <= 256
-        assert len(stats._RULES) == cached
+            assert stats._resolve.cache_info().currsize <= 256
+        assert stats._resolve.cache_info()[1:] == (300 * passes, 256, 256)

@@ -7,11 +7,11 @@ from math import comb
 import pytest
 
 from oracles import rename_in_order
-from shufbij import reduce, stats, traces, verify
+from shufbij import qpoly, reduce, shuffle, stats, traces, verify
 from shufbij.errors import ResourceLimitError
 from shufbij.perm import descent_classes, least_with_descent_set, mask_positions
-from shufbij.qpoly import stanley_refined_table, stanley_rhs
-from shufbij.shuffle import class_pair_counts, shuffles
+from shufbij.qpoly import gen_poly, stanley_refined_rhs, stanley_rhs
+from shufbij.shuffle import class_pair_counts, shuffle_distribution, shuffles
 from shufbij.stats import CATALOG_TUPLES, DESCENT_NAMES, descent_rule, distribution
 from shufbij.traces import ReductionTrace
 from shufbij.verify import (
@@ -406,8 +406,8 @@ def test_closed_forms_of_labels_match_least_members():
                 (des_pi, maj_pi), (des_sigma, maj_sigma) = rule(mask_pi, m), rule(mask_sigma, n)
                 label = (des_pi, des_sigma, maj_pi + maj_sigma)
                 maj_form = {e: c for e, c in enumerate(stanley_rhs(pi, sigma)) if c}
-                refined = {(k, e): c for k, poly in enumerate(stanley_refined_table(pi, sigma))
-                           for e, c in enumerate(poly) if c}
+                refined = {(k, e): c for k in range(total + 1)
+                           for e, c in enumerate(stanley_refined_rhs(pi, sigma, k)) if c}
                 assert verify._closed_form("maj", m, n, *label) == maj_form, (pi, sigma)
                 assert verify._closed_form("word_base", m, n, *label) == maj_form, (pi, sigma)
                 assert verify._closed_form("maj_des", m, n, *label) == refined, (pi, sigma)
@@ -531,48 +531,51 @@ def test_a_failing_scan_walks_once(scan, cases, witness, monkeypatch):
     assert w.recheck()
 
 
-def test_each_entry_point_decides_descent_ness_once(monkeypatch):
-    """``verify`` asks whether the statistic is a descent statistic at most
-    once per entry-point call: not again for the default bound, the mode
-    check or each split of a search."""
-    real, calls = verify.is_descent_statistic, []
-    monkeypatch.setattr(verify, "is_descent_statistic",
-                        lambda stat: calls.append(stat) or real(stat))
-    for run in (lambda: check_compatibility("maj", 3, 4),
-                lambda: check_compatibility("maj", 3, 4, "full"),
-                lambda: check_compatibility(("maj", "inv"), 2, 2, "full"),
-                lambda: find_counterexample("maj", 7),
-                lambda: find_counterexample("biruns", 7),
-                lambda: find_counterexample("inv", 4),
-                lambda: check_identity("maj_des", 3, 3),
-                lambda: check_conjecture_udr_pk_des(3, 3)):
+def test_each_entry_point_resolves_its_id_once(monkeypatch):
+    """Every entry point that takes a statistic resolves its id once per
+    call (``stats.resolve_stat``): not again for the default bound, the
+    mode check, each split of a search, each table or each permutation."""
+    real, calls = stats.resolve_stat, []
+    for module in (stats, shuffle, verify, qpoly, reduce):
+        monkeypatch.setattr(module, "resolve_stat", lambda stat: calls.append(stat) or real(stat))
+    runs = [("maj", lambda: check_compatibility("maj", 3, 4)),
+            ("maj", lambda: check_compatibility("maj", 3, 4, "full")),
+            (("maj", "inv"), lambda: check_compatibility(("maj", "inv"), 2, 2, "full")),
+            ("maj", lambda: find_counterexample("maj", 7)),
+            ("biruns", lambda: find_counterexample("biruns", 7)),
+            ("inv", lambda: find_counterexample("inv", 4)),
+            (("des", "maj"), lambda: check_identity("maj_des", 3, 3)),
+            ("maj", lambda: check_identity("maj", 3, 3)),
+            (("udr", "pk", "des"), lambda: check_conjecture_udr_pk_des(3, 3)),
+            ("pk", lambda: check_bijection_pipeline("pk", (2, 1, 4, 3), (5, 6))),
+            (("maj", "des"), lambda: class_pair_counts(("maj", "des"), 3, 3)),
+            ("Pk", lambda: shuffle_distribution("Pk", (2, 4, 1), (7, 3))),
+            ("inv", lambda: shuffle_distribution("inv", (2, 4, 1), (7, 3))),
+            ("maj", lambda: gen_poly("maj", permutations(range(1, 6)))),
+            (("maj", "inv"), lambda: distribution(("maj", "inv"), permutations(range(1, 6))))]
+    for stat, run in runs:
         calls.clear()
         run()
-        assert len(calls) <= 1, calls
+        assert calls == [stat], (stat, calls)
 
 
-def test_mark_tables_validate_each_id_once(monkeypatch):
-    """A search validates its id in ``verify`` once, and its tables' DP
-    (``stats.mark_tables``, called once per table) once more, on the id's
-    first use; an id it refused is refused again."""
-    real, calls = stats.is_descent_statistic, []
-
-    def count(stat):
-        calls.append(stat)
-        return real(stat)
-
-    monkeypatch.setattr(stats, "_RULES", {})
-    for module in (stats, verify):
-        monkeypatch.setattr(module, "is_descent_statistic", count)
-    find_counterexample("maj", 7)
-    assert calls == ["maj", "maj"]
-    calls.clear()
-    find_counterexample("maj", 7)
-    assert calls == ["maj"]
+def test_ids_are_validated_on_their_first_resolution_only(monkeypatch):
+    """A search validates its id on its first resolution only; an id that is
+    refused is refused again, with the same message."""
+    real, checked = stats.validate_stat, []
+    monkeypatch.setattr(stats, "validate_stat", lambda stat: checked.append(stat) or real(stat))
+    stats._resolve.cache_clear()
     for _ in range(2):
-        with pytest.raises(ValueError, match="not a descent statistic"):
-            class_pair_counts(("maj", "inv"), 2, 2)
-    assert calls == ["maj", ("maj", "inv"), ("maj", "inv")]
+        find_counterexample("maj", 7)
+    assert checked == ["maj"]
+    unhashable = r"^statistic must be a name or tuple of names, got \['maj'\]$"
+    for stat, message in [(("maj", "inv"), r"^\(maj,inv\) is not a descent statistic$"),
+                          ("bogus", "^unknown statistic 'bogus'$"), (["maj"], unhashable)]:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                class_pair_counts(stat, 2, 2)
+    # a tuple resolves its inv component too; refused ids are validated each time
+    assert checked == ["maj", ("maj", "inv"), "inv", "bogus", "bogus", ["maj"], ["maj"]]
 
 
 def test_witness_recheck_detects_stale_data():
